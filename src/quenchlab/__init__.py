@@ -10,17 +10,18 @@ on a slab or a radially symmetric ball.  Subpackages cover meshes and
 discrete operators (`mesh`), permittivity profiles (`profiles`), the
 steady problem and its fold (`steady`), time integration and quench
 detection (`dynamics`), analytic quench-time estimates (`bounds`),
-similarity-variable diagnostics (`selfsim`), and a command line driver
-(`cli`).
+similarity-variable diagnostics (`selfsim`), the CSV artifact writer
+(`csvio`), and a command line driver (`cli`).
 """
 
 __version__ = "0.1.0"
 
-from . import bounds, dynamics, mesh, profiles, selfsim, steady
+from . import bounds, csvio, dynamics, mesh, profiles, selfsim, steady
 
 __all__ = [
     "__version__",
     "bounds",
+    "csvio",
     "dynamics",
     "mesh",
     "profiles",

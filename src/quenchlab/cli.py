@@ -23,7 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from . import __version__
+from . import __version__, csvio
 from .mesh import Geometry, Mesh, RadialBall, Slab, build_mesh
 from .profiles import (
     Constant,
@@ -278,7 +278,7 @@ def _outdir(cfg: dict) -> str:
 
 
 def cmd_steady(cfg: dict) -> int:
-    from .steady import StepFailure, branch_to_csv, continue_branch, solve_minimal
+    from .steady import StepFailure, branch_to_csv, continue_branch, solve_minimal, states_to_csv
 
     started = _now()
     mesh, profile = _validated(cfg)
@@ -291,18 +291,14 @@ def cmd_steady(cfg: dict) -> int:
     files = [branch_path]
 
     if cfg.get("lambda_grid") is not None:
-        grid = _grid(cfg)
-        rows = []
-        for lam in grid:
+        states = []
+        for lam in _grid(cfg):
             state = solve_minimal(lam, profile, mesh)
             if state is None:
                 print("no solution at lambda=%g" % lam, file=sys.stderr)
                 return EXIT_SOLVER
-            rows.append((state.lam, state.sup_w, state.mu1))
-        with open(branch_path, "w", newline="\n") as fh:
-            fh.write("lambda,sup_w,mu1\n")
-            for lam, sup_w, mu1 in rows:
-                fh.write("%.17g,%.17g,%.17g\n" % (lam, sup_w, mu1))
+            states.append(state)
+        states_to_csv(states, branch_path)
         summary = {"lambda_star": None, "config": cfg}
     else:
         try:
@@ -455,10 +451,7 @@ def cmd_sweep(cfg: dict) -> int:
         rows.append((lam, res["T"], TL, T1a, T1s, ll.lower, ll.upper))
 
     sweep_path = os.path.join(out, "sweep.csv")
-    with open(sweep_path, "w", newline="\n") as fh:
-        fh.write("lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else "%.17g" % v for v in row) + "\n")
+    csvio.write_rows(sweep_path, "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7", rows)
     _write_run_record(out, "sweep", cfg, [sweep_path], started)
     if failures == len(grid):
         print("all sweep runs failed", file=sys.stderr)
@@ -485,11 +478,11 @@ def _load_trajectory(run_dir: str):
         raise MissingInput("no snapshots in %s" % run_dir)
     for name in names:
         with open(os.path.join(run_dir, name)) as fh:
-            header = fh.readline()
+            fh.readline()  # header
             tline = fh.readline()
             t = float(tline.strip().split("=", 1)[1])
-            data = np.loadtxt(fh, delimiter=",")
-        u = 1.0 - data[:, 1]
+            one_minus_u = np.loadtxt(fh, delimiter=",", usecols=1)
+        u = 1.0 - one_minus_u
         snaps.append((t, Field(mesh, u)))
 
     hist = []
@@ -547,13 +540,8 @@ def cmd_rescale(cfg: dict) -> int:
 
     out = _outdir(cfg)
     frame_path = os.path.join(out, "frame.csv")
-    write_frame_csv(frame, frame_path)
-    if off_set:
-        with open(frame_path) as fh:
-            body = fh.read()
-        head, rest = body.split("\n", 1)
-        with open(frame_path, "w", newline="\n") as fh:
-            fh.write(head + "\n# warning: center not in the touchdown set\n" + rest)
+    warnings = ["warning: center not in the touchdown set"] if off_set else []
+    write_frame_csv(frame, frame_path, warnings)
     energy_path = os.path.join(out, "energy.csv")
     write_energy_csv(trace, frame, lam, float(evaluate(profile, center)), energy_path)
     _write_run_record(out, "rescale", cfg, [frame_path, energy_path], started)

@@ -13,12 +13,14 @@ cubic gap law (near touchdown u_t is dominated by the forcing, so
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import csvio
 from .mesh import Field, Mesh, bands_matvec, integrate as quad, laplacian_bands
 from .profiles import Profile, evaluate
 
@@ -149,7 +151,7 @@ def _cn_step(Lb, f, lam, u, dt):
         Jb[1] += 1.0 - dt * lam * f / gap**3
         try:
             delta = solve_banded((1, 1), Jb, -F)
-        except Exception:
+        except np.linalg.LinAlgError:  # singular stage Jacobian
             return None
         if not np.all(np.isfinite(delta)):
             return None
@@ -426,28 +428,24 @@ def convergence_check(
 
 
 def write_snapshots(trajectory: Trajectory, directory, prefix: str = "snapshot") -> List[str]:
-    """One CSV per stored time with columns (x, 1-u); returns paths written."""
-    import os
+    """One CSV per stored time with columns (x, 1-u); returns paths written.
 
-    paths = []
+    The x column is formatted once per trajectory and shared by every file.
+    """
     mesh = trajectory.mesh
+    body = csvio.template(mesh.node_count, [mesh.nodes, csvio.FLOAT])
+    paths = []
     for k, (t, fld) in enumerate(trajectory.snapshots):
         path = os.path.join(str(directory), "%s_%04d.csv" % (prefix, k))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x,one_minus_u\n")
-            fh.write("# t=%.17g\n" % t)
-            for x, v in zip(mesh.nodes, fld.values):
-                fh.write("%.17g,%.17g\n" % (x, 1.0 - v))
+        one_minus_u = tuple((1.0 - fld.values).tolist())
+        csvio.write(path, "x,one_minus_u", [body % one_minus_u], comments=["t=%.17g" % t])
         paths.append(path)
     return paths
 
 
 def write_max_history(trajectory: Trajectory, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,sup_u,argmax\n")
-        for t, sup, peaks in trajectory.max_history:
-            arg = peaks[0] if peaks else math.nan
-            fh.write("%.17g,%.17g,%.17g\n" % (t, sup, arg))
+    rows = [(t, sup, peaks[0] if peaks else math.nan) for t, sup, peaks in trajectory.max_history]
+    csvio.write_rows(path, "t,sup_u,argmax", rows)
 
 
 def quench_report_to_dict(report: QuenchReport) -> dict:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvio
+
 __all__ = [
     "Slab",
     "RadialBall",
@@ -231,7 +233,6 @@ def apply_laplacian(f: Field, boundary: str = "dirichlet_zero") -> Field:
 
 def field_to_csv(f: Field, path) -> None:
     """Write (node_index, x_or_r, value) rows with a header line."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("node_index,x_or_r,value\n")
-        for i, (x, v) in enumerate(zip(f.mesh.nodes, f.values)):
-            fh.write("%d,%.17g,%.17g\n" % (i, x, v))
+    n = f.mesh.node_count
+    body = csvio.template(n, [np.arange(n), f.mesh.nodes, f.values])  # %.17g prints an index as %d
+    csvio.write(path, "node_index,x_or_r,value", [body])

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from . import csvio
 from .dynamics import Trajectory
 from .mesh import RadialBall, Slab, sphere_area
 
@@ -47,6 +49,11 @@ class RescaledFrame:
     contained: Tuple[bool, ...]
     dimension: int
     radial: bool
+
+    @cached_property
+    def s_values(self) -> np.ndarray:
+        """The s of every sample, built once for nearest-sample lookups."""
+        return np.array([smp[0] for smp in self.samples])
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,7 @@ def _rho_weights(frame: RescaledFrame, y: np.ndarray) -> np.ndarray:
 
 
 def _nearest_sample(frame: RescaledFrame, s: float):
-    ss = np.array([smp[0] for smp in frame.samples])
-    idx = int(np.argmin(np.abs(ss - s)))
+    idx = int(np.argmin(np.abs(frame.s_values - s)))
     return frame.samples[idx]
 
 
@@ -188,17 +194,16 @@ def energy_trace(frame: RescaledFrame, lam: float, f_at_a: float) -> EnergyTrace
     return EnergyTrace(points=tuple(points), k_a=k, E_limit=Fk * gamma_inf)
 
 
-def write_frame_csv(frame: RescaledFrame, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,y,w\n")
-        for s, y, w in frame.samples:
-            for yi, wi in zip(y, w):
-                fh.write("%.17g,%.17g,%.17g\n" % (s, yi, wi))
+def write_frame_csv(frame: RescaledFrame, path, comments: Sequence[str] = ()) -> None:
+    """(s, y, w) rows, one sample at a time; `comments` go below the header."""
+    bodies = (
+        csvio.template(y.size, [csvio.FLOAT % s, csvio.FLOAT, csvio.FLOAT]) % csvio.interleave(y, w)
+        for s, y, w in frame.samples
+    )
+    csvio.write(path, "s,y,w", bodies, comments)
 
 
 def write_energy_csv(trace: EnergyTrace, frame: RescaledFrame, lam: float, f_at_a: float, path) -> None:
     Fk, _ = F_profile(trace.k_a, lam, f_at_a)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,E,k_a,E_of_k\n")
-        for s, E in trace.points:
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (s, E, trace.k_a, Fk * _gamma(frame, s)))
+    rows = [(s, E, trace.k_a, Fk * _gamma(frame, s)) for s, E in trace.points]
+    csvio.write_rows(path, "s,E,k_a,E_of_k", rows)

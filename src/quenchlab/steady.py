@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import csvio
 from .mesh import Field, Mesh, bands_matvec, integrate, laplacian_bands
 from .profiles import Profile, evaluate
 
@@ -41,6 +42,7 @@ __all__ = [
     "linearized_eigenpair",
     "singular_extremal_radial",
     "branch_to_csv",
+    "states_to_csv",
 ]
 
 
@@ -582,11 +584,14 @@ def continue_branch(
     )
 
 
+def states_to_csv(states, path) -> None:
+    """(lambda, sup_w, mu1) rows, one per state; a missing mu1 is written nan."""
+    rows = [(s.lam, s.sup_w, s.mu1 if s.mu1 is not None else np.nan) for s in states]
+    csvio.write_rows(path, "lambda,sup_w,mu1", rows)
+
+
 def branch_to_csv(branch: SteadyBranch, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("lambda,sup_w,mu1\n")
-        for s in branch.states:
-            fh.write("%.17g,%.17g,%.17g\n" % (s.lam, s.sup_w, s.mu1 if s.mu1 is not None else np.nan))
+    states_to_csv(branch.states, path)
 
 
 # ---------------------------------------------------------------------------

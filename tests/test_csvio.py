@@ -1,0 +1,252 @@
+"""Byte identity of every CSV artifact routed through `csvio`.
+
+Each writer is checked against a reference kept here: the per-row
+``"%.17g"`` loop it replaced, run on the same inputs.  Edge values cover
+NaN, signed zero, integral floats, the smallest subnormal and the largest
+finite double.
+"""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from quenchlab import csvio
+from quenchlab.cli import _load_trajectory, main
+from quenchlab.dynamics import Trajectory, write_max_history, write_snapshots
+from quenchlab.mesh import Field, Slab, build_mesh, field_to_csv
+from quenchlab.profiles import Constant
+from quenchlab.selfsim import (
+    _gamma,
+    _nearest_sample,
+    energy_trace,
+    rescale,
+    write_energy_csv,
+    write_frame_csv,
+)
+from quenchlab.steady import branch_to_csv, solve_minimal
+
+EDGES = (-0.0, 1.0, 5e-324, 1.7976931348623157e308)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def oracle_rows(header, rows):
+    """The per-row writer every CSV artifact used before `csvio`."""
+    text = header + "\n"
+    for row in rows:
+        text += ",".join("" if v is None else "%.17g" % v for v in row) + "\n"
+    return text.encode()
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# the writer layer
+
+
+def test_edge_values_formatting(tmp_path):
+    path = tmp_path / "edge.csv"
+    rows = [(math.nan, -0.0, 1.0), (5e-324, None, 1.7976931348623157e308)]
+    csvio.write_rows(path, "a,b,c", rows)
+    assert read_bytes(path) == oracle_rows("a,b,c", rows)
+    assert path.read_text() == "a,b,c\nnan,-0,1\n4.9406564584124654e-324,,1.7976931348623157e+308\n"
+
+
+def test_template_builds_in_shared_columns():
+    body = csvio.template(3, [np.array(EDGES[:3]), csvio.FLOAT, "x%%"])
+    assert body % (math.nan, 2.5, -0.0) == b"-0,nan,x%\n1,2.5,x%\n4.9406564584124654e-324,-0,x%\n"
+    assert csvio.template(2, [csvio.FLOAT, "7"]) % (1.0, 2.0) == b"1,7\n2,7\n"
+    assert csvio.template(2, [np.arange(2), np.array([0.5, 1.7976931348623157e308])]) == (
+        b"0,0.5\n1,1.7976931348623157e+308\n"
+    )
+
+
+def test_interleave_row_major():
+    assert csvio.interleave(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == (1.0, 3.0, 2.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# the routed writers
+
+
+def test_field_to_csv_matches_oracle(tmp_path):
+    mesh = build_mesh(Slab(-1.0, 1.0), 5)
+    values = np.array(EDGES + (0.25,))
+    path = tmp_path / "field.csv"
+    field_to_csv(Field(mesh, values), path)
+    expected = "node_index,x_or_r,value\n" + "".join(
+        "%d,%.17g,%.17g\n" % (i, x, v) for i, (x, v) in enumerate(zip(mesh.nodes, values))
+    )
+    assert read_bytes(path) == expected.encode()
+
+
+def edge_trajectory():
+    """Snapshots and a sup history carrying the edge values, one argmax missing."""
+    mesh = build_mesh(Slab(-0.5, 0.5), 6)
+    rng = np.random.default_rng(3)
+    snaps = (
+        (0.0, Field(mesh, np.zeros(6))),
+        (5e-324, Field(mesh, np.array([0.0, 5e-324, 1.0, 2.0, -1.7976931348623157e308, 0.0]))),
+        (0.1, Field(mesh, np.concatenate([[0.0], rng.uniform(0.0, 1.0, 4), [0.0]]))),
+    )
+    hist = (
+        (0.0, 0.0, ()),
+        (5e-324, -0.0, (1.0,)),
+        (1.0, 1.7976931348623157e308, (-0.25, 0.25)),
+    )
+    return Trajectory(lam=1.0, snapshots=snaps, max_history=hist, liapunov_history=())
+
+
+def test_write_snapshots_matches_oracle(tmp_path):
+    traj = edge_trajectory()
+    paths = write_snapshots(traj, tmp_path)
+    assert len(paths) == len(traj.snapshots)
+    for path, (t, fld) in zip(paths, traj.snapshots):
+        expected = "x,one_minus_u\n# t=%.17g\n" % t + "".join(
+            "%.17g,%.17g\n" % (x, 1.0 - v) for x, v in zip(traj.mesh.nodes, fld.values)
+        )
+        assert read_bytes(path) == expected.encode()
+
+
+def test_write_max_history_matches_oracle(tmp_path):
+    traj = edge_trajectory()
+    path = tmp_path / "max_history.csv"
+    write_max_history(traj, path)
+    rows = [(t, sup, peaks[0] if peaks else math.nan) for t, sup, peaks in traj.max_history]
+    assert read_bytes(path) == oracle_rows("t,sup_u,argmax", rows)
+    assert path.read_text().splitlines()[1] == "0,0,nan"
+
+
+def test_branch_to_csv_missing_mu1_is_nan(tmp_path, branch_f1_401):
+    states = tuple(
+        dataclasses.replace(s, mu1=None) if k % 3 == 0 else s for k, s in enumerate(branch_f1_401.states)
+    )
+    branch = dataclasses.replace(branch_f1_401, states=states)
+    path = tmp_path / "branch.csv"
+    branch_to_csv(branch, path)
+    rows = [(s.lam, s.sup_w, s.mu1 if s.mu1 is not None else np.nan) for s in states]
+    assert read_bytes(path) == oracle_rows("lambda,sup_w,mu1", rows)
+    assert path.read_text().splitlines()[1].endswith(",nan")
+
+
+def write_config(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_steady_grid_matches_oracle(tmp_path):
+    grid = [0.0, 0.5, 1.0]
+    cfg = write_config(tmp_path, "grid.json", {"node_count": 101, "lambda_grid": grid})
+    out = tmp_path / "grid"
+    assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+    mesh = build_mesh(Slab(-0.5, 0.5), 101)
+    states = [solve_minimal(lam, Constant(1.0), mesh) for lam in grid]
+    rows = [(s.lam, s.sup_w, s.mu1) for s in states]
+    assert read_bytes(out / "branch.csv") == oracle_rows("lambda,sup_w,mu1", rows)
+
+
+def test_sweep_blank_cells_match_oracle(tmp_path, monkeypatch):
+    written = []
+    real = csvio.write_rows
+
+    def spy(path, header, rows):
+        written.append((header, [tuple(r) for r in rows]))
+        real(path, header, rows)
+
+    monkeypatch.setattr(csvio, "write_rows", spy)
+    cfg = write_config(tmp_path, "sweep.json", {
+        "node_count": 101, "lambda_grid": [0.5, 4.0], "time": {"t_max": 0.2},
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    (header, rows), = written
+    assert None in rows[0]  # lam below the fold: no touchdown, no T_L
+    assert read_bytes(out / "sweep.csv") == oracle_rows(header, rows)
+    assert ",," in (out / "sweep.csv").read_text().splitlines()[1]
+
+
+@pytest.fixture(scope="module")
+def frame_201(quench_run_201):
+    traj, report = quench_run_201
+    return rescale(traj, report.quench_set[0], report.T)
+
+
+def oracle_frame(frame):
+    text = "s,y,w\n"
+    for s, y, w in frame.samples:
+        for yi, wi in zip(y, w):
+            text += "%.17g,%.17g,%.17g\n" % (s, yi, wi)
+    return text
+
+
+@pytest.mark.parametrize("warned", [False, True])
+def test_write_frame_csv_matches_oracle(tmp_path, frame_201, warned):
+    path = tmp_path / "frame.csv"
+    warning = "warning: center not in the touchdown set"
+    write_frame_csv(frame_201, path, [warning] if warned else [])
+    expected = oracle_frame(frame_201)
+    if warned:  # the old rescale command re-read the file to insert this line
+        head, rest = expected.split("\n", 1)
+        expected = head + "\n# " + warning + "\n" + rest
+    assert read_bytes(path) == expected.encode()
+
+
+def old_nearest_sample(frame, s):
+    ss = np.array([smp[0] for smp in frame.samples])
+    return frame.samples[int(np.argmin(np.abs(ss - s)))]
+
+
+def test_write_energy_csv_matches_oracle(tmp_path, frame_201):
+    lam, f_at_a = 5.0, 1.0
+    trace = energy_trace(frame_201, lam, f_at_a)
+    path = tmp_path / "energy.csv"
+    write_energy_csv(trace, frame_201, lam, f_at_a, path)
+    Fk = -(trace.k_a**2) / 6.0 - lam * f_at_a / trace.k_a
+    text = "s,E,k_a,E_of_k\n"
+    for s, E in trace.points:
+        _, y, _ = old_nearest_sample(frame_201, s)
+        y = y[np.abs(y) <= s + 1e-12]
+        trap = np.full(y.size, 0.01)
+        trap[0] = trap[-1] = 0.005
+        gamma = float(np.sum(np.exp(-(y**2) / 4.0) * trap))
+        assert gamma == _gamma(frame_201, s)
+        text += "%.17g,%.17g,%.17g,%.17g\n" % (s, E, trace.k_a, Fk * gamma)
+    assert read_bytes(path) == text.encode()
+
+
+def test_nearest_sample_lookup_unchanged(frame_201):
+    ss = [smp[0] for smp in frame_201.samples]
+    probes = np.concatenate([ss, np.linspace(min(ss) - 1.0, max(ss) + 1.0, 97)])
+    for s in probes:
+        assert _nearest_sample(frame_201, s) is old_nearest_sample(frame_201, s)
+
+
+# ---------------------------------------------------------------------------
+# snapshots back in
+
+
+def test_snapshot_round_trip(tmp_path, quench_run_201):
+    traj, _ = quench_run_201
+    mesh = traj.mesh
+    write_snapshots(traj, tmp_path)
+    write_max_history(traj, tmp_path / "max_history.csv")
+    geometry = {"kind": "slab", "x_left": mesh.geometry.x_left, "x_right": mesh.geometry.x_right}
+    config = {"geometry": geometry, "node_count": mesh.node_count, "lambda": traj.lam}
+    (tmp_path / "run.json").write_text(json.dumps({"config": config}))
+
+    loaded, _ = _load_trajectory(str(tmp_path))
+    assert len(loaded.snapshots) == len(traj.snapshots)
+    assert np.array_equal(bits([t for t, _ in loaded.snapshots]), bits([t for t, _ in traj.snapshots]))
+    for (_, got), (_, fld) in zip(loaded.snapshots, traj.snapshots):
+        # the file stores 1 - u exactly; the loader returns 1 - (stored column)
+        assert np.array_equal(bits(got.values), bits(1.0 - (1.0 - fld.values)))
+    assert loaded.max_history == tuple((t, sup, peaks[:1]) for t, sup, peaks in traj.max_history)

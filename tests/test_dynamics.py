@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from quenchlab import dynamics
 from quenchlab.dynamics import (
     OverflowGuard,
     TimeConfig,
@@ -28,7 +29,7 @@ from quenchlab.dynamics import (
     write_max_history,
     write_snapshots,
 )
-from quenchlab.mesh import Field, Slab, build_mesh
+from quenchlab.mesh import Field, Slab, build_mesh, laplacian_bands
 from quenchlab.profiles import Constant, SlabSinPiecewise
 
 UNIT_SLAB = Slab(-0.5, 0.5)
@@ -269,6 +270,34 @@ def test_convergence_to_minimal_state():
     assert all(b < a for a, b in zip(resolved[2:], resolved[3:]))
     with pytest.raises(ValueError):
         convergence_check(2.0, Constant(1.0), mesh, cfg)
+
+
+# ---------------------------------------------------------------------------
+# stage solve failures
+
+
+def _stage_inputs():
+    mesh = build_mesh(UNIT_SLAB, 11)
+    Lb = laplacian_bands(mesh)
+    n = Lb.shape[1]
+    return Lb, np.ones(n), 1.0, np.zeros(n), 1e-3
+
+
+def test_cn_step_singular_solve_is_a_failed_stage(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(dynamics, "solve_banded", singular)
+    assert dynamics._cn_step(*_stage_inputs()) is None
+
+
+def test_cn_step_propagates_other_solver_faults(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(dynamics, "solve_banded", broken)
+    with pytest.raises(TypeError):
+        dynamics._cn_step(*_stage_inputs())
 
 
 # ---------------------------------------------------------------------------
