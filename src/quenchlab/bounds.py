@@ -13,15 +13,18 @@ telling the bounds apart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .mesh import Field, Mesh, RadialBall, Slab, build_mesh, integrate
+# build_mesh is unused here but stays a module attribute: perfbench/tracing.py wraps it
+from .mesh import Field, Mesh, RadialBall, Slab, build_mesh, integrate  # noqa: F401
 from .profiles import Profile, evaluate, holder_constant
-from .steady import SteadyBranch, smallest_eigenvalue_bands
+from .steady import SteadyBranch
 
 __all__ = [
     "NotApplicable",
@@ -107,25 +110,51 @@ class BoundsReport:
 
 
 # ---------------------------------------------------------------------------
-# ground Dirichlet eigenvalue of the unit ball, cached per dimension
-
-_D_CACHE: Dict[int, float] = {1: math.pi**2 / 4.0}
+# ground Dirichlet eigenvalue of the unit ball
 
 
-def dirichlet_eigenvalue_ball(dimension: int, node_count: int = 2001) -> float:
-    """First eigenvalue of -lap on the unit ball (unit interval for N=1)."""
+@functools.lru_cache(maxsize=None)
+def dirichlet_eigenvalue_ball(dimension: int) -> float:
+    """First eigenvalue of -lap on the unit ball (unit interval for N=1).
+
+    It is j^2, with j the first positive zero of the Bessel function J_nu,
+    nu = N/2 - 1; for N=1 that is (pi/2)^2 exactly.  On x > 0, J_nu(x) has
+    the sign of S(x) = sum_k (-x^2/4)^k / (k! (nu+1)_k).  S is summed in
+    decimal arithmetic with enough digits for its cancellation (its terms
+    grow to about e^x), and j is bisected to the last float bit.  The
+    value depends on the dimension alone and is cached per dimension.
+    """
     if dimension < 1:
         raise ValueError("dimension must be positive")
-    if dimension in _D_CACHE:
-        return _D_CACHE[dimension]
-    from .mesh import laplacian_bands
+    if dimension == 1:
+        return math.pi**2 / 4.0
+    nu = Decimal(dimension - 2) / 2
 
-    mesh = build_mesh(RadialBall(dimension, 1.0), node_count)
-    ab = -laplacian_bands(mesh)
-    wq = mesh.weights[mesh.unknown_slice]
-    mu, _, _ = smallest_eigenvalue_bands(ab, wq)
-    _D_CACHE[dimension] = float(mu)
-    return _D_CACHE[dimension]
+    def positive(x: float) -> bool:
+        with localcontext() as ctx:
+            ctx.prec = 60 + int(x)
+            q = -Decimal(x) ** 2 / 4
+            term = total = Decimal(1)
+            k = 0
+            while k <= x or abs(term) > Decimal("1e-50"):
+                k += 1
+                term *= q / (k * (k + nu))
+                total += term
+            return total > 0
+
+    # J_nu > 0 on (0, j) and j > nu; zeros are more than pi apart
+    lo = float(nu)
+    hi = lo + 0.5
+    while positive(hi):
+        lo, hi = hi, hi + 0.5
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid * mid
 
 
 # ---------------------------------------------------------------------------

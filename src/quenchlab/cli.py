@@ -289,6 +289,9 @@ def cmd_steady(cfg: dict) -> int:
     out = _outdir(cfg)
     branch_path = os.path.join(out, "branch.csv")
     files = [branch_path]
+    # the output directory stays out of the summary (run.json records it),
+    # so the same run gives the same bytes wherever it is written
+    summary_cfg = {k: v for k, v in cfg.items() if k != "out"}
 
     if cfg.get("lambda_grid") is not None:
         states = []
@@ -299,7 +302,7 @@ def cmd_steady(cfg: dict) -> int:
                 return EXIT_SOLVER
             states.append(state)
         states_to_csv(states, branch_path)
-        summary = {"lambda_star": None, "config": cfg}
+        summary = {"lambda_star": None, "config": summary_cfg}
     else:
         try:
             branch = continue_branch(profile, mesh, ds=ds)
@@ -307,7 +310,7 @@ def cmd_steady(cfg: dict) -> int:
             print("continuation failed: %s" % exc, file=sys.stderr)
             return EXIT_SOLVER
         branch_to_csv(branch, branch_path)
-        summary = {"lambda_star": branch.lambda_star, "config": cfg}
+        summary = {"lambda_star": branch.lambda_star, "config": summary_cfg}
 
     summary_path = os.path.join(out, "summary.json")
     _write_json(summary_path, summary)

@@ -12,8 +12,11 @@ threshold), where the first eigenvalue mu_1 of the linearization
     -lap(phi) - 2 lam f / (1 - w)^3 phi = mu phi
 
 crosses zero.  `continue_branch` traces the curve with pseudo-arclength
-steps, bisects the tangent direction to land a point essentially at the
-fold, and refines lam_star by a quadratic fit of lam against ||w||_inf.
+steps and locates the fold once, by Newton on the extended system
+{G = 0, G_w phi = 0, phi pinned} (Moore & Spence 1980) started from the
+walk's largest-lam point.  That lands on the discrete fold, whose lam is
+O(h^2) from the continuum lam_star.  Each state's mu_1 comes from inverse
+iteration warm-started from the previous state's eigenvector.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def solve_minimal(
             Jb[1] += 2.0 * lam * f / (1.0 - w) ** 3
             try:
                 delta = solve_banded((1, 1), Jb, -res)
-            except Exception:
+            except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(delta)):
                 break
@@ -200,25 +203,23 @@ def solve_minimal(
     return state
 
 
-def smallest_eigenvalue_bands(
-    ab: np.ndarray, weights: np.ndarray, rtol: float = 1e-9, max_iter: int = 400
-) -> Tuple[float, np.ndarray, float]:
-    """Smallest eigenvalue of a tridiagonal operator by shifted inverse
-    power iteration with Rayleigh-quotient shift updates.
+def _rayleigh(ab: np.ndarray, weights: np.ndarray, v: np.ndarray) -> Tuple[float, float]:
+    """Weighted Rayleigh quotient of v and the sup-norm of its residual."""
+    av = bands_matvec(ab, v)
+    wv = weights * v
+    mu = float(np.dot(wv, av) / np.dot(wv, v))
+    return mu, float(np.max(np.abs(av - mu * v)))
 
-    The returned vector has sup-norm 1 and positive entry at its peak.
-    """
-    n = ab.shape[1]
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(ab[0, 1:])
-    radius[1:] += np.abs(ab[2, :-1])
-    sigma = float(np.min(ab[1] - radius)) - 1.0
-    anorm = float(np.max(np.abs(ab[1])) + np.max(radius))
-    floor = 50.0 * np.finfo(float).eps * anorm
 
-    v = np.ones(n)
-    v /= np.max(np.abs(v))
-    mu = 0.0
+def _shift(mu: float, res: float) -> float:
+    """Inverse-iteration shift 10 residuals below a Rayleigh quotient."""
+    return mu - 10.0 * res - 1e-9 * max(1.0, abs(mu))
+
+
+def _inverse_iteration(ab, weights, v, sigma, stop, max_iter):
+    """Shifted inverse iteration from v; returns (best residual, (mu, v)) or
+    (inf, None).  The shift follows the Rayleigh quotient from the second
+    iterate on."""
     best_res = np.inf
     best: Tuple[float, np.ndarray] | None = None
     stale = 0
@@ -227,7 +228,7 @@ def smallest_eigenvalue_bands(
         shifted[1] -= sigma
         try:
             y = solve_banded((1, 1), shifted, v)
-        except Exception:
+        except np.linalg.LinAlgError:
             sigma -= max(1.0, abs(sigma)) * 1e-8
             continue
         if not np.all(np.isfinite(y)):
@@ -235,26 +236,67 @@ def smallest_eigenvalue_bands(
             continue
         peak = int(np.argmax(np.abs(y)))
         v = y / y[peak]
-        av = bands_matvec(ab, v)
-        wv = weights * v
-        mu = float(np.dot(wv, av) / np.dot(wv, v))
-        res = float(np.max(np.abs(av - mu * v)))
+        mu, res = _rayleigh(ab, weights, v)
         if res < best_res:
             best_res, best = res, (mu, v.copy())
             stale = 0
         else:
             stale += 1
-        if best_res <= max(rtol * max(1.0, abs(mu)) * 1e-1, floor) or stale >= 6:
+        if best_res <= stop(mu) or stale >= 6:
             break
         if it >= 1:
-            sigma = mu - 10.0 * res - 1e-9 * max(1.0, abs(mu))
+            sigma = _shift(mu, res)
+    return best_res, best
+
+
+def smallest_eigenvalue_bands(
+    ab: np.ndarray,
+    weights: np.ndarray,
+    rtol: float = 1e-9,
+    max_iter: int = 400,
+    start: Optional[np.ndarray] = None,
+) -> Tuple[float, np.ndarray, float]:
+    """Smallest eigenvalue of a tridiagonal operator by shifted inverse
+    power iteration with Rayleigh-quotient shift updates.
+
+    A cold solve starts from the ones vector below the Gershgorin bound.
+    A `start` vector, e.g. the eigenvector of a nearby operator, starts
+    the iteration from itself at its Rayleigh-quotient shift instead.  The
+    ground state of these operators has one sign, so a warm result with an
+    interior sign change (a higher mode), or one short of the residual
+    target, is discarded and the solve redone cold.
+
+    The returned vector has sup-norm 1 and positive entry at its peak.
+    """
+    n = ab.shape[1]
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(ab[0, 1:])
+    radius[1:] += np.abs(ab[2, :-1])
+    anorm = float(np.max(np.abs(ab[1])) + np.max(radius))
+    floor = 50.0 * np.finfo(float).eps * anorm
+
+    def stop(mu):
+        return max(rtol * max(1.0, abs(mu)) * 1e-1, floor)
+
+    def target(mu):
+        return max(1e-8 * max(1.0, abs(mu)), 2.0 * floor)
+
+    if start is not None:
+        v = np.asarray(start, dtype=float) / np.max(np.abs(start))
+        sigma = _shift(*_rayleigh(ab, weights, v))
+        best_res, best = _inverse_iteration(ab, weights, v, sigma, stop, max_iter)
+        if best is not None and best_res <= target(best[0]) and best[1].min() >= -1e-8:
+            return best[0], best[1], best_res
+
+    sigma = float(np.min(ab[1] - radius)) - 1.0
+    best_res, best = _inverse_iteration(ab, weights, np.ones(n), sigma, stop, max_iter)
     if best is None:
         raise IterationLimit("inverse iteration produced no usable vector")
     mu, v = best
-    target = max(1e-8 * max(1.0, abs(mu)), 2.0 * floor)
-    if best_res > target:
+    if best_res > target(mu):
         raise IterationLimit(
-            "eigen-residual %.3e above target %.3e after %d iterations" % (best_res, target, max_iter)
+            "eigen-residual %.3e above target %.3e after %d iterations"
+            % (best_res, target(mu), max_iter)
         )
     return mu, v, best_res
 
@@ -264,8 +306,13 @@ def linearized_eigenpair(
     profile: Profile,
     which: str = "first",
     normalization: str = "L2",
+    start: Optional[np.ndarray] = None,
 ) -> Eigenpair:
-    """First eigenpair of -lap - 2 lam f/(1-w)^3 with zero Dirichlet data."""
+    """First eigenpair of -lap - 2 lam f/(1-w)^3 with zero Dirichlet data.
+
+    `start` (interior values) warm-starts the eigen solve; see
+    `smallest_eigenvalue_bands`.
+    """
     if which != "first":
         raise ValueError("only the first eigenpair is supported")
     if normalization not in ("L2", "L1"):
@@ -278,7 +325,7 @@ def linearized_eigenpair(
     ab = -laplacian_bands(mesh)
     ab[1] -= 2.0 * state.lam * f / (1.0 - wi) ** 3
     wq = mesh.weights[mesh.unknown_slice]
-    mu, v, res = smallest_eigenvalue_bands(ab, wq)
+    mu, v, res = smallest_eigenvalue_bands(ab, wq, start=start)
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
     full = _embed(mesh, v)
@@ -312,6 +359,13 @@ class _Curve:
         self.n = self.Lb.shape[1]
         # residual sup-norms below the operator's roundoff floor are noise
         self.res_floor = 30.0 * np.finfo(float).eps * _bands_opnorm(self.Lb)
+        # eigenpair of the last state made; its vector warm-starts the next
+        self.pair: Optional[Eigenpair] = None
+
+    def _warm_start(self) -> Optional[np.ndarray]:
+        if self.pair is None:
+            return None
+        return self.pair.eigenfunction.values[self.mesh.unknown_slice]
 
     def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, tol=1e-10):
         """Newton on the bordered system {G = 0, arclength constraint}."""
@@ -330,12 +384,12 @@ class _Curve:
             Jb[1] += 2.0 * lam * self.f / gap**3
             glam = self.f / gap**2
             try:
-                a = solve_banded((1, 1), Jb, R)
-                b = solve_banded((1, 1), Jb, glam)
-            except Exception:
+                ab = solve_banded((1, 1), Jb, np.column_stack((R, glam)))
+            except np.linalg.LinAlgError:
                 return None
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            if not np.all(np.isfinite(ab)):
                 return None
+            a, b = ab[:, 0], ab[:, 1]
             denom = tau_lam - float(np.dot(self.wq, tau_w * b))
             if denom == 0.0:
                 return None
@@ -360,16 +414,16 @@ class _Curve:
         phi pinned to 1 at its peak node.  The extended Jacobian is
         regular at a quadratic fold even though G_w itself is singular
         there, so the iteration sharpens a nearby curve point into the
-        fold.  Returns (w, lam) or None; the caller keeps whichever of
-        walk point and polished point linearizes closer to neutral.
+        fold.  Returns (w, lam), or None when Newton leaves the curve's
+        neighbourhood or ends off the residual target.
         """
         w = np.array(w, dtype=float)
         lam = float(lam)
         ab = -self.Lb.copy()
         ab[1] -= 2.0 * lam * self.f / (1.0 - w) ** 3
         try:
-            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq)
-        except Exception:
+            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self._warm_start())
+        except IterationLimit:
             return None
         i0 = int(np.argmax(np.abs(phi)))
         if phi[i0] < 0:
@@ -389,11 +443,11 @@ class _Curve:
             d1 = 6.0 * lam * self.f / gap**4 * phi
             d2 = 2.0 * self.f / gap**3 * phi
             try:
-                u0 = solve_banded((1, 1), Jb, -G)
-                u1 = solve_banded((1, 1), Jb, -glam)
-                v0 = solve_banded((1, 1), Jb, -H - d1 * u0)
-                v1 = solve_banded((1, 1), Jb, -(d1 * u1 + d2))
-            except Exception:
+                u = solve_banded((1, 1), Jb, np.column_stack((-G, -glam)))
+                u0, u1 = u[:, 0], u[:, 1]
+                v = solve_banded((1, 1), Jb, np.column_stack((-H - d1 * u0, -(d1 * u1 + d2))))
+                v0, v1 = v[:, 0], v[:, 1]
+            except np.linalg.LinAlgError:
                 return None
             if abs(v1[i0]) == 0.0:
                 return None
@@ -413,15 +467,14 @@ class _Curve:
             return None
         return w, lam
 
-    def state(self, w, lam, with_mu1=True) -> SteadyState:
+    def state(self, w, lam) -> SteadyState:
+        """The curve point as a SteadyState with mu1; keeps its eigenpair."""
         gap = 1.0 - w
         res = bands_matvec(self.Lb, w) + lam * self.f / gap**2
         field = _embed(self.mesh, np.where((w > -1e-12) & (w < 0.0), 0.0, w))
         st = SteadyState(lam=float(lam), w=field, residual_norm=float(np.max(np.abs(res))), mu1=None)
-        if with_mu1:
-            pair = linearized_eigenpair(st, self.profile)
-            st = SteadyState(lam=st.lam, w=st.w, residual_norm=st.residual_norm, mu1=pair.eigenvalue)
-        return st
+        self.pair = linearized_eigenpair(st, self.profile, start=self._warm_start())
+        return SteadyState(lam=st.lam, w=st.w, residual_norm=st.residual_norm, mu1=self.pair.eigenvalue)
 
 
 def continue_branch(
@@ -430,17 +483,16 @@ def continue_branch(
     ds: float = 0.02,
     max_points: int = 600,
     past_fold_drop: float = 0.1,
-    fold_tangent_tol: float = 1e-7,
 ) -> SteadyBranch:
     """Trace the solution curve from (lam=0, w=0) past the fold.
 
     Stepping is pseudo-arclength with secant tangents and step halving on
-    corrector failure.  Once the tangent's lam-component changes sign the
-    fold is located by arc bisection: step toward the sign change with a
-    halved step each time, which lands a curve point whose tangent is
-    lam-neutral to `fold_tangent_tol`.  lam_star is the larger of the
-    best curve lam and the vertex of a quadratic fit of lam versus
-    ||w||_inf through the 5 traversal points nearest the fold.
+    corrector failure; it stops once lam has dropped by `past_fold_drop`
+    past its maximum or ||w||_inf reaches 0.985.  The fold is then found
+    by `_Curve.fold_polish` from the traversal point of largest lam: the
+    polished point is `fold_state`, its lam is `lambda_star`, and its
+    eigenpair gives phi_star and psi_star.  A failed polish raises
+    StepFailure.
     """
     if ds <= 0:
         raise ValueError("ds must be positive")
@@ -488,97 +540,21 @@ def continue_branch(
     if not fold_seen:
         raise StepFailure("no fold found within max_points", states[-1])
 
-    # --- arc bisection toward the fold -----------------------------------
-    # Walk along the curve with signed steps aimed at the tangent's
-    # lam-neutral point: keep the step while the tangent sign holds,
-    # halve it on every sign change.  The tangent is the secant of the
-    # last step taken, so it trails the walker by half a step; the exit
-    # criterion is therefore on the step size, not the tangent.
     fold_index = int(np.argmax([s.lam for s in states]))
-    ref_state = states[fold_index]
-    best_w = ref_state.w.values[mesh.unknown_slice].copy()
-    best_lam = ref_state.lam
-    prev_state = states[fold_index - 1]
-    sec_w = best_w - prev_state.w.values[mesh.unknown_slice]
-    sec_lam = best_lam - prev_state.lam
-    nrm = curve.norm(sec_w, sec_lam)
-    tau_w, tau_lam = sec_w / nrm, sec_lam / nrm
-
-    dsr = 0.25 * ds
-    visits = []
-    for _ in range(140):
-        if dsr < 1e-11 or abs(tau_lam) <= fold_tangent_tol and dsr < 1e-5 * ds:
-            break
-        direction = 1.0 if tau_lam > 0 else -1.0
-        signed = direction * dsr
-        ok = curve.correct(
-            best_w + signed * tau_w,
-            best_lam + signed * tau_lam,
-            tau_w,
-            tau_lam,
-            best_w,
-            best_lam,
-            signed,
-        )
-        if ok is None:
-            dsr *= 0.5
-            continue
-        new_w, new_lam = ok
-        sec_w, sec_lam = (new_w - best_w) / signed, (new_lam - best_lam) / signed
-        nrm = curve.norm(sec_w, sec_lam)
-        new_tau_w, new_tau_lam = sec_w / nrm, sec_lam / nrm
-        crossed = (new_tau_lam > 0.0) != (tau_lam > 0.0)
-        best_w, best_lam = new_w, new_lam
-        visits.append((float(np.max(new_w)), float(new_lam)))
-        tau_w, tau_lam = new_tau_w, new_tau_lam
-        if crossed:
-            dsr *= 0.5
-    fold_state = curve.state(best_w, best_lam)
-    polished = curve.fold_polish(best_w, best_lam)
-    if polished is not None:
-        cand = curve.state(*polished)
-        if cand.mu1 is not None and abs(cand.mu1) < abs(fold_state.mu1):
-            best_w = np.array(polished[0], dtype=float)
-            best_lam = float(polished[1])
-            fold_state = cand
-
-    # --- quadratic refinement of lam_star --------------------------------
-    # Fit lam as a quadratic in ||w||_inf through the 5 curve points
-    # nearest the fold, bisection visits included; a minimum spacing in
-    # ||w||_inf keeps the fit conditioned, and the vertex is trusted only
-    # inside a step-sized window above the best curve lam.
-    lams = np.array([s.lam for s in states])
-    m_fold = fold_state.sup_w
-    cand_m = np.array([s.sup_w for s in states] + [m for m, _ in visits] + [m_fold])
-    cand_l = np.array([s.lam for s in states] + [l for _, l in visits] + [fold_state.lam])
-    order = np.argsort(np.abs(cand_m - m_fold))
-    lambda_star = max(float(lams.max()), fold_state.lam, float(cand_l.max()))
-    sep = 1e-4 * max(1.0, abs(m_fold))
-    picked: list[int] = []
-    while len(picked) < min(5, cand_m.size) and sep > 1e-12:
-        picked = []
-        for i in order:
-            if all(abs(cand_m[i] - cand_m[j]) >= sep for j in picked):
-                picked.append(int(i))
-            if len(picked) == 5:
-                break
-        sep *= 0.1
-    if len(picked) >= 3:
-        coeff = np.polyfit(cand_m[picked] - m_fold, cand_l[picked], 2)
-        if coeff[0] < 0:
-            vertex = coeff[2] - coeff[1] ** 2 / (4.0 * coeff[0])
-            if np.isfinite(vertex) and lambda_star - 1e-9 <= vertex <= lambda_star + ds:
-                lambda_star = max(lambda_star, float(vertex))
-
-    phi = linearized_eigenpair(fold_state, profile, normalization="L2")
+    top = states[fold_index]
+    polished = curve.fold_polish(top.w.values[mesh.unknown_slice], top.lam)
+    if polished is None:
+        raise StepFailure("fold polish failed near lam=%g" % top.lam, states[-1])
+    fold_state = curve.state(*polished)
+    phi = curve.pair.eigenfunction  # L2-normalized
     # psi_star is phi_star rescaled to unit mass, nodewise
-    psi_field = Field(mesh, phi.eigenfunction.values / integrate(phi.eigenfunction))
+    psi_field = Field(mesh, phi.values / integrate(phi))
     return SteadyBranch(
         states=tuple(states),
         fold_state=fold_state,
-        lambda_star=lambda_star,
+        lambda_star=fold_state.lam,
         w_star=fold_state.w,
-        phi_star=phi.eigenfunction,
+        phi_star=phi,
         psi_star=psi_field,
         fold_index=fold_index,
     )

@@ -53,6 +53,18 @@ def test_steady_continuation_and_manifest(tmp_path):
         assert sha256(os.path.join(out, rel)) == digest
 
 
+def test_steady_outputs_independent_of_out_dir(tmp_path):
+    cfg = write_config(tmp_path, "steady.json", {"node_count": 201})
+    outs = [str(tmp_path / "a"), str(tmp_path / "deeper" / "b")]
+    for out in outs:
+        assert main(["steady", "--config", cfg, "--out", out]) == 0
+    for name in ("summary.json", "branch.csv"):
+        first, second = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert first == second
+    assert "out" not in read_json(os.path.join(outs[0], "summary.json"))["config"]
+    assert read_json(os.path.join(outs[1], "run.json"))["config"]["out"] == outs[1]
+
+
 def test_steady_lambda_grid_rows(tmp_path):
     cfg = write_config(tmp_path, "grid.json",
                        {"node_count": 201, "lambda_grid": [0.3, 0.6, 0.9]})

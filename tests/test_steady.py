@@ -20,14 +20,17 @@ from scipy.optimize import brentq
 
 from quenchlab.mesh import Slab, build_mesh, integrate
 from quenchlab.profiles import Constant
+from quenchlab import steady
 from quenchlab.steady import (
     NonConvergence,
     OutOfRange,
+    StepFailure,
     alpha_max,
     branch_to_csv,
     continue_branch,
     linearized_eigenpair,
     singular_extremal_radial,
+    smallest_eigenvalue_bands,
     solve_minimal,
 )
 
@@ -151,6 +154,78 @@ def test_branch_bends_back(branch_f1_401):
 def test_lambda_star_against_closed_form(branch_f1_401):
     assert branch_f1_401.lambda_star == pytest.approx(LAMBDA_STAR_SLAB, abs=1e-5)
     assert np.max(branch_f1_401.w_star.values) == pytest.approx(M_STAR, abs=1e-4)
+
+
+def test_lambda_star_converges_second_order():
+    # the fold polish lands on the discrete fold, which is O(h^2) from the
+    # closed form; observed errors ~2.9e-6, 1.1e-7, 1.3e-8
+    nodes = (401, 2001, 6001)
+    errs = []
+    for n, bound in zip(nodes, (3e-6, 1.2e-7, 2e-8)):
+        br = continue_branch(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n))
+        err = abs(br.lambda_star - LAMBDA_STAR_SLAB) / LAMBDA_STAR_SLAB
+        assert err <= bound
+        errs.append(err)
+    for (n0, e0), (n1, e1) in zip(zip(nodes, errs), zip(nodes[1:], errs[1:])):
+        order = math.log(e0 / e1) / math.log((n1 - 1) / (n0 - 1))
+        assert 1.8 <= order <= 2.2
+
+
+def test_fold_state_is_neutral(branch_f1_401):
+    br = branch_f1_401
+    assert br.fold_state.lam == br.lambda_star
+    assert abs(br.fold_state.mu1) <= 1e-8
+    assert br.lambda_star >= max(s.lam for s in br.states)
+
+
+def test_warm_mu1_matches_cold(branch_f1_401):
+    # every state's mu1 was warm-started from its predecessor's eigenvector;
+    # a cold solve from the ones vector must agree
+    br = branch_f1_401
+    for st in br.states + (br.fold_state,):
+        cold = linearized_eigenpair(st, Constant(1.0)).eigenvalue
+        assert abs(st.mu1 - cold) <= 1e-9 * max(1.0, abs(cold))
+
+
+def test_warm_start_on_higher_mode_falls_back_to_ground_state(monkeypatch):
+    # the discrete Dirichlet modes on a uniform slab mesh are exact sines;
+    # started from the second one, inverse iteration stays on mode 2 until
+    # the one-sign guard redoes the solve cold
+    from quenchlab.mesh import laplacian_bands
+
+    mesh = build_mesh(Slab(-0.5, 0.5), 201)
+    ab = -laplacian_bands(mesh)
+    wq = mesh.weights[mesh.unknown_slice]
+    x = mesh.nodes[mesh.unknown_slice] + 0.5
+    runs = []
+    inner = steady._inverse_iteration
+
+    def spy(*args):
+        out = inner(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(steady, "_inverse_iteration", spy)
+    mu, v, _ = smallest_eigenvalue_bands(ab, wq, start=np.sin(2.0 * math.pi * x))
+    assert len(runs) == 2
+    warm_mu, warm_v = runs[0][1]
+    assert warm_mu == pytest.approx(4.0 * math.pi**2, rel=1e-3)
+    assert warm_v.min() < -0.5
+    assert mu == pytest.approx(math.pi**2, rel=1e-4)
+    assert v.min() >= 0.0 and v.max() == 1.0
+
+
+def test_failed_fold_polish_is_step_failure(tmp_path, monkeypatch):
+    import json
+
+    from quenchlab.cli import main
+
+    monkeypatch.setattr(steady._Curve, "fold_polish", lambda self, w, lam: None)
+    with pytest.raises(StepFailure):
+        continue_branch(Constant(1.0), build_mesh(Slab(-0.5, 0.5), 101))
+    cfg = tmp_path / "steady.json"
+    cfg.write_text(json.dumps({"node_count": 101}))
+    assert main(["steady", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_lambda_star_scales_inversely_with_f():
