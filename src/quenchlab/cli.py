@@ -21,9 +21,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import __version__, csvio
+from .csvio import MissingInput
 from .mesh import Geometry, Mesh, RadialBall, Slab, build_mesh
 from .profiles import (
     Constant,
@@ -31,7 +32,6 @@ from .profiles import (
     Power,
     Profile,
     SlabSinPiecewise,
-    Tabulated,
     evaluate,
     tabulated_from_csv,
     validate as validate_profile,
@@ -44,10 +44,6 @@ EXIT_MISSING = 4
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class MissingInput(ValueError):
     pass
 
 
@@ -322,6 +318,7 @@ def cmd_steady(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     from .dynamics import (
         NewtonFailure,
+        StepLimit,
         StepUnderflow,
         integrate,
         quench_report_to_dict,
@@ -336,7 +333,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _outdir(cfg)
     try:
         traj, report = integrate(lam, profile, mesh, tc)
-    except (NewtonFailure, StepUnderflow) as exc:
+    except (NewtonFailure, StepUnderflow, StepLimit) as exc:
         print("integration failed: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     files = write_snapshots(traj, out)
@@ -462,52 +459,8 @@ def cmd_sweep(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _load_trajectory(run_dir: str):
-    """Rebuild a Trajectory from a simulate run directory."""
-    import numpy as np
-
-    from .dynamics import Trajectory
-    from .mesh import Field
-
-    run_path = os.path.join(run_dir, "run.json")
-    with open(run_path) as fh:
-        record = json.load(fh)
-    run_cfg = record["config"]
-    mesh = build_mesh(build_geometry(run_cfg["geometry"]), int(run_cfg["node_count"]))
-
-    snaps = []
-    names = sorted(n for n in os.listdir(run_dir) if n.startswith("snapshot_") and n.endswith(".csv"))
-    if not names:
-        raise MissingInput("no snapshots in %s" % run_dir)
-    for name in names:
-        with open(os.path.join(run_dir, name)) as fh:
-            fh.readline()  # header
-            tline = fh.readline()
-            t = float(tline.strip().split("=", 1)[1])
-            one_minus_u = np.loadtxt(fh, delimiter=",", usecols=1)
-        u = 1.0 - one_minus_u
-        snaps.append((t, Field(mesh, u)))
-
-    hist = []
-    with open(os.path.join(run_dir, "max_history.csv")) as fh:
-        fh.readline()
-        for line in fh:
-            t_s, sup_s, arg_s = line.strip().split(",")
-            arg = float(arg_s)
-            hist.append((float(t_s), float(sup_s), () if math.isnan(arg) else (arg,)))
-    lam = float(run_cfg["lambda"])
-    return (
-        Trajectory(
-            lam=lam,
-            snapshots=tuple(snaps),
-            max_history=tuple(hist),
-            liapunov_history=(),
-        ),
-        run_cfg,
-    )
-
-
 def cmd_rescale(cfg: dict) -> int:
+    from .dynamics import read_trajectory
     from .selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
     started = _now()
@@ -532,10 +485,15 @@ def cmd_rescale(cfg: dict) -> int:
     center = spec.get("center")
     center = float(center) if center is not None else (qset[0] if qset else 0.0)
 
-    traj, run_cfg = _load_trajectory(run_dir)
+    try:
+        with open(os.path.join(run_dir, "run.json")) as fh:
+            run_cfg = json.load(fh)["config"]
+    except (OSError, ValueError, KeyError) as exc:
+        raise MissingInput("no readable run.json in %s: %s" % (run_dir, exc))
+    mesh = build_mesh(build_geometry(run_cfg["geometry"]), int(run_cfg["node_count"]))
     profile = build_profile(run_cfg["profile"])
     lam = float(run_cfg["lambda"])
-    mesh = traj.mesh
+    traj = read_trajectory(run_dir, mesh, lam)
     off_set = not any(abs(center - q) <= 3.0 * mesh.h for q in qset)
 
     frame = rescale(traj, center, T)

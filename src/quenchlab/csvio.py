@@ -9,7 +9,8 @@ columns that vary are formatted per file.
 
 Templates and bodies are ASCII bytes, written as they are.  Numbers are
 written ``%.17g`` (round-trip exact, '.' decimals, ``nan`` for NaN);
-``None`` is an empty cell; lines end in LF.
+``None`` is an empty cell; lines end in LF.  Files read back in that are
+missing or malformed raise `MissingInput`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 FLOAT = "%.17g"
+
+
+class MissingInput(ValueError):
+    """An input file is absent or does not hold what its writer wrote."""
 
 
 def template(n_rows: int, columns: Sequence) -> bytes:

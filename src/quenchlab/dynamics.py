@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import csvio
-from .mesh import Field, Mesh, bands_matvec, integrate as quad, laplacian_bands
+from .csvio import MissingInput
+from .mesh import Field, Mesh, bands_matvec, laplacian_bands
 from .profiles import Profile, evaluate
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "ConvergenceTrace",
     "NewtonFailure",
     "StepUnderflow",
+    "StepLimit",
     "OverflowGuard",
     "integrate",
     "detect_quench",
@@ -44,6 +46,7 @@ __all__ = [
     "convergence_check",
     "write_snapshots",
     "write_max_history",
+    "read_trajectory",
     "quench_report_to_dict",
 ]
 
@@ -56,8 +59,17 @@ class StepUnderflow(RuntimeError):
     """Adaptive dt fell below 1e-16 * dt_initial."""
 
 
+class StepLimit(RuntimeError):
+    """MAX_STEPS steps accepted before touchdown or t_max."""
+
+
 class OverflowGuard(RuntimeError):
     """Gap too small for finite functional evaluation."""
+
+
+MAX_STEPS = 500000
+# one stored state per file, numbered from 0 in time order
+SNAPSHOT_NAME = "snapshot_%04d.csv"
 
 
 @dataclass(frozen=True)
@@ -76,28 +88,31 @@ class TimeConfig:
             raise ValueError("quench_eps must lie in (0, 0.1]")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
+        if isinstance(self.snapshot_stride, bool) or not isinstance(self.snapshot_stride, int):
+            raise ValueError("snapshot_stride must be an integer")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    lam: float
-    snapshots: Tuple[Tuple[float, Field], ...]
-    max_history: Tuple[Tuple[float, float, Tuple[float, ...]], ...]
-    liapunov_history: Tuple[Tuple[float, float], ...]
+    """Stored states and the sup history of one run.
 
-    @property
-    def mesh(self) -> Mesh:
-        return self.snapshots[0][1].mesh
+    `values[k]` is u at `times[k]` on every mesh node, boundary included.
+    `max_history` has one row (t, sup u, argmax) for the start and for
+    each accepted step; argmax is the first node off the Dirichlet
+    boundary where u is within 1e-12 of sup u, or nan while sup u <= 0.
+    """
+
+    lam: float
+    mesh: Mesh
+    times: np.ndarray
+    values: np.ndarray
+    max_history: np.ndarray
 
     @property
     def final_time(self) -> float:
-        return self.max_history[-1][0]
-
-    @property
-    def final_field(self) -> Field:
-        return self.snapshots[-1][1]
+        return float(self.max_history[-1, 0])
 
 
 @dataclass(frozen=True)
@@ -124,15 +139,6 @@ class QuenchReport:
 class ConvergenceTrace:
     times: Tuple[float, ...]
     distances: Tuple[float, ...]
-
-
-def _tied_peaks(coords: np.ndarray, values: np.ndarray, sup: float) -> Tuple[float, ...]:
-    if sup <= 0.0:
-        return ()
-    tied = coords[np.abs(values - sup) <= 1e-12]
-    if tied.size > 8:  # degenerate plateau; endpoints carry the information
-        tied = np.array([tied[0], tied[-1]])
-    return tuple(float(c) for c in tied)
 
 
 def _cn_step(Lb, f, lam, u, dt):
@@ -171,7 +177,6 @@ def integrate(
     profile: Profile,
     mesh: Mesh,
     cfg: TimeConfig,
-    max_steps: int = 500000,
 ) -> Tuple[Trajectory, QuenchReport]:
     """Run from the zero state until sup u reaches 1 - quench_eps or t_max."""
     if lam < 0:
@@ -179,7 +184,6 @@ def integrate(
     Lb = laplacian_bands(mesh)
     sl = mesh.unknown_slice
     f = np.asarray(evaluate(profile, mesh.nodes[sl]), dtype=float)
-    f_full = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
     coords = mesh.nodes[sl]
     n = Lb.shape[1]
 
@@ -189,24 +193,17 @@ def integrate(
     dt_floor = 1e-16 * cfg.dt_initial
     dt_cap = cfg.dt_max
 
-    def embed(vals) -> Field:
-        full = np.zeros(mesh.node_count)
-        full[sl] = vals
-        return Field(mesh, full)
-
-    def v_of(vals) -> float:
-        return _liapunov_values(embed(vals).values, mesh, lam, f_full)
-
-    snapshots: List[Tuple[float, Field]] = [(0.0, embed(u))]
-    max_history: List[Tuple[float, float, Tuple[float, ...]]] = [(0.0, 0.0, ())]
-    liap: List[Tuple[float, float]] = [(0.0, v_of(u))]
+    times, states = [0.0], [u]
+    max_history = [(0.0, 0.0, math.nan)]
 
     threshold = 1.0 - cfg.quench_eps
     step_index = 0
-    while step_index < max_steps:
+    while True:
         sup = float(u.max())
         if sup >= threshold or t >= cfg.t_max * (1.0 - 1e-12):
             break
+        if step_index == MAX_STEPS:
+            raise StepLimit("%d steps taken before touchdown or t_max, at t=%g" % (MAX_STEPS, t))
         target = cfg.eta_step * (1.0 - sup)
         dt_try = min(dt, dt_cap, cfg.t_max - t)
         v = None
@@ -228,10 +225,11 @@ def integrate(
         t += dt_try
         step_index += 1
         sup = float(u.max())
-        max_history.append((t, sup, _tied_peaks(coords, u, sup)))
-        liap.append((t, v_of(u)))
+        argmax = float(coords[np.argmax(np.abs(u - sup) <= 1e-12)]) if sup > 0.0 else math.nan
+        max_history.append((t, sup, argmax))
         if step_index % cfg.snapshot_stride == 0:
-            snapshots.append((t, embed(u)))
+            times.append(t)
+            states.append(u)
         # running touchdown estimate caps dt at a hundredth of it
         g1 = 1.0 - sup
         g0 = 1.0 - max_history[-2][1]
@@ -244,17 +242,14 @@ def integrate(
         if dsup > 0:
             growth = min(1.5, max(0.3, 0.8 * cfg.eta_step * (1.0 - sup) / dsup))
         dt = min(dt_try * growth, dt_cap)
-    else:
-        raise RuntimeError("max_steps exhausted before stopping criterion")
 
-    if snapshots[-1][0] != t:
-        snapshots.append((t, embed(u)))
-    traj = Trajectory(
-        lam=float(lam),
-        snapshots=tuple(snapshots),
-        max_history=tuple(max_history),
-        liapunov_history=tuple(liap),
-    )
+    if times[-1] != t:
+        times.append(t)
+        states.append(u)
+    values = np.zeros((len(states), mesh.node_count))
+    for row, state in zip(values, states):
+        row[sl] = state
+    traj = Trajectory(float(lam), mesh, np.array(times), values, np.array(max_history))
     return traj, detect_quench(traj, cfg.quench_eps)
 
 
@@ -266,9 +261,8 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
     whose gap is within a factor 2 of the minimum, merged into clusters
     of radius 3h and reported by centroid.
     """
-    hist = trajectory.max_history
-    times = np.array([h[0] for h in hist])
-    gaps = 1.0 - np.array([h[1] for h in hist])
+    times = trajectory.max_history[:, 0]
+    gaps = 1.0 - trajectory.max_history[:, 1]
     final_gap = float(gaps[-1])
     if final_gap > quench_eps:
         return QuenchReport(
@@ -291,8 +285,7 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
     T = float(-c0 / c1)
 
     mesh = trajectory.mesh
-    final = trajectory.final_field.values
-    node_gap = 1.0 - final
+    node_gap = 1.0 - trajectory.values[-1]
     interior = mesh.unknown_slice
     coords = mesh.nodes[interior]
     g_int = node_gap[interior]
@@ -325,10 +318,10 @@ def rate_fit(trajectory: Trajectory, a: float, T: float) -> RateFit:
     """
     mesh = trajectory.mesh
     ts, gs = [], []
-    for t, fld in trajectory.snapshots:
+    for t, u in zip(trajectory.times.tolist(), trajectory.values):
         if t >= T:
             continue
-        ua = float(np.interp(a, mesh.nodes, fld.values))
+        ua = float(np.interp(a, mesh.nodes, u))
         gap = 1.0 - ua
         if gap > 0:
             ts.append(t)
@@ -355,19 +348,16 @@ def rate_fit(trajectory: Trajectory, a: float, T: float) -> RateFit:
     )
 
 
-def _liapunov_values(u: np.ndarray, mesh: Mesh, lam: float, f_full: np.ndarray) -> float:
-    gap = 1.0 - u
-    if gap.min() < 1e-14:
-        raise OverflowGuard("gap below 1e-14; functional not finite")
-    grad = np.gradient(u, mesh.h)
-    density = 0.5 * grad**2 - lam * f_full / gap
-    return float(np.dot(mesh.weights, density))
-
-
 def liapunov(state: Field, lam: float, profile: Profile) -> float:
     """Energy 1/2 int |grad u|^2 - lam int f/(1-u), by centered differences."""
-    f_full = np.asarray(evaluate(profile, state.mesh.nodes), dtype=float)
-    return _liapunov_values(state.values, state.mesh, lam, f_full)
+    mesh = state.mesh
+    gap = 1.0 - state.values
+    if gap.min() < 1e-14:
+        raise OverflowGuard("gap below 1e-14; functional not finite")
+    grad = np.gradient(state.values, mesh.h)
+    f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
+    density = 0.5 * grad**2 - lam * f / gap
+    return float(np.dot(mesh.weights, density))
 
 
 def supersolution_transform(u_value, lam: float, eps: float):
@@ -418,16 +408,15 @@ def convergence_check(
         raise ValueError("no minimal steady state at lam=%g" % lam)
     w = state.w.values
     traj, _ = integrate(lam, profile, mesh, cfg)
-    times = tuple(t for t, _ in traj.snapshots)
-    dists = tuple(float(np.max(np.abs(fld.values - w))) for _, fld in traj.snapshots)
-    return ConvergenceTrace(times=times, distances=dists)
+    dists = tuple(float(np.max(np.abs(u - w))) for u in traj.values)
+    return ConvergenceTrace(times=tuple(traj.times.tolist()), distances=dists)
 
 
 # ---------------------------------------------------------------------------
 # persistence helpers
 
 
-def write_snapshots(trajectory: Trajectory, directory, prefix: str = "snapshot") -> List[str]:
+def write_snapshots(trajectory: Trajectory, directory) -> List[str]:
     """One CSV per stored time with columns (x, 1-u); returns paths written.
 
     The x column is formatted once per trajectory and shared by every file.
@@ -435,17 +424,46 @@ def write_snapshots(trajectory: Trajectory, directory, prefix: str = "snapshot")
     mesh = trajectory.mesh
     body = csvio.template(mesh.node_count, [mesh.nodes, csvio.FLOAT])
     paths = []
-    for k, (t, fld) in enumerate(trajectory.snapshots):
-        path = os.path.join(str(directory), "%s_%04d.csv" % (prefix, k))
-        one_minus_u = tuple((1.0 - fld.values).tolist())
+    for k, (t, u) in enumerate(zip(trajectory.times.tolist(), trajectory.values)):
+        path = os.path.join(str(directory), SNAPSHOT_NAME % k)
+        one_minus_u = tuple((1.0 - u).tolist())
         csvio.write(path, "x,one_minus_u", [body % one_minus_u], comments=["t=%.17g" % t])
         paths.append(path)
     return paths
 
 
 def write_max_history(trajectory: Trajectory, path) -> None:
-    rows = [(t, sup, peaks[0] if peaks else math.nan) for t, sup, peaks in trajectory.max_history]
-    csvio.write_rows(path, "t,sup_u,argmax", rows)
+    csvio.write_rows(path, "t,sup_u,argmax", trajectory.max_history.tolist())
+
+
+def read_trajectory(directory, mesh: Mesh, lam: float) -> Trajectory:
+    """Load the snapshots and max_history.csv that a simulate run wrote.
+
+    These files come from outside the program: a missing one, a snapshot
+    that is not one finite value per node, or a history that is not three
+    columns raises MissingInput.
+    """
+    directory = str(directory)
+    count = len([n for n in os.listdir(directory) if n.startswith("snapshot_") and n.endswith(".csv")])
+    if not count:
+        raise MissingInput("no snapshots in %s" % directory)
+    times, values = np.empty(count), np.empty((count, mesh.node_count))
+    try:
+        for k in range(count):
+            path = os.path.join(directory, SNAPSHOT_NAME % k)
+            with open(path) as fh:
+                fh.readline()  # header
+                times[k] = float(fh.readline().split("=", 1)[1])
+                one_minus_u = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1)
+            if one_minus_u.shape != (mesh.node_count,) or not np.all(np.isfinite(one_minus_u)):
+                raise ValueError("%s does not hold %d finite values" % (path, mesh.node_count))
+            values[k] = 1.0 - one_minus_u
+        history = np.loadtxt(os.path.join(directory, "max_history.csv"), delimiter=",", skiprows=1, ndmin=2)
+        if history.shape[1:] != (3,):
+            raise ValueError("max_history.csv does not hold (t, sup_u, argmax) rows")
+    except (OSError, ValueError, IndexError) as exc:
+        raise MissingInput("damaged run directory %s: %s" % (directory, exc))
+    return Trajectory(float(lam), mesh, times, values, history)
 
 
 def quench_report_to_dict(report: QuenchReport) -> dict:

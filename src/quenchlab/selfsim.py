@@ -23,7 +23,7 @@ import numpy as np
 
 from . import csvio
 from .dynamics import Trajectory
-from .mesh import RadialBall, Slab, sphere_area
+from .mesh import Slab, sphere_area
 
 __all__ = [
     "RescaledFrame",
@@ -89,7 +89,7 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
 
     samples = []
     contained = []
-    for t, fld in trajectory.snapshots:
+    for t, u in zip(trajectory.times.tolist(), trajectory.values):
         if t >= T:
             raise ValueError("snapshot at t >= T cannot be rescaled")
         root = math.sqrt(T - t)
@@ -103,7 +103,7 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
         m = int(math.floor((y_hi - y_lo) / _Y_SPACING)) + 1
         y = y_lo + _Y_SPACING * np.arange(m)
         x = a + y * root
-        w = (1.0 - np.interp(x, mesh.nodes, fld.values)) / (T - t) ** (1.0 / 3.0)
+        w = (1.0 - np.interp(x, mesh.nodes, u)) / (T - t) ** (1.0 / 3.0)
         samples.append((s, y, w))
         contained.append(bool(s * root <= boundary_dist))
     if not samples:

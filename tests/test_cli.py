@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from quenchlab import dynamics
 from quenchlab.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -111,6 +112,8 @@ def test_malformed_json(tmp_path):
     ("simulate", {"time": {"bogus": 1}}),
     ("steady", {"node_count": "many"}),
     ("sweep", {"lambda_grid": []}),
+    ("simulate", {"time": {"snapshot_stride": 2.5}}),
+    ("simulate", {"time": {"snapshot_stride": True}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     cfg = write_config(tmp_path, "bad.json", dict(payload, node_count=payload.get("node_count", 101)))
@@ -166,6 +169,14 @@ def test_simulate_no_load_does_not_quench(tmp_path):
     quench = read_json(os.path.join(out, "quench.json"))
     assert quench["quenched"] is False
     assert quench["T"] is None
+
+
+def test_simulate_step_limit_is_solver_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+    cfg = write_config(tmp_path, "lim.json",
+                       {"node_count": 5, "lambda": 0.0, "time": {"t_max": 1e4}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "lim_out")]) == 3
+    assert "5 steps taken before touchdown or t_max" in capsys.readouterr().err
 
 
 def test_simulate_flag_overrides(tmp_path):
@@ -312,3 +323,33 @@ def test_rescale_unquenched_run(tmp_path):
     cfg = write_config(tmp_path, "rq_cfg.json", {"rescale": {"run": run}})
     assert main(["rescale", "--config", cfg,
                  "--out", str(tmp_path / "rq_out")]) == 3
+
+
+def _drop_history(run):
+    os.remove(os.path.join(run, "max_history.csv"))
+
+
+def _nan_cell(run):
+    path = os.path.join(run, "snapshot_0003.csv")
+    lines = open(path).read().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+def _short_snapshot(run):
+    path = os.path.join(run, "snapshot_0003.csv")
+    lines = open(path).read().splitlines()
+    open(path, "w").write("\n".join(lines[:-1]) + "\n")
+
+
+def _drop_record(run):
+    os.remove(os.path.join(run, "run.json"))
+
+
+@pytest.mark.parametrize("damage", [_drop_history, _nan_cell, _short_snapshot, _drop_record])
+def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):
+    run = simulate_run(tmp_path, "rd", {"node_count": 101, "lambda": 5.0})
+    damage(run)
+    cfg = write_config(tmp_path, "rd_cfg.json", {"rescale": {"run": run}})
+    assert main(["rescale", "--config", cfg, "--out", str(tmp_path / "rd_out")]) == 4
+    assert "missing input" in capsys.readouterr().err

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from quenchlab import csvio
-from quenchlab.cli import _load_trajectory, main
-from quenchlab.dynamics import Trajectory, write_max_history, write_snapshots
+from quenchlab.cli import main
+from quenchlab.dynamics import Trajectory, read_trajectory, write_max_history, write_snapshots
 from quenchlab.mesh import Field, Slab, build_mesh, field_to_csv
 from quenchlab.profiles import Constant
 from quenchlab.selfsim import (
@@ -92,26 +92,27 @@ def edge_trajectory():
     """Snapshots and a sup history carrying the edge values, one argmax missing."""
     mesh = build_mesh(Slab(-0.5, 0.5), 6)
     rng = np.random.default_rng(3)
-    snaps = (
-        (0.0, Field(mesh, np.zeros(6))),
-        (5e-324, Field(mesh, np.array([0.0, 5e-324, 1.0, 2.0, -1.7976931348623157e308, 0.0]))),
-        (0.1, Field(mesh, np.concatenate([[0.0], rng.uniform(0.0, 1.0, 4), [0.0]]))),
-    )
-    hist = (
-        (0.0, 0.0, ()),
-        (5e-324, -0.0, (1.0,)),
-        (1.0, 1.7976931348623157e308, (-0.25, 0.25)),
-    )
-    return Trajectory(lam=1.0, snapshots=snaps, max_history=hist, liapunov_history=())
+    times = np.array([0.0, 5e-324, 0.1])
+    values = np.array([
+        np.zeros(6),
+        [0.0, 5e-324, 1.0, 2.0, -1.7976931348623157e308, 0.0],
+        np.concatenate([[0.0], rng.uniform(0.0, 1.0, 4), [0.0]]),
+    ])
+    hist = np.array([
+        (0.0, 0.0, math.nan),
+        (5e-324, -0.0, 1.0),
+        (1.0, 1.7976931348623157e308, -0.25),
+    ])
+    return Trajectory(lam=1.0, mesh=mesh, times=times, values=values, max_history=hist)
 
 
 def test_write_snapshots_matches_oracle(tmp_path):
     traj = edge_trajectory()
     paths = write_snapshots(traj, tmp_path)
-    assert len(paths) == len(traj.snapshots)
-    for path, (t, fld) in zip(paths, traj.snapshots):
+    assert len(paths) == len(traj.times)
+    for path, t, u in zip(paths, traj.times, traj.values):
         expected = "x,one_minus_u\n# t=%.17g\n" % t + "".join(
-            "%.17g,%.17g\n" % (x, 1.0 - v) for x, v in zip(traj.mesh.nodes, fld.values)
+            "%.17g,%.17g\n" % (x, 1.0 - v) for x, v in zip(traj.mesh.nodes, u)
         )
         assert read_bytes(path) == expected.encode()
 
@@ -120,7 +121,7 @@ def test_write_max_history_matches_oracle(tmp_path):
     traj = edge_trajectory()
     path = tmp_path / "max_history.csv"
     write_max_history(traj, path)
-    rows = [(t, sup, peaks[0] if peaks else math.nan) for t, sup, peaks in traj.max_history]
+    rows = traj.max_history.tolist()
     assert read_bytes(path) == oracle_rows("t,sup_u,argmax", rows)
     assert path.read_text().splitlines()[1] == "0,0,nan"
 
@@ -236,17 +237,13 @@ def test_nearest_sample_lookup_unchanged(frame_201):
 
 def test_snapshot_round_trip(tmp_path, quench_run_201):
     traj, _ = quench_run_201
-    mesh = traj.mesh
+    assert math.isnan(traj.max_history[0, 2])  # sup u = 0 at the start: no argmax
     write_snapshots(traj, tmp_path)
     write_max_history(traj, tmp_path / "max_history.csv")
-    geometry = {"kind": "slab", "x_left": mesh.geometry.x_left, "x_right": mesh.geometry.x_right}
-    config = {"geometry": geometry, "node_count": mesh.node_count, "lambda": traj.lam}
-    (tmp_path / "run.json").write_text(json.dumps({"config": config}))
 
-    loaded, _ = _load_trajectory(str(tmp_path))
-    assert len(loaded.snapshots) == len(traj.snapshots)
-    assert np.array_equal(bits([t for t, _ in loaded.snapshots]), bits([t for t, _ in traj.snapshots]))
-    for (_, got), (_, fld) in zip(loaded.snapshots, traj.snapshots):
-        # the file stores 1 - u exactly; the loader returns 1 - (stored column)
-        assert np.array_equal(bits(got.values), bits(1.0 - (1.0 - fld.values)))
-    assert loaded.max_history == tuple((t, sup, peaks[:1]) for t, sup, peaks in traj.max_history)
+    loaded = read_trajectory(tmp_path, traj.mesh, traj.lam)
+    assert loaded.lam == traj.lam and loaded.mesh is traj.mesh
+    assert np.array_equal(bits(loaded.times), bits(traj.times))
+    # the file stores 1 - u exactly; the reader returns 1 - (stored column)
+    assert np.array_equal(bits(loaded.values), bits(1.0 - (1.0 - traj.values)))
+    assert np.array_equal(bits(loaded.max_history), bits(traj.max_history))

@@ -14,6 +14,7 @@ import pytest
 from quenchlab import dynamics
 from quenchlab.dynamics import (
     OverflowGuard,
+    StepLimit,
     TimeConfig,
     Trajectory,
     c_epsilon,
@@ -40,15 +41,14 @@ def synthetic_cubic_trajectory(T=1.0, c=0.5, node_count=101, levels=60):
     mesh = build_mesh(UNIT_SLAB, node_count)
     shape = np.cos(math.pi * mesh.nodes)
     gaps = np.logspace(math.log10(c), -3, levels)
-    snaps, hist, liap = [], [], []
+    times, values, hist = [], [], []
     for g in gaps:
         t = T - (g / c) ** 3
-        vals = (1.0 - g) * shape
-        snaps.append((t, Field(mesh, vals)))
-        hist.append((t, 1.0 - g, (0.0,)))
-        liap.append((t, 0.0))
-    return Trajectory(lam=1.0, snapshots=tuple(snaps),
-                      max_history=tuple(hist), liapunov_history=tuple(liap))
+        times.append(t)
+        values.append((1.0 - g) * shape)
+        hist.append((t, 1.0 - g, 0.0))
+    return Trajectory(lam=1.0, mesh=mesh, times=np.array(times),
+                      values=np.array(values), max_history=np.array(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_subcritical_run_does_not_quench():
     mesh = build_mesh(UNIT_SLAB, 101)
     traj, rep = integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=0.1))
     assert not rep.quenched
-    assert np.all(traj.final_field.values == 0.0)
+    assert np.all(traj.values[-1] == 0.0)
     assert traj.final_time == pytest.approx(0.1, rel=1e-9)
 
 
@@ -139,11 +139,11 @@ def test_touchdown_time_decreases_with_load(quench_run_201):
 def test_monotone_in_time_and_symmetric(quench_run_201):
     traj, _ = quench_run_201
     prev = None
-    for _, fld in traj.snapshots:
+    for u in traj.values:
         if prev is not None:
-            assert np.all(fld.values - prev >= -1e-12)
-        prev = fld.values
-    final = traj.final_field.values
+            assert np.all(u - prev >= -1e-12)
+        prev = u
+    final = traj.values[-1]
     assert np.max(np.abs(final - final[::-1])) < 1e-10
 
 
@@ -159,6 +159,23 @@ def test_two_bump_profile_quenches_off_center():
     assert 0.1 < b < 0.3
 
 
+def test_argmax_is_first_node_tied_with_sup():
+    # the two bumps tie within 1e-12 for most of the run, and early on
+    # every node does; the history keeps the first tied unknown
+    mesh = build_mesh(UNIT_SLAB, 201)
+    traj, _ = integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig(snapshot_stride=1))
+    assert len(traj.values) == len(traj.max_history)
+    ties = 0
+    for u, (_, sup, argmax) in zip(traj.values, traj.max_history):
+        tied = mesh.nodes[1:-1][np.abs(u[1:-1] - sup) <= 1e-12]
+        if sup <= 0.0:
+            assert math.isnan(argmax)
+        else:
+            assert argmax == tied[0]
+            ties += tied.size > 1
+    assert ties > 100
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TimeConfig(quench_eps=0.2)
@@ -170,6 +187,10 @@ def test_config_validation():
         TimeConfig(t_max=-1.0)
     with pytest.raises(ValueError):
         TimeConfig(snapshot_stride=0)
+    with pytest.raises(ValueError):
+        TimeConfig(snapshot_stride=2.5)  # step % 2.5 == 0 would keep every 5th step
+    with pytest.raises(ValueError):
+        TimeConfig(snapshot_stride=True)
     with pytest.raises(ValueError):
         TimeConfig(eta_step=0.0)
 
@@ -204,7 +225,7 @@ def test_state_second_order_at_fixed_step():
         cfg = TimeConfig(dt_initial=dt, dt_max=dt, eta_step=10.0, t_max=0.25)
         traj, _ = integrate(0.5, Constant(1.0), mesh, cfg)
         assert traj.final_time == pytest.approx(0.25, abs=1e-14)
-        finals.append(traj.final_field.values)
+        finals.append(traj.values[-1])
     d1 = np.max(np.abs(finals[0] - finals[1]))
     d2 = np.max(np.abs(finals[1] - finals[2]))
     assert math.log2(d1 / d2) > 1.9
@@ -224,9 +245,14 @@ def test_liapunov_reference_values():
         liapunov(near, 1.0, Constant(1.0))
 
 
-def test_liapunov_decreases_along_flow(quench_run_201):
-    traj, _ = quench_run_201
-    vals = [v for _, v in traj.liapunov_history]
+def test_liapunov_decreases_along_flow():
+    # stride 1 stores the start and every accepted step: each state the
+    # step history records
+    mesh = build_mesh(UNIT_SLAB, 201)
+    traj, rep = integrate(5.0, Constant(1.0), mesh, TimeConfig(snapshot_stride=1))
+    assert rep.quenched
+    assert np.array_equal(traj.times, traj.max_history[:, 0])
+    vals = [liapunov(Field(mesh, u), 5.0, Constant(1.0)) for u in traj.values]
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
@@ -270,6 +296,17 @@ def test_convergence_to_minimal_state():
     assert all(b < a for a, b in zip(resolved[2:], resolved[3:]))
     with pytest.raises(ValueError):
         convergence_check(2.0, Constant(1.0), mesh, cfg)
+
+
+def test_step_limit_is_a_typed_failure(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+    mesh = build_mesh(UNIT_SLAB, 11)
+    with pytest.raises(StepLimit):
+        integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=1e4))
+    # five steps that end the run exactly are not a failure
+    cfg = TimeConfig(dt_initial=0.01, dt_max=0.01, eta_step=10.0, t_max=0.05)
+    traj, _ = integrate(0.0, Constant(1.0), mesh, cfg)
+    assert len(traj.max_history) - 1 == 5
 
 
 # ---------------------------------------------------------------------------

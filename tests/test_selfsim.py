@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quenchlab.dynamics import Trajectory
-from quenchlab.mesh import Field, RadialBall, Slab, build_mesh
+from quenchlab.mesh import RadialBall, Slab, build_mesh
 from quenchlab.profiles import Constant
 from quenchlab.selfsim import (
     EnergyTrace,
@@ -31,15 +31,14 @@ UNIT_SLAB = Slab(-0.5, 0.5)
 def flat_gap_trajectory(k, T, times, node_count=101, geometry=UNIT_SLAB):
     """u(x,t) = 1 - k (T-t)^(1/3), uniform in x."""
     mesh = build_mesh(geometry, node_count)
-    snaps = []
+    values = []
     hist = []
     for t in times:
         gap = k * (T - t) ** (1.0 / 3.0)
-        vals = np.full(mesh.node_count, 1.0 - gap)
-        snaps.append((t, Field(mesh, vals)))
-        hist.append((t, 1.0 - gap, (0.0,)))
-    return Trajectory(lam=1.0, snapshots=tuple(snaps),
-                      max_history=tuple(hist), liapunov_history=((0.0, 0.0),))
+        values.append(np.full(mesh.node_count, 1.0 - gap))
+        hist.append((t, 1.0 - gap, 0.0))
+    return Trajectory(lam=1.0, mesh=mesh, times=np.array(times, dtype=float),
+                      values=np.array(values), max_history=np.array(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +73,14 @@ def test_rescale_round_trip(quench_run_201):
     frame = rescale(traj, 0.0, rep.T)
     mesh = traj.mesh
     # snapshots map to samples in order once the t=0 snapshot is dropped
-    assert len(frame.samples) == len(traj.snapshots) - 1
+    assert len(frame.samples) == len(traj.times) - 1
     mid = len(frame.samples) // 2
     s, y, w = frame.samples[mid]
-    t, fld = traj.snapshots[mid + 1]
+    t, u = traj.times[mid + 1], traj.values[mid + 1]
     root = math.sqrt(rep.T - t)
     x = y * root
     u_rec = 1.0 - w * (rep.T - t) ** (1.0 / 3.0)
-    u_orig = np.interp(x, mesh.nodes, fld.values)
+    u_orig = np.interp(x, mesh.nodes, u)
     assert np.max(np.abs(u_rec - u_orig)) < 5.0 * (mesh.h + 0.01)
 
 
@@ -90,10 +89,9 @@ def test_rescale_guards(quench_run_201):
     with pytest.raises(ValueError):
         rescale(traj, 0.7, rep.T)  # center outside the slab
     mesh = build_mesh(UNIT_SLAB, 51)
-    half = Field(mesh, np.full(mesh.node_count, 0.5))
-    late = Trajectory(lam=1.0, snapshots=((0.5, half), (1.2, half)),
-                      max_history=((0.5, 0.5, (0.0,)),),
-                      liapunov_history=((0.5, 0.0),))
+    late = Trajectory(lam=1.0, mesh=mesh, times=np.array([0.5, 1.2]),
+                      values=np.full((2, mesh.node_count), 0.5),
+                      max_history=np.array([(0.5, 0.5, 0.0)]))
     with pytest.raises(ValueError):
         rescale(late, 0.0, 1.0)  # snapshot beyond the touchdown time
 
