@@ -2,9 +2,13 @@
 
 Every estimate is assembled from computed steady data (fold value
 lambda_star, extremal state w*, eigenfunctions phi*/psi*) and profile
-metadata (sup f, inf f, Holder constant K).  Nothing here integrates in
-time; measured touchdown times enter only for the ordering checks in
-`evaluate_all`.
+metadata (sup f, inf f, Holder constant K).  `evaluate_all` is the one
+place that assembles them.  Per call it samples sup f and K once (the
+large-lam sandwich carries them), builds the fold constants once (see
+`ingredients`), and hands both to each formula.  The single-estimate
+functions are thin entry points over the same formulas.  Nothing here
+integrates in time; measured touchdown times enter only for the ordering
+checks in `evaluate_all`.
 
 Field and column names ending in _1_2, _2_6, _1_7 are interface tokens
 identifying the individual estimates; they carry no meaning beyond
@@ -22,7 +26,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 # build_mesh is unused here but stays a module attribute: perfbench/tracing.py wraps it
-from .mesh import Field, Mesh, RadialBall, Slab, build_mesh, integrate  # noqa: F401
+from .mesh import Field, Mesh, RadialBall, build_mesh, integrate  # noqa: F401
+from .dynamics import eta_quench_time
 from .profiles import Profile, evaluate, holder_constant
 from .steady import SteadyBranch
 
@@ -46,6 +51,8 @@ __all__ = [
 ]
 
 _VANISH_TOL = 1e-12
+# sample count of sup f and of the Holder constant K, wherever they are taken
+_SAMPLES = 4001
 
 
 class NotApplicable(ValueError):
@@ -58,14 +65,18 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BoundIngredients:
+    """Constants of the estimates.  J_26 and I2_26 are None when f vanishes
+    at a node carrying psi* mass; M is sup f and inf_f the nodal minimum."""
+
     sup_phi_star: float
     sup_weight: float
     integral_phi: float
     I1_26: float
-    J_26: float
+    J_26: Optional[float]
     E0: float
-    I2_26: float
+    I2_26: Optional[float]
     M: float
+    inf_f: float
     K: float
     D_N: float
     epsilon_of_lambda: float
@@ -74,6 +85,8 @@ class BoundIngredients:
 
 @dataclass(frozen=True)
 class LargeLambdaBounds:
+    """The large-lam sandwich, with the sampled sup f and K it is built from."""
+
     lower: float
     upper: Optional[float]
     epsilon: float
@@ -81,6 +94,8 @@ class LargeLambdaBounds:
     lambda0_indicator: bool
     gap_exponent: float
     gap_coefficient: float
+    sup_f: float
+    K: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class LocationCheck:
 @dataclass(frozen=True)
 class BoundsReport:
     lam: float
-    lambda_star: float
+    lambda_star: Optional[float]
     bound_1_2: Optional[float]
     T_L: Optional[float]
     T1_simplified: Optional[float]
@@ -182,37 +197,37 @@ def _check_regular(mesh: Mesh, allow_singular: bool) -> None:
             )
 
 
+def _lower_TL(
+    lam: float, star: float, ing: BoundIngredients, mesh: Mesh, allow_singular: bool
+) -> float:
+    _check_regular(mesh, allow_singular)
+    inner = ing.sup_phi_star / (12.0 * star * ing.sup_weight * ing.integral_phi)
+    return math.sqrt(inner) / math.sqrt(lam - star)
+
+
+def _upper_T1(lam: float, star: float, ing: BoundIngredients, mesh: Mesh, form: str) -> float:
+    _check_regular(mesh, allow_singular=False)
+    if ing.J_26 is None:
+        raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
+    I1, J, I2 = ing.I1_26, ing.J_26, ing.I2_26
+    if form == "simplified":
+        return math.sqrt(3.0) * math.pi / 4.0 * math.sqrt(J / (star * I1)) / math.sqrt(lam - star)
+    x = lam - star
+    return (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
+
+
+def _branch_ingredients(lam: float, branch: SteadyBranch, profile: Profile) -> BoundIngredients:
+    if lam <= branch.lambda_star:
+        raise DomainError("requires lam > lambda_star")
+    return ingredients(branch, profile, lam, profile.holder_exponent, branch.w_star.mesh.dimension)
+
+
 def bound_lower_TL(
     lam: float, branch: SteadyBranch, profile: Profile, allow_singular: bool = False
 ) -> float:
     """Lower touchdown-time estimate from the fold eigenfunction."""
-    star = branch.lambda_star
-    if lam <= star:
-        raise DomainError("requires lam > lambda_star")
-    mesh = branch.w_star.mesh
-    _check_regular(mesh, allow_singular)
-    phi = branch.phi_star.values
-    wstar = branch.w_star.values
-    f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    gap = 1.0 - wstar
-    sup_phi = float(phi.max())
-    sup_weight = float((f / gap**4).max())
-    integral_phi = float(integrate(Field(mesh, phi / gap**2)))
-    inner = sup_phi / (12.0 * star * sup_weight * integral_phi)
-    return math.sqrt(inner) / math.sqrt(lam - star)
-
-
-def _psi_integrals(branch: SteadyBranch, profile: Profile):
-    mesh = branch.w_star.mesh
-    psi = branch.psi_star.values
-    f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    I1 = float(integrate(Field(mesh, psi * f)))
-    vanishing = (f <= _VANISH_TOL) & (psi > _VANISH_TOL)
-    if np.any(vanishing):
-        raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
-    ratio = np.where(f > _VANISH_TOL, psi / np.where(f > _VANISH_TOL, f, 1.0), 0.0)
-    J = float(integrate(Field(mesh, ratio)))
-    return I1, J
+    ing = _branch_ingredients(lam, branch, profile)
+    return _lower_TL(lam, branch.lambda_star, ing, branch.w_star.mesh, allow_singular)
 
 
 def bound_upper_T1(
@@ -225,16 +240,8 @@ def bound_upper_T1(
     """
     if form not in ("simplified", "arctan"):
         raise ValueError("form must be 'simplified' or 'arctan'")
-    star = branch.lambda_star
-    if lam <= star:
-        raise DomainError("requires lam > lambda_star")
-    _check_regular(branch.w_star.mesh, allow_singular=False)
-    I1, J = _psi_integrals(branch, profile)
-    if form == "simplified":
-        return math.sqrt(3.0) * math.pi / 4.0 * math.sqrt(J / (star * I1)) / math.sqrt(lam - star)
-    I2 = 3.0 * star / J
-    x = lam - star
-    return (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
+    ing = _branch_ingredients(lam, branch, profile)
+    return _upper_T1(lam, branch.lambda_star, ing, branch.w_star.mesh, form)
 
 
 def blowup_time_F(a: float, b: float, E0: float) -> float:
@@ -261,44 +268,40 @@ def large_lambda_bounds(
     alpha: float,
     dimension: int,
     K: Optional[float] = None,
-    sample_count: int = 4001,
+    sample_count: int = _SAMPLES,
 ) -> LargeLambdaBounds:
     """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))).
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
     ground eigenvalue and K the Holder constant; delta = (eps/2K)^(1/a).
     A constant profile has K = 0 and the sandwich collapses (eps = 0).
-    The asymptotic width is gap_coefficient * lam^gap_exponent.
+    The asymptotic width is gap_coefficient * lam^gap_exponent.  sup f and
+    (unless given) K are sampled at sample_count points.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if K is None:
         K = holder_constant(profile, alpha, sample_count)
     sup_f = _sampled_sup(profile, sample_count)
-    lower = 1.0 / (3.0 * lam * sup_f)
-    D = dirichlet_eigenvalue_ball(dimension)
+    lower = eta_quench_time(lam, sup_f)
+    exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:
-        return LargeLambdaBounds(
-            lower=lower,
-            upper=lower,
-            epsilon=0.0,
-            delta=math.inf,
-            lambda0_indicator=True,
-            gap_exponent=-(2.0 + 2.0 * alpha) / (2.0 + alpha),
-            gap_coefficient=0.0,
-        )
+        return LargeLambdaBounds(lower, lower, 0.0, math.inf, True, exponent, 0.0, sup_f, K)
     frac = alpha / (2.0 + alpha)
-    eps = 2.0 * D**frac * K ** (2.0 / (2.0 + alpha)) / lam**frac
+    scale = 2.0 * dirichlet_eigenvalue_ball(dimension) ** frac * K ** (2.0 / (2.0 + alpha))
+    eps = scale / lam**frac
     delta = (eps / (2.0 * K)) ** (1.0 / alpha) if alpha > 0 else math.inf
-    coeff = 2.0 * D**frac * K ** (2.0 / (2.0 + alpha)) / (3.0 * sup_f**2)
-    if sup_f - eps > 0:
-        upper = 1.0 / (3.0 * lam * (sup_f - eps))
-        return LargeLambdaBounds(
-            lower, upper, eps, delta, True, -(2.0 + 2.0 * alpha) / (2.0 + alpha), coeff
-        )
-    return LargeLambdaBounds(
-        lower, None, eps, delta, False, -(2.0 + 2.0 * alpha) / (2.0 + alpha), coeff
+    upper = eta_quench_time(lam, sup_f - eps) if sup_f - eps > 0 else None
+    coeff = scale / (3.0 * sup_f**2)
+    return LargeLambdaBounds(lower, upper, eps, delta, upper is not None, exponent, coeff, sup_f, K)
+
+
+def _location(quench_set, profile: Profile, sup_f: float, alpha: float) -> LocationCheck:
+    lhs = tuple(
+        float(sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
+        for a in quench_set
     )
+    return LocationCheck(lhs=lhs, exponent_target=alpha / (2.0 + alpha))
 
 
 def location_bound_check(quench_report, profile: Profile, lam: float, alpha: float) -> LocationCheck:
@@ -309,12 +312,7 @@ def location_bound_check(quench_report, profile: Profile, lam: float, alpha: flo
     """
     if not quench_report.quench_set:
         raise ValueError("empty touchdown set")
-    sup_f = _sampled_sup(profile, 4001)
-    lhs = tuple(
-        float(sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
-        for a in quench_report.quench_set
-    )
-    return LocationCheck(lhs=lhs, exponent_target=alpha / (2.0 + alpha))
+    return _location(quench_report.quench_set, profile, _sampled_sup(profile, _SAMPLES), alpha)
 
 
 def ingredients(
@@ -326,41 +324,44 @@ def ingredients(
     K: Optional[float] = None,
 ) -> BoundIngredients:
     """All aggregate constants entering the estimates, at one lam."""
+    ll = large_lambda_bounds(lam, profile, alpha, dimension, K)
+    return _ingredients(branch, profile, ll, dimension)
+
+
+def _ingredients(
+    branch: SteadyBranch, profile: Profile, ll: LargeLambdaBounds, dimension: int
+) -> BoundIngredients:
+    """The constants of the estimates; f is evaluated on the mesh once."""
     mesh = branch.w_star.mesh
     f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
     wstar = branch.w_star.values
     gap = 1.0 - wstar
     phi = branch.phi_star.values
     psi = branch.psi_star.values
-    I1, J = _psi_integrals(branch, profile)
-    if K is None:
-        K = holder_constant(profile, alpha, max(mesh.node_count, 2001))
-    ll = large_lambda_bounds(lam, profile, alpha, dimension, K=K)
+    J = None
+    if not np.any((f <= _VANISH_TOL) & (psi > _VANISH_TOL)):
+        ratio = np.where(f > _VANISH_TOL, psi / np.where(f > _VANISH_TOL, f, 1.0), 0.0)
+        J = float(integrate(Field(mesh, ratio)))
     return BoundIngredients(
         sup_phi_star=float(phi.max()),
         sup_weight=float((f / gap**4).max()),
         integral_phi=float(integrate(Field(mesh, phi / gap**2))),
-        I1_26=I1,
+        I1_26=float(integrate(Field(mesh, psi * f))),
         J_26=J,
         E0=float(integrate(Field(mesh, psi * wstar))),
-        I2_26=3.0 * branch.lambda_star / J,
-        M=float(f.max()),
-        K=float(K),
+        I2_26=None if J is None else 3.0 * branch.lambda_star / J,
+        M=ll.sup_f,
+        inf_f=float(f.min()),
+        K=float(ll.K),
         D_N=dirichlet_eigenvalue_ball(dimension),
         epsilon_of_lambda=ll.epsilon,
         delta_of_lambda=ll.delta,
     )
 
 
-def _mesh_dimension(mesh: Mesh) -> int:
-    if isinstance(mesh.geometry, Slab):
-        return 1
-    return mesh.geometry.dimension
-
-
 def evaluate_all(
     lam: float,
-    branch: SteadyBranch,
+    branch: Optional[SteadyBranch],
     profile: Profile,
     mesh: Mesh,
     quench_report=None,
@@ -369,98 +370,69 @@ def evaluate_all(
 ) -> BoundsReport:
     """Evaluate every estimate, flagging the inapplicable ones with reasons.
 
+    At or below the fold only the large-lam lower estimate is reported.
+    Without a branch (no fold data) the large-lam sandwich is all there is.
     When a measured report is supplied, the lower/upper ordering against
     the measured T is recorded with `ordering_slack` relative tolerance.
     """
-    star = branch.lambda_star
-    flags: Dict[str, str] = {}
-    dimension = _mesh_dimension(mesh)
+    star = None if branch is None else branch.lambda_star
     alpha = profile.holder_exponent
-
-    f_nodes = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    inf_f = float(f_nodes.min())
-
     T_measured = None
     if quench_report is not None and quench_report.quenched:
         T_measured = quench_report.T
-
-    below_fold = lam <= star
-    if below_fold:
-        reason = "no finite touchdown below the fold value"
-        flags.update(
-            {"bound_1_2": reason, "T_L": reason, "T1": reason, "large_lambda_upper": reason}
-        )
-        ll = large_lambda_bounds(lam, profile, alpha, dimension)
-        return BoundsReport(
-            lam=lam,
-            lambda_star=star,
-            bound_1_2=None,
-            T_L=None,
-            T1_simplified=None,
-            T1_arctan=None,
-            large_lambda_lower=ll.lower,
-            large_lambda_upper=None,
-            epsilon=ll.epsilon,
-            delta=ll.delta,
-            location_exponent=None,
-            location_lhs=(),
-            flags=flags,
-            T_measured=T_measured,
-            ordering_lower_pass=None,
-            ordering_upper_pass=None,
-        )
-
-    b12 = None
-    try:
-        b12 = bound_gg2(lam, star, inf_f)
-        flags["bound_1_2"] = "ok"
-    except NotApplicable as exc:
-        flags["bound_1_2"] = str(exc)
-
-    TL = None
-    try:
-        TL = bound_lower_TL(lam, branch, profile, allow_singular=allow_singular)
-        flags["T_L"] = "ok"
-    except NotApplicable as exc:
-        flags["T_L"] = str(exc)
-
-    T1s = T1a = None
-    try:
-        T1s = bound_upper_T1(lam, branch, profile, form="simplified")
-        T1a = bound_upper_T1(lam, branch, profile, form="arctan")
-        flags["T1"] = "ok"
-    except NotApplicable as exc:
-        flags["T1"] = str(exc)
-
-    ll = large_lambda_bounds(lam, profile, alpha, dimension)
-    flags["large_lambda_upper"] = "ok" if ll.upper is not None else "eps exceeds sup f at this lam"
-
-    loc_exp = None
+    b12 = TL = T1s = T1a = loc_exp = lower_ok = upper_ok = None
     loc_lhs: Tuple[float, ...] = ()
-    if quench_report is not None and quench_report.quenched and quench_report.quench_set:
-        check = location_bound_check(quench_report, profile, lam, alpha)
-        loc_exp = check.exponent_target
-        loc_lhs = check.lhs
 
-    lower_ok = upper_ok = None
-    if T_measured is not None:
-        lowers = [ll.lower] + ([TL] if TL is not None else [])
-        lower_ok = all(v <= T_measured * (1.0 + ordering_slack) for v in lowers)
-        # the large-lambda upper self-qualifies (it defines lambda0 as the
-        # first lam where it brackets T), so it stays out of the pass/fail
-        # chain and is reported through its own flag instead
-        uppers = [v for v in (b12, T1a, T1s) if v is not None]
-        if uppers:
-            upper_ok = T_measured <= min(uppers) * (1.0 + ordering_slack)
-        if ll.upper is None:
-            flags["large_lambda_sandwich"] = "upper not applicable at this lam"
-        elif (
-            ll.lower <= T_measured * (1.0 + ordering_slack)
-            and T_measured <= ll.upper * (1.0 + ordering_slack)
-        ):
-            flags["large_lambda_sandwich"] = "holds (lam >= lambda0)"
-        else:
-            flags["large_lambda_sandwich"] = "below lambda0"
+    ll = large_lambda_bounds(lam, profile, alpha, mesh.dimension)
+    upper = ll.upper
+    flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
+
+    if star is None or lam <= star:
+        reason = "no fold data" if star is None else "no finite touchdown below the fold value"
+        flags.update(dict.fromkeys(("bound_1_2", "T_L", "T1"), reason))
+        if star is not None:
+            upper = None
+            flags["large_lambda_upper"] = reason
+    else:
+        ing = _ingredients(branch, profile, ll, mesh.dimension)
+        try:
+            b12 = bound_gg2(lam, star, ing.inf_f)
+            flags["bound_1_2"] = "ok"
+        except NotApplicable as exc:
+            flags["bound_1_2"] = str(exc)
+        try:
+            TL = _lower_TL(lam, star, ing, mesh, allow_singular)
+            flags["T_L"] = "ok"
+        except NotApplicable as exc:
+            flags["T_L"] = str(exc)
+        try:
+            T1s = _upper_T1(lam, star, ing, mesh, "simplified")
+            T1a = _upper_T1(lam, star, ing, mesh, "arctan")
+            flags["T1"] = "ok"
+        except NotApplicable as exc:
+            flags["T1"] = str(exc)
+
+        if T_measured is not None:
+            if quench_report.quench_set:
+                check = _location(quench_report.quench_set, profile, ing.M, alpha)
+                loc_exp, loc_lhs = check.exponent_target, check.lhs
+            lowers = [ll.lower] + ([TL] if TL is not None else [])
+            lower_ok = all(v <= T_measured * (1.0 + ordering_slack) for v in lowers)
+            # the large-lambda upper self-qualifies (it defines lambda0 as the
+            # first lam where it brackets T), so it stays out of the pass/fail
+            # chain and is reported through its own flag instead
+            uppers = [v for v in (b12, T1a, T1s) if v is not None]
+            if uppers:
+                upper_ok = T_measured <= min(uppers) * (1.0 + ordering_slack)
+            if upper is None:
+                flags["large_lambda_sandwich"] = "upper not applicable at this lam"
+            elif (
+                ll.lower <= T_measured * (1.0 + ordering_slack)
+                and T_measured <= upper * (1.0 + ordering_slack)
+            ):
+                flags["large_lambda_sandwich"] = "holds (lam >= lambda0)"
+            else:
+                flags["large_lambda_sandwich"] = "below lambda0"
 
     return BoundsReport(
         lam=lam,
@@ -470,7 +442,7 @@ def evaluate_all(
         T1_simplified=T1s,
         T1_arctan=T1a,
         large_lambda_lower=ll.lower,
-        large_lambda_upper=ll.upper,
+        large_lambda_upper=upper,
         epsilon=ll.epsilon,
         delta=ll.delta,
         location_exponent=loc_exp,

@@ -368,7 +368,7 @@ def cmd_bounds(cfg: dict) -> int:
 
 
 def _sweep_run(payload: dict) -> dict:
-    """Worker: one integration; returns measured T or the error text."""
+    """Worker: one integration; returns its quench report or the error text."""
     from .dynamics import integrate
 
     try:
@@ -376,18 +376,13 @@ def _sweep_run(payload: dict) -> dict:
         profile = build_profile(payload["profile"])
         tc = build_time(payload["time"])
         _, report = integrate(payload["lam"], profile, mesh, tc)
-        return {
-            "lam": payload["lam"],
-            "T": report.T if report.quenched else None,
-            "quench_set": list(report.quench_set),
-            "error": None,
-        }
+        return {"lam": payload["lam"], "report": report, "error": None}
     except Exception as exc:  # worker boundary: everything becomes a row flag
-        return {"lam": payload["lam"], "T": None, "quench_set": [], "error": str(exc)}
+        return {"lam": payload["lam"], "report": None, "error": str(exc)}
 
 
 def cmd_sweep(cfg: dict) -> int:
-    from .bounds import NotApplicable, bound_lower_TL, bound_upper_T1, large_lambda_bounds
+    from .bounds import evaluate_all
     from .steady import StepFailure, continue_branch
 
     started = _now()
@@ -425,30 +420,15 @@ def cmd_sweep(cfg: dict) -> int:
     else:
         results = [_sweep_run(p) for p in payloads]
 
-    alpha = profile.holder_exponent
-    from .bounds import _mesh_dimension
-
-    dim = _mesh_dimension(mesh)
     rows = []
     failures = 0
     for res in results:
-        lam = res["lam"]
         if res["error"] is not None:
             failures += 1
-            print("warning: lambda=%g failed: %s" % (lam, res["error"]), file=sys.stderr)
-        TL = T1a = T1s = None
-        if branch is not None and lam > branch.lambda_star:
-            try:
-                TL = bound_lower_TL(lam, branch, profile)
-            except NotApplicable:
-                pass
-            try:
-                T1a = bound_upper_T1(lam, branch, profile, form="arctan")
-                T1s = bound_upper_T1(lam, branch, profile, form="simplified")
-            except NotApplicable:
-                pass
-        ll = large_lambda_bounds(lam, profile, alpha, dim)
-        rows.append((lam, res["T"], TL, T1a, T1s, ll.lower, ll.upper))
+            print("warning: lambda=%g failed: %s" % (res["lam"], res["error"]), file=sys.stderr)
+        rep = evaluate_all(res["lam"], branch, profile, mesh, quench_report=res["report"])
+        rows.append((rep.lam, rep.T_measured, rep.T_L, rep.T1_arctan, rep.T1_simplified,
+                     rep.large_lambda_lower, rep.large_lambda_upper))
 
     sweep_path = os.path.join(out, "sweep.csv")
     csvio.write_rows(sweep_path, "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7", rows)
@@ -471,17 +451,18 @@ def cmd_rescale(cfg: dict) -> int:
     run_dir = spec.get("run")
     if not run_dir:
         raise ConfigError("'rescale.run' must name a simulate output directory")
-    if not os.path.isdir(run_dir) or not os.path.exists(os.path.join(run_dir, "quench.json")):
-        raise MissingInput("run directory not found or incomplete: %s" % run_dir)
-
-    with open(os.path.join(run_dir, "quench.json")) as fh:
-        quench = json.load(fh)
-    if not quench.get("quenched"):
-        print("referenced run did not quench", file=sys.stderr)
-        return EXIT_SOLVER
+    try:
+        with open(os.path.join(run_dir, "quench.json")) as fh:
+            quench = json.load(fh)
+        if not quench["quenched"]:
+            print("referenced run did not quench", file=sys.stderr)
+            return EXIT_SOLVER
+        run_T = float(quench["T"])
+        qset = [float(q) for q in quench["quench_set"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MissingInput("no readable quench.json in %s: %s" % (run_dir, exc))
     T = spec.get("T")
-    T = float(T) if T is not None else float(quench["T"])
-    qset = [float(q) for q in quench.get("quench_set", [])]
+    T = float(T) if T is not None else run_T
     center = spec.get("center")
     center = float(center) if center is not None else (qset[0] if qset else 0.0)
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import csvio
-
 __all__ = [
     "Slab",
     "RadialBall",
@@ -102,6 +100,11 @@ class Mesh:
     @property
     def is_radial(self) -> bool:
         return isinstance(self.geometry, RadialBall)
+
+    @property
+    def dimension(self) -> int:
+        """Space dimension N of the domain; 1 for a slab."""
+        return self.geometry.dimension if self.is_radial else 1
 
     @property
     def boundary_mask(self) -> np.ndarray:
@@ -230,9 +233,3 @@ def apply_laplacian(f: Field, boundary: str = "dirichlet_zero") -> Field:
         out[0] = 2.0 * dim * (u[1] - u[0]) / h2
     return Field(mesh, out)
 
-
-def field_to_csv(f: Field, path) -> None:
-    """Write (node_index, x_or_r, value) rows with a header line."""
-    n = f.mesh.node_count
-    body = csvio.template(n, [np.arange(n), f.mesh.nodes, f.values])  # %.17g prints an index as %d
-    csvio.write(path, "node_index,x_or_r,value", [body])

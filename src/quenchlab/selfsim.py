@@ -74,14 +74,12 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
     mesh = trajectory.mesh
     if isinstance(mesh.geometry, Slab):
         radial = False
-        dimension = 1
         x_lo, x_hi = mesh.geometry.x_left, mesh.geometry.x_right
         if not (x_lo < a < x_hi):
             raise ValueError("center outside the domain")
         boundary_dist = min(x_hi - a, a - x_lo)
     else:
         radial = True
-        dimension = mesh.geometry.dimension
         if a != 0.0:
             raise ValueError("radial similarity frames must be centered at the origin")
         x_lo, x_hi = 0.0, mesh.geometry.radius
@@ -121,7 +119,7 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
         samples=tuple(samples),
         s0=float(s0),
         contained=tuple(contained),
-        dimension=dimension,
+        dimension=mesh.dimension,
         radial=radial,
     )
 

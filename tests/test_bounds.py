@@ -257,7 +257,7 @@ def test_location_empty_set_raises():
 # aggregate report
 
 
-def test_ingredients_energy_window(branch_f1_401):
+def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     ing = ingredients(branch_f1_401, Constant(1.0), 5.0, 1.0, 1)
     assert 0.0 < ing.E0 < 1.0
     assert ing.M == 1.0
@@ -266,6 +266,15 @@ def test_ingredients_energy_window(branch_f1_401):
     assert ing.I2_26 == pytest.approx(3.0 * branch_f1_401.lambda_star / ing.J_26,
                                       rel=1e-14)
     assert ing.I1_26 > 0.0 and ing.J_26 > 0.0
+    # the K of ingredients is the K behind evaluate_all's epsilon, bitwise
+    f = SlabSinPiecewise()
+    ing = ingredients(branch_falpha_801, f, 1e5, f.holder_exponent, 1)
+    rep = evaluate_all(1e5, branch_falpha_801, f, branch_falpha_801.w_star.mesh)
+    assert ing.K > 0.0
+    assert ing.epsilon_of_lambda == rep.epsilon
+    assert large_lambda_bounds(1e5, f, 1.0, 1, K=ing.K).epsilon == rep.epsilon
+    # f vanishes where psi* has mass: J and I2 are undefined
+    assert ing.J_26 is None and ing.I2_26 is None
 
 
 def test_evaluate_all_near_fold(branch_f1_401):
@@ -293,6 +302,24 @@ def test_evaluate_all_below_fold(branch_f1_401):
     reason = "no finite touchdown below the fold value"
     assert rep.flags["T_L"] == reason
     assert rep.large_lambda_lower > 0.0
+
+
+def test_evaluate_all_without_branch():
+    # no fold data: the fold estimates are flagged, the sandwich is kept whole
+    mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    f = SlabSinPiecewise()
+    rep = evaluate_all(1e5, None, f, mesh)
+    assert rep.lambda_star is None
+    assert rep.bound_1_2 is None and rep.T_L is None
+    assert rep.T1_arctan is None and rep.T1_simplified is None
+    for key in ("bound_1_2", "T_L", "T1"):
+        assert rep.flags[key] == "no fold data"
+    ll = large_lambda_bounds(1e5, f, f.holder_exponent, 1)
+    assert ll.upper is not None
+    assert (rep.large_lambda_lower, rep.large_lambda_upper, rep.epsilon, rep.delta) == (
+        ll.lower, ll.upper, ll.epsilon, ll.delta)
+    assert rep.flags["large_lambda_upper"] == "ok"
+    assert rep.ordering_lower_pass is None and rep.ordering_upper_pass is None
 
 
 def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):

@@ -10,8 +10,11 @@ import os
 
 import pytest
 
-from quenchlab import dynamics
+from quenchlab import dynamics, steady
+from quenchlab.bounds import evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
+from quenchlab.mesh import Slab, build_mesh
+from quenchlab.profiles import Constant
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -249,9 +252,35 @@ def test_sweep_rows_and_worker_independence(tmp_path):
         assert T <= T1a * 1.01
         assert float(cells[5]) == pytest.approx(1.0 / (3.0 * lam), rel=1e-12)
 
+    # every bound cell is the evaluate_all field, bitwise; a blank cell is None
+    mesh = build_mesh(Slab(-0.5, 0.5), 201)
+    branch = steady.continue_branch(Constant(1.0), mesh, ds=0.02)
+    fields = ("T_L", "T1_arctan", "T1_simplified", "large_lambda_lower", "large_lambda_upper")
+    for line in lines[1:]:
+        cells = line.split(",")
+        rep = evaluate_all(float(cells[0]), branch, Constant(1.0), mesh)
+        assert [float(c) if c else None for c in cells[2:]] == [getattr(rep, f) for f in fields]
+
     bytes1 = open(os.path.join(out1, "sweep.csv"), "rb").read()
     bytes2 = open(os.path.join(out2, "sweep.csv"), "rb").read()
     assert bytes1 == bytes2
+
+
+def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise steady.StepFailure("forced")
+
+    monkeypatch.setattr(steady, "continue_branch", fail)
+    cfg = write_config(tmp_path, "sf.json", {
+        "node_count": 101, "lambda_grid": [4.0], "time": {"t_max": 0.2},
+    })
+    out = str(tmp_path / "sf_out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert "continuation failed" in capsys.readouterr().err
+    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, 1)
+    assert cells[1] != "" and cells[2:5] == ["", "", ""]
+    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +375,15 @@ def _drop_record(run):
     os.remove(os.path.join(run, "run.json"))
 
 
-@pytest.mark.parametrize("damage", [_drop_history, _nan_cell, _short_snapshot, _drop_record])
+def _truncated_quench(run):
+    path = os.path.join(run, "quench.json")
+    text = open(path).read()
+    open(path, "w").write(text[: len(text) // 2])
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench]
+)
 def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):
     run = simulate_run(tmp_path, "rd", {"node_count": 101, "lambda": 5.0})
     damage(run)

@@ -16,7 +16,7 @@ import pytest
 from quenchlab import csvio
 from quenchlab.cli import main
 from quenchlab.dynamics import Trajectory, read_trajectory, write_max_history, write_snapshots
-from quenchlab.mesh import Field, Slab, build_mesh, field_to_csv
+from quenchlab.mesh import Slab, build_mesh
 from quenchlab.profiles import Constant
 from quenchlab.selfsim import (
     _gamma,
@@ -75,17 +75,6 @@ def test_interleave_row_major():
 
 # ---------------------------------------------------------------------------
 # the routed writers
-
-
-def test_field_to_csv_matches_oracle(tmp_path):
-    mesh = build_mesh(Slab(-1.0, 1.0), 5)
-    values = np.array(EDGES + (0.25,))
-    path = tmp_path / "field.csv"
-    field_to_csv(Field(mesh, values), path)
-    expected = "node_index,x_or_r,value\n" + "".join(
-        "%d,%.17g,%.17g\n" % (i, x, v) for i, (x, v) in enumerate(zip(mesh.nodes, values))
-    )
-    assert read_bytes(path) == expected.encode()
 
 
 def edge_trajectory():

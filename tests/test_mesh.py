@@ -14,7 +14,6 @@ from quenchlab.mesh import (
     apply_laplacian,
     bands_matvec,
     build_mesh,
-    field_to_csv,
     integrate,
     laplacian_bands,
     sphere_area,
@@ -35,12 +34,14 @@ def test_build_mesh_unit_slab_6000():
 def test_build_mesh_three_nodes():
     mesh = build_mesh(Slab(0.0, 1.0), 3)
     assert np.allclose(mesh.nodes, [0.0, 0.5, 1.0])
+    assert mesh.dimension == 1
 
 
 def test_build_mesh_ball():
     mesh = build_mesh(RadialBall(3, 1.0), 5)
     assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.is_radial
+    assert mesh.dimension == 3
     # r = 0 is an unknown, r = R the only Dirichlet node
     assert list(mesh.boundary_mask) == [False, False, False, False, True]
 
@@ -196,14 +197,3 @@ def test_mesh_rejects_nonuniform():
         from quenchlab.mesh import Mesh
 
         Mesh(geometry=Slab(0.0, 1.0), nodes=nodes, h=0.5)
-
-
-def test_field_csv_format(tmp_path):
-    mesh = build_mesh(Slab(0.0, 1.0), 3)
-    path = tmp_path / "field.csv"
-    field_to_csv(Field(mesh, np.array([0.0, 2.5, 0.0])), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node_index,x_or_r,value"
-    assert lines[1].split(",") == ["0", "0", "0"]
-    assert lines[2].split(",")[0] == "1"
-    assert float(lines[2].split(",")[2]) == 2.5
