@@ -213,6 +213,16 @@ def _lam(cfg: dict) -> float:
     return lam
 
 
+def _ds(cfg: dict) -> float:
+    try:
+        ds = float(cfg["ds"])
+    except (TypeError, ValueError):
+        raise ConfigError("ds must be a number")
+    if not ds > 0:
+        raise ConfigError("ds must be positive")
+    return ds
+
+
 def _grid(cfg: dict) -> List[float]:
     grid = cfg.get("lambda_grid")
     if grid is None or not isinstance(grid, list) or not grid:
@@ -274,14 +284,11 @@ def _outdir(cfg: dict) -> str:
 
 
 def cmd_steady(cfg: dict) -> int:
-    from .steady import StepFailure, branch_to_csv, continue_branch, solve_minimal, states_to_csv
+    from .steady import IterationLimit, StepFailure, branch_to_csv, continue_branch, solve_minimal, states_to_csv
 
     started = _now()
     mesh, profile = _validated(cfg)
-    try:
-        ds = float(cfg["ds"])
-    except (TypeError, ValueError):
-        raise ConfigError("ds must be a number")
+    ds = _ds(cfg)
     out = _outdir(cfg)
     branch_path = os.path.join(out, "branch.csv")
     files = [branch_path]
@@ -302,7 +309,7 @@ def cmd_steady(cfg: dict) -> int:
     else:
         try:
             branch = continue_branch(profile, mesh, ds=ds)
-        except StepFailure as exc:
+        except (StepFailure, IterationLimit) as exc:
             print("continuation failed: %s" % exc, file=sys.stderr)
             return EXIT_SOLVER
         branch_to_csv(branch, branch_path)
@@ -336,7 +343,7 @@ def cmd_simulate(cfg: dict) -> int:
     except (NewtonFailure, StepUnderflow, StepLimit) as exc:
         print("integration failed: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
-    files = write_snapshots(traj, out)
+    files = [write_snapshots(traj, out)]
     hist_path = os.path.join(out, "max_history.csv")
     write_max_history(traj, hist_path)
     files.append(hist_path)
@@ -349,15 +356,16 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_bounds(cfg: dict) -> int:
     from .bounds import bounds_report_to_dict, evaluate_all
-    from .steady import StepFailure, continue_branch
+    from .steady import IterationLimit, StepFailure, continue_branch
 
     started = _now()
     mesh, profile = _validated(cfg)
     lam = _lam(cfg)
+    ds = _ds(cfg)
     out = _outdir(cfg)
     try:
-        branch = continue_branch(profile, mesh, ds=float(cfg["ds"]))
-    except StepFailure as exc:
+        branch = continue_branch(profile, mesh, ds=ds)
+    except (StepFailure, IterationLimit) as exc:
         print("continuation failed: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     report = evaluate_all(lam, branch, profile, mesh)
@@ -383,11 +391,12 @@ def _sweep_run(payload: dict) -> dict:
 
 def cmd_sweep(cfg: dict) -> int:
     from .bounds import evaluate_all
-    from .steady import StepFailure, continue_branch
+    from .steady import IterationLimit, StepFailure, continue_branch
 
     started = _now()
     mesh, profile = _validated(cfg)
     grid = _grid(cfg)
+    ds = _ds(cfg)
     tc_spec = dict(cfg.get("time") or {})
     build_time(tc_spec)  # validate before spawning workers
     out = _outdir(cfg)
@@ -400,8 +409,8 @@ def cmd_sweep(cfg: dict) -> int:
 
     branch = None
     try:
-        branch = continue_branch(profile, mesh, ds=float(cfg["ds"]))
-    except StepFailure as exc:
+        branch = continue_branch(profile, mesh, ds=ds)
+    except (StepFailure, IterationLimit) as exc:
         print("warning: continuation failed, steady bounds omitted: %s" % exc, file=sys.stderr)
 
     payloads = [
@@ -452,6 +461,11 @@ def cmd_rescale(cfg: dict) -> int:
     if not run_dir:
         raise ConfigError("'rescale.run' must name a simulate output directory")
     try:
+        T = None if spec.get("T") is None else float(spec["T"])
+        center = None if spec.get("center") is None else float(spec["center"])
+    except (TypeError, ValueError):
+        raise ConfigError("'rescale.T' and 'rescale.center' must be numbers")
+    try:
         with open(os.path.join(run_dir, "quench.json")) as fh:
             quench = json.load(fh)
         if not quench["quenched"]:
@@ -461,10 +475,9 @@ def cmd_rescale(cfg: dict) -> int:
         qset = [float(q) for q in quench["quench_set"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise MissingInput("no readable quench.json in %s: %s" % (run_dir, exc))
-    T = spec.get("T")
-    T = float(T) if T is not None else run_T
-    center = spec.get("center")
-    center = float(center) if center is not None else (qset[0] if qset else 0.0)
+    T = run_T if T is None else T
+    if center is None:
+        center = qset[0] if qset else 0.0
 
     try:
         with open(os.path.join(run_dir, "run.json")) as fh:

@@ -2,10 +2,10 @@
 
 A file is a header line, optional ``# `` comment lines, then a body.  A
 body is built by a single ``%`` on a row template over a flat tuple of
-values, not by one format call per row.  A column that several files
-share (the mesh nodes of every snapshot, the s of one frame sample) is
-formatted once and built into the template as literal text, so only the
-columns that vary are formatted per file.
+values, not by one format call per row.  A value that every row of a
+body shares (the s of one frame sample) is formatted once and built into
+the template as literal text, so only the columns that vary are
+formatted per row.
 
 Templates and bodies are ASCII bytes, written as they are.  Numbers are
 written ``%.17g`` (round-trip exact, '.' decimals, ``nan`` for NaN);
@@ -26,19 +26,13 @@ class MissingInput(ValueError):
     """An input file is absent or does not hold what its writer wrote."""
 
 
-def template(n_rows: int, columns: Sequence) -> bytes:
+def template(n_rows: int, columns: Sequence[str]) -> bytes:
     """Row template of n_rows rows, for a later ``template % values``.
 
-    A str column is the same text in every row: FLOAT for a value filled
-    in later, or a literal cell.  Any other column is n_rows numbers,
-    formatted now and built in as literal text; this is how a column that
-    several files share is formatted once.  A template without str
-    columns has no fields left: it is the finished body.
+    Each column is the same text in every row: FLOAT for a value filled
+    in later, or a literal cell.
     """
-    if all(isinstance(col, str) for col in columns):
-        return (",".join(columns) + "\n").encode() * n_rows
-    row = ",".join(col.replace("%", "%%") if isinstance(col, str) else FLOAT for col in columns)
-    return ((row + "\n").encode() * n_rows) % interleave(*[col for col in columns if not isinstance(col, str)])
+    return (",".join(columns) + "\n").encode() * n_rows
 
 
 def interleave(*columns) -> tuple:

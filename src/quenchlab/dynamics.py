@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -68,8 +69,8 @@ class OverflowGuard(RuntimeError):
 
 
 MAX_STEPS = 500000
-# one stored state per file, numbered from 0 in time order
-SNAPSHOT_NAME = "snapshot_%04d.csv"
+# the stored states of a run: arrays `times` and `values`, as Trajectory holds them
+TRAJECTORY_NAME = "trajectory.npz"
 
 
 @dataclass(frozen=True)
@@ -416,20 +417,16 @@ def convergence_check(
 # persistence helpers
 
 
-def write_snapshots(trajectory: Trajectory, directory) -> List[str]:
-    """One CSV per stored time with columns (x, 1-u); returns paths written.
+def write_snapshots(trajectory: Trajectory, directory) -> str:
+    """Write the stored times and states to one trajectory.npz; returns its path.
 
-    The x column is formatted once per trajectory and shared by every file.
+    The arrays are stored as they are held, so reading them back gives the
+    same bits.  The zip members carry a fixed timestamp, so the same run
+    gives the same bytes.
     """
-    mesh = trajectory.mesh
-    body = csvio.template(mesh.node_count, [mesh.nodes, csvio.FLOAT])
-    paths = []
-    for k, (t, u) in enumerate(zip(trajectory.times.tolist(), trajectory.values)):
-        path = os.path.join(str(directory), SNAPSHOT_NAME % k)
-        one_minus_u = tuple((1.0 - u).tolist())
-        csvio.write(path, "x,one_minus_u", [body % one_minus_u], comments=["t=%.17g" % t])
-        paths.append(path)
-    return paths
+    path = os.path.join(str(directory), TRAJECTORY_NAME)
+    np.savez(path, times=trajectory.times, values=trajectory.values)
+    return path
 
 
 def write_max_history(trajectory: Trajectory, path) -> None:
@@ -437,31 +434,26 @@ def write_max_history(trajectory: Trajectory, path) -> None:
 
 
 def read_trajectory(directory, mesh: Mesh, lam: float) -> Trajectory:
-    """Load the snapshots and max_history.csv that a simulate run wrote.
+    """Load the trajectory.npz and max_history.csv that a simulate run wrote.
 
-    These files come from outside the program: a missing one, a snapshot
-    that is not one finite value per node, or a history that is not three
-    columns raises MissingInput.
+    These files come from outside the program: a missing or unreadable
+    one, a store without `times` and `values`, states that are not finite
+    values on every node at each stored time, or a history that is not
+    three columns raises MissingInput.
     """
     directory = str(directory)
-    count = len([n for n in os.listdir(directory) if n.startswith("snapshot_") and n.endswith(".csv")])
-    if not count:
-        raise MissingInput("no snapshots in %s" % directory)
-    times, values = np.empty(count), np.empty((count, mesh.node_count))
     try:
-        for k in range(count):
-            path = os.path.join(directory, SNAPSHOT_NAME % k)
-            with open(path) as fh:
-                fh.readline()  # header
-                times[k] = float(fh.readline().split("=", 1)[1])
-                one_minus_u = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1)
-            if one_minus_u.shape != (mesh.node_count,) or not np.all(np.isfinite(one_minus_u)):
-                raise ValueError("%s does not hold %d finite values" % (path, mesh.node_count))
-            values[k] = 1.0 - one_minus_u
+        with np.load(os.path.join(directory, TRAJECTORY_NAME), allow_pickle=False) as store:
+            times = np.asarray(store["times"], dtype=float)
+            values = np.asarray(store["values"], dtype=float)
+        if times.ndim != 1 or not times.size or values.shape != (times.size, mesh.node_count):
+            raise ValueError("%s does not hold %d values per stored time" % (TRAJECTORY_NAME, mesh.node_count))
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("%s holds a value that is not finite" % TRAJECTORY_NAME)
         history = np.loadtxt(os.path.join(directory, "max_history.csv"), delimiter=",", skiprows=1, ndmin=2)
         if history.shape[1:] != (3,):
             raise ValueError("max_history.csv does not hold (t, sup_u, argmax) rows")
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise MissingInput("damaged run directory %s: %s" % (directory, exc))
     return Trajectory(float(lam), mesh, times, values, history)
 

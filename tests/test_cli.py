@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from quenchlab import dynamics, steady
@@ -15,6 +16,7 @@ from quenchlab.bounds import evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
 from quenchlab.mesh import Slab, build_mesh
 from quenchlab.profiles import Constant
+from quenchlab.selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -117,6 +119,12 @@ def test_malformed_json(tmp_path):
     ("sweep", {"lambda_grid": []}),
     ("simulate", {"time": {"snapshot_stride": 2.5}}),
     ("simulate", {"time": {"snapshot_stride": True}}),
+    ("bounds", {"ds": "abc"}),
+    ("steady", {"ds": 0}),
+    ("bounds", {"ds": 0}),
+    ("sweep", {"ds": -0.02, "lambda_grid": [1.0]}),
+    ("rescale", {"rescale": {"run": "somewhere", "T": "abc"}}),
+    ("rescale", {"rescale": {"run": "somewhere", "center": "mid"}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     cfg = write_config(tmp_path, "bad.json", dict(payload, node_count=payload.get("node_count", 101)))
@@ -155,10 +163,9 @@ def test_simulate_quenching_run(tmp_path):
     assert quench["quench_set"] == pytest.approx([0.0], abs=1e-9)
     assert quench["lambda"] == 5.0
 
-    names = os.listdir(out)
-    assert "max_history.csv" in names
-    assert "snapshot_0000.csv" in names
+    assert sorted(os.listdir(out)) == ["max_history.csv", "quench.json", "run.json", "trajectory.npz"]
     record = read_json(os.path.join(out, "run.json"))
+    assert set(record["files"]) == {"max_history.csv", "quench.json", "trajectory.npz"}
     assert record["config"]["lambda"] == 5.0
     assert record["config"]["node_count"] == 201
 
@@ -218,12 +225,10 @@ def test_simulate_deterministic_reruns(tmp_path):
         outs.append(out)
     rec_a = read_json(os.path.join(outs[0], "run.json"))
     rec_b = read_json(os.path.join(outs[1], "run.json"))
+    assert "trajectory.npz" in rec_a["files"]
     assert rec_a["files"] == rec_b["files"]
     for rel in rec_a["files"]:
-        if rel.endswith(".csv"):
-            a = open(os.path.join(outs[0], rel), "rb").read()
-            b = open(os.path.join(outs[1], rel), "rb").read()
-            assert a == b
+        assert sha256(os.path.join(outs[0], rel)) == sha256(os.path.join(outs[1], rel))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,20 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
 
+def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s9.json", {
+        "geometry": {"kind": "ball", "dimension": 9}, "node_count": 201,
+        "lambda_grid": [60.0], "time": {"t_max": 0.01},
+    })
+    out = str(tmp_path / "s9_out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert "continuation failed, steady bounds omitted: eigen-residual" in capsys.readouterr().err
+    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, 9)
+    assert cells[1] != "" and cells[2:5] == ["", "", ""]
+    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -303,6 +322,14 @@ def test_bounds_report_above_and_below_fold(tmp_path):
     rep2 = read_json(os.path.join(out2, "bounds.json"))
     assert rep2["T_L"] is None
     assert "no finite touchdown" in rep2["flags"]["T_L"]
+
+
+@pytest.mark.parametrize("argv", [["steady"], ["bounds", "--lambda", "60"]])
+def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, argv):
+    # the eigen solve on a 9-ball stalls far above its residual target
+    cfg = write_config(tmp_path, "b9.json", {"geometry": {"kind": "ball", "dimension": 9}, "node_count": 201})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "b9_out")]) == 3
+    assert "continuation failed: eigen-residual" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +354,20 @@ def test_rescale_round_trip(tmp_path):
     energy_lines = open(os.path.join(out, "energy.csv")).read().splitlines()
     assert energy_lines[0] == "s,E,k_a,E_of_k"
     assert len(energy_lines) > 10
+
+
+def test_rescale_of_stored_run_matches_rescale_in_memory(tmp_path, quench_run_201):
+    run = simulate_run(tmp_path, "rm", {"node_count": 201, "lambda": 5.0})
+    cfg = write_config(tmp_path, "rm_cfg.json", {"rescale": {"run": run}})
+    out = tmp_path / "rm_out"
+    assert main(["rescale", "--config", cfg, "--out", str(out)]) == 0
+
+    traj, report = quench_run_201  # the same config, integrated in this process
+    frame = rescale(traj, report.quench_set[0], report.T)
+    write_frame_csv(frame, tmp_path / "frame.csv")
+    write_energy_csv(energy_trace(frame, 5.0, 1.0), frame, 5.0, 1.0, tmp_path / "energy.csv")
+    for name in ("frame.csv", "energy.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_rescale_off_center_warning(tmp_path):
@@ -358,17 +399,20 @@ def _drop_history(run):
     os.remove(os.path.join(run, "max_history.csv"))
 
 
+def _store(run):
+    with np.load(os.path.join(run, "trajectory.npz")) as store:
+        return {name: store[name] for name in store.files}
+
+
 def _nan_cell(run):
-    path = os.path.join(run, "snapshot_0003.csv")
-    lines = open(path).read().splitlines()
-    lines[5] = lines[5].split(",")[0] + ",nan"
-    open(path, "w").write("\n".join(lines) + "\n")
+    arrays = _store(run)
+    arrays["values"][3, 5] = np.nan
+    np.savez(os.path.join(run, "trajectory.npz"), **arrays)
 
 
 def _short_snapshot(run):
-    path = os.path.join(run, "snapshot_0003.csv")
-    lines = open(path).read().splitlines()
-    open(path, "w").write("\n".join(lines[:-1]) + "\n")
+    arrays = _store(run)
+    np.savez(os.path.join(run, "trajectory.npz"), times=arrays["times"], values=arrays["values"][:, :-1])
 
 
 def _drop_record(run):
@@ -381,9 +425,35 @@ def _truncated_quench(run):
     open(path, "w").write(text[: len(text) // 2])
 
 
-@pytest.mark.parametrize(
-    "damage", [_drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench]
-)
+def _truncated_store(run):
+    path = os.path.join(run, "trajectory.npz")
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[: len(data) // 2])
+
+
+def _missing_member(run):
+    np.savez(os.path.join(run, "trajectory.npz"), times=_store(run)["times"])
+
+
+def _drop_store(run):
+    os.remove(os.path.join(run, "trajectory.npz"))
+
+
+def _empty_store(run):
+    open(os.path.join(run, "trajectory.npz"), "wb").close()
+
+
+def _npy_store(run):
+    # one bare .npy array under the store's name: np.load returns an ndarray
+    values = _store(run)["values"]
+    with open(os.path.join(run, "trajectory.npz"), "wb") as fh:
+        np.save(fh, values)
+
+
+@pytest.mark.parametrize("damage", [
+    _drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench,
+    _truncated_store, _missing_member, _drop_store, _empty_store, _npy_store,
+])
 def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):
     run = simulate_run(tmp_path, "rd", {"node_count": 101, "lambda": 5.0})
     damage(run)

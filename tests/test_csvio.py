@@ -3,7 +3,8 @@
 Each writer is checked against a reference kept here: the per-row
 ``"%.17g"`` loop it replaced, run on the same inputs.  Edge values cover
 NaN, signed zero, integral floats, the smallest subnormal and the largest
-finite double.
+finite double.  The same values go through the binary trajectory store
+and must come back bit for bit.
 """
 
 import dataclasses
@@ -61,12 +62,9 @@ def test_edge_values_formatting(tmp_path):
 
 
 def test_template_builds_in_shared_columns():
-    body = csvio.template(3, [np.array(EDGES[:3]), csvio.FLOAT, "x%%"])
-    assert body % (math.nan, 2.5, -0.0) == b"-0,nan,x%\n1,2.5,x%\n4.9406564584124654e-324,-0,x%\n"
     assert csvio.template(2, [csvio.FLOAT, "7"]) % (1.0, 2.0) == b"1,7\n2,7\n"
-    assert csvio.template(2, [np.arange(2), np.array([0.5, 1.7976931348623157e308])]) == (
-        b"0,0.5\n1,1.7976931348623157e+308\n"
-    )
+    body = csvio.template(3, [csvio.FLOAT % -0.0, csvio.FLOAT, "x%%"])
+    assert body % (math.nan, 2.5, 5e-324) == b"-0,nan,x%\n-0,2.5,x%\n-0,4.9406564584124654e-324,x%\n"
 
 
 def test_interleave_row_major():
@@ -97,13 +95,14 @@ def edge_trajectory():
 
 def test_write_snapshots_matches_oracle(tmp_path):
     traj = edge_trajectory()
-    paths = write_snapshots(traj, tmp_path)
-    assert len(paths) == len(traj.times)
-    for path, t, u in zip(paths, traj.times, traj.values):
-        expected = "x,one_minus_u\n# t=%.17g\n" % t + "".join(
-            "%.17g,%.17g\n" % (x, 1.0 - v) for x, v in zip(traj.mesh.nodes, u)
-        )
-        assert read_bytes(path) == expected.encode()
+    path = write_snapshots(traj, tmp_path)
+    assert path == str(tmp_path / "trajectory.npz")
+    with np.load(path, allow_pickle=False) as store:
+        assert sorted(store.files) == ["times", "values"]
+        times, values = store["times"], store["values"]
+    assert times.dtype == values.dtype == np.float64
+    assert np.array_equal(bits(times), bits(traj.times))
+    assert np.array_equal(bits(values), bits(traj.values))
 
 
 def test_write_max_history_matches_oracle(tmp_path):
@@ -221,7 +220,7 @@ def test_nearest_sample_lookup_unchanged(frame_201):
 
 
 # ---------------------------------------------------------------------------
-# snapshots back in
+# the stored trajectory back in
 
 
 def test_snapshot_round_trip(tmp_path, quench_run_201):
@@ -233,6 +232,5 @@ def test_snapshot_round_trip(tmp_path, quench_run_201):
     loaded = read_trajectory(tmp_path, traj.mesh, traj.lam)
     assert loaded.lam == traj.lam and loaded.mesh is traj.mesh
     assert np.array_equal(bits(loaded.times), bits(traj.times))
-    # the file stores 1 - u exactly; the reader returns 1 - (stored column)
-    assert np.array_equal(bits(loaded.values), bits(1.0 - (1.0 - traj.values)))
+    assert np.array_equal(bits(loaded.values), bits(traj.values))
     assert np.array_equal(bits(loaded.max_history), bits(traj.max_history))

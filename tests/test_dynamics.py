@@ -7,6 +7,7 @@ form before the integrator is involved.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -343,12 +344,12 @@ def test_cn_step_propagates_other_solver_faults(monkeypatch):
 
 def test_write_snapshots_format(tmp_path):
     traj = synthetic_cubic_trajectory(levels=4)
-    paths = write_snapshots(traj, tmp_path)
-    assert len(paths) == 4
-    lines = open(paths[0]).read().splitlines()
-    assert lines[0] == "x,one_minus_u"
-    assert lines[1].startswith("# t=")
-    assert len(lines) == 2 + traj.mesh.node_count
+    path = write_snapshots(traj, tmp_path)
+    assert os.listdir(tmp_path) == ["trajectory.npz"]
+    with np.load(path, allow_pickle=False) as store:
+        assert sorted(store.files) == ["times", "values"]
+        assert store["times"].shape == (4,)
+        assert store["values"].shape == (4, traj.mesh.node_count)
 
 
 def test_write_max_history_format(tmp_path):
