@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -257,7 +258,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_run_record(out: str, command: str, cfg: dict, files: List[str], started: str) -> None:
+def _write_run_record(out: str, command: str, cfg: dict, files: List[str], started: str, stats=None) -> None:
     record = {
         "version": __version__,
         "command": command,
@@ -266,6 +267,8 @@ def _write_run_record(out: str, command: str, cfg: dict, files: List[str], start
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": {os.path.relpath(p, out): _sha256(p) for p in sorted(files)},
     }
+    if stats is not None:
+        record["stats"] = dataclasses.asdict(stats)
     _write_json(os.path.join(out, "run.json"), record)
 
 
@@ -350,7 +353,7 @@ def cmd_simulate(cfg: dict) -> int:
     quench_path = os.path.join(out, "quench.json")
     _write_json(quench_path, {"lambda": lam, **quench_report_to_dict(report)})
     files.append(quench_path)
-    _write_run_record(out, "simulate", cfg, files, started)
+    _write_run_record(out, "simulate", cfg, files, started, traj.stats)
     return EXIT_OK
 
 
@@ -448,6 +451,13 @@ def cmd_sweep(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _bad_rescale_value(spec: dict, key: str, run_dir: str, problem: str) -> Exception:
+    """A bad `key` given in the config is a config error; one read from quench.json is a damaged run."""
+    if spec.get(key) is None:
+        return MissingInput("quench.json in %s: %s %s" % (run_dir, key, problem))
+    return ConfigError("'rescale.%s': %s" % (key, problem))
+
+
 def cmd_rescale(cfg: dict) -> int:
     from .dynamics import read_trajectory
     from .selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
@@ -488,6 +498,12 @@ def cmd_rescale(cfg: dict) -> int:
     profile = build_profile(run_cfg["profile"])
     lam = float(run_cfg["lambda"])
     traj = read_trajectory(run_dir, mesh, lam)
+    last = float(traj.times[-1])
+    if not (math.isfinite(T) and T > last):
+        raise _bad_rescale_value(spec, "T", run_dir, "%r is not a finite time after the last stored time %r" % (T, last))
+    geometry = mesh.geometry
+    if not (geometry.x_left < center < geometry.x_right if isinstance(geometry, Slab) else center == 0.0):
+        raise _bad_rescale_value(spec, "center", run_dir, "%r is not inside the domain (the origin on a ball)" % center)
     off_set = not any(abs(center - q) <= 3.0 * mesh.h for q in qset)
 
     frame = rescale(traj, center, T)

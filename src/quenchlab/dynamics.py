@@ -8,6 +8,16 @@ fixed fraction of the remaining gap 1 - sup u; integration stops at
 sup u = 1 - eps_q and the touchdown time T is extrapolated from the
 cubic gap law (near touchdown u_t is dominated by the forcing, so
 (1 - sup u)^3 decays linearly in t).
+
+Newton starts each stage from the Lagrange extrapolation, to the new
+time, of the last three accepted states (linear after the first step,
+u itself on it), so a stage usually converges after one banded solve.
+The convergence test is the same from any start (sup-norm residual at
+most 1e-11); a guess that reaches 1 - 1e-14 is not used, and a stage
+that fails from the guess is solved again from u before dt is cut.
+Each run makes one set of work arrays (gap, residual, right-hand side,
+scratch, Jacobian bands) that the stage arithmetic writes into in
+place; from the same start it gives the same bits as fresh temporaries.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import zipfile
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,6 +40,7 @@ from .profiles import Profile, evaluate
 __all__ = [
     "TimeConfig",
     "Trajectory",
+    "StepStats",
     "QuenchReport",
     "RateFit",
     "ConvergenceTrace",
@@ -96,6 +108,24 @@ class TimeConfig:
 
 
 @dataclass(frozen=True)
+class StepStats:
+    """What the stepper of one run did.
+
+    Accepted steps; rejected stages by reason (`rejected_stage`: the
+    stage solve failed, `rejected_growth`: sup u rose by more than the
+    controller target); banded solves made; smallest and largest
+    accepted dt.
+    """
+
+    accepted_steps: int
+    rejected_stage: int
+    rejected_growth: int
+    banded_solves: int
+    dt_min: float
+    dt_max: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Stored states and the sup history of one run.
 
@@ -103,6 +133,8 @@ class Trajectory:
     `max_history` has one row (t, sup u, argmax) for the start and for
     each accepted step; argmax is the first node off the Dirichlet
     boundary where u is within 1e-12 of sup u, or nan while sup u <= 0.
+    `stats` is what `integrate` counted; None for a trajectory read back
+    from disk.
     """
 
     lam: float
@@ -110,6 +142,7 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray
     max_history: np.ndarray
+    stats: Optional[StepStats] = None
 
     @property
     def final_time(self) -> float:
@@ -134,6 +167,8 @@ class QuenchReport:
     p: Optional[float]
     fit_residual: Optional[float]
     last_resolved_gap: float
+    decades: Optional[float] = None  # of resolved gap behind the rate fit
+    low_confidence: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -142,35 +177,113 @@ class ConvergenceTrace:
     distances: Tuple[float, ...]
 
 
-def _cn_step(Lb, f, lam, u, dt):
-    """One Crank-Nicolson stage solved by damped Newton; None on failure."""
-    gap0 = 1.0 - u
-    rhs = u + 0.5 * dt * (bands_matvec(Lb, u) + lam * f / gap0**2)
-    v = u.copy()
-    for _ in range(30):
-        gap = 1.0 - v
+class _StageWork:
+    """Arrays that every stage solve of one run writes into.
+
+    The stage arithmetic fills them with `out=` in place of fresh
+    temporaries; `solves` counts the banded solves made through them.
+    """
+
+    def __init__(self, Lb, f, lam):
+        n = Lb.shape[1]
+        self.lamf = lam * f
+        self.gap = np.empty(n)
+        self.F = np.empty(n)
+        self.rhs = np.empty(n)
+        self.scratch = np.empty(n)
+        self.Jb = np.empty_like(Lb)
+        self.solves = 0
+
+
+def _half_step_force(Lb, v, dt, work, out):
+    """out = dt/2 (L v + lam f / gap^2), with work.gap holding 1 - v."""
+    np.square(work.gap, out=out)
+    np.divide(work.lamf, out, out=out)
+    np.add(bands_matvec(Lb, v), out, out=out)
+    return np.multiply(out, 0.5 * dt, out=out)
+
+
+def _newton(Lb, f, lam, dt, start, work):
+    """Damped Newton on the stage equation from `start`; None on failure.
+
+    At most 30 Newton updates; the 31st pass only tests the last iterate.
+    """
+    gap, F, scratch, Jb = work.gap, work.F, work.scratch, work.Jb
+    v = start.copy()
+    trial = np.empty_like(v)
+    for iteration in range(31):
+        np.subtract(1.0, v, out=gap)
         if gap.min() <= 1e-14:
             return None
-        F = v - 0.5 * dt * (bands_matvec(Lb, v) + lam * f / gap**2) - rhs
-        if np.max(np.abs(F)) <= 1e-11:
+        _half_step_force(Lb, v, dt, work, F)
+        np.subtract(v, F, out=F)
+        np.subtract(F, work.rhs, out=F)
+        if np.abs(F, out=scratch).max() <= 1e-11:
             return v
-        Jb = -0.5 * dt * Lb
-        Jb[1] += 1.0 - dt * lam * f / gap**3
+        if iteration == 30:
+            return None
+        np.multiply(Lb, -0.5 * dt, out=Jb)
+        np.power(gap, 3, out=gap)
+        np.multiply(f, dt * lam, out=scratch)
+        np.divide(scratch, gap, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.add(Jb[1], scratch, out=Jb[1])
+        np.negative(F, out=F)
+        work.solves += 1
         try:
-            delta = solve_banded((1, 1), Jb, -F)
+            delta = solve_banded((1, 1), Jb, F, overwrite_ab=True, overwrite_b=True)
         except np.linalg.LinAlgError:  # singular stage Jacobian
             return None
         if not np.all(np.isfinite(delta)):
             return None
         theta = 1.0
-        while theta > 1e-12 and (v + theta * delta).max() >= 1.0 - 1e-14:
+        np.add(v, delta, out=trial)
+        while trial.max() >= 1.0 - 1e-14:
             theta *= 0.5
-        if theta <= 1e-12:
-            return None
-        v = v + theta * delta
-    gap = 1.0 - v
-    F = v - 0.5 * dt * (bands_matvec(Lb, v) + lam * f / gap**2) - rhs
-    return v if np.max(np.abs(F)) <= 1e-11 else None
+            if theta <= 1e-12:
+                return None
+            np.multiply(delta, theta, out=trial)
+            np.add(v, trial, out=trial)
+        v, trial = trial, v
+    return None  # not reached: the last pass returns
+
+
+def _cn_step(Lb, f, lam, u, dt, guess=None, work=None):
+    """One Crank-Nicolson stage solved by damped Newton; None on failure.
+
+    Newton starts from `guess` when one is given with max below
+    1 - 1e-14, else from u; a stage that fails from the guess is solved
+    again from u.  `work` is the run's _StageWork (a fresh one if None);
+    the state returned is a new array, never one of its buffers.
+    """
+    if work is None:
+        work = _StageWork(Lb, f, lam)
+    np.subtract(1.0, u, out=work.gap)
+    rhs = _half_step_force(Lb, u, dt, work, work.rhs)
+    np.add(u, rhs, out=rhs)
+    if guess is not None and guess.max() < 1.0 - 1e-14:
+        v = _newton(Lb, f, lam, dt, guess, work)
+        if v is not None:
+            return v
+    return _newton(Lb, f, lam, dt, u, work)
+
+
+def _extrapolate(recent, t):
+    """Lagrange extrapolation to time t through the (time, state) pairs in `recent`.
+
+    Two pairs give the linear extrapolation, three the quadratic; with
+    fewer there is nothing to extrapolate from and the result is None.
+    """
+    if len(recent) < 2:
+        return None
+    guess = np.zeros_like(recent[-1][1])
+    for i, (ti, ui) in enumerate(recent):
+        weight = 1.0
+        for j, (tj, _) in enumerate(recent):
+            if j != i:
+                weight *= (t - tj) / (ti - tj)
+        guess += weight * ui
+    return guess
 
 
 def integrate(
@@ -197,6 +310,11 @@ def integrate(
     times, states = [0.0], [u]
     max_history = [(0.0, 0.0, math.nan)]
 
+    work = _StageWork(Lb, f, lam)
+    recent = deque([(t, u)], maxlen=3)  # the last accepted (time, state) pairs
+    rejected_stage = rejected_growth = 0
+    dt_lo, dt_hi = math.inf, 0.0
+
     threshold = 1.0 - cfg.quench_eps
     step_index = 0
     while True:
@@ -209,14 +327,16 @@ def integrate(
         dt_try = min(dt, dt_cap, cfg.t_max - t)
         v = None
         while True:
-            v = _cn_step(Lb, f, lam, u, dt_try)
+            v = _cn_step(Lb, f, lam, u, dt_try, _extrapolate(recent, t + dt_try), work)
             if v is None:
+                rejected_stage += 1
                 dt_try *= 0.5
                 if dt_try < dt_floor:
                     raise NewtonFailure("stage solve failed at t=%g" % t)
                 continue
             dsup = float(v.max()) - sup
             if dsup > target * (1.0 + 1e-9) and dsup > 0:
+                rejected_growth += 1
                 dt_try *= max(0.1, 0.5 * target / dsup)
                 if dt_try < dt_floor:
                     raise StepUnderflow("dt underflow at t=%g" % t)
@@ -225,6 +345,8 @@ def integrate(
         u = v
         t += dt_try
         step_index += 1
+        recent.append((t, u))
+        dt_lo, dt_hi = min(dt_lo, dt_try), max(dt_hi, dt_try)
         sup = float(u.max())
         argmax = float(coords[np.argmax(np.abs(u - sup) <= 1e-12)]) if sup > 0.0 else math.nan
         max_history.append((t, sup, argmax))
@@ -250,7 +372,8 @@ def integrate(
     values = np.zeros((len(states), mesh.node_count))
     for row, state in zip(values, states):
         row[sl] = state
-    traj = Trajectory(float(lam), mesh, np.array(times), values, np.array(max_history))
+    stats = StepStats(step_index, rejected_stage, rejected_growth, work.solves, dt_lo, dt_hi)
+    traj = Trajectory(float(lam), mesh, np.array(times), values, np.array(max_history), stats)
     return traj, detect_quench(traj, cfg.quench_eps)
 
 
@@ -309,6 +432,8 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
         p=fit.p,
         fit_residual=fit.residual,
         last_resolved_gap=final_gap,
+        decades=fit.decades,
+        low_confidence=fit.low_confidence,
     )
 
 
@@ -467,4 +592,6 @@ def quench_report_to_dict(report: QuenchReport) -> dict:
         "p": report.p,
         "fit_residual": report.fit_residual,
         "last_resolved_gap": report.last_resolved_gap,
+        "decades": report.decades,
+        "low_confidence": report.low_confidence,
     }

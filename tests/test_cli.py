@@ -110,6 +110,13 @@ def test_malformed_json(tmp_path):
     assert not os.path.exists(out)
 
 
+SLAB_RUN, BALL_RUN = "<slab run>", "<ball run>"
+RUNS = {
+    SLAB_RUN: {"node_count": 101, "lambda": 5.0},
+    BALL_RUN: {"node_count": 101, "lambda": 5.0, "geometry": {"kind": "ball", "dimension": 2}},
+}
+
+
 @pytest.mark.parametrize("command,payload", [
     ("steady", {"bogus": 1}),
     ("steady", {"geometry": {"kind": "slab", "bogus": 1}}),
@@ -125,8 +132,18 @@ def test_malformed_json(tmp_path):
     ("sweep", {"ds": -0.02, "lambda_grid": [1.0]}),
     ("rescale", {"rescale": {"run": "somewhere", "T": "abc"}}),
     ("rescale", {"rescale": {"run": "somewhere", "center": "mid"}}),
+    ("rescale", {"rescale": {"run": SLAB_RUN, "T": 0.01}}),
+    ("rescale", {"rescale": {"run": SLAB_RUN, "T": -1}}),
+    ("rescale", {"rescale": {"run": SLAB_RUN, "T": "nan"}}),
+    ("rescale", {"rescale": {"run": SLAB_RUN, "T": "inf"}}),
+    ("rescale", {"rescale": {"run": SLAB_RUN, "center": 2.0}}),
+    ("rescale", {"rescale": {"run": SLAB_RUN, "center": "nan"}}),
+    ("rescale", {"rescale": {"run": BALL_RUN, "center": 0.1}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
+    run = payload.get("rescale", {}).get("run")
+    if run in RUNS:  # a real quenched run, so that only the rescale value is wrong
+        payload = {"rescale": dict(payload["rescale"], run=simulate_run(tmp_path, "ok", RUNS[run]))}
     cfg = write_config(tmp_path, "bad.json", dict(payload, node_count=payload.get("node_count", 101)))
     out = str(tmp_path / "bad_out")
     assert main([command, "--config", cfg, "--out", out]) == 2
@@ -162,12 +179,19 @@ def test_simulate_quenching_run(tmp_path):
     assert quench["T"] == pytest.approx(0.081, abs=0.01)
     assert quench["quench_set"] == pytest.approx([0.0], abs=1e-9)
     assert quench["lambda"] == 5.0
+    assert quench["decades"] > 1.5 and quench["low_confidence"] is False
 
     assert sorted(os.listdir(out)) == ["max_history.csv", "quench.json", "run.json", "trajectory.npz"]
     record = read_json(os.path.join(out, "run.json"))
     assert set(record["files"]) == {"max_history.csv", "quench.json", "trajectory.npz"}
     assert record["config"]["lambda"] == 5.0
     assert record["config"]["node_count"] == 201
+    stats = record["stats"]
+    assert set(stats) == {"accepted_steps", "rejected_stage", "rejected_growth", "banded_solves", "dt_min", "dt_max"}
+    history = np.loadtxt(os.path.join(out, "max_history.csv"), delimiter=",", skiprows=1)
+    assert stats["accepted_steps"] == len(history) - 1
+    assert stats["accepted_steps"] <= stats["banded_solves"] <= 1.1 * stats["accepted_steps"]
+    assert 0.0 < stats["dt_min"] <= stats["dt_max"]
 
 
 def test_simulate_no_load_does_not_quench(tmp_path):
@@ -425,6 +449,20 @@ def _truncated_quench(run):
     open(path, "w").write(text[: len(text) // 2])
 
 
+def _early_quench_T(run):
+    path = os.path.join(run, "quench.json")
+    quench = read_json(path)
+    quench["T"] = 0.01  # before the last stored time
+    open(path, "w").write(json.dumps(quench))
+
+
+def _outside_quench_point(run):
+    path = os.path.join(run, "quench.json")
+    quench = read_json(path)
+    quench["quench_set"] = [2.0]
+    open(path, "w").write(json.dumps(quench))
+
+
 def _truncated_store(run):
     path = os.path.join(run, "trajectory.npz")
     data = open(path, "rb").read()
@@ -453,6 +491,7 @@ def _npy_store(run):
 @pytest.mark.parametrize("damage", [
     _drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench,
     _truncated_store, _missing_member, _drop_store, _empty_store, _npy_store,
+    _early_quench_T, _outside_quench_point,
 ])
 def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):
     run = simulate_run(tmp_path, "rd", {"node_count": 101, "lambda": 5.0})

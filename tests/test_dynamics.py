@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from quenchlab import dynamics
 from quenchlab.dynamics import (
@@ -31,8 +32,8 @@ from quenchlab.dynamics import (
     write_max_history,
     write_snapshots,
 )
-from quenchlab.mesh import Field, Slab, build_mesh, laplacian_bands
-from quenchlab.profiles import Constant, SlabSinPiecewise
+from quenchlab.mesh import Field, Slab, bands_matvec, build_mesh, laplacian_bands
+from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 
 UNIT_SLAB = Slab(-0.5, 0.5)
 
@@ -338,6 +339,175 @@ def test_cn_step_propagates_other_solver_faults(monkeypatch):
         dynamics._cn_step(*_stage_inputs())
 
 
+def _cn_step_reference(Lb, f, lam, u, dt, start=None):
+    """The stage solve written with fresh temporaries: the oracle for _cn_step."""
+    gap0 = 1.0 - u
+    rhs = u + 0.5 * dt * (bands_matvec(Lb, u) + lam * f / gap0**2)
+    v = (u if start is None else start).copy()
+    for _ in range(30):
+        gap = 1.0 - v
+        if gap.min() <= 1e-14:
+            return None
+        F = v - 0.5 * dt * (bands_matvec(Lb, v) + lam * f / gap**2) - rhs
+        if np.max(np.abs(F)) <= 1e-11:
+            return v
+        Jb = -0.5 * dt * Lb
+        Jb[1] += 1.0 - dt * lam * f / gap**3
+        try:
+            delta = solve_banded((1, 1), Jb, -F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
+            return None
+        theta = 1.0
+        while theta > 1e-12 and (v + theta * delta).max() >= 1.0 - 1e-14:
+            theta *= 0.5
+        if theta <= 1e-12:
+            return None
+        v = v + theta * delta
+    gap = 1.0 - v
+    F = v - 0.5 * dt * (bands_matvec(Lb, v) + lam * f / gap**2) - rhs
+    return v if np.max(np.abs(F)) <= 1e-11 else None
+
+
+def _run_stage_inputs(quench_run_201):
+    traj, _ = quench_run_201
+    mesh = traj.mesh
+    Lb = laplacian_bands(mesh)
+    f = np.asarray(evaluate(Constant(1.0), mesh.nodes[mesh.unknown_slice]), dtype=float)
+    states = [u[mesh.unknown_slice].copy() for u in traj.values]
+    return Lb, f, traj.lam, states
+
+
+def test_cn_step_buffers_match_reference_bitwise(quench_run_201):
+    # every stored state of a quenching run, at steps from easy to
+    # unsolvable; one work object serves all the calls, as in integrate
+    Lb, f, lam, states = _run_stage_inputs(quench_run_201)
+    work = dynamics._StageWork(Lb, f, lam)
+    solved = failed = 0
+    for u in states:
+        for dt in (1e-5, 1e-4, 1e-3, 1e-2):
+            ref = _cn_step_reference(Lb, f, lam, u, dt)
+            for got in (dynamics._cn_step(Lb, f, lam, u, dt), dynamics._cn_step(Lb, f, lam, u, dt, None, work)):
+                if ref is None:
+                    assert got is None
+                else:
+                    assert got.tobytes() == ref.tobytes()
+                    assert not any(np.shares_memory(got, buf) for buf in vars(work).values()
+                                   if isinstance(buf, np.ndarray))
+            failed += ref is None
+            solved += ref is not None
+    assert solved > 20 and failed > 20
+
+    # from a start past the solution, where the line search halves theta once
+    Lb, f, lam, u, _ = _stage_inputs()
+    start = np.full_like(u, 0.9)
+    ref = _cn_step_reference(Lb, f, lam, u, 1e-2, start)
+    assert ref is not None
+    assert dynamics._cn_step(Lb, f, lam, u, 1e-2, start).tobytes() == ref.tobytes()
+
+
+def test_cn_step_ignores_guess_at_or_above_one(quench_run_201):
+    Lb, f, lam, states = _run_stage_inputs(quench_run_201)
+    u = states[len(states) // 2]
+    plain = dynamics._StageWork(Lb, f, lam)
+    ref = dynamics._cn_step(Lb, f, lam, u, 1e-6, None, plain)
+    assert ref is not None
+    for top in (1.0 - 1e-14, 1.0, np.nan):
+        guess = u.copy()
+        guess[u.size // 2] = top
+        work = dynamics._StageWork(Lb, f, lam)
+        assert dynamics._cn_step(Lb, f, lam, u, 1e-6, guess, work).tobytes() == ref.tobytes()
+        assert work.solves == plain.solves  # Newton from u alone
+
+
+def test_cn_step_retries_failed_guess_from_u():
+    Lb, f, lam, u, dt = _stage_inputs()
+    bad = np.full_like(u, 1.0 - 1e-13)  # gap 1e-13: 30 Newton steps do not climb out
+    work = dynamics._StageWork(Lb, f, lam)
+    assert dynamics._newton(Lb, f, lam, dt, bad, work) is None
+    ref = dynamics._cn_step(Lb, f, lam, u, dt)
+    assert dynamics._cn_step(Lb, f, lam, u, dt, bad).tobytes() == ref.tobytes()
+
+
+def test_failed_guess_costs_no_rejection(monkeypatch):
+    # every extrapolated guess fails, so each stage is solved again from u:
+    # the run must take the steps of a run that never had a guess
+    mesh = build_mesh(UNIT_SLAB, 101)
+    cfg = TimeConfig(t_max=0.02)
+    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: None)
+    plain, _ = integrate(5.0, Constant(1.0), mesh, cfg)
+    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: np.full_like(recent[-1][1], 1.0 - 1e-13))
+    bad, _ = integrate(5.0, Constant(1.0), mesh, cfg)
+    assert bad.max_history.tobytes() == plain.max_history.tobytes()
+    assert bad.values.tobytes() == plain.values.tobytes()
+    assert (bad.stats.rejected_stage, bad.stats.rejected_growth) == (plain.stats.rejected_stage,
+                                                                     plain.stats.rejected_growth)
+    assert bad.stats.banded_solves == plain.stats.banded_solves + 30 * bad.stats.accepted_steps
+
+
+def test_extrapolated_start_needs_one_solve_per_step(monkeypatch):
+    mesh = build_mesh(UNIT_SLAB, 2001)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_banded", counted)
+    traj, rep = integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig())
+    steps = len(traj.max_history) - 1
+    assert traj.stats.accepted_steps == steps
+    assert traj.stats.banded_solves == len(calls)
+    assert len(calls) / steps <= 1.1
+
+    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: None)
+    cold, cold_rep = integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig())
+    assert cold.stats.banded_solves / steps > 1.9
+    assert rep.T == pytest.approx(cold_rep.T, rel=1e-9, abs=0.0)
+    assert len(cold.max_history) - 1 == steps
+    assert rep.quench_set == cold_rep.quench_set
+
+
+def test_extrapolate_is_lagrange_through_recent_states():
+    from collections import deque
+
+    # the states (t^2, 1 + 2t) at t = 0, 1, 2
+    u0, u1, u2 = np.array([0.0, 1.0]), np.array([1.0, 3.0]), np.array([4.0, 5.0])
+    assert dynamics._extrapolate(deque([(0.0, u0)]), 1.0) is None
+    assert np.array_equal(dynamics._extrapolate(deque([(1.0, u1), (2.0, u2)]), 3.0), [7.0, 7.0])
+    assert np.allclose(dynamics._extrapolate(deque([(0.0, u0), (1.0, u1), (2.0, u2)]), 3.0), [9.0, 7.0],
+                       rtol=0.0, atol=1e-14)
+
+
+def test_step_stats_count_the_run(monkeypatch):
+    # a first step of 0.2 has no stage solution and is halved; later
+    # steps that raise sup u too far are cut by the controller
+    stages, solves = [], []
+    cn_step = dynamics._cn_step
+
+    def counted_stage(*args):
+        stages.append(cn_step(*args))
+        return stages[-1]
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_cn_step", counted_stage)
+    monkeypatch.setattr(dynamics, "solve_banded", counted_solve)
+    mesh = build_mesh(UNIT_SLAB, 101)
+    traj, _ = integrate(5.0, Constant(1.0), mesh, TimeConfig(dt_initial=0.2, dt_max=0.2))
+    stats = traj.stats
+    steps = np.diff(traj.max_history[:, 0])
+    solved = sum(v is not None for v in stages)
+    assert stats.accepted_steps == steps.size
+    assert stats.rejected_stage == len(stages) - solved > 0
+    assert stats.rejected_growth == solved - steps.size > 0
+    assert stats.banded_solves == len(solves)
+    assert (stats.dt_min, stats.dt_max) == pytest.approx((steps.min(), steps.max()), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -362,7 +532,9 @@ def test_write_max_history_format(tmp_path):
 
 
 def test_report_dict_keys(quench_run_201):
-    _, rep = quench_run_201
+    traj, rep = quench_run_201
     d = quench_report_to_dict(rep)
     assert set(d) == {"quenched", "T", "quench_set", "M", "p",
-                      "fit_residual", "last_resolved_gap"}
+                      "fit_residual", "last_resolved_gap", "decades", "low_confidence"}
+    fit = rate_fit(traj, rep.quench_set[0], rep.T)
+    assert (d["decades"], d["low_confidence"]) == (fit.decades, fit.low_confidence)
