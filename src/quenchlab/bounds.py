@@ -53,6 +53,8 @@ __all__ = [
 _VANISH_TOL = 1e-12
 # sample count of sup f and of the Holder constant K, wherever they are taken
 _SAMPLES = 4001
+# relative slack of the ordering checks against a measured touchdown time
+_ORDERING_SLACK = 0.01
 
 
 class NotApplicable(ValueError):
@@ -189,24 +191,19 @@ def bound_gg2(lam: float, lambda_star: float, inf_f: float) -> float:
     return lead * (1.0 + root)
 
 
-def _check_regular(mesh: Mesh, allow_singular: bool) -> None:
+def _check_regular(mesh: Mesh) -> None:
     if isinstance(mesh.geometry, RadialBall) and mesh.geometry.dimension >= 8:
-        if not allow_singular:
-            raise NotApplicable(
-                "extremal state is singular in dimension >= 8; pass allow_singular to force"
-            )
+        raise NotApplicable("extremal state is singular in dimension >= 8")
 
 
-def _lower_TL(
-    lam: float, star: float, ing: BoundIngredients, mesh: Mesh, allow_singular: bool
-) -> float:
-    _check_regular(mesh, allow_singular)
+def _lower_TL(lam: float, star: float, ing: BoundIngredients, mesh: Mesh) -> float:
+    _check_regular(mesh)
     inner = ing.sup_phi_star / (12.0 * star * ing.sup_weight * ing.integral_phi)
     return math.sqrt(inner) / math.sqrt(lam - star)
 
 
 def _upper_T1(lam: float, star: float, ing: BoundIngredients, mesh: Mesh, form: str) -> float:
-    _check_regular(mesh, allow_singular=False)
+    _check_regular(mesh)
     if ing.J_26 is None:
         raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
     I1, J, I2 = ing.I1_26, ing.J_26, ing.I2_26
@@ -222,12 +219,10 @@ def _branch_ingredients(lam: float, branch: SteadyBranch, profile: Profile) -> B
     return ingredients(branch, profile, lam, profile.holder_exponent, branch.w_star.mesh.dimension)
 
 
-def bound_lower_TL(
-    lam: float, branch: SteadyBranch, profile: Profile, allow_singular: bool = False
-) -> float:
+def bound_lower_TL(lam: float, branch: SteadyBranch, profile: Profile) -> float:
     """Lower touchdown-time estimate from the fold eigenfunction."""
     ing = _branch_ingredients(lam, branch, profile)
-    return _lower_TL(lam, branch.lambda_star, ing, branch.w_star.mesh, allow_singular)
+    return _lower_TL(lam, branch.lambda_star, ing, branch.w_star.mesh)
 
 
 def bound_upper_T1(
@@ -253,10 +248,10 @@ def blowup_time_F(a: float, b: float, E0: float) -> float:
     return (math.pi / 2.0 + math.atan(E0 * math.sqrt(b / a))) / math.sqrt(a * b)
 
 
-def _sampled_sup(profile: Profile, sample_count: int) -> float:
+def _sampled_sup(profile: Profile) -> float:
     lo, hi = profile.domain()
     if np.isfinite(lo) and np.isfinite(hi):
-        xs = np.linspace(lo, hi, int(sample_count))
+        xs = np.linspace(lo, hi, _SAMPLES)
     else:
         xs = np.zeros(1)  # domain marker for "defined everywhere": constant value
     return float(np.max(evaluate(profile, xs)))
@@ -268,7 +263,6 @@ def large_lambda_bounds(
     alpha: float,
     dimension: int,
     K: Optional[float] = None,
-    sample_count: int = _SAMPLES,
 ) -> LargeLambdaBounds:
     """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))).
 
@@ -276,13 +270,13 @@ def large_lambda_bounds(
     ground eigenvalue and K the Holder constant; delta = (eps/2K)^(1/a).
     A constant profile has K = 0 and the sandwich collapses (eps = 0).
     The asymptotic width is gap_coefficient * lam^gap_exponent.  sup f and
-    (unless given) K are sampled at sample_count points.
+    (unless given) K are sampled at 4001 points.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if K is None:
-        K = holder_constant(profile, alpha, sample_count)
-    sup_f = _sampled_sup(profile, sample_count)
+        K = holder_constant(profile, alpha, _SAMPLES)
+    sup_f = _sampled_sup(profile)
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:
@@ -312,19 +306,14 @@ def location_bound_check(quench_report, profile: Profile, lam: float, alpha: flo
     """
     if not quench_report.quench_set:
         raise ValueError("empty touchdown set")
-    return _location(quench_report.quench_set, profile, _sampled_sup(profile, _SAMPLES), alpha)
+    return _location(quench_report.quench_set, profile, _sampled_sup(profile), alpha)
 
 
 def ingredients(
-    branch: SteadyBranch,
-    profile: Profile,
-    lam: float,
-    alpha: float,
-    dimension: int,
-    K: Optional[float] = None,
+    branch: SteadyBranch, profile: Profile, lam: float, alpha: float, dimension: int
 ) -> BoundIngredients:
     """All aggregate constants entering the estimates, at one lam."""
-    ll = large_lambda_bounds(lam, profile, alpha, dimension, K)
+    ll = large_lambda_bounds(lam, profile, alpha, dimension)
     return _ingredients(branch, profile, ll, dimension)
 
 
@@ -365,15 +354,13 @@ def evaluate_all(
     profile: Profile,
     mesh: Mesh,
     quench_report=None,
-    allow_singular: bool = False,
-    ordering_slack: float = 0.01,
 ) -> BoundsReport:
     """Evaluate every estimate, flagging the inapplicable ones with reasons.
 
     At or below the fold only the large-lam lower estimate is reported.
     Without a branch (no fold data) the large-lam sandwich is all there is.
     When a measured report is supplied, the lower/upper ordering against
-    the measured T is recorded with `ordering_slack` relative tolerance.
+    the measured T is recorded with a 1 % relative tolerance.
     """
     star = None if branch is None else branch.lambda_star
     alpha = profile.holder_exponent
@@ -401,7 +388,7 @@ def evaluate_all(
         except NotApplicable as exc:
             flags["bound_1_2"] = str(exc)
         try:
-            TL = _lower_TL(lam, star, ing, mesh, allow_singular)
+            TL = _lower_TL(lam, star, ing, mesh)
             flags["T_L"] = "ok"
         except NotApplicable as exc:
             flags["T_L"] = str(exc)
@@ -417,18 +404,18 @@ def evaluate_all(
                 check = _location(quench_report.quench_set, profile, ing.M, alpha)
                 loc_exp, loc_lhs = check.exponent_target, check.lhs
             lowers = [ll.lower] + ([TL] if TL is not None else [])
-            lower_ok = all(v <= T_measured * (1.0 + ordering_slack) for v in lowers)
+            lower_ok = all(v <= T_measured * (1.0 + _ORDERING_SLACK) for v in lowers)
             # the large-lambda upper self-qualifies (it defines lambda0 as the
             # first lam where it brackets T), so it stays out of the pass/fail
             # chain and is reported through its own flag instead
             uppers = [v for v in (b12, T1a, T1s) if v is not None]
             if uppers:
-                upper_ok = T_measured <= min(uppers) * (1.0 + ordering_slack)
+                upper_ok = T_measured <= min(uppers) * (1.0 + _ORDERING_SLACK)
             if upper is None:
                 flags["large_lambda_sandwich"] = "upper not applicable at this lam"
             elif (
-                ll.lower <= T_measured * (1.0 + ordering_slack)
-                and T_measured <= upper * (1.0 + ordering_slack)
+                ll.lower <= T_measured * (1.0 + _ORDERING_SLACK)
+                and T_measured <= upper * (1.0 + _ORDERING_SLACK)
             ):
                 flags["large_lambda_sandwich"] = "holds (lam >= lambda0)"
             else:

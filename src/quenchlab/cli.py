@@ -160,7 +160,7 @@ def build_profile(spec: dict) -> Profile:
                 raise ConfigError("tabulated profile requires 'path'")
             if not os.path.exists(spec["path"]):
                 raise MissingInput("profile table not found: %s" % spec["path"])
-            return tabulated_from_csv(spec["path"])
+            return tabulated_from_csv(spec["path"], float(spec.get("holder_exponent", 1.0)))
     except ConfigError:
         raise
     except MissingInput:
@@ -204,14 +204,19 @@ def _validated(cfg: dict) -> Tuple[Mesh, Profile]:
     return mesh, profile
 
 
-def _lam(cfg: dict) -> float:
+def _checked_lam(lam: float, positive: bool, what: str) -> float:
+    """lam itself if it is finite and positive (or, unless `positive`, zero)."""
+    if not (math.isfinite(lam) and (lam > 0 or (lam == 0 and not positive))):
+        raise ConfigError("%s must be finite and %s" % (what, "positive" if positive else "nonnegative"))
+    return lam
+
+
+def _lam(cfg: dict, positive: bool = False) -> float:
     try:
         lam = float(cfg["lambda"])
     except (TypeError, ValueError):
         raise ConfigError("lambda must be a number")
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
-    return lam
+    return _checked_lam(lam, positive, "lambda")
 
 
 def _ds(cfg: dict) -> float:
@@ -224,14 +229,15 @@ def _ds(cfg: dict) -> float:
     return ds
 
 
-def _grid(cfg: dict) -> List[float]:
+def _grid(cfg: dict, positive: bool = False) -> List[float]:
     grid = cfg.get("lambda_grid")
     if grid is None or not isinstance(grid, list) or not grid:
         raise ConfigError("a nonempty 'lambda_grid' list is required")
     try:
-        return [float(g) for g in grid]
+        lams = [float(g) for g in grid]
     except (TypeError, ValueError):
         raise ConfigError("lambda_grid entries must be numbers")
+    return [_checked_lam(lam, positive, "lambda_grid entries") for lam in lams]
 
 
 def _sanitize(obj):
@@ -363,7 +369,7 @@ def cmd_bounds(cfg: dict) -> int:
 
     started = _now()
     mesh, profile = _validated(cfg)
-    lam = _lam(cfg)
+    lam = _lam(cfg, positive=True)
     ds = _ds(cfg)
     out = _outdir(cfg)
     try:
@@ -378,18 +384,17 @@ def cmd_bounds(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _sweep_run(payload: dict) -> dict:
-    """Worker: one integration; returns its quench report or the error text."""
-    from .dynamics import integrate
+def _sweep_run(job: tuple) -> dict:
+    """Worker: one integration of a (lam, profile, mesh, time config) job;
+    returns its quench report or the text of the solver fault that ended it."""
+    from .dynamics import NewtonFailure, StepLimit, StepUnderflow, integrate
 
+    lam, profile, mesh, tc = job
     try:
-        mesh = build_mesh(build_geometry(payload["geometry"]), payload["node_count"])
-        profile = build_profile(payload["profile"])
-        tc = build_time(payload["time"])
-        _, report = integrate(payload["lam"], profile, mesh, tc)
-        return {"lam": payload["lam"], "report": report, "error": None}
-    except Exception as exc:  # worker boundary: everything becomes a row flag
-        return {"lam": payload["lam"], "report": None, "error": str(exc)}
+        _, report = integrate(lam, profile, mesh, tc)
+        return {"lam": lam, "report": report, "error": None}
+    except (NewtonFailure, StepUnderflow, StepLimit) as exc:
+        return {"lam": lam, "report": None, "error": str(exc)}
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -398,10 +403,9 @@ def cmd_sweep(cfg: dict) -> int:
 
     started = _now()
     mesh, profile = _validated(cfg)
-    grid = _grid(cfg)
+    grid = _grid(cfg, positive=True)
     ds = _ds(cfg)
-    tc_spec = dict(cfg.get("time") or {})
-    build_time(tc_spec)  # validate before spawning workers
+    tc = build_time(cfg["time"])
     out = _outdir(cfg)
     try:
         workers = int(cfg["workers"])
@@ -416,21 +420,12 @@ def cmd_sweep(cfg: dict) -> int:
     except (StepFailure, IterationLimit) as exc:
         print("warning: continuation failed, steady bounds omitted: %s" % exc, file=sys.stderr)
 
-    payloads = [
-        {
-            "geometry": cfg["geometry"],
-            "node_count": int(cfg["node_count"]),
-            "profile": cfg["profile"],
-            "time": tc_spec,
-            "lam": lam,
-        }
-        for lam in grid
-    ]
+    jobs = [(lam, profile, mesh, tc) for lam in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_run, payloads))
+            results = list(pool.map(_sweep_run, jobs))
     else:
-        results = [_sweep_run(p) for p in payloads]
+        results = [_sweep_run(job) for job in jobs]
 
     rows = []
     failures = 0
@@ -494,9 +489,11 @@ def cmd_rescale(cfg: dict) -> int:
             run_cfg = json.load(fh)["config"]
     except (OSError, ValueError, KeyError) as exc:
         raise MissingInput("no readable run.json in %s: %s" % (run_dir, exc))
-    mesh = build_mesh(build_geometry(run_cfg["geometry"]), int(run_cfg["node_count"]))
-    profile = build_profile(run_cfg["profile"])
-    lam = float(run_cfg["lambda"])
+    try:
+        mesh, profile = _validated(run_cfg)
+        lam = _lam(run_cfg)
+    except (ConfigError, KeyError, TypeError) as exc:
+        raise MissingInput("run.json in %s holds a bad config: %s" % (run_dir, exc))
     traj = read_trajectory(run_dir, mesh, lam)
     last = float(traj.times[-1])
     if not (math.isfinite(T) and T > last):

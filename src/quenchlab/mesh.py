@@ -77,7 +77,7 @@ class Mesh:
     geometry: Geometry
     nodes: np.ndarray
     h: float
-    weights: np.ndarray = field(repr=False, default=None)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -90,8 +90,7 @@ class Mesh:
         if np.max(np.abs(spacings - self.h)) > 1e-12 * scale:
             raise ValueError("mesh nodes must be uniform")
         object.__setattr__(self, "nodes", nodes)
-        if self.weights is None:
-            object.__setattr__(self, "weights", _trapezoid_weights(self.geometry, nodes, self.h))
+        object.__setattr__(self, "weights", _trapezoid_weights(self.geometry, nodes, self.h))
 
     @property
     def node_count(self) -> int:
@@ -214,14 +213,12 @@ def bands_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_laplacian(f: Field, boundary: str = "dirichlet_zero") -> Field:
+def apply_laplacian(f: Field) -> Field:
     """Discrete Laplacian of a field; boundary rows are returned as 0.
 
     Interior rows use the stored neighbor values, so the stencil is exact
     for quadratics regardless of the boundary data.
     """
-    if boundary != "dirichlet_zero":
-        raise ValueError("unsupported boundary handling: %r" % (boundary,))
     mesh, u = f.mesh, f.values
     h2 = mesh.h * mesh.h
     out = np.zeros_like(u)

@@ -83,9 +83,10 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class Eigenpair:
+    """mu_1 and its eigenfunction, positive at its peak with unit L2 norm."""
+
     eigenvalue: float
     eigenfunction: Field
-    normalization: str
     residual: float
 
 
@@ -116,22 +117,33 @@ def _embed(mesh: Mesh, interior: np.ndarray) -> Field:
     return Field(mesh, full)
 
 
-def _residual(Lb: np.ndarray, w: np.ndarray, lam: float, f: np.ndarray) -> np.ndarray:
+# The steady operator on the unknowns, with Lb = laplacian_bands(mesh) and
+# f the interior forcing.  Every steady solve goes through these three.
+
+
+def _residual(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """G(w, lam) = lap(w) + lam f / (1 - w)^2."""
     return bands_matvec(Lb, w) + lam * f / (1.0 - w) ** 2
 
 
-def _bands_opnorm(ab: np.ndarray) -> float:
-    return float(np.max(np.abs(ab[1])) + 2.0 * np.max(np.abs(ab[(0, 2), :])))
+def _jacobian(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """G_w(w, lam) = lap + 2 lam f / (1 - w)^3, in solve_banded layout."""
+    Jb = Lb.copy()
+    Jb[1] += 2.0 * lam * f / (1.0 - w) ** 3
+    return Jb
+
+
+def _res_floor(Lb: np.ndarray) -> float:
+    """Roundoff floor of a residual sup-norm: 30 eps times a bound on ||Lb||."""
+    opnorm = float(np.max(np.abs(Lb[1])) + 2.0 * np.max(np.abs(Lb[(0, 2), :])))
+    return 30.0 * np.finfo(float).eps * opnorm
 
 
 def solve_minimal(
     lam: float,
     profile: Profile,
     mesh: Mesh,
-    w0: Optional[np.ndarray] = None,
     fold_estimate: Optional[float] = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
     compute_mu1: bool = True,
 ) -> Optional[SteadyState]:
     """Minimal steady state by damped Newton from the zero field.
@@ -141,7 +153,7 @@ def solve_minimal(
     supplied and lam lies below it, failure raises NonConvergence
     instead, since a solution should have existed.
 
-    The residual target is tol or the roundoff floor of the second
+    The residual target is 1e-10 or the roundoff floor of the second
     difference operator, whichever is larger; on fine meshes the floor
     eps/h^2 dominates any fixed tolerance.
     """
@@ -149,44 +161,36 @@ def solve_minimal(
         raise ValueError("lam must be nonnegative")
     Lb = laplacian_bands(mesh)
     f = _interior_forcing(profile, mesh)
-    w = np.zeros(Lb.shape[1]) if w0 is None else np.array(w0, dtype=float)
-    tol_eff = max(tol, 30.0 * np.finfo(float).eps * _bands_opnorm(Lb))
+    w = np.zeros(Lb.shape[1])
+    tol_eff = max(1e-10, _res_floor(Lb))
 
-    converged = False
-    if lam == 0.0:
-        w[:] = 0.0
-        converged = True
-    else:
-        res = _residual(Lb, w, lam, f)
-        rnorm = float(np.max(np.abs(res)))
-        for _ in range(max_iter):
-            if rnorm <= tol_eff:
-                break
-            Jb = Lb.copy()
-            Jb[1] += 2.0 * lam * f / (1.0 - w) ** 3
-            try:
-                delta = solve_banded((1, 1), Jb, -res)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(delta)):
-                break
-            theta = 1.0
-            accepted = False
-            while theta > 1e-10:
-                trial = w + theta * delta
-                if trial.max() < 1.0 - 1e-12 and trial.min() > -1e-9:
-                    tres = _residual(Lb, trial, lam, f)
-                    tnorm = float(np.max(np.abs(tres)))
-                    if np.isfinite(tnorm) and tnorm < rnorm:
-                        w, res, rnorm = trial, tres, tnorm
-                        accepted = True
-                        break
-                theta *= 0.5
-            if not accepted:
-                break
-        converged = rnorm <= tol_eff
+    res = _residual(Lb, f, w, lam)
+    rnorm = float(np.max(np.abs(res)))
+    for _ in range(50):
+        if rnorm <= tol_eff:
+            break
+        try:
+            delta = solve_banded((1, 1), _jacobian(Lb, f, w, lam), -res)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        theta = 1.0
+        accepted = False
+        while theta > 1e-10:
+            trial = w + theta * delta
+            if trial.max() < 1.0 - 1e-12 and trial.min() > -1e-9:
+                tres = _residual(Lb, f, trial, lam)
+                tnorm = float(np.max(np.abs(tres)))
+                if np.isfinite(tnorm) and tnorm < rnorm:
+                    w, res, rnorm = trial, tres, tnorm
+                    accepted = True
+                    break
+            theta *= 0.5
+        if not accepted:
+            break
 
-    if not converged:
+    if rnorm > tol_eff:
         if fold_estimate is not None and lam <= fold_estimate:
             raise NonConvergence(
                 "Newton failed at lam=%g below the fold estimate %g" % (lam, fold_estimate)
@@ -195,7 +199,7 @@ def solve_minimal(
 
     w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)  # scrub roundoff negatives
     field = _embed(mesh, w)
-    rnorm = float(np.max(np.abs(_residual(Lb, w, lam, f))))
+    rnorm = float(np.max(np.abs(_residual(Lb, f, w, lam))))
     state = SteadyState(lam=float(lam), w=field, residual_norm=rnorm, mu1=None)
     if compute_mu1:
         pair = linearized_eigenpair(state, profile)
@@ -211,19 +215,23 @@ def _rayleigh(ab: np.ndarray, weights: np.ndarray, v: np.ndarray) -> Tuple[float
     return mu, float(np.max(np.abs(av - mu * v)))
 
 
+# inverse iteration solves per start vector
+_EIG_MAX_ITER = 400
+
+
 def _shift(mu: float, res: float) -> float:
     """Inverse-iteration shift 10 residuals below a Rayleigh quotient."""
     return mu - 10.0 * res - 1e-9 * max(1.0, abs(mu))
 
 
-def _inverse_iteration(ab, weights, v, sigma, stop, max_iter):
+def _inverse_iteration(ab, weights, v, sigma, stop):
     """Shifted inverse iteration from v; returns (best residual, (mu, v)) or
     (inf, None).  The shift follows the Rayleigh quotient from the second
     iterate on."""
     best_res = np.inf
     best: Tuple[float, np.ndarray] | None = None
     stale = 0
-    for it in range(max_iter):
+    for it in range(_EIG_MAX_ITER):
         shifted = ab.copy()
         shifted[1] -= sigma
         try:
@@ -252,8 +260,6 @@ def _inverse_iteration(ab, weights, v, sigma, stop, max_iter):
 def smallest_eigenvalue_bands(
     ab: np.ndarray,
     weights: np.ndarray,
-    rtol: float = 1e-9,
-    max_iter: int = 400,
     start: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray, float]:
     """Smallest eigenvalue of a tridiagonal operator by shifted inverse
@@ -276,7 +282,7 @@ def smallest_eigenvalue_bands(
     floor = 50.0 * np.finfo(float).eps * anorm
 
     def stop(mu):
-        return max(rtol * max(1.0, abs(mu)) * 1e-1, floor)
+        return max(1e-9 * max(1.0, abs(mu)) * 1e-1, floor)
 
     def target(mu):
         return max(1e-8 * max(1.0, abs(mu)), 2.0 * floor)
@@ -284,19 +290,19 @@ def smallest_eigenvalue_bands(
     if start is not None:
         v = np.asarray(start, dtype=float) / np.max(np.abs(start))
         sigma = _shift(*_rayleigh(ab, weights, v))
-        best_res, best = _inverse_iteration(ab, weights, v, sigma, stop, max_iter)
+        best_res, best = _inverse_iteration(ab, weights, v, sigma, stop)
         if best is not None and best_res <= target(best[0]) and best[1].min() >= -1e-8:
             return best[0], best[1], best_res
 
     sigma = float(np.min(ab[1] - radius)) - 1.0
-    best_res, best = _inverse_iteration(ab, weights, np.ones(n), sigma, stop, max_iter)
+    best_res, best = _inverse_iteration(ab, weights, np.ones(n), sigma, stop)
     if best is None:
         raise IterationLimit("inverse iteration produced no usable vector")
     mu, v = best
     if best_res > target(mu):
         raise IterationLimit(
             "eigen-residual %.3e above target %.3e after %d iterations"
-            % (best_res, target(mu), max_iter)
+            % (best_res, target(mu), _EIG_MAX_ITER)
         )
     return mu, v, best_res
 
@@ -304,41 +310,29 @@ def smallest_eigenvalue_bands(
 def linearized_eigenpair(
     state: SteadyState,
     profile: Profile,
-    which: str = "first",
-    normalization: str = "L2",
     start: Optional[np.ndarray] = None,
 ) -> Eigenpair:
-    """First eigenpair of -lap - 2 lam f/(1-w)^3 with zero Dirichlet data.
+    """First eigenpair of -G_w = -lap - 2 lam f/(1-w)^3 with zero Dirichlet
+    data; the eigenfunction is L2-normalized.
 
     `start` (interior values) warm-starts the eigen solve; see
     `smallest_eigenvalue_bands`.
     """
-    if which != "first":
-        raise ValueError("only the first eigenpair is supported")
-    if normalization not in ("L2", "L1"):
-        raise ValueError("normalization must be L2 or L1")
     mesh = state.w.mesh
     wi = state.w.values[mesh.unknown_slice]
     if (1.0 - wi).min() < 1e-9:
         raise ValueError("state touches the obstacle; linearization undefined")
     f = _interior_forcing(profile, mesh)
-    ab = -laplacian_bands(mesh)
-    ab[1] -= 2.0 * state.lam * f / (1.0 - wi) ** 3
+    ab = -_jacobian(laplacian_bands(mesh), f, wi, state.lam)
     wq = mesh.weights[mesh.unknown_slice]
     mu, v, res = smallest_eigenvalue_bands(ab, wq, start=start)
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
     full = _embed(mesh, v)
-    if normalization == "L2":
-        scale = np.sqrt(integrate(Field(mesh, full.values**2)))
-    else:
-        scale = integrate(full)
+    scale = np.sqrt(integrate(Field(mesh, full.values**2)))
     if scale <= 0:
         raise IterationLimit("eigenfunction normalization degenerate")
     return Eigenpair(
         eigenvalue=float(mu),
         eigenfunction=Field(mesh, full.values / scale),
-        normalization=normalization,
         residual=float(res),
     )
 
@@ -358,7 +352,7 @@ class _Curve:
         self.wq = mesh.weights[mesh.unknown_slice].copy()
         self.n = self.Lb.shape[1]
         # residual sup-norms below the operator's roundoff floor are noise
-        self.res_floor = 30.0 * np.finfo(float).eps * _bands_opnorm(self.Lb)
+        self.res_floor = _res_floor(self.Lb)
         # eigenpair of the last state made; its vector warm-starts the next
         self.pair: Optional[Eigenpair] = None
 
@@ -367,24 +361,22 @@ class _Curve:
             return None
         return self.pair.eigenfunction.values[self.mesh.unknown_slice]
 
-    def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, tol=1e-10):
+    def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds):
         """Newton on the bordered system {G = 0, arclength constraint}."""
         w = np.array(w, dtype=float)
         lam = float(lam)
-        tol_eff = max(tol, self.res_floor)
+        tol_eff = max(1e-10, self.res_floor)
         for _ in range(14):
             gap = 1.0 - w
             if gap.min() <= 1e-12:
                 return None
-            R = bands_matvec(self.Lb, w) + lam * self.f / gap**2
+            R = _residual(self.Lb, self.f, w, lam)
             Ncon = float(np.dot(self.wq, tau_w * (w - base_w)) + tau_lam * (lam - base_lam) - ds)
             if np.max(np.abs(R)) <= tol_eff and abs(Ncon) <= 1e-11 * max(1.0, abs(ds)):
                 return w, lam
-            Jb = self.Lb.copy()
-            Jb[1] += 2.0 * lam * self.f / gap**3
             glam = self.f / gap**2
             try:
-                ab = solve_banded((1, 1), Jb, np.column_stack((R, glam)))
+                ab = solve_banded((1, 1), _jacobian(self.Lb, self.f, w, lam), np.column_stack((R, glam)))
             except np.linalg.LinAlgError:
                 return None
             if not np.all(np.isfinite(ab)):
@@ -407,7 +399,7 @@ class _Curve:
     def norm(self, dw, dlam):
         return float(np.sqrt(np.dot(self.wq, dw**2) + dlam**2))
 
-    def fold_polish(self, w, lam, max_iter=8):
+    def fold_polish(self, w, lam):
         """Newton on the extended fold system.
 
         Unknowns (w, phi, lam); equations G(w,lam)=0, G_w(w,lam) phi=0,
@@ -419,23 +411,19 @@ class _Curve:
         """
         w = np.array(w, dtype=float)
         lam = float(lam)
-        ab = -self.Lb.copy()
-        ab[1] -= 2.0 * lam * self.f / (1.0 - w) ** 3
+        ab = -_jacobian(self.Lb, self.f, w, lam)
         try:
             _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self._warm_start())
         except IterationLimit:
             return None
-        i0 = int(np.argmax(np.abs(phi)))
-        if phi[i0] < 0:
-            phi = -phi
+        i0 = int(np.argmax(np.abs(phi)))  # phi[i0] = 1
         lam0 = lam
-        for _ in range(max_iter):
+        for _ in range(8):
             gap = 1.0 - w
             if gap.min() <= 1e-12 or not 0.2 * lam0 <= lam <= 5.0 * lam0:
                 return None
-            G = bands_matvec(self.Lb, w) + lam * self.f / gap**2
-            Jb = self.Lb.copy()
-            Jb[1] += 2.0 * lam * self.f / gap**3
+            G = _residual(self.Lb, self.f, w, lam)
+            Jb = _jacobian(self.Lb, self.f, w, lam)
             H = bands_matvec(Jb, phi)
             if np.max(np.abs(G)) <= self.res_floor and np.max(np.abs(H)) <= 10.0 * self.res_floor:
                 break
@@ -461,38 +449,30 @@ class _Curve:
             w = w + dw
             phi = phi + dphi
             lam = lam + dlam
-        gap = 1.0 - w
-        G = bands_matvec(self.Lb, w) + lam * self.f / gap**2
+        G = _residual(self.Lb, self.f, w, lam)
         if np.max(np.abs(G)) > max(1e-10, 10.0 * self.res_floor):
             return None
         return w, lam
 
     def state(self, w, lam) -> SteadyState:
         """The curve point as a SteadyState with mu1; keeps its eigenpair."""
-        gap = 1.0 - w
-        res = bands_matvec(self.Lb, w) + lam * self.f / gap**2
+        res = _residual(self.Lb, self.f, w, lam)
         field = _embed(self.mesh, np.where((w > -1e-12) & (w < 0.0), 0.0, w))
         st = SteadyState(lam=float(lam), w=field, residual_norm=float(np.max(np.abs(res))), mu1=None)
         self.pair = linearized_eigenpair(st, self.profile, start=self._warm_start())
         return SteadyState(lam=st.lam, w=st.w, residual_norm=st.residual_norm, mu1=self.pair.eigenvalue)
 
 
-def continue_branch(
-    profile: Profile,
-    mesh: Mesh,
-    ds: float = 0.02,
-    max_points: int = 600,
-    past_fold_drop: float = 0.1,
-) -> SteadyBranch:
+def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBranch:
     """Trace the solution curve from (lam=0, w=0) past the fold.
 
     Stepping is pseudo-arclength with secant tangents and step halving on
-    corrector failure; it stops once lam has dropped by `past_fold_drop`
-    past its maximum or ||w||_inf reaches 0.985.  The fold is then found
-    by `_Curve.fold_polish` from the traversal point of largest lam: the
-    polished point is `fold_state`, its lam is `lambda_star`, and its
-    eigenpair gives phi_star and psi_star.  A failed polish raises
-    StepFailure.
+    corrector failure; it stops after 600 states, once lam has dropped by
+    a tenth of its maximum past the fold, or once ||w||_inf reaches 0.985.
+    The fold is then found by `_Curve.fold_polish` from the traversal
+    point of largest lam: the polished point is `fold_state`, its lam is
+    `lambda_star`, and its eigenpair gives phi_star and psi_star.  A
+    failed polish raises StepFailure.
     """
     if ds <= 0:
         raise ValueError("ds must be positive")
@@ -511,7 +491,7 @@ def continue_branch(
     step = ds
     fold_seen = False
     last_w, last_lam = w, lam
-    while len(states) < max_points:
+    while len(states) < 600:
         ok = None
         while step > 1e-12:
             pred_w = last_w + step * tau_w
@@ -534,7 +514,7 @@ def continue_branch(
         step = min(step * 1.3, 2.0 * ds)
         if fold_seen:
             lam_max = max(s.lam for s in states)
-            if new_lam <= (1.0 - past_fold_drop) * lam_max or states[-1].sup_w >= 0.985:
+            if new_lam <= 0.9 * lam_max or states[-1].sup_w >= 0.985:
                 break
 
     if not fold_seen:

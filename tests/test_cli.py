@@ -156,6 +156,51 @@ def test_rescale_unknown_key(tmp_path):
                  "--out", str(tmp_path / "r_out")]) == 2
 
 
+@pytest.mark.parametrize("argv,payload", [
+    (["bounds", "--lambda", "0"], {}),
+    (["bounds", "--lambda", "nan"], {}),
+    (["bounds", "--lambda", "inf"], {}),
+    (["simulate", "--lambda", "-1"], {}),
+    (["simulate", "--lambda", "nan"], {}),
+    (["steady"], {"lambda_grid": [0.5, -1.0]}),
+    (["steady"], {"lambda_grid": [float("inf")]}),
+    (["sweep"], {"lambda_grid": [4.0, -1.0]}),
+    (["sweep"], {"lambda_grid": [0.0]}),
+    (["sweep"], {"lambda_grid": [float("nan")]}),
+])
+def test_unusable_lambda_is_config_error(tmp_path, monkeypatch, argv, payload):
+    # lambda is finite everywhere, positive for bounds and sweep, and
+    # nonnegative for simulate and the steady grid; nothing is solved first
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solver reached with an unusable lambda")
+
+    monkeypatch.setattr(dynamics, "integrate", unreachable)
+    monkeypatch.setattr(steady, "continue_branch", unreachable)
+    monkeypatch.setattr(steady, "solve_minimal", unreachable)
+    cfg = write_config(tmp_path, "lam.json", dict(payload, node_count=101))
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "lam_out")]) == 2
+
+
+def test_tabulated_profile_keeps_holder_exponent(tmp_path):
+    from quenchlab.cli import build_profile
+
+    table = tmp_path / "f.csv"
+    table.write_text("x,f\n-0.5,0.2\n0.0,1.0\n0.5,0.2\n")
+    spec = {"kind": "tabulated", "path": str(table)}
+    assert build_profile(spec).holder_exponent == 1.0
+    half = build_profile(dict(spec, holder_exponent=0.5))
+    assert half.holder_exponent == 0.5
+    # the exponent reaches the estimates through eps(lam) ~ lam^(-a/(2+a))
+    cfg = write_config(tmp_path, "tab.json", {"node_count": 101, "profile": dict(spec, holder_exponent=0.5)})
+    out = str(tmp_path / "tab_out")
+    assert main(["bounds", "--lambda", "1e4", "--config", cfg, "--out", out]) == 0
+    eps = read_json(os.path.join(out, "bounds.json"))["epsilon"]
+    assert eps == large_lambda_bounds(1e4, half, 0.5, 1).epsilon
+    assert eps != large_lambda_bounds(1e4, half, 1.0, 1).epsilon
+    bad = write_config(tmp_path, "tab_bad.json", {"node_count": 101, "profile": dict(spec, holder_exponent=0.0)})
+    assert main(["bounds", "--lambda", "1e4", "--config", bad, "--out", out]) == 2
+
+
 def test_missing_profile_table(tmp_path):
     cfg = write_config(tmp_path, "tab.json", {
         "node_count": 101,
@@ -326,6 +371,26 @@ def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys):
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
 
+def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "sw.json", {"node_count": 101, "lambda_grid": [4.0], "workers": 1})
+
+    def newton_failure(*args, **kwargs):
+        raise dynamics.NewtonFailure("forced stage failure")
+
+    monkeypatch.setattr(dynamics, "integrate", newton_failure)
+    out = str(tmp_path / "sw_out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    assert "lambda=4 failed: forced stage failure" in capsys.readouterr().err
+    assert open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")[1] == ""
+
+    def bug(*args, **kwargs):
+        raise RuntimeError("not a solver fault")
+
+    monkeypatch.setattr(dynamics, "integrate", bug)
+    with pytest.raises(RuntimeError, match="not a solver fault"):
+        main(["sweep", "--config", cfg, "--out", out])
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -488,10 +553,34 @@ def _npy_store(run):
         np.save(fh, values)
 
 
+def _edit_config(run, edit):
+    path = os.path.join(run, "run.json")
+    record = read_json(path)
+    edit(record["config"])
+    open(path, "w").write(json.dumps(record))
+
+
+def _no_geometry(run):
+    _edit_config(run, lambda cfg: cfg.pop("geometry"))
+
+
+def _no_lambda(run):
+    _edit_config(run, lambda cfg: cfg.pop("lambda"))
+
+
+def _text_node_count(run):
+    _edit_config(run, lambda cfg: cfg.update(node_count="abc"))
+
+
+def _torus_geometry(run):
+    _edit_config(run, lambda cfg: cfg.update(geometry={"kind": "torus"}))
+
+
 @pytest.mark.parametrize("damage", [
     _drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench,
     _truncated_store, _missing_member, _drop_store, _empty_store, _npy_store,
     _early_quench_T, _outside_quench_point,
+    _no_geometry, _no_lambda, _text_node_count, _torus_geometry,
 ])
 def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):
     run = simulate_run(tmp_path, "rd", {"node_count": 101, "lambda": 5.0})

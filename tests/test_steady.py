@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from quenchlab.mesh import Slab, build_mesh, integrate
-from quenchlab.profiles import Constant
+from quenchlab.mesh import RadialBall, Slab, build_mesh, integrate
+from quenchlab.profiles import Constant, Power, SlabSinPiecewise
 from quenchlab import steady
 from quenchlab.steady import (
     NonConvergence,
@@ -127,6 +127,35 @@ def test_eigen_residual_recompute(branch_f1_401):
     pot = 2.0 * st.lam / (1.0 - st.w.values[inner]) ** 3
     resid = -bands_matvec(ab, phi[inner]) - pot * phi[inner] - mu * phi[inner]
     assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(phi))
+
+
+def _dense(ab):
+    """Dense matrix of a tridiagonal operator in solve_banded layout."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+@pytest.mark.parametrize("geometry,profile", [
+    (Slab(-0.5, 0.5), SlabSinPiecewise()),
+    (RadialBall(3, 1.0), Power(1.0)),
+])
+def test_jacobian_matches_central_differences(geometry, profile):
+    from quenchlab.mesh import laplacian_bands
+
+    mesh = build_mesh(geometry, 41)
+    Lb = laplacian_bands(mesh)
+    f = steady._interior_forcing(profile, mesh)
+    x = mesh.nodes[mesh.unknown_slice]
+    w = 0.6 * (1.0 - (x / np.max(np.abs(mesh.nodes))) ** 2)
+    lam, step = 2.5, 1e-6
+    fd = np.empty((x.size, x.size))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = step
+        fd[:, j] = (steady._residual(Lb, f, w + e, lam) - steady._residual(Lb, f, w - e, lam)) / (2.0 * step)
+    J = _dense(steady._jacobian(Lb, f, w, lam))
+    assert np.max(np.abs(fd - J)) <= 1e-6 * np.max(np.abs(J))
+    # the nonlinear part is present: the Jacobian is not the Laplacian alone
+    assert np.max(np.abs(J - _dense(Lb))) > 1.0
 
 
 # ---------------------------------------------------------------------------
