@@ -71,7 +71,6 @@ _TOP_KEYS = {
     "out",
     "rescale",
 }
-_TIME_KEYS = {"dt_initial", "dt_max", "eta_step", "quench_eps", "t_max", "snapshot_stride"}
 _GEOM_KEYS = {"kind", "x_left", "x_right", "dimension", "radius"}
 _PROFILE_KEYS = {"kind", "value", "exponent", "holder_exponent", "path"}
 _RESCALE_KEYS = {"run", "center", "T"}
@@ -175,9 +174,9 @@ def build_time(spec: dict):
 
     if not isinstance(spec, dict):
         raise ConfigError("'time' must be an object")
-    _check_keys(spec, _TIME_KEYS, "time")
+    _check_keys(spec, {field.name for field in dataclasses.fields(TimeConfig)}, "time")
     try:
-        return TimeConfig(**{k: v for k, v in spec.items()})
+        return TimeConfig(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad time config: %s" % exc)
 
@@ -533,7 +532,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--profile", default=None)
         p.add_argument("--quench-eps", dest="quench_eps", type=float, default=None)
-        p.add_argument("--seedless", action="store_true", help="accepted for compatibility; runs are always deterministic")
     args = parser.parse_args(argv)
 
     handlers = {

@@ -2,12 +2,13 @@
 
     u_t = lap(u) + lam * f(x) / (1 - u)^2,   u = 0 on the boundary, u(x,0) = 0.
 
-Stepping is Crank-Nicolson with a banded Newton solve per step.  The
-step size adapts so a single step never raises sup u by more than a
-fixed fraction of the remaining gap 1 - sup u; integration stops at
-sup u = 1 - eps_q and the touchdown time T is extrapolated from the
-cubic gap law (near touchdown u_t is dominated by the forcing, so
-(1 - sup u)^3 decays linearly in t).
+Stepping is Crank-Nicolson with a banded Newton solve per step.  A step
+raises sup u by at most eta_step times the gap 1 - sup u, and eta_step
+is the one accuracy scale: with s = eta_step / ETA_STEP, dt starts at
+DT_INITIAL * s and is capped at DT_MAX * s and at s / 100 of the running
+touchdown estimate, so the error in T shrinks like s^2.  Integration
+stops at sup u = 1 - eps_q; T is extrapolated from the cubic gap law
+(near touchdown the forcing dominates u_t, so (1 - sup u)^3 is linear in t).
 
 Newton starts each stage from the Lagrange extrapolation, to the new
 time, of the last three accepted states (linear after the first step,
@@ -69,7 +70,7 @@ class NewtonFailure(RuntimeError):
 
 
 class StepUnderflow(RuntimeError):
-    """Adaptive dt fell below 1e-16 * dt_initial."""
+    """Adaptive dt fell below 1e-16 times the run's first dt."""
 
 
 class StepLimit(RuntimeError):
@@ -81,26 +82,27 @@ class OverflowGuard(RuntimeError):
 
 
 MAX_STEPS = 500000
+ETA_STEP = 1e-2  # the default eta_step, at which s = 1
+DT_INITIAL = 1e-6  # first dt at s = 1
+DT_MAX = 1e-2  # dt cap at s = 1
 # the stored states of a run: arrays `times` and `values`, as Trajectory holds them
 TRAJECTORY_NAME = "trajectory.npz"
 
 
 @dataclass(frozen=True)
 class TimeConfig:
-    dt_initial: float = 1e-6
-    dt_max: float = 1e-2
-    eta_step: float = 1e-2
+    eta_step: float = ETA_STEP
     quench_eps: float = 1e-3
     t_max: float = 10.0
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        if not (self.dt_initial > 0 and self.dt_max > 0 and self.eta_step > 0):
-            raise ValueError("time steps and controller target must be positive")
+        if not (0.0 < self.eta_step < math.inf):
+            raise ValueError("eta_step must be positive and finite")
         if not (0.0 < self.quench_eps <= 0.1):
             raise ValueError("quench_eps must lie in (0, 0.1]")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not (0.0 < self.t_max < math.inf):
+            raise ValueError("t_max must be positive and finite")
         if isinstance(self.snapshot_stride, bool) or not isinstance(self.snapshot_stride, int):
             raise ValueError("snapshot_stride must be an integer")
         if self.snapshot_stride < 1:
@@ -306,9 +308,10 @@ def integrate(
 
     u = np.zeros(n)
     t = 0.0
-    dt = min(cfg.dt_initial, cfg.dt_max)
-    dt_floor = 1e-16 * cfg.dt_initial
-    dt_cap = cfg.dt_max
+    s = cfg.eta_step / ETA_STEP
+    dt = DT_INITIAL * s
+    dt_floor = 1e-16 * dt
+    dt_cap = DT_MAX * s
 
     times, states = [0.0], [u]
     max_history = [(0.0, 0.0, math.nan)]
@@ -328,7 +331,6 @@ def integrate(
             raise StepLimit("%d steps taken before touchdown or t_max, at t=%g" % (MAX_STEPS, t))
         target = cfg.eta_step * (1.0 - sup)
         dt_try = min(dt, dt_cap, cfg.t_max - t)
-        v = None
         while True:
             v = _cn_step(Lb, f, lam, u, dt_try, _extrapolate(recent, t + dt_try), work)
             if v is None:
@@ -356,14 +358,14 @@ def integrate(
         if step_index % cfg.snapshot_stride == 0:
             times.append(t)
             states.append(u)
-        # running touchdown estimate caps dt at a hundredth of it
+        # running touchdown estimate caps dt at s hundredths of it
         g1 = 1.0 - sup
         g0 = 1.0 - max_history[-2][1]
         tprev = max_history[-2][0]
         slope = (g1**3 - g0**3) / (t - tprev) if t > tprev else 0.0
         if slope < 0.0:
             t_est = t + (g1**3) / (-slope)
-            dt_cap = min(cfg.dt_max, t_est / 100.0)
+            dt_cap = min(DT_MAX * s, t_est * s / 100.0)
         growth = 1.5
         if dsup > 0:
             growth = min(1.5, max(0.3, 0.8 * cfg.eta_step * (1.0 - sup) / dsup))

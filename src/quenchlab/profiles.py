@@ -193,7 +193,6 @@ class ProfileReport:
     holder_constant: float
     satisfies_1_1: bool       # range, regularity, and positivity condition
     satisfies_1_9: bool       # nonincreasing toward the boundary in the collar
-    holder_is_lower_bound: bool = True
 
 
 def _check_geometry(profile: Profile, mesh: Mesh) -> None:

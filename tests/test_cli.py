@@ -139,6 +139,12 @@ RUNS = {
     ("rescale", {"rescale": {"run": SLAB_RUN, "center": 2.0}}),
     ("rescale", {"rescale": {"run": SLAB_RUN, "center": "nan"}}),
     ("rescale", {"rescale": {"run": BALL_RUN, "center": 0.1}}),
+    ("simulate", {"time": {"t_max": float("nan")}}),
+    ("simulate", {"time": {"t_max": float("inf")}}),
+    ("simulate", {"time": {"eta_step": float("nan")}}),
+    ("simulate", {"time": {"eta_step": float("inf")}}),
+    ("simulate", {"time": {"dt_max": 0.01}}),
+    ("simulate", {"time": {"dt_initial": 1e-6}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
@@ -263,7 +269,7 @@ def test_simulate_flag_overrides(tmp_path):
     out = str(tmp_path / "ov_out")
     code = main(["simulate", "--config", cfg, "--out", out,
                  "--lambda", "6.0", "--nodes", "201",
-                 "--quench-eps", "0.01", "--seedless"])
+                 "--quench-eps", "0.01"])
     assert code == 0
     record = read_json(os.path.join(out, "run.json"))
     assert record["config"]["lambda"] == 6.0

@@ -38,6 +38,12 @@ from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 UNIT_SLAB = Slab(-0.5, 0.5)
 
 
+def pin_step(monkeypatch, dt):
+    """At the default eta_step (s = 1), make dt both the first step and the cap."""
+    monkeypatch.setattr(dynamics, "DT_INITIAL", dt)
+    monkeypatch.setattr(dynamics, "DT_MAX", dt)
+
+
 def synthetic_cubic_trajectory(T=1.0, c=0.5, node_count=101, levels=60):
     """Trajectory with 1 - u(0,t) = c (T-t)^(1/3) and profile cos(pi x)."""
     mesh = build_mesh(UNIT_SLAB, node_count)
@@ -183,10 +189,17 @@ def test_config_validation():
         TimeConfig(quench_eps=0.2)
     with pytest.raises(ValueError):
         TimeConfig(quench_eps=0.0)
-    with pytest.raises(ValueError):
-        TimeConfig(dt_initial=0.0)
+    with pytest.raises(TypeError):  # eta_step is the only step-size control
+        TimeConfig(dt_initial=1e-6)
+    with pytest.raises(TypeError):
+        TimeConfig(dt_max=1e-2)
     with pytest.raises(ValueError):
         TimeConfig(t_max=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TimeConfig(t_max=bad)
+        with pytest.raises(ValueError):
+            TimeConfig(eta_step=bad)
     with pytest.raises(ValueError):
         TimeConfig(snapshot_stride=0)
     with pytest.raises(ValueError):
@@ -201,31 +214,34 @@ def test_config_validation():
 # temporal accuracy
 
 
-def test_touchdown_time_second_order_in_step_control():
-    # shrinking the step controller (target fraction and both step caps)
-    # by s must shrink the T error like s^2; dt_max starts low enough
-    # that the touchdown-estimate cap never binds
-    mesh = build_mesh(UNIT_SLAB, 401)
+@pytest.mark.parametrize("nodes,profile,lam", [
+    (401, Constant(1.0), 2.0),
+    (2001, SlabSinPiecewise(), 10.0),
+], ids=["f1-n401-lam2", "two_bump-n2001-lam10"])
+def test_touchdown_time_second_order_in_step_control(nodes, profile, lam):
+    # eta_step scales every controller constant (growth target, first dt,
+    # dt cap, touchdown-estimate cap), so shrinking it alone by s must
+    # shrink the T error like s^2
+    mesh = build_mesh(UNIT_SLAB, nodes)
     Ts = []
     for s in (1.0, 0.5, 0.25):
-        cfg = TimeConfig(dt_initial=1e-6 * s, dt_max=2e-4 * s,
-                         eta_step=1e-2 * s, t_max=10.0)
-        _, rep = integrate(2.0, Constant(1.0), mesh, cfg)
+        _, rep = integrate(lam, profile, mesh, TimeConfig(eta_step=1e-2 * s))
         assert rep.quenched
         Ts.append(rep.T)
     order = math.log2(abs(Ts[0] - Ts[1]) / abs(Ts[1] - Ts[2]))
     assert order > 1.8
 
 
-def test_state_second_order_at_fixed_step():
+def test_state_second_order_at_fixed_step(monkeypatch):
     # binary step sizes reach t = 0.25 exactly, so the Richardson ratio of
-    # final states is free of endpoint mismatch
+    # final states is free of endpoint mismatch; at lam = 0.5 the growth
+    # target never cuts a step
     mesh = build_mesh(UNIT_SLAB, 101)
     finals = []
     for k in (8, 9, 10):
         dt = 2.0**-k
-        cfg = TimeConfig(dt_initial=dt, dt_max=dt, eta_step=10.0, t_max=0.25)
-        traj, _ = integrate(0.5, Constant(1.0), mesh, cfg)
+        pin_step(monkeypatch, dt)
+        traj, _ = integrate(0.5, Constant(1.0), mesh, TimeConfig(t_max=0.25))
         assert traj.final_time == pytest.approx(0.25, abs=1e-14)
         finals.append(traj.values[-1])
     d1 = np.max(np.abs(finals[0] - finals[1]))
@@ -306,8 +322,8 @@ def test_step_limit_is_a_typed_failure(monkeypatch):
     with pytest.raises(StepLimit):
         integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=1e4))
     # five steps that end the run exactly are not a failure
-    cfg = TimeConfig(dt_initial=0.01, dt_max=0.01, eta_step=10.0, t_max=0.05)
-    traj, _ = integrate(0.0, Constant(1.0), mesh, cfg)
+    pin_step(monkeypatch, 0.01)
+    traj, _ = integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=0.05))
     assert len(traj.max_history) - 1 == 5
 
 
@@ -509,7 +525,8 @@ def test_step_stats_count_the_run(monkeypatch):
     monkeypatch.setattr(dynamics, "_cn_step", counted_stage)
     monkeypatch.setattr(dynamics, "solve_banded", counted_solve)
     mesh = build_mesh(UNIT_SLAB, 101)
-    traj, _ = integrate(5.0, Constant(1.0), mesh, TimeConfig(dt_initial=0.2, dt_max=0.2))
+    pin_step(monkeypatch, 0.2)
+    traj, _ = integrate(5.0, Constant(1.0), mesh, TimeConfig())
     stats = traj.stats
     steps = np.diff(traj.max_history[:, 0])
     solved = sum(v is not None for v in stages)

@@ -108,7 +108,6 @@ def test_validate_sin_piecewise():
     assert set(rep.argmax) == {-0.25, 0.25}
     assert rep.satisfies_1_1
     assert rep.satisfies_1_9
-    assert rep.holder_is_lower_bound
 
 
 def test_validate_power_outward_increase():
