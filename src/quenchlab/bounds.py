@@ -29,7 +29,7 @@ import numpy as np
 from .mesh import Field, Mesh, RadialBall, build_mesh, integrate  # noqa: F401
 from .dynamics import eta_quench_time
 from .profiles import Profile, evaluate, holder_constant
-from .steady import SteadyBranch
+from .steady import Fold
 
 __all__ = [
     "NotApplicable",
@@ -213,20 +213,20 @@ def _upper_T1(lam: float, star: float, ing: BoundIngredients, mesh: Mesh, form: 
     return (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
 
 
-def _branch_ingredients(lam: float, branch: SteadyBranch, profile: Profile) -> BoundIngredients:
-    if lam <= branch.lambda_star:
+def _fold_ingredients(lam: float, fold: Fold, profile: Profile) -> BoundIngredients:
+    if lam <= fold.lambda_star:
         raise DomainError("requires lam > lambda_star")
-    return ingredients(branch, profile, lam, profile.holder_exponent, branch.w_star.mesh.dimension)
+    return ingredients(fold, profile, lam, profile.holder_exponent, fold.w_star.mesh.dimension)
 
 
-def bound_lower_TL(lam: float, branch: SteadyBranch, profile: Profile) -> float:
+def bound_lower_TL(lam: float, fold: Fold, profile: Profile) -> float:
     """Lower touchdown-time estimate from the fold eigenfunction."""
-    ing = _branch_ingredients(lam, branch, profile)
-    return _lower_TL(lam, branch.lambda_star, ing, branch.w_star.mesh)
+    ing = _fold_ingredients(lam, fold, profile)
+    return _lower_TL(lam, fold.lambda_star, ing, fold.w_star.mesh)
 
 
 def bound_upper_T1(
-    lam: float, branch: SteadyBranch, profile: Profile, form: str = "arctan"
+    lam: float, fold: Fold, profile: Profile, form: str = "arctan"
 ) -> float:
     """Upper touchdown-time estimate from the mass-weighted fold data.
 
@@ -235,8 +235,8 @@ def bound_upper_T1(
     """
     if form not in ("simplified", "arctan"):
         raise ValueError("form must be 'simplified' or 'arctan'")
-    ing = _branch_ingredients(lam, branch, profile)
-    return _upper_T1(lam, branch.lambda_star, ing, branch.w_star.mesh, form)
+    ing = _fold_ingredients(lam, fold, profile)
+    return _upper_T1(lam, fold.lambda_star, ing, fold.w_star.mesh, form)
 
 
 def blowup_time_F(a: float, b: float, E0: float) -> float:
@@ -310,23 +310,23 @@ def location_bound_check(quench_report, profile: Profile, lam: float, alpha: flo
 
 
 def ingredients(
-    branch: SteadyBranch, profile: Profile, lam: float, alpha: float, dimension: int
+    fold: Fold, profile: Profile, lam: float, alpha: float, dimension: int
 ) -> BoundIngredients:
     """All aggregate constants entering the estimates, at one lam."""
     ll = large_lambda_bounds(lam, profile, alpha, dimension)
-    return _ingredients(branch, profile, ll, dimension)
+    return _ingredients(fold, profile, ll, dimension)
 
 
 def _ingredients(
-    branch: SteadyBranch, profile: Profile, ll: LargeLambdaBounds, dimension: int
+    fold: Fold, profile: Profile, ll: LargeLambdaBounds, dimension: int
 ) -> BoundIngredients:
     """The constants of the estimates; f is evaluated on the mesh once."""
-    mesh = branch.w_star.mesh
+    mesh = fold.w_star.mesh
     f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    wstar = branch.w_star.values
+    wstar = fold.w_star.values
     gap = 1.0 - wstar
-    phi = branch.phi_star.values
-    psi = branch.psi_star.values
+    phi = fold.phi_star.values
+    psi = fold.psi_star.values
     J = None
     if not np.any((f <= _VANISH_TOL) & (psi > _VANISH_TOL)):
         ratio = np.where(f > _VANISH_TOL, psi / np.where(f > _VANISH_TOL, f, 1.0), 0.0)
@@ -338,7 +338,7 @@ def _ingredients(
         I1_26=float(integrate(Field(mesh, psi * f))),
         J_26=J,
         E0=float(integrate(Field(mesh, psi * wstar))),
-        I2_26=None if J is None else 3.0 * branch.lambda_star / J,
+        I2_26=None if J is None else 3.0 * fold.lambda_star / J,
         M=ll.sup_f,
         inf_f=float(f.min()),
         K=float(ll.K),
@@ -350,7 +350,7 @@ def _ingredients(
 
 def evaluate_all(
     lam: float,
-    branch: Optional[SteadyBranch],
+    fold: Optional[Fold],
     profile: Profile,
     mesh: Mesh,
     quench_report=None,
@@ -358,11 +358,11 @@ def evaluate_all(
     """Evaluate every estimate, flagging the inapplicable ones with reasons.
 
     At or below the fold only the large-lam lower estimate is reported.
-    Without a branch (no fold data) the large-lam sandwich is all there is.
+    Without fold data the large-lam sandwich is all there is.
     When a measured report is supplied, the lower/upper ordering against
     the measured T is recorded with a 1 % relative tolerance.
     """
-    star = None if branch is None else branch.lambda_star
+    star = None if fold is None else fold.lambda_star
     alpha = profile.holder_exponent
     T_measured = None
     if quench_report is not None and quench_report.quenched:
@@ -381,7 +381,7 @@ def evaluate_all(
             upper = None
             flags["large_lambda_upper"] = reason
     else:
-        ing = _ingredients(branch, profile, ll, mesh.dimension)
+        ing = _ingredients(fold, profile, ll, mesh.dimension)
         try:
             b12 = bound_gg2(lam, star, ing.inf_f)
             flags["bound_1_2"] = "ok"

@@ -364,7 +364,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_bounds(cfg: dict) -> int:
     from .bounds import bounds_report_to_dict, evaluate_all
-    from .steady import IterationLimit, StepFailure, continue_branch
+    from .steady import IterationLimit, StepFailure, locate_fold
 
     started = _now()
     mesh, profile = _validated(cfg)
@@ -372,11 +372,11 @@ def cmd_bounds(cfg: dict) -> int:
     ds = _ds(cfg)
     out = _outdir(cfg)
     try:
-        branch = continue_branch(profile, mesh, ds=ds)
+        fold = locate_fold(profile, mesh, ds=ds)
     except (StepFailure, IterationLimit) as exc:
         print("continuation failed: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
-    report = evaluate_all(lam, branch, profile, mesh)
+    report = evaluate_all(lam, fold, profile, mesh)
     path = os.path.join(out, "bounds.json")
     _write_json(path, bounds_report_to_dict(report))
     _write_run_record(out, "bounds", cfg, [path], started)
@@ -398,7 +398,7 @@ def _sweep_run(job: tuple) -> dict:
 
 def cmd_sweep(cfg: dict) -> int:
     from .bounds import evaluate_all
-    from .steady import IterationLimit, StepFailure, continue_branch
+    from .steady import IterationLimit, StepFailure, locate_fold
 
     started = _now()
     mesh, profile = _validated(cfg)
@@ -413,9 +413,9 @@ def cmd_sweep(cfg: dict) -> int:
     if workers < 1:
         raise ConfigError("workers must be at least 1")
 
-    branch = None
+    fold = None
     try:
-        branch = continue_branch(profile, mesh, ds=ds)
+        fold = locate_fold(profile, mesh, ds=ds)
     except (StepFailure, IterationLimit) as exc:
         print("warning: continuation failed, steady bounds omitted: %s" % exc, file=sys.stderr)
 
@@ -432,7 +432,7 @@ def cmd_sweep(cfg: dict) -> int:
         if res["error"] is not None:
             failures += 1
             print("warning: lambda=%g failed: %s" % (res["lam"], res["error"]), file=sys.stderr)
-        rep = evaluate_all(res["lam"], branch, profile, mesh, quench_report=res["report"])
+        rep = evaluate_all(res["lam"], fold, profile, mesh, quench_report=res["report"])
         rows.append((rep.lam, rep.T_measured, rep.T_L, rep.T1_arctan, rep.T1_simplified,
                      rep.large_lambda_lower, rep.large_lambda_upper))
 

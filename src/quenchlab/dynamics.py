@@ -83,6 +83,9 @@ class OverflowGuard(RuntimeError):
 
 MAX_STEPS = 500000
 ETA_STEP = 1e-2  # the default eta_step, at which s = 1
+# largest eta_step (s = 10): past about 0.2 the growth target stops binding
+# and failed stages, not the controller, set dt, so T comes out low
+ETA_STEP_MAX = 1e-1
 DT_INITIAL = 1e-6  # first dt at s = 1
 DT_MAX = 1e-2  # dt cap at s = 1
 # the stored states of a run: arrays `times` and `values`, as Trajectory holds them
@@ -97,8 +100,8 @@ class TimeConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        if not (0.0 < self.eta_step < math.inf):
-            raise ValueError("eta_step must be positive and finite")
+        if not (0.0 < self.eta_step <= ETA_STEP_MAX):
+            raise ValueError("eta_step must lie in (0, %g]" % ETA_STEP_MAX)
         if not (0.0 < self.quench_eps <= 0.1):
             raise ValueError("quench_eps must lie in (0, 0.1]")
         if not (0.0 < self.t_max < math.inf):

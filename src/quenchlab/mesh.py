@@ -160,10 +160,6 @@ class Field:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_function(cls, mesh: Mesh, fn) -> "Field":
-        return cls(mesh, np.asarray([fn(x) for x in mesh.nodes], dtype=float))
-
 
 def integrate(f: Field) -> float:
     """Trapezoid quadrature of the field over its domain.

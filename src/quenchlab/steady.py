@@ -17,6 +17,8 @@ steps and locates the fold once, by Newton on the extended system
 walk's largest-lam point.  That lands on the discrete fold, whose lam is
 O(h^2) from the continuum lam_star.  Each state's mu_1 comes from inverse
 iteration warm-started from the previous state's eigenvector.
+`locate_fold` returns the fold alone: on a fine mesh it walks a coarse
+one and runs the same Newton on the fine mesh from the coarse fold.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import csvio
-from .mesh import Field, Mesh, bands_matvec, integrate, laplacian_bands
+from .mesh import Field, Mesh, bands_matvec, build_mesh, integrate, laplacian_bands
 from .profiles import Profile, evaluate
 
 __all__ = [
     "SteadyState",
+    "Fold",
     "SteadyBranch",
     "Eigenpair",
     "SingularExtremal",
@@ -42,6 +45,7 @@ __all__ = [
     "OutOfRange",
     "solve_minimal",
     "continue_branch",
+    "locate_fold",
     "linearized_eigenpair",
     "singular_extremal_radial",
     "branch_to_csv",
@@ -91,20 +95,24 @@ class Eigenpair:
 
 
 @dataclass(frozen=True)
-class SteadyBranch:
-    """Continuation record: traversal states plus fold data."""
+class Fold:
+    """Fold data: the fold state, its lam, w* = its field, phi* (the
+    L2-normalized eigenfunction of mu_1 = 0) and psi* = phi* / int(phi*)."""
 
-    states: Tuple[SteadyState, ...]
     fold_state: SteadyState
     lambda_star: float
     w_star: Field
     phi_star: Field
     psi_star: Field
-    fold_index: int
 
-    def minimal_states(self) -> Tuple[SteadyState, ...]:
-        """The pre-fold (stable, minimal-solution) portion of the traversal."""
-        return self.states[: self.fold_index + 1]
+
+@dataclass(frozen=True)
+class SteadyBranch(Fold):
+    """Continuation record: fold data plus the traversal states, of which
+    states[: fold_index + 1] are the minimal (stable) ones."""
+
+    states: Tuple[SteadyState, ...]
+    fold_index: int
 
 
 def _interior_forcing(profile: Profile, mesh: Mesh) -> np.ndarray:
@@ -353,13 +361,11 @@ class _Curve:
         self.n = self.Lb.shape[1]
         # residual sup-norms below the operator's roundoff floor are noise
         self.res_floor = _res_floor(self.Lb)
-        # eigenpair of the last state made; its vector warm-starts the next
+        # eigenpair of the last state made
         self.pair: Optional[Eigenpair] = None
-
-    def _warm_start(self) -> Optional[np.ndarray]:
-        if self.pair is None:
-            return None
-        return self.pair.eigenfunction.values[self.mesh.unknown_slice]
+        # interior vector that warm-starts the next eigen solve: the last
+        # state's eigenvector, or a guess set before the first state
+        self.start: Optional[np.ndarray] = None
 
     def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds):
         """Newton on the bordered system {G = 0, arclength constraint}."""
@@ -413,7 +419,7 @@ class _Curve:
         lam = float(lam)
         ab = -_jacobian(self.Lb, self.f, w, lam)
         try:
-            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self._warm_start())
+            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start)
         except IterationLimit:
             return None
         i0 = int(np.argmax(np.abs(phi)))  # phi[i0] = 1
@@ -459,7 +465,8 @@ class _Curve:
         res = _residual(self.Lb, self.f, w, lam)
         field = _embed(self.mesh, np.where((w > -1e-12) & (w < 0.0), 0.0, w))
         st = SteadyState(lam=float(lam), w=field, residual_norm=float(np.max(np.abs(res))), mu1=None)
-        self.pair = linearized_eigenpair(st, self.profile, start=self._warm_start())
+        self.pair = linearized_eigenpair(st, self.profile, start=self.start)
+        self.start = self.pair.eigenfunction.values[self.mesh.unknown_slice]
         return SteadyState(lam=st.lam, w=st.w, residual_norm=st.residual_norm, mu1=self.pair.eigenvalue)
 
 
@@ -525,19 +532,44 @@ def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBra
     polished = curve.fold_polish(top.w.values[mesh.unknown_slice], top.lam)
     if polished is None:
         raise StepFailure("fold polish failed near lam=%g" % top.lam, states[-1])
-    fold_state = curve.state(*polished)
+    fold = _fold_at(curve, *polished)
+    return SteadyBranch(**vars(fold), states=tuple(states), fold_index=fold_index)
+
+
+def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
+    """Fold data of the polished curve point (w, lam)."""
+    fold_state = curve.state(w, lam)
     phi = curve.pair.eigenfunction  # L2-normalized
     # psi_star is phi_star rescaled to unit mass, nodewise
-    psi_field = Field(mesh, phi.values / integrate(phi))
-    return SteadyBranch(
-        states=tuple(states),
-        fold_state=fold_state,
-        lambda_star=fold_state.lam,
-        w_star=fold_state.w,
-        phi_star=phi,
-        psi_star=psi_field,
-        fold_index=fold_index,
-    )
+    psi = Field(curve.mesh, phi.values / integrate(phi))
+    return Fold(fold_state=fold_state, lambda_star=fold_state.lam, w_star=fold_state.w, phi_star=phi, psi_star=psi)
+
+
+# node count of the walk behind `locate_fold` on finer meshes
+COARSE_NODES = 401
+
+
+def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
+    """The fold of `continue_branch`, without its states on `mesh`.
+
+    Up to COARSE_NODES nodes this is `continue_branch` itself.  On a finer
+    mesh the branch is walked on COARSE_NODES nodes (nested iteration):
+    the coarse w* and phi*, interpolated onto `mesh`, start one
+    `_Curve.fold_polish` at the coarse lambda_star, which lands on the
+    same discrete fold as the full walk's polish.  If that polish fails,
+    the whole branch is walked on `mesh`.  A failed coarse walk raises
+    as `continue_branch` does.
+    """
+    if mesh.node_count <= COARSE_NODES:
+        return continue_branch(profile, mesh, ds)
+    coarse = continue_branch(profile, build_mesh(mesh.geometry, COARSE_NODES), ds)
+    x, xc, inner = mesh.nodes, coarse.w_star.mesh.nodes, mesh.unknown_slice
+    curve = _Curve(profile, mesh)
+    curve.start = np.interp(x, xc, coarse.phi_star.values)[inner]
+    polished = curve.fold_polish(np.interp(x, xc, coarse.w_star.values)[inner], coarse.lambda_star)
+    if polished is None:
+        return continue_branch(profile, mesh, ds)
+    return _fold_at(curve, *polished)
 
 
 def states_to_csv(states, path) -> None:

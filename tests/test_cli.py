@@ -145,6 +145,7 @@ RUNS = {
     ("simulate", {"time": {"eta_step": float("inf")}}),
     ("simulate", {"time": {"dt_max": 0.01}}),
     ("simulate", {"time": {"dt_initial": 1e-6}}),
+    ("simulate", {"time": {"eta_step": 1000}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
@@ -334,11 +335,11 @@ def test_sweep_rows_and_worker_independence(tmp_path):
 
     # every bound cell is the evaluate_all field, bitwise; a blank cell is None
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
-    branch = steady.continue_branch(Constant(1.0), mesh, ds=0.02)
+    fold = steady.locate_fold(Constant(1.0), mesh, ds=0.02)
     fields = ("T_L", "T1_arctan", "T1_simplified", "large_lambda_lower", "large_lambda_upper")
     for line in lines[1:]:
         cells = line.split(",")
-        rep = evaluate_all(float(cells[0]), branch, Constant(1.0), mesh)
+        rep = evaluate_all(float(cells[0]), fold, Constant(1.0), mesh)
         assert [float(c) if c else None for c in cells[2:]] == [getattr(rep, f) for f in fields]
 
     bytes1 = open(os.path.join(out1, "sweep.csv"), "rb").read()
@@ -425,6 +426,35 @@ def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, "b9.json", {"geometry": {"kind": "ball", "dimension": 9}, "node_count": 201})
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "b9_out")]) == 3
     assert "continuation failed: eigen-residual" in capsys.readouterr().err
+
+
+def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # above COARSE_NODES nodes bounds and sweep take the fold from a walk on
+    # COARSE_NODES nodes; a StepFailure there ends bounds with exit 3 and
+    # leaves sweep rows with the large-lam sandwich alone
+    walk = steady.continue_branch
+    walked = []
+
+    def fail_coarse(profile, mesh, ds=0.02):
+        walked.append(mesh.node_count)
+        if mesh.node_count == steady.COARSE_NODES:
+            raise steady.StepFailure("forced on the coarse mesh")
+        return walk(profile, mesh, ds)
+
+    monkeypatch.setattr(steady, "continue_branch", fail_coarse)
+    cfg = write_config(tmp_path, "cw.json", {
+        "node_count": 1001, "lambda": 4.0, "lambda_grid": [4.0], "time": {"t_max": 0.2},
+    })
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "cw_b")]) == 3
+    assert "continuation failed: forced on the coarse mesh" in capsys.readouterr().err
+    out = str(tmp_path / "cw_s")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert "continuation failed, steady bounds omitted: forced on the coarse mesh" in capsys.readouterr().err
+    assert walked == [steady.COARSE_NODES, steady.COARSE_NODES]
+    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, 1)
+    assert cells[1] != "" and cells[2:5] == ["", "", ""]
+    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
 
 # ---------------------------------------------------------------------------

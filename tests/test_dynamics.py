@@ -208,6 +208,10 @@ def test_config_validation():
         TimeConfig(snapshot_stride=True)
     with pytest.raises(ValueError):
         TimeConfig(eta_step=0.0)
+    for bad in (0.3, 1000.0):  # past 0.1 the growth target stops binding
+        with pytest.raises(ValueError):
+            TimeConfig(eta_step=bad)
+    assert TimeConfig(eta_step=0.1).eta_step == 0.1
 
 
 # ---------------------------------------------------------------------------

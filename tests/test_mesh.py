@@ -82,7 +82,7 @@ def test_integrate_constant_ball_volume():
 
 def test_integrate_linear_exact():
     mesh = build_mesh(Slab(0.0, 1.0), 101)
-    val = integrate(Field.from_function(mesh, lambda x: x))
+    val = integrate(Field(mesh, mesh.nodes))
     assert val == pytest.approx(0.5, abs=1e-14)
 
 
@@ -113,7 +113,7 @@ def test_integrate_affine_exact_property(a, b, lo, width, n):
 
 def test_laplacian_quadratic_slab_exact():
     mesh = build_mesh(Slab(0.0, 1.0), 41)
-    out = apply_laplacian(Field.from_function(mesh, lambda x: x * (1.0 - x)))
+    out = apply_laplacian(Field(mesh, mesh.nodes * (1.0 - mesh.nodes)))
     assert np.allclose(out.values[1:-1], -2.0, atol=1e-11)
     assert out.values[0] == 0.0 and out.values[-1] == 0.0
 
@@ -129,7 +129,7 @@ def test_laplacian_sine_second_order():
     errs = []
     for n in (101, 201, 401):
         mesh = build_mesh(Slab(0.0, 1.0), n)
-        out = apply_laplacian(Field.from_function(mesh, lambda x: math.sin(math.pi * x)))
+        out = apply_laplacian(Field(mesh, np.sin(math.pi * mesh.nodes)))
         exact = -math.pi**2 * np.sin(math.pi * mesh.nodes)
         errs.append(np.max(np.abs(out.values[1:-1] - exact[1:-1])))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]

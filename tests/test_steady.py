@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from quenchlab.bounds import bounds_report_to_dict, evaluate_all
 from quenchlab.mesh import RadialBall, Slab, build_mesh, integrate
 from quenchlab.profiles import Constant, Power, SlabSinPiecewise
 from quenchlab import steady
@@ -117,7 +118,8 @@ def test_mu1_at_zero_state():
 def test_eigen_residual_recompute(branch_f1_401):
     from quenchlab.mesh import bands_matvec, laplacian_bands
 
-    st = branch_f1_401.minimal_states()[len(branch_f1_401.minimal_states()) // 2]
+    minimal = branch_f1_401.states[: branch_f1_401.fold_index + 1]
+    st = minimal[len(minimal) // 2]
     pair = linearized_eigenpair(st, Constant(1.0))
     mesh = st.w.mesh
     mu = pair.eigenvalue
@@ -164,7 +166,7 @@ def test_jacobian_matches_central_differences(geometry, profile):
 
 def test_branch_monotonicity(branch_f1_401):
     br = branch_f1_401
-    minimal = br.minimal_states()
+    minimal = br.states[: br.fold_index + 1]
     lams = np.array([s.lam for s in minimal])
     sups = np.array([np.max(s.w.values) for s in minimal])
     assert np.all(np.diff(lams) > 0.0)
@@ -257,6 +259,57 @@ def test_failed_fold_polish_is_step_failure(tmp_path, monkeypatch):
     assert main(["steady", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
+# ---------------------------------------------------------------------------
+# the fold alone, from a coarse walk and a fine polish
+
+
+def _fold_arrays(fold):
+    st = fold.fold_state
+    return [fold.lambda_star, st.lam, st.residual_norm, st.mu1, st.w.values,
+            fold.w_star.values, fold.phi_star.values, fold.psi_star.values]
+
+
+def test_locate_fold_falls_back_to_the_full_walk(monkeypatch):
+    # the first polish on the fine mesh fails; locate_fold then walks the
+    # fine mesh itself and returns continue_branch's fold, bitwise
+    mesh = build_mesh(Slab(-0.5, 0.5), 1001)
+    full = continue_branch(Constant(1.0), mesh)
+    polish = steady._Curve.fold_polish
+    fine_calls = []
+
+    def fail_first_fine(self, w, lam):
+        if self.mesh is mesh:
+            fine_calls.append(lam)
+            if len(fine_calls) == 1:
+                return None
+        return polish(self, w, lam)
+
+    monkeypatch.setattr(steady._Curve, "fold_polish", fail_first_fine)
+    fold = steady.locate_fold(Constant(1.0), mesh)
+    assert len(fine_calls) == 2  # the failed polish, then the full walk's own
+    for a, b in zip(_fold_arrays(fold), _fold_arrays(full)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("geometry,profile", [
+    (Slab(-0.5, 0.5), Constant(1.0)),
+    (Slab(-0.5, 0.5), SlabSinPiecewise()),
+    (RadialBall(2, 1.0), Constant(1.0)),
+    (RadialBall(3, 1.0), Power(1.0)),
+], ids=["slab-f1", "slab-two-bump", "ball2-f1", "ball3-power1"])
+def test_locate_fold_agrees_with_the_full_walk(geometry, profile):
+    mesh = build_mesh(geometry, 2001)
+    full = continue_branch(profile, mesh)
+    fold = steady.locate_fold(profile, mesh)
+    assert type(fold) is steady.Fold  # no states walked on this mesh
+    assert fold.lambda_star == pytest.approx(full.lambda_star, rel=1e-10)
+    a, b = (bounds_report_to_dict(evaluate_all(30.0, fd, profile, mesh)) for fd in (full, fold))
+    assert a.pop("flags") == b.pop("flags")
+    assert a.keys() == b.keys()
+    for key in a:
+        assert b[key] == pytest.approx(a[key], rel=1e-6), key
+
+
 def test_lambda_star_scales_inversely_with_f():
     # replacing f by f/2 doubles the fold load
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
@@ -280,7 +333,7 @@ def test_eigenfunction_normalizations(branch_f1_401):
 
 def test_states_increase_toward_extremal(branch_f1_401):
     br = branch_f1_401
-    minimal = br.minimal_states()
+    minimal = br.states[: br.fold_index + 1]
     dist = [np.max(np.abs(s.w.values - br.w_star.values)) for s in minimal]
     assert all(a > b for a, b in zip(dist, dist[1:]))
     mid = len(minimal) // 2
