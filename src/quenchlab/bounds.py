@@ -36,7 +36,6 @@ __all__ = [
     "DomainError",
     "BoundIngredients",
     "LargeLambdaBounds",
-    "LocationCheck",
     "BoundsReport",
     "dirichlet_eigenvalue_ball",
     "bound_gg2",
@@ -44,7 +43,6 @@ __all__ = [
     "bound_upper_T1",
     "blowup_time_F",
     "large_lambda_bounds",
-    "location_bound_check",
     "evaluate_all",
     "ingredients",
     "bounds_report_to_dict",
@@ -98,12 +96,6 @@ class LargeLambdaBounds:
     gap_coefficient: float
     sup_f: float
     K: float
-
-
-@dataclass(frozen=True)
-class LocationCheck:
-    lhs: Tuple[float, ...]
-    exponent_target: float
 
 
 @dataclass(frozen=True)
@@ -290,25 +282,6 @@ def large_lambda_bounds(
     return LargeLambdaBounds(lower, upper, eps, delta, upper is not None, exponent, coeff, sup_f, K)
 
 
-def _location(quench_set, profile: Profile, sup_f: float, alpha: float) -> LocationCheck:
-    lhs = tuple(
-        float(sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
-        for a in quench_set
-    )
-    return LocationCheck(lhs=lhs, exponent_target=alpha / (2.0 + alpha))
-
-
-def location_bound_check(quench_report, profile: Profile, lam: float, alpha: float) -> LocationCheck:
-    """(sup f)^(1/3) - f(a)^(1/3) per touchdown point, plus the decay target.
-
-    Only the decay exponent alpha/(2+alpha) is certified; no prefactor is
-    invented.
-    """
-    if not quench_report.quench_set:
-        raise ValueError("empty touchdown set")
-    return _location(quench_report.quench_set, profile, _sampled_sup(profile), alpha)
-
-
 def ingredients(
     fold: Fold, profile: Profile, lam: float, alpha: float, dimension: int
 ) -> BoundIngredients:
@@ -401,8 +374,13 @@ def evaluate_all(
 
         if T_measured is not None:
             if quench_report.quench_set:
-                check = _location(quench_report.quench_set, profile, ing.M, alpha)
-                loc_exp, loc_lhs = check.exponent_target, check.lhs
+                # (sup f)^(1/3) - f(a)^(1/3) per touchdown point a; only its decay
+                # exponent alpha/(2+alpha) is certified, no prefactor is invented
+                loc_lhs = tuple(
+                    float(ing.M ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
+                    for a in quench_report.quench_set
+                )
+                loc_exp = alpha / (2.0 + alpha)
             lowers = [ll.lower] + ([TL] if TL is not None else [])
             lower_ok = all(v <= T_measured * (1.0 + _ORDERING_SLACK) for v in lowers)
             # the large-lambda upper self-qualifies (it defines lambda0 as the

@@ -35,7 +35,7 @@ from scipy.linalg import solve_banded
 
 from . import csvio
 from .csvio import MissingInput
-from .mesh import Field, Mesh, bands_matvec, laplacian_bands
+from .mesh import Mesh, bands_matvec, laplacian_bands
 from .profiles import Profile, evaluate
 
 __all__ = [
@@ -44,20 +44,13 @@ __all__ = [
     "StepStats",
     "QuenchReport",
     "RateFit",
-    "ConvergenceTrace",
     "NewtonFailure",
     "StepUnderflow",
     "StepLimit",
-    "OverflowGuard",
     "integrate",
     "detect_quench",
     "rate_fit",
-    "liapunov",
-    "supersolution_transform",
-    "c_epsilon",
-    "comparison_eta",
     "eta_quench_time",
-    "convergence_check",
     "write_snapshots",
     "write_max_history",
     "read_trajectory",
@@ -75,10 +68,6 @@ class StepUnderflow(RuntimeError):
 
 class StepLimit(RuntimeError):
     """MAX_STEPS steps accepted before touchdown or t_max."""
-
-
-class OverflowGuard(RuntimeError):
-    """Gap too small for finite functional evaluation."""
 
 
 MAX_STEPS = 500000
@@ -177,12 +166,6 @@ class QuenchReport:
     last_resolved_gap: float
     decades: Optional[float] = None  # of resolved gap behind the rate fit
     low_confidence: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    times: Tuple[float, ...]
-    distances: Tuple[float, ...]
 
 
 class _StageWork:
@@ -482,68 +465,11 @@ def rate_fit(trajectory: Trajectory, a: float, T: float) -> RateFit:
     )
 
 
-def liapunov(state: Field, lam: float, profile: Profile) -> float:
-    """Energy 1/2 int |grad u|^2 - lam int f/(1-u), by centered differences."""
-    mesh = state.mesh
-    gap = 1.0 - state.values
-    if gap.min() < 1e-14:
-        raise OverflowGuard("gap below 1e-14; functional not finite")
-    grad = np.gradient(state.values, mesh.h)
-    f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    density = 0.5 * grad**2 - lam * f / gap
-    return float(np.dot(mesh.weights, density))
-
-
-def supersolution_transform(u_value, lam: float, eps: float):
-    """The gap-contracting map used to compare runs at reduced forcing.
-
-    Maps u to 1 - [eps/lam + (lam-eps)/lam * (1-u)^3]^(1/3); fixes 0 and
-    sends 1 to the ceiling c_epsilon(lam, eps) < 1.
-    """
-    if not (0.0 < eps < lam):
-        raise ValueError("eps must lie in (0, lam)")
-    u = np.asarray(u_value, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-        raise ValueError("u must lie in [0, 1]")
-    out = 1.0 - np.cbrt(eps / lam + (lam - eps) / lam * (1.0 - u) ** 3)
-    return float(out) if np.isscalar(u_value) else out
-
-
-def c_epsilon(lam: float, eps: float) -> float:
-    if not (0.0 < eps < lam):
-        raise ValueError("eps must lie in (0, lam)")
-    return 1.0 - (eps / lam) ** (1.0 / 3.0)
-
-
 def eta_quench_time(lam: float, M: float) -> float:
+    """Touchdown time 1/(3 lam M) of the flat solution of u' = lam M / (1 - u)^2."""
     if lam * M <= 0:
         raise ValueError("lam*M must be positive")
     return 1.0 / (3.0 * lam * M)
-
-
-def comparison_eta(lam: float, M: float, t: float) -> float:
-    """Spatially flat comparison solution eta(t) = 1 - (1 - 3*lam*M*t)^(1/3)."""
-    tstar = eta_quench_time(lam, M)
-    if t >= tstar:
-        raise ValueError("t beyond the comparison touchdown time")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return 1.0 - (1.0 - 3.0 * lam * M * t) ** (1.0 / 3.0)
-
-
-def convergence_check(
-    lam: float, profile: Profile, mesh: Mesh, cfg: TimeConfig
-) -> ConvergenceTrace:
-    """Sup-distance of u(.,t) to the minimal steady state, per snapshot."""
-    from .steady import solve_minimal
-
-    state = solve_minimal(lam, profile, mesh, compute_mu1=False)
-    if state is None:
-        raise ValueError("no minimal steady state at lam=%g" % lam)
-    w = state.w.values
-    traj, _ = integrate(lam, profile, mesh, cfg)
-    dists = tuple(float(np.max(np.abs(u - w))) for u in traj.values)
-    return ConvergenceTrace(times=tuple(traj.times.tolist()), distances=dists)
 
 
 # ---------------------------------------------------------------------------

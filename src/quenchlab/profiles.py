@@ -19,12 +19,12 @@ The built-in kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .mesh import Mesh, RadialBall, Slab
+from .mesh import Mesh, Slab
 
 __all__ = [
     "Constant",

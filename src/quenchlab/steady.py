@@ -38,23 +38,15 @@ __all__ = [
     "Fold",
     "SteadyBranch",
     "Eigenpair",
-    "SingularExtremal",
-    "NonConvergence",
     "StepFailure",
     "IterationLimit",
-    "OutOfRange",
     "solve_minimal",
     "continue_branch",
     "locate_fold",
     "linearized_eigenpair",
-    "singular_extremal_radial",
     "branch_to_csv",
     "states_to_csv",
 ]
-
-
-class NonConvergence(RuntimeError):
-    """Solver failed below the fold estimate; indicates a bug, not physics."""
 
 
 class StepFailure(RuntimeError):
@@ -67,10 +59,6 @@ class StepFailure(RuntimeError):
 
 class IterationLimit(RuntimeError):
     """Eigenvalue iteration failed to reach the residual target."""
-
-
-class OutOfRange(ValueError):
-    """Requested parameters outside the closed-form regime."""
 
 
 @dataclass(frozen=True)
@@ -151,15 +139,11 @@ def solve_minimal(
     lam: float,
     profile: Profile,
     mesh: Mesh,
-    fold_estimate: Optional[float] = None,
-    compute_mu1: bool = True,
 ) -> Optional[SteadyState]:
-    """Minimal steady state by damped Newton from the zero field.
+    """Minimal steady state, with its mu1, by damped Newton from the zero field.
 
     Returns None when Newton fails after damping restarts (no solution:
-    lam beyond the fold, up to discretization).  If a fold_estimate is
-    supplied and lam lies below it, failure raises NonConvergence
-    instead, since a solution should have existed.
+    lam beyond the fold, up to discretization).
 
     The residual target is 1e-10 or the roundoff floor of the second
     difference operator, whichever is larger; on fine meshes the floor
@@ -199,20 +183,13 @@ def solve_minimal(
             break
 
     if rnorm > tol_eff:
-        if fold_estimate is not None and lam <= fold_estimate:
-            raise NonConvergence(
-                "Newton failed at lam=%g below the fold estimate %g" % (lam, fold_estimate)
-            )
         return None
 
     w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)  # scrub roundoff negatives
     field = _embed(mesh, w)
     rnorm = float(np.max(np.abs(_residual(Lb, f, w, lam))))
-    state = SteadyState(lam=float(lam), w=field, residual_norm=rnorm, mu1=None)
-    if compute_mu1:
-        pair = linearized_eigenpair(state, profile)
-        state = SteadyState(lam=float(lam), w=field, residual_norm=rnorm, mu1=pair.eigenvalue)
-    return state
+    pair = linearized_eigenpair(SteadyState(lam=float(lam), w=field, residual_norm=rnorm), profile)
+    return SteadyState(lam=float(lam), w=field, residual_norm=rnorm, mu1=pair.eigenvalue)
 
 
 def _rayleigh(ab: np.ndarray, weights: np.ndarray, v: np.ndarray) -> Tuple[float, float]:
@@ -580,50 +557,3 @@ def states_to_csv(states, path) -> None:
 
 def branch_to_csv(branch: SteadyBranch, path) -> None:
     states_to_csv(branch.states, path)
-
-
-# ---------------------------------------------------------------------------
-# singular extremal closed forms (high dimensions)
-
-
-@dataclass(frozen=True)
-class SingularExtremal:
-    dimension: int
-    alpha: float
-    beta: float
-    lambda_star: float
-    alpha_max: float
-
-    def w_star(self, mesh: Mesh) -> Field:
-        r = mesh.nodes
-        return Field(mesh, 1.0 - np.abs(r) ** self.beta)
-
-
-def alpha_max(dimension: int) -> float:
-    """Largest power-profile exponent for which the singular form is extremal."""
-    N = dimension
-    return (4.0 - 6.0 * N + 3.0 * np.sqrt(6.0) * (N - 2.0)) / 4.0
-
-
-def singular_extremal_radial(dimension: int, alpha: float) -> SingularExtremal:
-    """Closed-form singular extremal on the unit ball, dimensions >= 8.
-
-    w*(r) = 1 - r^beta with beta = (2+alpha)/3, and the matching
-    lam_star = beta (N + beta - 2); valid while alpha <= alpha_max(N).
-    """
-    if dimension < 8:
-        raise OutOfRange("closed form requires dimension >= 8")
-    if alpha < 0:
-        raise OutOfRange("alpha must be nonnegative")
-    amax = alpha_max(dimension)
-    if alpha > amax:
-        raise OutOfRange("alpha=%g exceeds alpha_max(%d)=%g" % (alpha, dimension, amax))
-    beta = (2.0 + alpha) / 3.0
-    lam = beta * (dimension + beta - 2.0)
-    return SingularExtremal(
-        dimension=dimension,
-        alpha=float(alpha),
-        beta=float(beta),
-        lambda_star=float(lam),
-        alpha_max=float(amax),
-    )

@@ -1,0 +1,93 @@
+"""Reference quantities that tests check the product against.
+
+None of these is reached from the `quenchlab` command; each one is an
+independent yardstick for something it does compute:
+
+- `liapunov`, the energy that the flow of `dynamics.integrate` lowers;
+- `convergence_check`, the distance of a subcritical run to the minimal
+  steady state of `steady.solve_minimal`;
+- `singular_extremal_radial`, the closed-form singular extremal on the
+  unit ball in dimensions >= 8, against which the discrete radial
+  Laplacian is checked.
+"""
+
+from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+
+from quenchlab.dynamics import TimeConfig, integrate
+from quenchlab.mesh import Field, Mesh
+from quenchlab.profiles import Profile, evaluate
+from quenchlab.steady import solve_minimal
+
+
+def liapunov(state: Field, lam: float, profile: Profile) -> float:
+    """Energy 1/2 int |grad u|^2 - lam int f/(1-u), by centered differences."""
+    mesh = state.mesh
+    grad = np.gradient(state.values, mesh.h)
+    f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
+    density = 0.5 * grad**2 - lam * f / (1.0 - state.values)
+    return float(np.dot(mesh.weights, density))
+
+
+@dataclass(frozen=True)
+class ConvergenceTrace:
+    times: Tuple[float, ...]
+    distances: Tuple[float, ...]
+
+
+def convergence_check(lam: float, profile: Profile, mesh: Mesh, cfg: TimeConfig) -> ConvergenceTrace:
+    """Sup-distance of u(.,t) to the minimal steady state, per snapshot."""
+    state = solve_minimal(lam, profile, mesh)
+    if state is None:
+        raise ValueError("no minimal steady state at lam=%g" % lam)
+    w = state.w.values
+    traj, _ = integrate(lam, profile, mesh, cfg)
+    dists = tuple(float(np.max(np.abs(u - w))) for u in traj.values)
+    return ConvergenceTrace(times=tuple(traj.times.tolist()), distances=dists)
+
+
+class OutOfRange(ValueError):
+    """Requested parameters outside the closed-form regime."""
+
+
+@dataclass(frozen=True)
+class SingularExtremal:
+    dimension: int
+    alpha: float
+    beta: float
+    lambda_star: float
+    alpha_max: float
+
+    def w_star(self, mesh: Mesh) -> Field:
+        return Field(mesh, 1.0 - np.abs(mesh.nodes) ** self.beta)
+
+
+def alpha_max(dimension: int) -> float:
+    """Largest power-profile exponent for which the singular form is extremal."""
+    N = dimension
+    return (4.0 - 6.0 * N + 3.0 * np.sqrt(6.0) * (N - 2.0)) / 4.0
+
+
+def singular_extremal_radial(dimension: int, alpha: float) -> SingularExtremal:
+    """Closed-form singular extremal on the unit ball, dimensions >= 8.
+
+    w*(r) = 1 - r^beta with beta = (2+alpha)/3, and the matching
+    lam_star = beta (N + beta - 2); valid while alpha <= alpha_max(N).
+    """
+    if dimension < 8:
+        raise OutOfRange("closed form requires dimension >= 8")
+    if alpha < 0:
+        raise OutOfRange("alpha must be nonnegative")
+    amax = alpha_max(dimension)
+    if alpha > amax:
+        raise OutOfRange("alpha=%g exceeds alpha_max(%d)=%g" % (alpha, dimension, amax))
+    beta = (2.0 + alpha) / 3.0
+    return SingularExtremal(
+        dimension=dimension,
+        alpha=float(alpha),
+        beta=float(beta),
+        lambda_star=float(beta * (dimension + beta - 2.0)),
+        alpha_max=float(amax),
+    )

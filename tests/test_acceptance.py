@@ -20,11 +20,13 @@ from quenchlab.bounds import (
     bound_upper_T1,
     large_lambda_bounds,
 )
-from quenchlab.dynamics import TimeConfig, convergence_check, integrate, rate_fit
+from quenchlab.dynamics import TimeConfig, integrate, rate_fit
 from quenchlab.mesh import Slab, build_mesh
 from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 from quenchlab.selfsim import F_profile, asymptotic_limit, rescale
-from quenchlab.steady import continue_branch, singular_extremal_radial
+from quenchlab.steady import continue_branch
+
+from oracles import convergence_check, singular_extremal_radial
 
 UNIT_SLAB = Slab(-0.5, 0.5)
 REPRO_NODES = 6000
@@ -245,8 +247,10 @@ def test_criterion_11b_riccati_clock_against_ode(rng):
             return yv[0] - 1e8
 
         hit.terminal = True
+        hit.direction = 1.0
         sol = solve_ivp(lambda t, yv: [a + b * yv[0] ** 2], (0.0, 1e3), [-E0],
                         rtol=1e-10, atol=1e-12, events=hit)
+        assert sol.t_events[0].size == 1
         t_num = sol.t_events[0][0] + 1.0 / (b * 1e8)
         assert t_num == pytest.approx(blowup_time_F(a, b, E0), rel=1e-6)
 

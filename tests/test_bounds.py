@@ -1,8 +1,8 @@
 """Touchdown-time and touchdown-location estimates.
 
 The closed-form blow-up time for the scalar Riccati comparison equation is
-verified against an adaptive ODE integration before anything downstream
-relies on it; the eigenvalue table for the unit ball is checked against
+checked here at exact angles and against an adaptive ODE integration in
+criterion 11b; the eigenvalue table for the unit ball is checked against
 the square of the first Bessel zero and pi^2.
 """
 
@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from quenchlab.bounds import (
     DomainError,
@@ -25,7 +24,6 @@ from quenchlab.bounds import (
     evaluate_all,
     ingredients,
     large_lambda_bounds,
-    location_bound_check,
 )
 from quenchlab.dynamics import QuenchReport, TimeConfig, integrate
 from quenchlab.mesh import Field, Slab, build_mesh
@@ -43,26 +41,6 @@ def test_blowup_time_exact_angles():
     assert blowup_time_F(1.0, 1.0, 0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
     assert blowup_time_F(1.0, 4.0, 0.5) == pytest.approx(3.0 * math.pi / 8.0,
                                                          abs=1e-15)
-
-
-def test_blowup_time_against_adaptive_ode(rng):
-    # integrate F' = a + b F^2 from F(0) = -E0 to the 1e8 threshold and add
-    # the analytic tail of the pure-quadratic regime
-    for _ in range(100):
-        a = float(10.0 ** rng.uniform(-1.0, 1.0))
-        b = float(10.0 ** rng.uniform(-1.0, 1.0))
-        E0 = float(rng.uniform(0.0, 0.99))
-
-        def hit(t, y):
-            return y[0] - 1e8
-
-        hit.terminal = True
-        hit.direction = 1.0
-        sol = solve_ivp(lambda t, y: [a + b * y[0] ** 2], (0.0, 1e3), [-E0],
-                        rtol=1e-10, atol=1e-12, events=hit, dense_output=False)
-        assert sol.t_events[0].size == 1
-        t_num = sol.t_events[0][0] + 1.0 / (b * 1e8)
-        assert t_num == pytest.approx(blowup_time_F(a, b, E0), rel=1e-6)
 
 
 def test_blowup_time_guards():
@@ -237,20 +215,23 @@ def make_report(points):
                         last_resolved_gap=1e-3)
 
 
-def test_location_defect_formula():
+def test_location_defect_formula(branch_falpha_801):
     f = SlabSinPiecewise()
-    rep = make_report((-0.204, 0.204))
-    check = location_bound_check(rep, f, 1e5, 1.0)
-    assert check.exponent_target == pytest.approx(1.0 / 3.0, abs=1e-15)
-    for a, lhs in zip(rep.quench_set, check.lhs):
+    rep = evaluate_all(1e5, branch_falpha_801, f, branch_falpha_801.w_star.mesh,
+                       quench_report=make_report((-0.204, 0.204)))
+    assert rep.location_exponent == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert len(rep.location_lhs) == 2
+    for a, lhs in zip((-0.204, 0.204), rep.location_lhs):
         assert lhs == pytest.approx(1.0 - evaluate(f, a) ** (1.0 / 3.0),
                                     abs=1e-12)
         assert 0.012 < lhs < 0.016
 
 
-def test_location_empty_set_raises():
-    with pytest.raises(ValueError):
-        location_bound_check(make_report(()), SlabSinPiecewise(), 1e5, 1.0)
+def test_location_empty_set_is_blank(branch_falpha_801):
+    rep = evaluate_all(1e5, branch_falpha_801, SlabSinPiecewise(),
+                       branch_falpha_801.w_star.mesh, quench_report=make_report(()))
+    assert rep.location_lhs == ()
+    assert rep.location_exponent is None
 
 
 # ---------------------------------------------------------------------------

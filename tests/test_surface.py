@@ -1,0 +1,62 @@
+"""Every public name of quenchlab is used by the program.
+
+Each module's `__all__` names must resolve, and each must occur as a
+name in src/quenchlab somewhere other than its own `def` or `class`
+line (the `__all__` entries are strings and do not count).  A public
+function that nothing in the package calls fails here unless the
+allowlist below names it with its reason.
+"""
+
+import functools
+import importlib
+import pkgutil
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import quenchlab
+
+SRC = Path(quenchlab.__file__).parent
+MODULES = sorted(m.name for m in pkgutil.iter_modules(quenchlab.__path__))
+
+# public names that nothing in src/quenchlab calls, and why they stay
+ALLOWED_UNREFERENCED = {
+    ("bounds", "bound_lower_TL"): "the benchmark tracer wraps it (perfbench/tracing.py)",
+    ("bounds", "bound_upper_T1"): "the benchmark tracer wraps it (perfbench/tracing.py)",
+    ("bounds", "blowup_time_F"): "the near-fold passage time that ROADMAP item 3 will report",
+    ("mesh", "apply_laplacian"): "the reference operator the stencil tests compare against",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def references():
+    """Occurrences of each name token in src/quenchlab, definitions excluded."""
+    counts = {}
+    for path in sorted(SRC.glob("*.py")):
+        previous = None
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                    counts[tok.string] = counts.get(tok.string, 0) + 1
+                previous = tok.string
+    return counts
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_public_names_resolve_and_are_used(modname):
+    mod = importlib.import_module("quenchlab." + modname)
+    unused = []
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), "quenchlab.%s.__all__ lists %s, which it lacks" % (modname, name)
+        if not references().get(name) and (modname, name) not in ALLOWED_UNREFERENCED:
+            unused.append(name)
+    assert not unused, "quenchlab.%s exports names nothing uses: %s" % (modname, ", ".join(unused))
+
+
+def test_allowlist_is_current():
+    # an allowlisted name that the package now uses, or no longer exports, leaves the list
+    for (modname, name), reason in ALLOWED_UNREFERENCED.items():
+        mod = importlib.import_module("quenchlab." + modname)
+        assert name in mod.__all__, (modname, name)
+        assert not references().get(name), "%s.%s is used now (%s)" % (modname, name, reason)
