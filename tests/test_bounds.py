@@ -1,8 +1,8 @@
 """Touchdown-time and touchdown-location estimates.
 
 The closed-form blow-up time for the scalar Riccati comparison equation is
-checked here at exact angles and against an adaptive ODE integration in
-criterion 11b; the eigenvalue table for the unit ball is checked against
+verified against an adaptive ODE integration before anything downstream
+relies on it; the eigenvalue table for the unit ball is checked against
 the square of the first Bessel zero and pi^2.
 """
 
@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from quenchlab.bounds import (
     DomainError,
@@ -41,6 +42,26 @@ def test_blowup_time_exact_angles():
     assert blowup_time_F(1.0, 1.0, 0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
     assert blowup_time_F(1.0, 4.0, 0.5) == pytest.approx(3.0 * math.pi / 8.0,
                                                          abs=1e-15)
+
+
+def test_blowup_time_against_adaptive_ode(rng):
+    # integrate F' = a + b F^2 from F(0) = -E0 to the 1e8 threshold and add
+    # the analytic tail of the pure-quadratic regime
+    for _ in range(100):
+        a = float(10.0 ** rng.uniform(-1.0, 1.0))
+        b = float(10.0 ** rng.uniform(-1.0, 1.0))
+        E0 = float(rng.uniform(0.0, 0.99))
+
+        def hit(t, y):
+            return y[0] - 1e8
+
+        hit.terminal = True
+        hit.direction = 1.0
+        sol = solve_ivp(lambda t, y: [a + b * y[0] ** 2], (0.0, 1e3), [-E0],
+                        rtol=1e-10, atol=1e-12, events=hit, dense_output=False)
+        assert sol.t_events[0].size == 1
+        t_num = sol.t_events[0][0] + 1.0 / (b * 1e8)
+        assert t_num == pytest.approx(blowup_time_F(a, b, E0), rel=1e-6)
 
 
 def test_blowup_time_guards():
