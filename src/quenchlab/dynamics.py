@@ -2,9 +2,10 @@
 
     u_t = lap(u) + lam * f(x) / (1 - u)^2,   u = 0 on the boundary, u(x,0) = 0.
 
-Stepping is Crank-Nicolson with a banded Newton solve per step.  A step
-raises sup u by at most eta_step times the gap 1 - sup u, and eta_step
-is the one accuracy scale: with s = eta_step / ETA_STEP, dt starts at
+Stepping is Crank-Nicolson with a banded Newton solve per step, by the
+LAPACK tridiagonal kernel `mesh.solve_banded`.  A step raises sup u by
+at most eta_step times the gap 1 - sup u, and eta_step is the one
+accuracy scale: with s = eta_step / ETA_STEP, dt starts at
 DT_INITIAL * s and is capped at DT_MAX * s and at s / 100 of the running
 touchdown estimate, so the error in T shrinks like s^2.  Integration
 stops at sup u = 1 - eps_q; T is extrapolated from the cubic gap law
@@ -31,11 +32,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import csvio
 from .csvio import MissingInput
-from .mesh import Mesh, bands_matvec, laplacian_bands
+from .mesh import Mesh, bands_matvec, laplacian_bands, solve_banded
 from .profiles import Profile, evaluate
 
 __all__ = [
@@ -222,7 +222,7 @@ def _newton(Lb, f, lam, dt, start, work):
         np.negative(F, out=F)
         work.solves += 1
         try:
-            delta = solve_banded((1, 1), Jb, F, overwrite_ab=True, overwrite_b=True)
+            delta = solve_banded(Jb, F, overwrite_ab=True, overwrite_b=True)
         except np.linalg.LinAlgError:  # singular stage Jacobian
             return None
         if not np.all(np.isfinite(delta)):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "Slab",
@@ -207,6 +208,30 @@ def bands_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[:-1] += ab[0, 1:] * v[1:]
     out[1:] += ab[2, :-1] * v[:-1]
     return out
+
+
+def solve_banded(
+    ab: np.ndarray, b: np.ndarray, overwrite_ab: bool = False, overwrite_b: bool = False
+) -> np.ndarray:
+    """Solve the tridiagonal system with bands ab (solve_banded layout) for b, (n,) or (n, k).
+
+    Bit for bit `scipy.linalg.solve_banded((1, 1), ab, b)`, with its checks
+    (ValueError for a non-finite entry or mismatched shapes, LinAlgError
+    for a singular matrix), but calling LAPACK dgtsv directly.  The
+    overwrite flags let dgtsv work in ab or b in place of a copy.
+    """
+    if ab.shape[0] != 3 or ab.shape[1] != b.shape[0]:
+        raise ValueError("shapes of ab and b are not compatible")
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if ab.shape[1] == 1:  # dgtsv's wrapper rejects empty off-diagonals
+        return b / ab[1, 0]
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError("illegal value in argument %d of dgtsv" % -info)
+    return x
 
 
 def apply_laplacian(f: Field) -> Field:

@@ -19,6 +19,8 @@ O(h^2) from the continuum lam_star.  Each state's mu_1 comes from inverse
 iteration warm-started from the previous state's eigenvector.
 `locate_fold` returns the fold alone: on a fine mesh it walks a coarse
 one and runs the same Newton on the fine mesh from the coarse fold.
+Every tridiagonal solve here, in Newton, the corrector, the fold Newton
+and inverse iteration, is the LAPACK kernel `mesh.solve_banded`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import csvio
-from .mesh import Field, Mesh, bands_matvec, build_mesh, integrate, laplacian_bands
+from .mesh import Field, Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, solve_banded
 from .profiles import Profile, evaluate
 
 __all__ = [
@@ -162,7 +163,7 @@ def solve_minimal(
         if rnorm <= tol_eff:
             break
         try:
-            delta = solve_banded((1, 1), _jacobian(Lb, f, w, lam), -res)
+            delta = solve_banded(_jacobian(Lb, f, w, lam), -res)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(delta)):
@@ -220,7 +221,7 @@ def _inverse_iteration(ab, weights, v, sigma, stop):
         shifted = ab.copy()
         shifted[1] -= sigma
         try:
-            y = solve_banded((1, 1), shifted, v)
+            y = solve_banded(shifted, v, overwrite_ab=True)
         except np.linalg.LinAlgError:
             sigma -= max(1.0, abs(sigma)) * 1e-8
             continue
@@ -359,7 +360,7 @@ class _Curve:
                 return w, lam
             glam = self.f / gap**2
             try:
-                ab = solve_banded((1, 1), _jacobian(self.Lb, self.f, w, lam), np.column_stack((R, glam)))
+                ab = solve_banded(_jacobian(self.Lb, self.f, w, lam), np.column_stack((R, glam)))
             except np.linalg.LinAlgError:
                 return None
             if not np.all(np.isfinite(ab)):
@@ -414,9 +415,9 @@ class _Curve:
             d1 = 6.0 * lam * self.f / gap**4 * phi
             d2 = 2.0 * self.f / gap**3 * phi
             try:
-                u = solve_banded((1, 1), Jb, np.column_stack((-G, -glam)))
+                u = solve_banded(Jb, np.column_stack((-G, -glam)))
                 u0, u1 = u[:, 0], u[:, 1]
-                v = solve_banded((1, 1), Jb, np.column_stack((-H - d1 * u0, -(d1 * u1 + d2))))
+                v = solve_banded(Jb, np.column_stack((-H - d1 * u0, -(d1 * u1 + d2))))
                 v0, v1 = v[:, 0], v[:, 1]
             except np.linalg.LinAlgError:
                 return None
@@ -468,7 +469,7 @@ def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBra
     states = [curve.state(w, lam)]
 
     # tangent at the trivial point: dw/dlam solves lap(dw) = -f
-    dwdlam = solve_banded((1, 1), curve.Lb, -curve.f)
+    dwdlam = solve_banded(curve.Lb, -curve.f)
     nrm = curve.norm(dwdlam, 1.0)
     tau_w, tau_lam = dwdlam / nrm, 1.0 / nrm
 
@@ -522,22 +523,24 @@ def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
     return Fold(fold_state=fold_state, lambda_star=fold_state.lam, w_star=fold_state.w, phi_star=phi, psi_star=psi)
 
 
-# node count of the walk behind `locate_fold` on finer meshes
+# node count of the walk behind `locate_fold` on meshes finer than
+# FULL_WALK_NODES; below about 600 nodes the full walk costs less
 COARSE_NODES = 401
+FULL_WALK_NODES = 600
 
 
 def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
     """The fold of `continue_branch`, without its states on `mesh`.
 
-    Up to COARSE_NODES nodes this is `continue_branch` itself.  On a finer
-    mesh the branch is walked on COARSE_NODES nodes (nested iteration):
+    Up to FULL_WALK_NODES nodes this is `continue_branch` itself.  On a
+    finer mesh the branch is walked on COARSE_NODES nodes (nested iteration):
     the coarse w* and phi*, interpolated onto `mesh`, start one
     `_Curve.fold_polish` at the coarse lambda_star, which lands on the
     same discrete fold as the full walk's polish.  If that polish fails,
     the whole branch is walked on `mesh`.  A failed coarse walk raises
     as `continue_branch` does.
     """
-    if mesh.node_count <= COARSE_NODES:
+    if mesh.node_count <= FULL_WALK_NODES:
         return continue_branch(profile, mesh, ds)
     coarse = continue_branch(profile, build_mesh(mesh.geometry, COARSE_NODES), ds)
     x, xc, inner = mesh.nodes, coarse.w_star.mesh.nodes, mesh.unknown_slice
@@ -550,8 +553,8 @@ def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
 
 
 def states_to_csv(states, path) -> None:
-    """(lambda, sup_w, mu1) rows, one per state; a missing mu1 is written nan."""
-    rows = [(s.lam, s.sup_w, s.mu1 if s.mu1 is not None else np.nan) for s in states]
+    """(lambda, sup_w, mu1) rows, one per state; a None mu1 is an empty cell."""
+    rows = [(s.lam, s.sup_w, s.mu1) for s in states]
     csvio.write_rows(path, "lambda,sup_w,mu1", rows)
 
 

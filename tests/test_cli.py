@@ -420,6 +420,15 @@ def test_bounds_report_above_and_below_fold(tmp_path):
     assert "no finite touchdown" in rep2["flags"]["T_L"]
 
 
+@pytest.mark.parametrize("argv", [["steady"], ["simulate"], ["bounds", "--lambda", "30"]])
+def test_one_unknown_slab_runs(tmp_path, argv):
+    # a 3-node slab has one unknown, so every banded solve is 1 x 1
+    cfg = write_config(tmp_path, "one.json", {
+        "node_count": 3, "lambda": 5.0, "profile": {"kind": "constant", "value": 1.0},
+    })
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "one_out")]) == 0
+
+
 @pytest.mark.parametrize("argv", [["steady"], ["bounds", "--lambda", "60"]])
 def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, argv):
     # the eigen solve on a 9-ball stalls far above its residual target
@@ -429,7 +438,7 @@ def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, argv):
 
 
 def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
-    # above COARSE_NODES nodes bounds and sweep take the fold from a walk on
+    # above FULL_WALK_NODES nodes bounds and sweep take the fold from a walk on
     # COARSE_NODES nodes; a StepFailure there ends bounds with exit 3 and
     # leaves sweep rows with the large-lam sandwich alone
     walk = steady.continue_branch

@@ -114,16 +114,17 @@ def test_write_max_history_matches_oracle(tmp_path):
     assert path.read_text().splitlines()[1] == "0,0,nan"
 
 
-def test_branch_to_csv_missing_mu1_is_nan(tmp_path, branch_f1_401):
+def test_branch_to_csv_missing_mu1_is_blank(tmp_path, branch_f1_401):
     states = tuple(
         dataclasses.replace(s, mu1=None) if k % 3 == 0 else s for k, s in enumerate(branch_f1_401.states)
     )
     branch = dataclasses.replace(branch_f1_401, states=states)
     path = tmp_path / "branch.csv"
     branch_to_csv(branch, path)
-    rows = [(s.lam, s.sup_w, s.mu1 if s.mu1 is not None else np.nan) for s in states]
+    rows = [(s.lam, s.sup_w, s.mu1) for s in states]
     assert read_bytes(path) == oracle_rows("lambda,sup_w,mu1", rows)
-    assert path.read_text().splitlines()[1].endswith(",nan")
+    lines = path.read_text().splitlines()
+    assert lines[1].endswith(",") and not lines[2].endswith(",")
 
 
 def write_config(tmp_path, name, payload):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import linalg
 
 from quenchlab.mesh import (
     Field,
@@ -16,6 +17,7 @@ from quenchlab.mesh import (
     build_mesh,
     integrate,
     laplacian_bands,
+    solve_banded,
     sphere_area,
 )
 
@@ -197,3 +199,62 @@ def test_mesh_rejects_nonuniform():
         from quenchlab.mesh import Mesh
 
         Mesh(geometry=Slab(0.0, 1.0), nodes=nodes, h=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the banded solve
+
+
+def _banded_system(geometry, unknowns, columns, seed):
+    """Laplacian bands with a random diagonal added (indefinite, so dgtsv
+    pivots) and a random right-hand side of 1 or 2 columns."""
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(geometry, unknowns + (1 if isinstance(geometry, RadialBall) else 2))
+    ab = laplacian_bands(mesh)
+    assert ab.shape == (3, unknowns)
+    ab[1] += rng.standard_normal(unknowns) * np.max(np.abs(ab[1]))
+    b = rng.standard_normal(unknowns if columns == 1 else (unknowns, columns))
+    return ab, b
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("geometry,unknowns", [
+    (Slab(-0.5, 0.5), 1), (Slab(-0.5, 0.5), 2), (Slab(-0.5, 0.5), 399), (Slab(-0.5, 0.5), 6000),
+    (RadialBall(3, 1.0), 2), (RadialBall(3, 1.0), 399), (RadialBall(3, 1.0), 6000),
+])
+def test_solve_banded_is_scipy_bitwise(geometry, unknowns, columns):
+    ab, b = _banded_system(geometry, unknowns, columns, seed=unknowns + columns)
+    ab0, b0 = ab.copy(), b.copy()
+    want = linalg.solve_banded((1, 1), ab, b)
+    got = solve_banded(ab, b)
+    assert got.shape == want.shape == b.shape
+    assert got.tobytes() == want.tobytes()
+    # without the overwrite flags the operands are left as they were
+    assert ab.tobytes() == ab0.tobytes() and b.tobytes() == b0.tobytes()
+    assert solve_banded(ab0.copy(), b0.copy(), overwrite_ab=True, overwrite_b=True).tobytes() == want.tobytes()
+
+
+def test_solve_banded_singular_raises():
+    for ab in (np.zeros((3, 2)), np.ones((3, 2)), np.zeros((3, 399))):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_banded(ab, np.ones(ab.shape[1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("operand", ["ab", "b"])
+@pytest.mark.parametrize("unknowns", [1, 399])
+def test_solve_banded_rejects_non_finite(operand, bad, unknowns):
+    ab, b = _banded_system(Slab(-0.5, 0.5), unknowns, 1, seed=0)
+    if operand == "ab":
+        ab[1, -1] = bad
+    else:
+        b[-1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_banded(ab, b)
+
+
+def test_solve_banded_rejects_mismatched_shapes():
+    ab, b = _banded_system(Slab(-0.5, 0.5), 399, 2, seed=0)
+    for args in ((ab, b[:-1]), (ab[:, :-1], b), (ab[:2], b), (np.vstack((ab, ab[:1])), b)):
+        with pytest.raises(ValueError, match="shapes"):
+            solve_banded(*args)

@@ -287,6 +287,24 @@ def test_locate_fold_falls_back_to_the_full_walk(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_locate_fold_walks_small_meshes_in_full(monkeypatch):
+    # up to FULL_WALK_NODES nodes the fold is the full walk's; one node
+    # more and the branch is walked on COARSE_NODES nodes instead
+    walk = steady.continue_branch
+    walked = []
+
+    def recorded(profile, mesh, ds=0.02):
+        walked.append(mesh.node_count)
+        return walk(profile, mesh, ds)
+
+    monkeypatch.setattr(steady, "continue_branch", recorded)
+    n = steady.FULL_WALK_NODES
+    assert steady.COARSE_NODES < n
+    assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n))) is steady.SteadyBranch
+    assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n + 1))) is steady.Fold
+    assert walked == [n, steady.COARSE_NODES]
+
+
 @pytest.mark.parametrize("geometry,profile", [
     (Slab(-0.5, 0.5), Constant(1.0)),
     (Slab(-0.5, 0.5), SlabSinPiecewise()),

@@ -5,8 +5,13 @@ name in src/quenchlab somewhere other than its own `def` or `class`
 line (the `__all__` entries are strings and do not count).  A public
 function that nothing in the package calls fails here unless the
 allowlist below names it with its reason.
+
+Every banded solve goes through `mesh.solve_banded`: no module imports
+a solver from scipy.linalg, and `dynamics` and `steady` look the kernel
+up under that name (the benchmark tracer wraps it there).
 """
 
+import ast
 import functools
 import importlib
 import pkgutil
@@ -60,3 +65,20 @@ def test_allowlist_is_current():
         mod = importlib.import_module("quenchlab." + modname)
         assert name in mod.__all__, (modname, name)
         assert not references().get(name), "%s.%s is used now (%s)" % (modname, name, reason)
+
+
+def test_one_banded_solve_path():
+    from quenchlab import dynamics, mesh, steady
+
+    assert dynamics.solve_banded is mesh.solve_banded
+    assert steady.solve_banded is mesh.solve_banded
+    # only the kernel's own LAPACK routine comes from scipy.linalg
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.linalg"):
+                imports += [(path.stem, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imports += [(path.stem, alias.name, None) for alias in node.names
+                            if alias.name.startswith("scipy.linalg")]
+    assert imports == [("mesh", "scipy.linalg.lapack", "dgtsv")]
