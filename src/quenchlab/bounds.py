@@ -45,7 +45,6 @@ __all__ = [
     "large_lambda_bounds",
     "evaluate_all",
     "ingredients",
-    "bounds_report_to_dict",
 ]
 
 _VANISH_TOL = 1e-12
@@ -417,24 +416,3 @@ def evaluate_all(
         ordering_lower_pass=lower_ok,
         ordering_upper_pass=upper_ok,
     )
-
-
-def bounds_report_to_dict(report: BoundsReport) -> dict:
-    return {
-        "lambda": report.lam,
-        "lambda_star": report.lambda_star,
-        "bound_1_2": report.bound_1_2,
-        "T_L": report.T_L,
-        "T1_simplified": report.T1_simplified,
-        "T1_arctan": report.T1_arctan,
-        "large_lambda_lower": report.large_lambda_lower,
-        "large_lambda_upper": report.large_lambda_upper,
-        "epsilon": report.epsilon,
-        "delta": report.delta,
-        "location_exponent": report.location_exponent,
-        "location_lhs": list(report.location_lhs),
-        "flags": dict(report.flags),
-        "T_measured": report.T_measured,
-        "ordering_lower_pass": report.ordering_lower_pass,
-        "ordering_upper_pass": report.ordering_upper_pass,
-    }

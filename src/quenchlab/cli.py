@@ -269,7 +269,7 @@ def _write_run_record(out: str, command: str, cfg: dict, files: List[str], start
         "command": command,
         "config": _sanitize(cfg),
         "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished": _now(),
         "files": {os.path.relpath(p, out): _sha256(p) for p in sorted(files)},
     }
     if stats is not None:
@@ -336,7 +336,6 @@ def cmd_simulate(cfg: dict) -> int:
         StepLimit,
         StepUnderflow,
         integrate,
-        quench_report_to_dict,
         write_max_history,
         write_snapshots,
     )
@@ -356,14 +355,14 @@ def cmd_simulate(cfg: dict) -> int:
     write_max_history(traj, hist_path)
     files.append(hist_path)
     quench_path = os.path.join(out, "quench.json")
-    _write_json(quench_path, {"lambda": lam, **quench_report_to_dict(report)})
+    _write_json(quench_path, {"lambda": lam, **dataclasses.asdict(report)})
     files.append(quench_path)
     _write_run_record(out, "simulate", cfg, files, started, traj.stats)
     return EXIT_OK
 
 
 def cmd_bounds(cfg: dict) -> int:
-    from .bounds import bounds_report_to_dict, evaluate_all
+    from .bounds import evaluate_all
     from .steady import IterationLimit, StepFailure, locate_fold
 
     started = _now()
@@ -378,7 +377,9 @@ def cmd_bounds(cfg: dict) -> int:
         return EXIT_SOLVER
     report = evaluate_all(lam, fold, profile, mesh)
     path = os.path.join(out, "bounds.json")
-    _write_json(path, bounds_report_to_dict(report))
+    fields = dataclasses.asdict(report)
+    fields["lambda"] = fields.pop("lam")
+    _write_json(path, fields)
     _write_run_record(out, "bounds", cfg, [path], started)
     return EXIT_OK
 

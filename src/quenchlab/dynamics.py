@@ -54,7 +54,6 @@ __all__ = [
     "write_snapshots",
     "write_max_history",
     "read_trajectory",
-    "quench_report_to_dict",
 ]
 
 
@@ -515,17 +514,3 @@ def read_trajectory(directory, mesh: Mesh, lam: float) -> Trajectory:
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise MissingInput("damaged run directory %s: %s" % (directory, exc))
     return Trajectory(float(lam), mesh, times, values, history)
-
-
-def quench_report_to_dict(report: QuenchReport) -> dict:
-    return {
-        "quenched": report.quenched,
-        "T": report.T,
-        "quench_set": list(report.quench_set),
-        "M": report.M,
-        "p": report.p,
-        "fit_residual": report.fit_residual,
-        "last_resolved_gap": report.last_resolved_gap,
-        "decades": report.decades,
-        "low_confidence": report.low_confidence,
-    }

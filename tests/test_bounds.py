@@ -20,7 +20,6 @@ from quenchlab.bounds import (
     bound_gg2,
     bound_lower_TL,
     bound_upper_T1,
-    bounds_report_to_dict,
     dirichlet_eigenvalue_ball,
     evaluate_all,
     ingredients,
@@ -332,15 +331,3 @@ def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):
     assert rep.T1_arctan is None
     assert "vanishes" in rep.flags["T1"]
     assert rep.T_L is not None  # the lower estimate needs no positivity
-
-
-def test_report_dict_round_trip(branch_f1_401):
-    mesh = build_mesh(Slab(-0.5, 0.5), 401)
-    rep = evaluate_all(2.0, branch_f1_401, Constant(1.0), mesh)
-    d = bounds_report_to_dict(rep)
-    assert d["lambda"] == 2.0
-    assert d["T_L"] == rep.T_L
-    assert isinstance(d["flags"], dict)
-    assert set(d) >= {"lambda", "lambda_star", "bound_1_2", "T_L",
-                      "T1_simplified", "T1_arctan", "large_lambda_lower",
-                      "large_lambda_upper", "epsilon", "delta", "flags"}

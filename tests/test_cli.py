@@ -227,6 +227,8 @@ def test_simulate_quenching_run(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
 
     quench = read_json(os.path.join(out, "quench.json"))
+    assert set(quench) == {"lambda", "quenched", "T", "quench_set", "M", "p",
+                           "fit_residual", "last_resolved_gap", "decades", "low_confidence"}
     assert quench["quenched"] is True
     assert quench["T"] == pytest.approx(0.081, abs=0.01)
     assert quench["quench_set"] == pytest.approx([0.0], abs=1e-9)
@@ -407,6 +409,12 @@ def test_bounds_report_above_and_below_fold(tmp_path):
     out = str(tmp_path / "b_out")
     assert main(["bounds", "--config", cfg, "--out", out]) == 0
     rep = read_json(os.path.join(out, "bounds.json"))
+    assert set(rep) == {"lambda", "lambda_star", "bound_1_2", "T_L",
+                        "T1_simplified", "T1_arctan", "large_lambda_lower",
+                        "large_lambda_upper", "epsilon", "delta", "location_exponent",
+                        "location_lhs", "flags", "T_measured", "ordering_lower_pass",
+                        "ordering_upper_pass"}
+    assert isinstance(rep["flags"], dict)
     assert rep["lambda"] == 2.0
     assert rep["lambda_star"] == pytest.approx(1.40, abs=0.01)
     assert rep["T_L"] is not None and rep["T1_arctan"] is not None

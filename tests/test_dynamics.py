@@ -21,7 +21,6 @@ from quenchlab.dynamics import (
     detect_quench,
     eta_quench_time,
     integrate,
-    quench_report_to_dict,
     rate_fit,
     write_max_history,
     write_snapshots,
@@ -538,10 +537,7 @@ def test_write_max_history_format(tmp_path):
     assert len(lines) == 5
 
 
-def test_report_dict_keys(quench_run_201):
+def test_report_confidence_matches_rate_fit(quench_run_201):
     traj, rep = quench_run_201
-    d = quench_report_to_dict(rep)
-    assert set(d) == {"quenched", "T", "quench_set", "M", "p",
-                      "fit_residual", "last_resolved_gap", "decades", "low_confidence"}
     fit = rate_fit(traj, rep.quench_set[0], rep.T)
-    assert (d["decades"], d["low_confidence"]) == (fit.decades, fit.low_confidence)
+    assert (rep.decades, rep.low_confidence) == (fit.decades, fit.low_confidence)

@@ -8,7 +8,9 @@ allowlist below names it with its reason.
 
 Every banded solve goes through `mesh.solve_banded`: no module imports
 a solver from scipy.linalg, and `dynamics` and `steady` look the kernel
-up under that name (the benchmark tracer wraps it there).
+up under that name (the benchmark tracer wraps it there).  In `steady`,
+the operator G and its Jacobian are used only by the curve kit `_Curve`,
+whose corrector is the one Newton, and by the eigen solve.
 """
 
 import ast
@@ -82,3 +84,13 @@ def test_one_banded_solve_path():
                 imports += [(path.stem, alias.name, None) for alias in node.names
                             if alias.name.startswith("scipy.linalg")]
     assert imports == [("mesh", "scipy.linalg.lapack", "dgtsv")]
+
+
+def test_one_steady_newton():
+    # solve_minimal and continue_branch reach G = 0 through _Curve.correct
+    callers = set()
+    for top in ast.parse((SRC / "steady.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_residual", "_jacobian"):
+                callers.add(top.name)
+    assert callers <= {"_Curve", "linearized_eigenpair"}, callers
