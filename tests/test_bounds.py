@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from quenchlab.bounds import (
+    BoundsReport,
     DomainError,
     NotApplicable,
     blowup_time_F,
@@ -331,3 +332,17 @@ def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):
     assert rep.T1_arctan is None
     assert "vanishes" in rep.flags["T1"]
     assert rep.T_L is not None  # the lower estimate needs no positivity
+
+
+def test_report_dict_round_trip(branch_f1_401):
+    # bounds.json is written from dataclasses.asdict of the report
+    mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    rep = evaluate_all(2.0, branch_f1_401, Constant(1.0), mesh)
+    d = dataclasses.asdict(rep)
+    assert d["lam"] == 2.0
+    assert d["T_L"] == rep.T_L
+    assert isinstance(d["flags"], dict)
+    assert set(d) >= {"lam", "lambda_star", "bound_1_2", "T_L",
+                      "T1_simplified", "T1_arctan", "large_lambda_lower",
+                      "large_lambda_upper", "epsilon", "delta", "flags"}
+    assert BoundsReport(**d) == rep
