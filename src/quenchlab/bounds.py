@@ -1,14 +1,15 @@
 """Analytic touchdown-time and touchdown-location estimates.
 
-Every estimate is assembled from computed steady data (fold value
-lambda_star, extremal state w*, eigenfunctions phi*/psi*) and profile
-metadata (sup f, inf f, Holder constant K).  `evaluate_all` is the one
-place that assembles them.  Per call it samples sup f and K once (the
-large-lam sandwich carries them), builds the fold constants once (see
-`ingredients`), and hands both to each formula.  The single-estimate
-functions are thin entry points over the same formulas.  Nothing here
-integrates in time; measured touchdown times enter only for the ordering
-checks in `evaluate_all`.
+Every estimate is assembled from two kinds of input.  The fold constants
+(see `ingredients`) come from computed steady data (fold value
+lambda_star, extremal state w*, eigenfunctions phi*/psi*) and f on the
+mesh; they do not depend on lam.  sup f and the Holder constant K of the
+profile are sampled once, in `large_lambda_bounds`; the large-lam
+sandwich and the touchdown-location defect read them from there.
+`evaluate_all` is the one place that assembles both and hands them to
+each formula.  The single-estimate functions are thin entry points over
+the same formulas.  Nothing here integrates in time; measured touchdown
+times enter only for the ordering checks in `evaluate_all`.
 
 Field and column names ending in _1_2, _2_6, _1_7 are interface tokens
 identifying the individual estimates; they carry no meaning beyond
@@ -64,8 +65,10 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BoundIngredients:
-    """Constants of the estimates.  J_26 and I2_26 are None when f vanishes
-    at a node carrying psi* mass; M is sup f and inf_f the nodal minimum."""
+    """Fold constants of the estimates, built from the fold data and f on the
+    mesh; they do not depend on lam.  sup f and K are not among them: they
+    are sampled once, in `large_lambda_bounds`.  J_26 and I2_26 are None
+    when f vanishes at a node carrying psi* mass; inf_f is the nodal minimum."""
 
     sup_phi_star: float
     sup_weight: float
@@ -74,12 +77,7 @@ class BoundIngredients:
     J_26: Optional[float]
     E0: float
     I2_26: Optional[float]
-    M: float
     inf_f: float
-    K: float
-    D_N: float
-    epsilon_of_lambda: float
-    delta_of_lambda: float
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ def _upper_T1(lam: float, star: float, ing: BoundIngredients, mesh: Mesh, form: 
 def _fold_ingredients(lam: float, fold: Fold, profile: Profile) -> BoundIngredients:
     if lam <= fold.lambda_star:
         raise DomainError("requires lam > lambda_star")
-    return ingredients(fold, profile, lam, profile.holder_exponent, fold.w_star.mesh.dimension)
+    return ingredients(fold, profile)
 
 
 def bound_lower_TL(lam: float, fold: Fold, profile: Profile) -> float:
@@ -281,18 +279,8 @@ def large_lambda_bounds(
     return LargeLambdaBounds(lower, upper, eps, delta, upper is not None, exponent, coeff, sup_f, K)
 
 
-def ingredients(
-    fold: Fold, profile: Profile, lam: float, alpha: float, dimension: int
-) -> BoundIngredients:
-    """All aggregate constants entering the estimates, at one lam."""
-    ll = large_lambda_bounds(lam, profile, alpha, dimension)
-    return _ingredients(fold, profile, ll, dimension)
-
-
-def _ingredients(
-    fold: Fold, profile: Profile, ll: LargeLambdaBounds, dimension: int
-) -> BoundIngredients:
-    """The constants of the estimates; f is evaluated on the mesh once."""
+def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:
+    """The fold constants of the estimates; f is evaluated on the mesh once."""
     mesh = fold.w_star.mesh
     f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
     wstar = fold.w_star.values
@@ -311,12 +299,7 @@ def _ingredients(
         J_26=J,
         E0=float(integrate(Field(mesh, psi * wstar))),
         I2_26=None if J is None else 3.0 * fold.lambda_star / J,
-        M=ll.sup_f,
         inf_f=float(f.min()),
-        K=float(ll.K),
-        D_N=dirichlet_eigenvalue_ball(dimension),
-        epsilon_of_lambda=ll.epsilon,
-        delta_of_lambda=ll.delta,
     )
 
 
@@ -353,7 +336,7 @@ def evaluate_all(
             upper = None
             flags["large_lambda_upper"] = reason
     else:
-        ing = _ingredients(fold, profile, ll, mesh.dimension)
+        ing = ingredients(fold, profile)
         try:
             b12 = bound_gg2(lam, star, ing.inf_f)
             flags["bound_1_2"] = "ok"
@@ -376,7 +359,7 @@ def evaluate_all(
                 # (sup f)^(1/3) - f(a)^(1/3) per touchdown point a; only its decay
                 # exponent alpha/(2+alpha) is certified, no prefactor is invented
                 loc_lhs = tuple(
-                    float(ing.M ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
+                    float(ll.sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
                     for a in quench_report.quench_set
                 )
                 loc_exp = alpha / (2.0 + alpha)

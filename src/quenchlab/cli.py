@@ -82,6 +82,13 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError("unknown %s key(s): %s" % (where, ", ".join(unknown)))
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is an int; a bool, float or string is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer" % what)
+    return value
+
+
 def load_config(path: Optional[str], overrides: dict) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -133,7 +140,7 @@ def build_geometry(spec: dict) -> Geometry:
         if kind == "slab":
             return Slab(float(spec.get("x_left", -0.5)), float(spec.get("x_right", 0.5)))
         if kind == "ball":
-            return RadialBall(int(spec["dimension"]), float(spec.get("radius", 1.0)))
+            return RadialBall(_integer(spec["dimension"], "dimension"), float(spec.get("radius", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad geometry: %s" % exc)
     raise ConfigError("geometry kind must be 'slab' or 'ball'")
@@ -182,10 +189,7 @@ def build_time(spec: dict):
 
 
 def _build_mesh(cfg: dict) -> Mesh:
-    try:
-        node_count = int(cfg["node_count"])
-    except (TypeError, ValueError):
-        raise ConfigError("node_count must be an integer")
+    node_count = _integer(cfg["node_count"], "node_count")
     geometry = build_geometry(cfg["geometry"])
     try:
         return build_mesh(geometry, node_count)
@@ -197,7 +201,7 @@ def _validated(cfg: dict) -> Tuple[Mesh, Profile]:
     mesh = _build_mesh(cfg)
     profile = build_profile(cfg["profile"])
     try:
-        validate_profile(profile, mesh, collar=0.1)
+        validate_profile(profile, mesh)
     except IncompatibleGeometry as exc:
         raise ConfigError("profile incompatible with geometry: %s" % exc)
     return mesh, profile
@@ -407,10 +411,7 @@ def cmd_sweep(cfg: dict) -> int:
     ds = _ds(cfg)
     tc = build_time(cfg["time"])
     out = _outdir(cfg)
-    try:
-        workers = int(cfg["workers"])
-    except (TypeError, ValueError):
-        raise ConfigError("workers must be an integer")
+    workers = _integer(cfg["workers"], "workers")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
 

@@ -2,9 +2,7 @@
 
 Admissible profiles take values in [0,1], are positive on a set of
 positive measure, and are Hoelder continuous with some exponent
-alpha in (0,1].  A second, optional condition asks f to be nonincreasing
-toward the boundary (outward normal derivative <= 0) inside a collar;
-quench-location results assume it.
+alpha in (0,1].
 
 The built-in kinds:
 
@@ -32,7 +30,6 @@ __all__ = [
     "SlabSinPiecewise",
     "Tabulated",
     "Profile",
-    "ProfileReport",
     "IncompatibleGeometry",
     "evaluate",
     "validate",
@@ -185,17 +182,13 @@ def tabulated_from_csv(path, holder_exponent: float = 1.0) -> Tabulated:
     return Tabulated(data[:, 0], data[:, 1], holder_exponent=holder_exponent)
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    sup_f: float
-    argmax: Tuple[float, ...]
-    inf_f: float
-    holder_constant: float
-    satisfies_1_1: bool       # range, regularity, and positivity condition
-    satisfies_1_9: bool       # nonincreasing toward the boundary in the collar
+def validate(profile: Profile, mesh: Mesh) -> None:
+    """Check that the profile is defined on the mesh and lies in [0,1] at its nodes.
 
-
-def _check_geometry(profile: Profile, mesh: Mesh) -> None:
+    Raises IncompatibleGeometry when the mesh leaves the profile's domain
+    (or SlabSinPiecewise meets any geometry but the slab (-1/2, 1/2)), and
+    ValueError when a nodal value escapes [0,1].
+    """
     if isinstance(profile, SlabSinPiecewise):
         g = mesh.geometry
         ok = isinstance(g, Slab) and abs(g.x_left + 0.5) < 1e-12 and abs(g.x_right - 0.5) < 1e-12
@@ -204,48 +197,7 @@ def _check_geometry(profile: Profile, mesh: Mesh) -> None:
     lo, hi = profile.domain()
     if mesh.nodes[0] < lo - 1e-12 or mesh.nodes[-1] > hi + 1e-12:
         raise IncompatibleGeometry("mesh extends beyond the profile's domain")
-
-
-def validate(profile: Profile, mesh: Mesh, collar: float) -> ProfileReport:
-    """Evaluate admissibility on the mesh nodes.
-
-    The boundary condition check walks one-sided differences inside a
-    collar of the given width: moving outward, f must not increase
-    (tolerance 1e-12).  sup/inf/argmax are node extrema, so they carry
-    an O(h^alpha) approximation error.
-    """
-    if collar <= 0:
-        raise ValueError("collar width must be positive")
-    _check_geometry(profile, mesh)
-    vals = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    sup_f = float(vals.max())
-    inf_f = float(vals.min())
-    argmax = tuple(float(x) for x in mesh.nodes[vals >= sup_f - 1e-12])
-    in_range = inf_f >= -1e-12 and sup_f <= 1.0 + 1e-12
-    positive_somewhere = bool(np.any(vals > 1e-12))
-    K = holder_constant(profile, profile.holder_exponent, max(mesh.node_count, 1001))
-    satisfies_1_1 = in_range and positive_somewhere and np.isfinite(K)
-
-    x = mesh.nodes
-    ok_19 = True
-    # outward means +x (or +r) at the right end, -x at a slab's left end
-    right = x >= x[-1] - collar
-    idx = np.nonzero(right)[0]
-    if idx.size >= 2:
-        ok_19 &= bool(np.all(np.diff(vals[idx]) <= 1e-12))
-    if not mesh.is_radial:
-        left = x <= x[0] + collar
-        idx = np.nonzero(left)[0]
-        if idx.size >= 2:
-            ok_19 &= bool(np.all(np.diff(vals[idx]) >= -1e-12))
-    return ProfileReport(
-        sup_f=sup_f,
-        argmax=argmax,
-        inf_f=inf_f,
-        holder_constant=K,
-        satisfies_1_1=bool(satisfies_1_1),
-        satisfies_1_9=bool(ok_19),
-    )
+    evaluate(profile, mesh.nodes)
 
 
 def holder_constant(profile: Profile, alpha: float, sample_count: int) -> float:

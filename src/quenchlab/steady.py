@@ -85,7 +85,6 @@ class Eigenpair:
 
     eigenvalue: float
     eigenfunction: Field
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ def linearized_eigenpair(
     f = _interior_forcing(profile, mesh)
     ab = -_jacobian(laplacian_bands(mesh), f, wi, state.lam)
     wq = mesh.weights[mesh.unknown_slice]
-    mu, v, res = smallest_eigenvalue_bands(ab, wq, start=start)
+    mu, v, _ = smallest_eigenvalue_bands(ab, wq, start=start)
     full = _embed(mesh, v)
     scale = np.sqrt(integrate(Field(mesh, full.values**2)))
     if scale <= 0:
@@ -299,7 +298,6 @@ def linearized_eigenpair(
     return Eigenpair(
         eigenvalue=float(mu),
         eigenfunction=Field(mesh, full.values / scale),
-        residual=float(res),
     )
 
 

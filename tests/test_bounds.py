@@ -260,21 +260,19 @@ def test_location_empty_set_is_blank(branch_falpha_801):
 
 
 def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
-    ing = ingredients(branch_f1_401, Constant(1.0), 5.0, 1.0, 1)
+    ing = ingredients(branch_f1_401, Constant(1.0))
     assert 0.0 < ing.E0 < 1.0
-    assert ing.M == 1.0
-    assert ing.K == 0.0
-    assert ing.D_N == math.pi**2 / 4.0
     assert ing.I2_26 == pytest.approx(3.0 * branch_f1_401.lambda_star / ing.J_26,
                                       rel=1e-14)
     assert ing.I1_26 > 0.0 and ing.J_26 > 0.0
-    # the K of ingredients is the K behind evaluate_all's epsilon, bitwise
+    # sup f and K are sampled once, in large_lambda_bounds: evaluate_all's
+    # epsilon is the sandwich's, bitwise
     f = SlabSinPiecewise()
-    ing = ingredients(branch_falpha_801, f, 1e5, f.holder_exponent, 1)
+    ing = ingredients(branch_falpha_801, f)
     rep = evaluate_all(1e5, branch_falpha_801, f, branch_falpha_801.w_star.mesh)
-    assert ing.K > 0.0
-    assert ing.epsilon_of_lambda == rep.epsilon
-    assert large_lambda_bounds(1e5, f, 1.0, 1, K=ing.K).epsilon == rep.epsilon
+    ll = large_lambda_bounds(1e5, f, f.holder_exponent, 1)
+    assert ll.K > 0.0
+    assert ll.epsilon == rep.epsilon
     # f vanishes where psi* has mass: J and I2 are undefined
     assert ing.J_26 is None and ing.I2_26 is None
 

@@ -146,6 +146,14 @@ RUNS = {
     ("simulate", {"time": {"dt_max": 0.01}}),
     ("simulate", {"time": {"dt_initial": 1e-6}}),
     ("simulate", {"time": {"eta_step": 1000}}),
+    # integer fields take JSON integers only, as time.snapshot_stride does
+    ("steady", {"node_count": 101.7}),
+    ("steady", {"node_count": "101"}),
+    ("steady", {"node_count": True}),
+    ("steady", {"geometry": {"kind": "ball", "dimension": 2.5}}),
+    ("steady", {"geometry": {"kind": "ball", "dimension": "2"}}),
+    ("sweep", {"workers": 1.9, "lambda_grid": [4.0]}),
+    ("sweep", {"workers": True, "lambda_grid": [4.0]}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")

@@ -89,49 +89,17 @@ def test_eval_in_unit_range_property(x):
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-
-def test_validate_constant():
-    mesh = build_mesh(Slab(-0.5, 0.5), 101)
-    rep = validate(Constant(1.0), mesh, collar=0.1)
-    assert rep.sup_f == rep.inf_f == 1.0
-    assert rep.satisfies_1_1 and rep.satisfies_1_9
-    assert rep.holder_constant == 0.0
-
-
-def test_validate_sin_piecewise():
-    mesh = build_mesh(Slab(-0.5, 0.5), 2001)
-    rep = validate(SlabSinPiecewise(), mesh, collar=0.1)
-    assert rep.sup_f == pytest.approx(1.0, abs=1e-12)
-    assert rep.inf_f == pytest.approx(0.0, abs=1e-12)
-    assert set(rep.argmax) == {-0.25, 0.25}
-    assert rep.satisfies_1_1
-    assert rep.satisfies_1_9
-
-
-def test_validate_power_outward_increase():
-    mesh = build_mesh(Slab(-1.0, 1.0), 401)
-    rep = validate(Power(2.0), mesh, collar=0.2)
-    assert set(rep.argmax) == {-1.0, 1.0}
-    assert not rep.satisfies_1_9
-    assert rep.satisfies_1_1
+# geometry check
 
 
 def test_validate_geometry_mismatch():
+    assert validate(SlabSinPiecewise(), build_mesh(Slab(-0.5, 0.5), 11)) is None
     with pytest.raises(IncompatibleGeometry):
-        validate(SlabSinPiecewise(), build_mesh(Slab(0.0, 1.0), 11), collar=0.1)
+        validate(SlabSinPiecewise(), build_mesh(Slab(0.0, 1.0), 11))
     with pytest.raises(IncompatibleGeometry):
-        validate(SlabSinPiecewise(), build_mesh(RadialBall(2, 1.0), 11), collar=0.1)
+        validate(SlabSinPiecewise(), build_mesh(RadialBall(2, 1.0), 11))
     with pytest.raises(IncompatibleGeometry):
-        validate(Power(2.0), build_mesh(Slab(-2.0, 2.0), 11), collar=0.1)
-
-
-def test_validate_radial_collar():
-    mesh = build_mesh(RadialBall(3, 1.0), 101)
-    rep = validate(Power(2.0), mesh, collar=0.2)
-    # on a ball the only outward direction is +r, where |r|^2 increases
-    assert not rep.satisfies_1_9
+        validate(Power(2.0), build_mesh(Slab(-2.0, 2.0), 11))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Every banded solve goes through `mesh.solve_banded`: no module imports
 a solver from scipy.linalg, and `dynamics` and `steady` look the kernel
 up under that name (the benchmark tracer wraps it there).  In `steady`,
 the operator G and its Jacobian are used only by the curve kit `_Curve`,
-whose corrector is the one Newton, and by the eigen solve.
+whose corrector is the one Newton, and by the eigen solve.  The
+profile's Hoelder constant is sampled only by the large-lam sandwich.
 """
 
 import ast
@@ -94,3 +95,14 @@ def test_one_steady_newton():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_residual", "_jacobian"):
                 callers.add(top.name)
     assert callers <= {"_Curve", "linearized_eigenpair"}, callers
+
+
+def test_one_holder_sampling():
+    # sup f and K are sampled in bounds.large_lambda_bounds and nowhere else
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holder_constant":
+                    callers.add((path.stem, top.name))
+    assert callers == {("bounds", "large_lambda_bounds")}, callers
