@@ -6,8 +6,11 @@ keys.  All data files are deterministic for a fixed config and version
 (timestamps live only in run.json), use '.' decimals, LF line endings,
 and carry header rows.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 missing
-input.
+Each subcommand checks every value it reads, solves, and only then
+makes its output directory and writes its files; `main` writes run.json
+and is the one place where a failure becomes an exit code: 0 success,
+2 `ConfigError`, 3 `csvio.SolverFailure`, 4 `csvio.MissingInput`.  A
+subcommand accepts only the flags it reads (`COMMANDS`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
 from . import __version__, csvio
-from .csvio import MissingInput
+from .csvio import MissingInput, SolverFailure
 from .mesh import Geometry, Mesh, RadialBall, Slab, build_mesh
 from .profiles import (
     Constant,
@@ -214,19 +217,19 @@ def _checked_lam(lam: float, positive: bool, what: str) -> float:
     return lam
 
 
-def _lam(cfg: dict, positive: bool = False) -> float:
+def _number(value, what: str) -> float:
     try:
-        lam = float(cfg["lambda"])
+        return float(value)
     except (TypeError, ValueError):
-        raise ConfigError("lambda must be a number")
-    return _checked_lam(lam, positive, "lambda")
+        raise ConfigError("%s must be a number" % what)
+
+
+def _lam(cfg: dict, positive: bool = False) -> float:
+    return _checked_lam(_number(cfg["lambda"], "lambda"), positive, "lambda")
 
 
 def _ds(cfg: dict) -> float:
-    try:
-        ds = float(cfg["ds"])
-    except (TypeError, ValueError):
-        raise ConfigError("ds must be a number")
+    ds = _number(cfg["ds"], "ds")
     if not ds > 0:
         raise ConfigError("ds must be positive")
     return ds
@@ -236,11 +239,7 @@ def _grid(cfg: dict, positive: bool = False) -> List[float]:
     grid = cfg.get("lambda_grid")
     if grid is None or not isinstance(grid, list) or not grid:
         raise ConfigError("a nonempty 'lambda_grid' list is required")
-    try:
-        lams = [float(g) for g in grid]
-    except (TypeError, ValueError):
-        raise ConfigError("lambda_grid entries must be numbers")
-    return [_checked_lam(lam, positive, "lambda_grid entries") for lam in lams]
+    return [_checked_lam(_number(g, "each lambda_grid entry"), positive, "lambda_grid entries") for g in grid]
 
 
 def _sanitize(obj):
@@ -267,7 +266,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_run_record(out: str, command: str, cfg: dict, files: List[str], started: str, stats=None) -> None:
+def _write_run_record(command: str, cfg: dict, files: List[str], started: str, stats=None) -> None:
+    out = str(cfg["out"])
     record = {
         "version": __version__,
         "command": command,
@@ -292,125 +292,95 @@ def _outdir(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each appends every file it has written to `files`
 
 
-def cmd_steady(cfg: dict) -> int:
-    from .steady import IterationLimit, StepFailure, branch_to_csv, continue_branch, solve_minimal, states_to_csv
+def cmd_steady(cfg: dict, files: List[str]) -> None:
+    from .steady import branch_to_csv, continue_branch, solve_minimal, states_to_csv
 
-    started = _now()
     mesh, profile = _validated(cfg)
     ds = _ds(cfg)
+    grid = None if cfg.get("lambda_grid") is None else _grid(cfg)
+    if grid is None:
+        branch = continue_branch(profile, mesh, ds=ds)
+    else:
+        states = []
+        for lam in grid:
+            state = solve_minimal(lam, profile, mesh)
+            if state is None:
+                raise SolverFailure("no solution at lambda=%g" % lam)
+            states.append(state)
+
     out = _outdir(cfg)
     branch_path = os.path.join(out, "branch.csv")
-    files = [branch_path]
+    if grid is None:
+        branch_to_csv(branch, branch_path)
+    else:
+        states_to_csv(states, branch_path)
+    summary_path = os.path.join(out, "summary.json")
     # the output directory stays out of the summary (run.json records it),
     # so the same run gives the same bytes wherever it is written
     summary_cfg = {k: v for k, v in cfg.items() if k != "out"}
-
-    if cfg.get("lambda_grid") is not None:
-        states = []
-        for lam in _grid(cfg):
-            state = solve_minimal(lam, profile, mesh)
-            if state is None:
-                print("no solution at lambda=%g" % lam, file=sys.stderr)
-                return EXIT_SOLVER
-            states.append(state)
-        states_to_csv(states, branch_path)
-        summary = {"lambda_star": None, "config": summary_cfg}
-    else:
-        try:
-            branch = continue_branch(profile, mesh, ds=ds)
-        except (StepFailure, IterationLimit) as exc:
-            print("continuation failed: %s" % exc, file=sys.stderr)
-            return EXIT_SOLVER
-        branch_to_csv(branch, branch_path)
-        summary = {"lambda_star": branch.lambda_star, "config": summary_cfg}
-
-    summary_path = os.path.join(out, "summary.json")
-    _write_json(summary_path, summary)
-    files.append(summary_path)
-    _write_run_record(out, "steady", cfg, files, started)
-    return EXIT_OK
+    _write_json(summary_path, {"lambda_star": branch.lambda_star if grid is None else None, "config": summary_cfg})
+    files += [branch_path, summary_path]
 
 
-def cmd_simulate(cfg: dict) -> int:
-    from .dynamics import (
-        NewtonFailure,
-        StepLimit,
-        StepUnderflow,
-        integrate,
-        write_max_history,
-        write_snapshots,
-    )
+def cmd_simulate(cfg: dict, files: List[str]):
+    """Returns the run's StepStats, which run.json records."""
+    from .dynamics import integrate, write_max_history, write_snapshots
 
-    started = _now()
     mesh, profile = _validated(cfg)
     lam = _lam(cfg)
     tc = build_time(cfg["time"])
+    traj, report = integrate(lam, profile, mesh, tc)
+
     out = _outdir(cfg)
-    try:
-        traj, report = integrate(lam, profile, mesh, tc)
-    except (NewtonFailure, StepUnderflow, StepLimit) as exc:
-        print("integration failed: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
-    files = [write_snapshots(traj, out)]
+    files.append(write_snapshots(traj, out))
     hist_path = os.path.join(out, "max_history.csv")
     write_max_history(traj, hist_path)
-    files.append(hist_path)
     quench_path = os.path.join(out, "quench.json")
     _write_json(quench_path, {"lambda": lam, **dataclasses.asdict(report)})
-    files.append(quench_path)
-    _write_run_record(out, "simulate", cfg, files, started, traj.stats)
-    return EXIT_OK
+    files += [hist_path, quench_path]
+    return traj.stats
 
 
-def cmd_bounds(cfg: dict) -> int:
+def cmd_bounds(cfg: dict, files: List[str]) -> None:
     from .bounds import evaluate_all
-    from .steady import IterationLimit, StepFailure, locate_fold
+    from .steady import locate_fold
 
-    started = _now()
     mesh, profile = _validated(cfg)
     lam = _lam(cfg, positive=True)
     ds = _ds(cfg)
-    out = _outdir(cfg)
-    try:
-        fold = locate_fold(profile, mesh, ds=ds)
-    except (StepFailure, IterationLimit) as exc:
-        print("continuation failed: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
-    report = evaluate_all(lam, fold, profile, mesh)
-    path = os.path.join(out, "bounds.json")
+    report = evaluate_all(lam, locate_fold(profile, mesh, ds=ds), profile, mesh)
+
+    path = os.path.join(_outdir(cfg), "bounds.json")
     fields = dataclasses.asdict(report)
     fields["lambda"] = fields.pop("lam")
     _write_json(path, fields)
-    _write_run_record(out, "bounds", cfg, [path], started)
-    return EXIT_OK
+    files.append(path)
 
 
 def _sweep_run(job: tuple) -> dict:
     """Worker: one integration of a (lam, profile, mesh, time config) job;
     returns its quench report or the text of the solver fault that ended it."""
-    from .dynamics import NewtonFailure, StepLimit, StepUnderflow, integrate
+    from .dynamics import integrate
 
     lam, profile, mesh, tc = job
     try:
         _, report = integrate(lam, profile, mesh, tc)
         return {"lam": lam, "report": report, "error": None}
-    except (NewtonFailure, StepUnderflow, StepLimit) as exc:
+    except SolverFailure as exc:
         return {"lam": lam, "report": None, "error": str(exc)}
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, files: List[str]) -> None:
     from .bounds import evaluate_all
-    from .steady import IterationLimit, StepFailure, locate_fold
+    from .steady import locate_fold
 
-    started = _now()
     mesh, profile = _validated(cfg)
     grid = _grid(cfg, positive=True)
     ds = _ds(cfg)
     tc = build_time(cfg["time"])
-    out = _outdir(cfg)
     workers = _integer(cfg["workers"], "workers")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
@@ -418,7 +388,7 @@ def cmd_sweep(cfg: dict) -> int:
     fold = None
     try:
         fold = locate_fold(profile, mesh, ds=ds)
-    except (StepFailure, IterationLimit) as exc:
+    except SolverFailure as exc:
         print("warning: continuation failed, steady bounds omitted: %s" % exc, file=sys.stderr)
 
     jobs = [(lam, profile, mesh, tc) for lam in grid]
@@ -438,13 +408,11 @@ def cmd_sweep(cfg: dict) -> int:
         rows.append((rep.lam, rep.T_measured, rep.T_L, rep.T1_arctan, rep.T1_simplified,
                      rep.large_lambda_lower, rep.large_lambda_upper))
 
-    sweep_path = os.path.join(out, "sweep.csv")
+    sweep_path = os.path.join(_outdir(cfg), "sweep.csv")
     csvio.write_rows(sweep_path, "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7", rows)
-    _write_run_record(out, "sweep", cfg, [sweep_path], started)
+    files.append(sweep_path)
     if failures == len(grid):
-        print("all sweep runs failed", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+        raise SolverFailure("every integration failed")
 
 
 def _bad_rescale_value(spec: dict, key: str, run_dir: str, problem: str) -> Exception:
@@ -454,11 +422,10 @@ def _bad_rescale_value(spec: dict, key: str, run_dir: str, problem: str) -> Exce
     return ConfigError("'rescale.%s': %s" % (key, problem))
 
 
-def cmd_rescale(cfg: dict) -> int:
+def cmd_rescale(cfg: dict, files: List[str]) -> None:
     from .dynamics import read_trajectory
     from .selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
-    started = _now()
     spec = cfg.get("rescale")
     if not isinstance(spec, dict):
         raise ConfigError("rescale command requires a 'rescale' object in the config")
@@ -466,17 +433,13 @@ def cmd_rescale(cfg: dict) -> int:
     run_dir = spec.get("run")
     if not run_dir:
         raise ConfigError("'rescale.run' must name a simulate output directory")
-    try:
-        T = None if spec.get("T") is None else float(spec["T"])
-        center = None if spec.get("center") is None else float(spec["center"])
-    except (TypeError, ValueError):
-        raise ConfigError("'rescale.T' and 'rescale.center' must be numbers")
+    T = None if spec.get("T") is None else _number(spec["T"], "'rescale.T'")
+    center = None if spec.get("center") is None else _number(spec["center"], "'rescale.center'")
     try:
         with open(os.path.join(run_dir, "quench.json")) as fh:
             quench = json.load(fh)
         if not quench["quenched"]:
-            print("referenced run did not quench", file=sys.stderr)
-            return EXIT_SOLVER
+            raise SolverFailure("referenced run did not quench")
         run_T = float(quench["T"])
         qset = [float(q) for q in quench["quench_set"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -500,58 +463,70 @@ def cmd_rescale(cfg: dict) -> int:
     if not (math.isfinite(T) and T > last):
         raise _bad_rescale_value(spec, "T", run_dir, "%r is not a finite time after the last stored time %r" % (T, last))
     geometry = mesh.geometry
-    if not (geometry.x_left < center < geometry.x_right if isinstance(geometry, Slab) else center == 0.0):
-        raise _bad_rescale_value(spec, "center", run_dir, "%r is not inside the domain (the origin on a ball)" % center)
+    inside = geometry.x_left < center < geometry.x_right if isinstance(geometry, Slab) else center == 0.0
+    f_center = float(evaluate(profile, center)) if inside else 0.0
+    if not f_center > 0.0:
+        raise _bad_rescale_value(spec, "center", run_dir,
+                                 "%r is not a point of the domain (the origin on a ball) where f > 0" % center)
     off_set = not any(abs(center - q) <= 3.0 * mesh.h for q in qset)
 
     frame = rescale(traj, center, T)
-    trace = energy_trace(frame, lam, float(evaluate(profile, center)))
+    trace = energy_trace(frame, lam, f_center)
 
     out = _outdir(cfg)
     frame_path = os.path.join(out, "frame.csv")
     warnings = ["warning: center not in the touchdown set"] if off_set else []
     write_frame_csv(frame, frame_path, warnings)
     energy_path = os.path.join(out, "energy.csv")
-    write_energy_csv(trace, frame, lam, float(evaluate(profile, center)), energy_path)
-    _write_run_record(out, "rescale", cfg, [frame_path, energy_path], started)
-    return EXIT_OK
+    write_energy_csv(trace, frame, lam, f_center, energy_path)
+    files += [frame_path, energy_path]
 
 
 # ---------------------------------------------------------------------------
 
+# subcommand -> (its handler, the flags besides --config and --out that it reads)
+COMMANDS = {
+    "steady": (cmd_steady, ("--nodes", "--profile")),
+    "simulate": (cmd_simulate, ("--lambda", "--nodes", "--profile", "--quench-eps")),
+    "sweep": (cmd_sweep, ("--nodes", "--profile", "--quench-eps")),
+    "bounds": (cmd_bounds, ("--lambda", "--nodes", "--profile")),
+    "rescale": (cmd_rescale, ()),
+}
+_FLAG_OPTIONS = {"--lambda": {"dest": "lam", "type": float}, "--nodes": {"type": int}, "--quench-eps": {"type": float}}
+
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand: the one place where a failure becomes an exit code."""
     parser = argparse.ArgumentParser(
         prog="quenchlab",
         description="numerical laboratory for touchdown of an electrostatically forced membrane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("steady", "simulate", "sweep", "bounds", "rescale"):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--profile", default=None)
-        p.add_argument("--quench-eps", dest="quench_eps", type=float, default=None)
+        for flag in ("--config", "--out") + flags:
+            p.add_argument(flag, **_FLAG_OPTIONS.get(flag, {}))
     args = parser.parse_args(argv)
 
-    handlers = {
-        "steady": cmd_steady,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "bounds": cmd_bounds,
-        "rescale": cmd_rescale,
-    }
+    files: List[str] = []
+    stats = None
     try:
         cfg = load_config(args.config, vars(args))
-        return handlers[args.command](cfg)
+        started = _now()
+        stats = COMMANDS[args.command][0](cfg, files)
+        return EXIT_OK
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except SolverFailure as exc:
+        print("%s failed: %s" % (exc.stage or args.command, exc), file=sys.stderr)
+        return EXIT_SOLVER
     except MissingInput as exc:
         print("missing input: %s" % exc, file=sys.stderr)
         return EXIT_MISSING
+    finally:
+        if files:  # also when the run then failed, as a sweep whose every integration failed
+            _write_run_record(args.command, cfg, files, started, stats)
 
 
 if __name__ == "__main__":

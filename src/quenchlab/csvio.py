@@ -1,4 +1,4 @@
-"""The one CSV writer behind every data file.
+"""The one CSV writer behind every data file, and the package's two failure types.
 
 A file is a header line, optional ``# `` comment lines, then a body.  A
 body is built by a single ``%`` on a row template over a flat tuple of
@@ -10,7 +10,9 @@ formatted per row.
 Templates and bodies are ASCII bytes, written as they are.  Numbers are
 written ``%.17g`` (round-trip exact, '.' decimals, ``nan`` for NaN);
 ``None`` is an empty cell; lines end in LF.  Files read back in that are
-missing or malformed raise `MissingInput`.
+missing or malformed raise `MissingInput`.  Every solver fault (a
+stalled continuation, a failed eigen or stage solve, a time step that
+collapses) is a `SolverFailure`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ FLOAT = "%.17g"
 
 class MissingInput(ValueError):
     """An input file is absent or does not hold what its writer wrote."""
+
+
+class SolverFailure(RuntimeError):
+    """A solver gave up; `stage` names the failed solve in messages (None: the command itself)."""
+
+    stage = None
 
 
 def template(n_rows: int, columns: Sequence[str]) -> bytes:

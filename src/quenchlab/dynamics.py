@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import csvio
-from .csvio import MissingInput
+from .csvio import MissingInput, SolverFailure
 from .mesh import Mesh, bands_matvec, laplacian_bands, solve_banded
 from .profiles import Profile, evaluate
 
@@ -57,16 +57,22 @@ __all__ = [
 ]
 
 
-class NewtonFailure(RuntimeError):
+class NewtonFailure(SolverFailure):
     """Stage equation unsolvable even after time-step reductions."""
 
-
-class StepUnderflow(RuntimeError):
-    """Adaptive dt fell below 1e-16 times the run's first dt."""
+    stage = "integration"
 
 
-class StepLimit(RuntimeError):
+class StepUnderflow(SolverFailure):
+    """Adaptive dt fell below 1e-16 times the run's first dt, or no longer advances t."""
+
+    stage = "integration"
+
+
+class StepLimit(SolverFailure):
     """MAX_STEPS steps accepted before touchdown or t_max."""
+
+    stage = "integration"
 
 
 MAX_STEPS = 500000
@@ -317,6 +323,8 @@ def integrate(
         target = cfg.eta_step * (1.0 - sup)
         dt_try = min(dt, dt_cap, cfg.t_max - t)
         while True:
+            if t + dt_try == t:  # the step would give two recent states one time
+                raise StepUnderflow("dt %g does not advance t=%g" % (dt_try, t))
             v = _cn_step(Lb, f, lam, u, dt_try, _extrapolate(recent, t + dt_try), work)
             if v is None:
                 rejected_stage += 1

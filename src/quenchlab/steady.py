@@ -55,16 +55,20 @@ __all__ = [
 ]
 
 
-class StepFailure(RuntimeError):
+class StepFailure(csvio.SolverFailure):
     """Continuation stalled; `last_state` holds the last good point."""
+
+    stage = "continuation"
 
     def __init__(self, message: str, last_state=None):
         super().__init__(message)
         self.last_state = last_state
 
 
-class IterationLimit(RuntimeError):
+class IterationLimit(csvio.SolverFailure):
     """Eigenvalue iteration failed to reach the residual target."""
+
+    stage = "continuation"
 
 
 @dataclass(frozen=True)

@@ -110,10 +110,11 @@ def test_malformed_json(tmp_path):
     assert not os.path.exists(out)
 
 
-SLAB_RUN, BALL_RUN = "<slab run>", "<ball run>"
+SLAB_RUN, BALL_RUN, TWO_BUMP_RUN = "<slab run>", "<ball run>", "<two-bump run>"
 RUNS = {
     SLAB_RUN: {"node_count": 101, "lambda": 5.0},
     BALL_RUN: {"node_count": 101, "lambda": 5.0, "geometry": {"kind": "ball", "dimension": 2}},
+    TWO_BUMP_RUN: {"node_count": 101, "lambda": 10.0, "profile": {"kind": "sin_piecewise"}},
 }
 
 
@@ -139,6 +140,8 @@ RUNS = {
     ("rescale", {"rescale": {"run": SLAB_RUN, "center": 2.0}}),
     ("rescale", {"rescale": {"run": SLAB_RUN, "center": "nan"}}),
     ("rescale", {"rescale": {"run": BALL_RUN, "center": 0.1}}),
+    # the two-bump profile vanishes at x = 0
+    ("rescale", {"rescale": {"run": TWO_BUMP_RUN, "center": 0.0}}),
     ("simulate", {"time": {"t_max": float("nan")}}),
     ("simulate", {"time": {"t_max": float("inf")}}),
     ("simulate", {"time": {"eta_step": float("nan")}}),
@@ -154,6 +157,8 @@ RUNS = {
     ("steady", {"geometry": {"kind": "ball", "dimension": "2"}}),
     ("sweep", {"workers": 1.9, "lambda_grid": [4.0]}),
     ("sweep", {"workers": True, "lambda_grid": [4.0]}),
+    ("sweep", {"workers": 0, "lambda_grid": [4.0]}),
+    ("steady", {"lambda_grid": ["x"]}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
@@ -162,6 +167,26 @@ def test_unknown_or_invalid_keys(tmp_path, command, payload):
     cfg = write_config(tmp_path, "bad.json", dict(payload, node_count=payload.get("node_count", 101)))
     out = str(tmp_path / "bad_out")
     assert main([command, "--config", cfg, "--out", out]) == 2
+    assert not os.path.exists(out)  # every value is checked before the output directory is made
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--lambda", "7"],
+    ["steady", "--quench-eps", "0.01"],
+    ["sweep", "--lambda", "7"],
+    ["bounds", "--quench-eps", "0.01"],
+    ["rescale", "--lambda", "99"],
+    ["rescale", "--nodes", "7"],
+    ["rescale", "--profile", "constant"],
+    ["rescale", "--quench-eps", "0.01"],
+])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
+    # a flag that a command would ignore would still reach its run.json or summary.json
+    cfg = write_config(tmp_path, "flags.json", {"node_count": 101})
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg, "--out", str(tmp_path / "flags_out")])
+    assert exc.value.code == 2
+    assert not os.path.exists(tmp_path / "flags_out")
 
 
 def test_rescale_unknown_key(tmp_path):
@@ -273,6 +298,13 @@ def test_simulate_step_limit_is_solver_failure(tmp_path, monkeypatch, capsys):
                        {"node_count": 5, "lambda": 0.0, "time": {"t_max": 1e4}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "lim_out")]) == 3
     assert "5 steps taken before touchdown or t_max" in capsys.readouterr().err
+
+
+def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys):
+    # near touchdown at quench_eps 1e-5 the accepted dt falls below the spacing of floats at t
+    cfg = write_config(tmp_path, "adv.json", {"node_count": 101, "lambda": 10.0, "time": {"quench_eps": 1e-5}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "adv_out")]) == 3
+    assert "does not advance t=" in capsys.readouterr().err
 
 
 def test_simulate_flag_overrides(tmp_path):
@@ -399,6 +431,7 @@ def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", out]) == 3
     assert "lambda=4 failed: forced stage failure" in capsys.readouterr().err
     assert open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")[1] == ""
+    assert set(read_json(os.path.join(out, "run.json"))["files"]) == {"sweep.csv"}
 
     def bug(*args, **kwargs):
         raise RuntimeError("not a solver fault")
@@ -589,6 +622,14 @@ def _outside_quench_point(run):
     open(path, "w").write(json.dumps(quench))
 
 
+def _quench_point_where_f_vanishes(run):
+    _edit_config(run, lambda cfg: cfg.update(profile={"kind": "sin_piecewise"}))
+    path = os.path.join(run, "quench.json")
+    quench = read_json(path)
+    quench["quench_set"] = [0.0]
+    open(path, "w").write(json.dumps(quench))
+
+
 def _truncated_store(run):
     path = os.path.join(run, "trajectory.npz")
     data = open(path, "rb").read()
@@ -640,7 +681,7 @@ def _torus_geometry(run):
 @pytest.mark.parametrize("damage", [
     _drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench,
     _truncated_store, _missing_member, _drop_store, _empty_store, _npy_store,
-    _early_quench_T, _outside_quench_point,
+    _early_quench_T, _outside_quench_point, _quench_point_where_f_vanishes,
     _no_geometry, _no_lambda, _text_node_count, _torus_geometry,
 ])
 def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):

@@ -12,6 +12,8 @@ up under that name (the benchmark tracer wraps it there).  In `steady`,
 the operator G and its Jacobian are used only by the curve kit `_Curve`,
 whose corrector is the one Newton, and by the eigen solve.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
+Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
+turns a failure into an exit code.
 """
 
 import ast
@@ -106,3 +108,27 @@ def test_one_holder_sampling():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holder_constant":
                     callers.add((path.stem, top.name))
     assert callers == {("bounds", "large_lambda_bounds")}, callers
+
+
+def test_one_solver_failure_type():
+    from quenchlab import csvio, dynamics, steady
+
+    faults = [getattr(mod, name) for mod in (steady, dynamics) for name in mod.__all__]
+    faults = [cls for cls in faults if isinstance(cls, type) and issubclass(cls, RuntimeError)]
+    assert len(faults) == 5
+    assert all(issubclass(cls, csvio.SolverFailure) for cls in faults), faults
+
+
+def test_exit_codes_set_in_main_only():
+    # cli catches solver faults as SolverFailure alone, and maps failures to codes in main
+    tree = ast.parse((SRC / "cli.py").read_text())
+    users = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id.startswith("EXIT_"):
+                users.add((getattr(top, "name", None), node.id))
+    assert users == {("main", code) for code in ("EXIT_OK", "EXIT_CONFIG", "EXIT_SOLVER", "EXIT_MISSING")}, users
+    with open(SRC / "cli.py", "rb") as fh:
+        named = {tok.string for tok in tokenize.tokenize(fh.readline) if tok.type == tokenize.NAME}
+    faults = {"StepFailure", "IterationLimit", "NewtonFailure", "StepUnderflow", "StepLimit"}
+    assert not named & faults, named & faults
