@@ -140,8 +140,6 @@ RUNS = {
     ("rescale", {"rescale": {"run": SLAB_RUN, "center": 2.0}}),
     ("rescale", {"rescale": {"run": SLAB_RUN, "center": "nan"}}),
     ("rescale", {"rescale": {"run": BALL_RUN, "center": 0.1}}),
-    # the two-bump profile vanishes at x = 0
-    ("rescale", {"rescale": {"run": TWO_BUMP_RUN, "center": 0.0}}),
     ("simulate", {"time": {"t_max": float("nan")}}),
     ("simulate", {"time": {"t_max": float("inf")}}),
     ("simulate", {"time": {"eta_step": float("nan")}}),
@@ -159,6 +157,8 @@ RUNS = {
     ("sweep", {"workers": True, "lambda_grid": [4.0]}),
     ("sweep", {"workers": 0, "lambda_grid": [4.0]}),
     ("steady", {"lambda_grid": ["x"]}),
+    # the two-bump profile vanishes at x = 0
+    ("rescale", {"rescale": {"run": TWO_BUMP_RUN, "center": 0.0}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
