@@ -7,8 +7,9 @@ mesh; they do not depend on lam.  sup f and the Holder constant K of the
 profile are sampled once, in `large_lambda_bounds`; the large-lam
 sandwich and the touchdown-location defect read them from there.
 `evaluate_all` is the one place that assembles both and hands them to
-each formula.  The single-estimate functions are thin entry points over
-the same formulas.  Nothing here integrates in time; measured touchdown
+each formula; it takes a grid of lam and builds both once per grid.
+The single-estimate functions are thin entry points over the same
+formulas.  Nothing here integrates in time; measured touchdown
 times enter only for the ordering checks in `evaluate_all`.
 
 Field and column names ending in _1_2, _2_6, _1_7 are interface tokens
@@ -22,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,20 +253,22 @@ def large_lambda_bounds(
     alpha: float,
     dimension: int,
     K: Optional[float] = None,
+    sup_f: Optional[float] = None,
 ) -> LargeLambdaBounds:
     """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))).
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
     ground eigenvalue and K the Holder constant; delta = (eps/2K)^(1/a).
     A constant profile has K = 0 and the sandwich collapses (eps = 0).
-    The asymptotic width is gap_coefficient * lam^gap_exponent.  sup f and
-    (unless given) K are sampled at 4001 points.
+    The asymptotic width is gap_coefficient * lam^gap_exponent.  K and sup f
+    are sampled at 4001 points unless given.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if K is None:
         K = holder_constant(profile, alpha, _SAMPLES)
-    sup_f = _sampled_sup(profile)
+    if sup_f is None:
+        sup_f = _sampled_sup(profile)
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:
@@ -304,19 +307,45 @@ def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:
 
 
 def evaluate_all(
+    lams: Sequence[float],
+    fold: Optional[Fold],
+    profile: Profile,
+    mesh: Mesh,
+    quench_reports: Optional[Sequence] = None,
+) -> List[BoundsReport]:
+    """Evaluate every estimate at each lam, flagging the inapplicable ones with reasons.
+
+    At or below the fold only the large-lam lower estimate is reported.
+    Without fold data the large-lam sandwich is all there is.
+    When measured reports are supplied (one per lam, None where there is
+    none), the lower/upper ordering against each measured T is recorded
+    with a 1 % relative tolerance.  What does not depend on lam is built
+    once for the grid: sup f and K, sampled by the first lam's
+    `large_lambda_bounds` and handed to the others, and `ingredients`.
+    """
+    if quench_reports is None:
+        quench_reports = [None] * len(lams)
+    reports: List[BoundsReport] = []
+    K = sup_f = ing = None
+    for lam, quench_report in zip(lams, quench_reports, strict=True):
+        ll = large_lambda_bounds(lam, profile, profile.holder_exponent, mesh.dimension, K=K, sup_f=sup_f)
+        K, sup_f = ll.K, ll.sup_f
+        if ing is None and fold is not None and lam > fold.lambda_star:
+            ing = ingredients(fold, profile)
+        reports.append(_report(lam, fold, profile, mesh, quench_report, ll, ing))
+    return reports
+
+
+def _report(
     lam: float,
     fold: Optional[Fold],
     profile: Profile,
     mesh: Mesh,
-    quench_report=None,
+    quench_report,
+    ll: LargeLambdaBounds,
+    ing: Optional[BoundIngredients],
 ) -> BoundsReport:
-    """Evaluate every estimate, flagging the inapplicable ones with reasons.
-
-    At or below the fold only the large-lam lower estimate is reported.
-    Without fold data the large-lam sandwich is all there is.
-    When a measured report is supplied, the lower/upper ordering against
-    the measured T is recorded with a 1 % relative tolerance.
-    """
+    """One lam's report from its sandwich and the grid's fold constants."""
     star = None if fold is None else fold.lambda_star
     alpha = profile.holder_exponent
     T_measured = None
@@ -325,7 +354,6 @@ def evaluate_all(
     b12 = TL = T1s = T1a = loc_exp = lower_ok = upper_ok = None
     loc_lhs: Tuple[float, ...] = ()
 
-    ll = large_lambda_bounds(lam, profile, alpha, mesh.dimension)
     upper = ll.upper
     flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
 
@@ -336,7 +364,6 @@ def evaluate_all(
             upper = None
             flags["large_lambda_upper"] = reason
     else:
-        ing = ingredients(fold, profile)
         try:
             b12 = bound_gg2(lam, star, ing.inf_f)
             flags["bound_1_2"] = "ok"

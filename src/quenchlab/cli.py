@@ -351,7 +351,7 @@ def cmd_bounds(cfg: dict, files: List[str]) -> None:
     mesh, profile = _validated(cfg)
     lam = _lam(cfg, positive=True)
     ds = _ds(cfg)
-    report = evaluate_all(lam, locate_fold(profile, mesh, ds=ds), profile, mesh)
+    report, = evaluate_all([lam], locate_fold(profile, mesh, ds=ds), profile, mesh)
 
     path = os.path.join(_outdir(cfg), "bounds.json")
     fields = dataclasses.asdict(report)
@@ -400,11 +400,11 @@ def cmd_sweep(cfg: dict, files: List[str]) -> None:
 
     rows = []
     failures = 0
-    for res in results:
+    reports = evaluate_all([res["lam"] for res in results], fold, profile, mesh, [res["report"] for res in results])
+    for res, rep in zip(results, reports):
         if res["error"] is not None:
             failures += 1
             print("warning: lambda=%g failed: %s" % (res["lam"], res["error"]), file=sys.stderr)
-        rep = evaluate_all(res["lam"], fold, profile, mesh, quench_report=res["report"])
         rows.append((rep.lam, rep.T_measured, rep.T_L, rep.T1_arctan, rep.T1_simplified,
                      rep.large_lambda_lower, rep.large_lambda_upper))
 

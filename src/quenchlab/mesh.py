@@ -12,15 +12,26 @@ differences; on a ball the operator acting on radial profiles is
 u_rr + (N - 1)/r * u_r.  Quadrature is the composite trapezoid rule, with
 radial integrands carrying the volume weight omega_{N-1} r^{N-1} where
 omega_{N-1} = 2 pi^{N/2} / Gamma(N/2) is the area of the unit sphere.
+
+Every tridiagonal solve is `solve_banded`, which calls LAPACK dgtsv.  The
+routine is taken from scipy's compiled LAPACK wrapper, the extension file
+scipy/linalg/_flapack<suffix>, loaded on its own: importing it through
+`scipy.linalg.lapack` would run all of `scipy.linalg/__init__` (with
+numpy.f2py, numpy.testing and numpy.ma), about 0.3 s and 26 MB per process
+for code quenchlab never calls.  That file is private to scipy, so when it
+is not where the loader looks, the public `scipy.linalg.lapack` import
+supplies the same routine.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "Slab",
@@ -33,6 +44,33 @@ __all__ = [
     "apply_laplacian",
     "sphere_area",
 ]
+
+
+def _load_dgtsv():
+    """LAPACK dgtsv from scipy's _flapack extension file, without importing scipy.linalg.
+
+    Neither scipy/__init__ nor scipy.linalg/__init__ runs.  The extension
+    registers itself as scipy.linalg._flapack, so a later import of
+    scipy.linalg reuses it and `scipy.linalg.lapack.dgtsv` is this object.
+    Without the file, the public import is the fallback.
+    """
+    name = "scipy.linalg._flapack"
+    spec = importlib.util.find_spec("scipy")
+    for folder in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                return module.dgtsv
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 @dataclass(frozen=True)

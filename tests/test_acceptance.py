@@ -249,7 +249,7 @@ def test_criterion_11b_riccati_clock_against_ode(rng):
         hit.terminal = True
         hit.direction = 1.0
         sol = solve_ivp(lambda t, yv: [a + b * yv[0] ** 2], (0.0, 1e3), [-E0],
-                        rtol=1e-10, atol=1e-12, events=hit)
+                        method="DOP853", rtol=1e-10, atol=1e-12, events=hit)
         assert sol.t_events[0].size == 1
         t_num = sol.t_events[0][0] + 1.0 / (b * 1e8)
         assert t_num == pytest.approx(blowup_time_F(a, b, E0), rel=1e-6)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from quenchlab import bounds
 from quenchlab.bounds import (
     BoundsReport,
     DomainError,
@@ -58,7 +59,7 @@ def test_blowup_time_against_adaptive_ode(rng):
         hit.terminal = True
         hit.direction = 1.0
         sol = solve_ivp(lambda t, y: [a + b * y[0] ** 2], (0.0, 1e3), [-E0],
-                        rtol=1e-10, atol=1e-12, events=hit, dense_output=False)
+                        method="DOP853", rtol=1e-10, atol=1e-12, events=hit, dense_output=False)
         assert sol.t_events[0].size == 1
         t_num = sol.t_events[0][0] + 1.0 / (b * 1e8)
         assert t_num == pytest.approx(blowup_time_F(a, b, E0), rel=1e-6)
@@ -238,8 +239,8 @@ def make_report(points):
 
 def test_location_defect_formula(branch_falpha_801):
     f = SlabSinPiecewise()
-    rep = evaluate_all(1e5, branch_falpha_801, f, branch_falpha_801.w_star.mesh,
-                       quench_report=make_report((-0.204, 0.204)))
+    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.w_star.mesh,
+                        quench_reports=[make_report((-0.204, 0.204))])
     assert rep.location_exponent == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert len(rep.location_lhs) == 2
     for a, lhs in zip((-0.204, 0.204), rep.location_lhs):
@@ -249,8 +250,8 @@ def test_location_defect_formula(branch_falpha_801):
 
 
 def test_location_empty_set_is_blank(branch_falpha_801):
-    rep = evaluate_all(1e5, branch_falpha_801, SlabSinPiecewise(),
-                       branch_falpha_801.w_star.mesh, quench_report=make_report(()))
+    rep, = evaluate_all([1e5], branch_falpha_801, SlabSinPiecewise(),
+                        branch_falpha_801.w_star.mesh, quench_reports=[make_report(())])
     assert rep.location_lhs == ()
     assert rep.location_exponent is None
 
@@ -269,7 +270,7 @@ def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     # epsilon is the sandwich's, bitwise
     f = SlabSinPiecewise()
     ing = ingredients(branch_falpha_801, f)
-    rep = evaluate_all(1e5, branch_falpha_801, f, branch_falpha_801.w_star.mesh)
+    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.w_star.mesh)
     ll = large_lambda_bounds(1e5, f, f.holder_exponent, 1)
     assert ll.K > 0.0
     assert ll.epsilon == rep.epsilon
@@ -282,8 +283,8 @@ def test_evaluate_all_near_fold(branch_f1_401):
     lam = 1.05 * branch_f1_401.lambda_star
     _, qrep = integrate(lam, Constant(1.0), mesh, TimeConfig())
     assert qrep.quenched
-    rep = evaluate_all(lam, branch_f1_401, Constant(1.0), mesh,
-                       quench_report=qrep)
+    rep, = evaluate_all([lam], branch_f1_401, Constant(1.0), mesh,
+                        quench_reports=[qrep])
     assert rep.flags["bound_1_2"] == "ok"
     assert rep.flags["T_L"] == "ok"
     assert rep.flags["T1"] == "ok"
@@ -295,7 +296,7 @@ def test_evaluate_all_near_fold(branch_f1_401):
 
 def test_evaluate_all_below_fold(branch_f1_401):
     mesh = build_mesh(Slab(-0.5, 0.5), 401)
-    rep = evaluate_all(1.0, branch_f1_401, Constant(1.0), mesh)
+    rep, = evaluate_all([1.0], branch_f1_401, Constant(1.0), mesh)
     assert rep.bound_1_2 is None and rep.T_L is None
     assert rep.T1_arctan is None and rep.T1_simplified is None
     assert rep.ordering_lower_pass is None
@@ -308,7 +309,7 @@ def test_evaluate_all_without_branch():
     # no fold data: the fold estimates are flagged, the sandwich is kept whole
     mesh = build_mesh(Slab(-0.5, 0.5), 401)
     f = SlabSinPiecewise()
-    rep = evaluate_all(1e5, None, f, mesh)
+    rep, = evaluate_all([1e5], None, f, mesh)
     assert rep.lambda_star is None
     assert rep.bound_1_2 is None and rep.T_L is None
     assert rep.T1_arctan is None and rep.T1_simplified is None
@@ -322,9 +323,27 @@ def test_evaluate_all_without_branch():
     assert rep.ordering_lower_pass is None and rep.ordering_upper_pass is None
 
 
+def test_evaluate_all_builds_lam_free_constants_once_per_grid(branch_falpha_801, monkeypatch):
+    # sup f, K and the fold constants do not depend on lam: one build serves the
+    # grid, and each row is bitwise the report of its lam evaluated alone
+    mesh = branch_falpha_801.w_star.mesh
+    f = SlabSinPiecewise()
+    lams = [0.5 * branch_falpha_801.lambda_star, 5.0, 30.0, 1e5]
+    alone = [dataclasses.asdict(evaluate_all([lam], branch_falpha_801, f, mesh)[0]) for lam in lams]
+    calls = dict.fromkeys(("holder_constant", "_sampled_sup", "ingredients"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(bounds, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    grid = evaluate_all(lams, branch_falpha_801, f, mesh)
+    assert calls == dict.fromkeys(calls, 1)
+    assert [dataclasses.asdict(rep) for rep in grid] == alone
+
+
 def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):
     mesh = branch_falpha_801.w_star.mesh
-    rep = evaluate_all(5.0, branch_falpha_801, SlabSinPiecewise(), mesh)
+    rep, = evaluate_all([5.0], branch_falpha_801, SlabSinPiecewise(), mesh)
     assert rep.bound_1_2 is None
     assert "inf f" in rep.flags["bound_1_2"]
     assert rep.T1_arctan is None
@@ -335,7 +354,7 @@ def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):
 def test_report_dict_round_trip(branch_f1_401):
     # bounds.json is written from dataclasses.asdict of the report
     mesh = build_mesh(Slab(-0.5, 0.5), 401)
-    rep = evaluate_all(2.0, branch_f1_401, Constant(1.0), mesh)
+    rep, = evaluate_all([2.0], branch_f1_401, Constant(1.0), mesh)
     d = dataclasses.asdict(rep)
     assert d["lam"] == 2.0
     assert d["T_L"] == rep.T_L

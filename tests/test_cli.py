@@ -381,7 +381,7 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     fields = ("T_L", "T1_arctan", "T1_simplified", "large_lambda_lower", "large_lambda_upper")
     for line in lines[1:]:
         cells = line.split(",")
-        rep = evaluate_all(float(cells[0]), fold, Constant(1.0), mesh)
+        rep, = evaluate_all([float(cells[0])], fold, Constant(1.0), mesh)
         assert [float(c) if c else None for c in cells[2:]] == [getattr(rep, f) for f in fields]
 
     bytes1 = open(os.path.join(out1, "sweep.csv"), "rb").read()

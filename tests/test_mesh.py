@@ -1,5 +1,6 @@
 """Meshes, quadrature, and the discrete Laplacian."""
 
+import importlib.machinery
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import linalg
 
+from quenchlab import mesh as mesh_module
 from quenchlab.mesh import (
     Field,
     RadialBall,
@@ -232,6 +234,19 @@ def test_solve_banded_is_scipy_bitwise(geometry, unknowns, columns):
     # without the overwrite flags the operands are left as they were
     assert ab.tobytes() == ab0.tobytes() and b.tobytes() == b0.tobytes()
     assert solve_banded(ab0.copy(), b0.copy(), overwrite_ab=True, overwrite_b=True).tobytes() == want.tobytes()
+
+
+def test_dgtsv_falls_back_to_the_public_import(monkeypatch):
+    # the direct load is the exported routine itself; without its file the loader imports it
+    assert mesh_module.dgtsv is linalg.lapack.dgtsv
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        fallback = mesh_module._load_dgtsv()
+    assert fallback is linalg.lapack.dgtsv
+    ab, b = _banded_system(Slab(-0.5, 0.5), 399, 2, seed=0)
+    want = solve_banded(ab, b)
+    monkeypatch.setattr(mesh_module, "dgtsv", fallback)
+    assert solve_banded(ab, b).tobytes() == want.tobytes()
 
 
 def test_solve_banded_singular_raises():

@@ -8,9 +8,11 @@ allowlist below names it with its reason.
 
 Every banded solve goes through `mesh.solve_banded`: no module imports
 a solver from scipy.linalg, and `dynamics` and `steady` look the kernel
-up under that name (the benchmark tracer wraps it there).  In `steady`,
-the operator G and its Jacobian are used only by the curve kit `_Curve`,
-whose corrector is the one Newton, and by the eigen solve.  The
+up under that name (the benchmark tracer wraps it there).  The CLI runs
+without importing scipy.linalg at all: `mesh` loads LAPACK dgtsv from its
+extension file, which is the routine scipy.linalg.lapack exports.  In
+`steady`, the operator G and its Jacobian are used only by the curve kit
+`_Curve`, whose corrector is the one Newton, and by the eigen solve.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.
@@ -19,7 +21,11 @@ turns a failure into an exit code.
 import ast
 import functools
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -87,6 +93,27 @@ def test_one_banded_solve_path():
                 imports += [(path.stem, alias.name, None) for alias in node.names
                             if alias.name.startswith("scipy.linalg")]
     assert imports == [("mesh", "scipy.linalg.lapack", "dgtsv")]
+
+
+# run in a fresh interpreter: other tests import scipy.linalg into this one
+_CLI_WITHOUT_SCIPY_LINALG = """
+import sys
+from quenchlab import cli, mesh
+assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.linalg.lapack
+assert mesh.dgtsv is scipy.linalg.lapack.dgtsv
+"""
+
+
+def test_cli_runs_without_scipy_linalg(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"node_count": 101, "lambda": 10.0}))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _CLI_WITHOUT_SCIPY_LINALG, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "quench.json").exists()
 
 
 def test_one_steady_newton():
