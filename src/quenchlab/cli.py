@@ -296,7 +296,7 @@ def _outdir(cfg: dict) -> str:
 
 
 def cmd_steady(cfg: dict, files: List[str]) -> None:
-    from .steady import branch_to_csv, continue_branch, solve_minimal, states_to_csv
+    from .steady import branch_to_csv, continue_branch, minimal_states, states_to_csv
 
     mesh, profile = _validated(cfg)
     ds = _ds(cfg)
@@ -305,8 +305,7 @@ def cmd_steady(cfg: dict, files: List[str]) -> None:
         branch = continue_branch(profile, mesh, ds=ds)
     else:
         states = []
-        for lam in grid:
-            state = solve_minimal(lam, profile, mesh)
+        for lam, state in zip(grid, minimal_states(grid, profile, mesh)):
             if state is None:
                 raise SolverFailure("no solution at lambda=%g" % lam)
             states.append(state)

@@ -16,22 +16,25 @@ lam f/(1-w)^2 = 0 plus one scalar constraint.  G is convex in w and -G_w
 is an M-matrix below the minimal solution, so from w = 0 at fixed lam
 Newton rises monotonically to it without damping.  `solve_minimal` is
 that corrector with lam held fixed, allowed 50 steps because it slows
-near the fold; `continue_branch` corrects each pseudo-arclength step in
-at most 14 and locates the fold once, by Newton on the extended system
-{G = 0, G_w phi = 0, phi pinned} (Moore & Spence 1980) started from the
-walk's largest-lam point.  That lands on the discrete fold, whose lam is
-O(h^2) from the continuum lam_star.  Each state's mu_1 comes from inverse
-iteration warm-started from the previous state's eigenvector.
-`locate_fold` returns the fold alone: on a fine mesh it walks a coarse
-one and runs the same Newton on the fine mesh from the coarse fold.
-Every tridiagonal solve here, in the corrector, the fold Newton and
-inverse iteration, is the LAPACK kernel `mesh.solve_banded`.
+near the fold.  One pseudo-arclength walk, `_walk`, corrects each step
+in at most 14 and locates the fold once, by Newton on the extended
+system {G = 0, G_w phi = 0, phi pinned} (Moore & Spence 1980) started
+from the last point before the fold and from the walk's secant there.
+That lands on the discrete fold, whose lam is O(h^2) from the continuum
+lam_star.  `continue_branch` keeps every state of the walk with its mu_1,
+from inverse iteration warm-started from the previous state's
+eigenvector.  `locate_fold` returns the fold alone: its walk solves no
+eigenpair and stops at the first point past the fold, and on a fine mesh
+it walks a coarse one and runs the same fold Newton on the fine mesh
+from the coarse fold.  Every tridiagonal solve here, in the corrector,
+the fold Newton and inverse iteration, is the LAPACK kernel
+`mesh.solve_banded`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +50,7 @@ __all__ = [
     "StepFailure",
     "IterationLimit",
     "solve_minimal",
+    "minimal_states",
     "continue_branch",
     "locate_fold",
     "linearized_eigenpair",
@@ -56,13 +60,9 @@ __all__ = [
 
 
 class StepFailure(csvio.SolverFailure):
-    """Continuation stalled; `last_state` holds the last good point."""
+    """Continuation stalled, found no fold, or could not polish it."""
 
     stage = "continuation"
-
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
 
 
 class IterationLimit(csvio.SolverFailure):
@@ -148,6 +148,7 @@ def solve_minimal(
     lam: float,
     profile: Profile,
     mesh: Mesh,
+    curve: Optional[_Curve] = None,
 ) -> Optional[SteadyState]:
     """Minimal steady state, with its mu1, by Newton from the zero field.
 
@@ -167,13 +168,25 @@ def solve_minimal(
     The residual target is 1e-10 or the roundoff floor of the second
     difference operator, whichever is larger; on fine meshes the floor
     eps/h^2 dominates any fixed tolerance.
+
+    `curve`, a `_Curve` of `profile` and `mesh` (see `minimal_states`),
+    warm-starts the eigen solve for mu1 from the eigenvector of the last
+    state it made; Newton still starts from w = 0.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    curve = _Curve(profile, mesh)
+    curve = _Curve(profile, mesh) if curve is None else curve
     zero = np.zeros(curve.n)
     ok = curve.correct(zero, lam, zero, 1.0, zero, 0.0, lam, max_steps=50)
     return None if ok is None else curve.state(*ok)
+
+
+def minimal_states(grid, profile: Profile, mesh: Mesh) -> Iterator[Optional[SteadyState]]:
+    """`solve_minimal` at each lam of `grid` in turn, on one curve, so that
+    each mu1 is warm-started from the previous state's eigenvector."""
+    curve = _Curve(profile, mesh)
+    for lam in grid:
+        yield solve_minimal(lam, profile, mesh, curve)
 
 
 def _rayleigh(ab: np.ndarray, weights: np.ndarray, v: np.ndarray) -> Tuple[float, float]:
@@ -324,7 +337,7 @@ class _Curve:
         # eigenpair of the last state made
         self.pair: Optional[Eigenpair] = None
         # interior vector that warm-starts the next eigen solve: the last
-        # state's eigenvector, or a guess set before the first state
+        # state's eigenvector, or a guess set before a fold polish
         self.start: Optional[np.ndarray] = None
 
     def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, max_steps):
@@ -374,18 +387,22 @@ class _Curve:
         phi pinned to 1 at its peak node.  The extended Jacobian is
         regular at a quadratic fold even though G_w itself is singular
         there, so the iteration sharpens a nearby curve point into the
-        fold.  Returns (w, lam), or None when Newton leaves the curve's
-        neighbourhood or ends off the residual target.
+        fold.  phi starts as the eigenvector of mu_1 at (w, lam), its solve
+        warm-started from `self.start`.  Newton stops once both residuals
+        are at the roundoff floor and its last update moved lam by at most
+        1e-13 relative, or after 8 updates.  The floor alone is not enough:
+        on a 6001-node ball it is 4.3e-6, and lam stopped there depends on
+        the start by 4e-7 relative.  Returns (w, lam), or None when Newton
+        leaves the curve's neighbourhood or ends off the residual target;
+        a stalled eigen solve raises IterationLimit.
         """
         w = np.array(w, dtype=float)
         lam = float(lam)
         ab = -_jacobian(self.Lb, self.f, w, lam)
-        try:
-            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start)
-        except IterationLimit:
-            return None
+        _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start)
         i0 = int(np.argmax(np.abs(phi)))  # phi[i0] = 1
         lam0 = lam
+        dlam = np.inf
         for _ in range(8):
             gap = 1.0 - w
             if gap.min() <= 1e-12 or not 0.2 * lam0 <= lam <= 5.0 * lam0:
@@ -393,7 +410,8 @@ class _Curve:
             G = _residual(self.Lb, self.f, w, lam)
             Jb = _jacobian(self.Lb, self.f, w, lam)
             H = bands_matvec(Jb, phi)
-            if np.max(np.abs(G)) <= self.res_floor and np.max(np.abs(H)) <= 10.0 * self.res_floor:
+            if (abs(dlam) <= 1e-13 * abs(lam) and np.max(np.abs(G)) <= self.res_floor
+                    and np.max(np.abs(H)) <= 10.0 * self.res_floor):
                 break
             glam = self.f / gap**2
             d1 = 6.0 * lam * self.f / gap**4 * phi
@@ -432,25 +450,28 @@ class _Curve:
         return SteadyState(lam=st.lam, w=st.w, residual_norm=st.residual_norm, mu1=self.pair.eigenvalue)
 
 
-def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBranch:
-    """Trace the solution curve from (lam=0, w=0) past the fold.
+def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]:
+    """The pseudo-arclength walk from (lam=0, w=0) to the fold, and the fold.
 
-    Stepping is pseudo-arclength with secant tangents and step halving on
-    corrector failure; it stops after 600 states, once lam has dropped by
-    a tenth of its maximum past the fold, or once ||w||_inf reaches 0.985.
-    The fold is then found by `_Curve.fold_polish` from the traversal
-    point of largest lam: the polished point is `fold_state`, its lam is
-    `lambda_star`, and its eigenpair gives phi_star and psi_star.  A
-    failed polish raises StepFailure.
+    Stepping uses secant tangents and halves the step on corrector failure,
+    for at most 600 points.  With `keep_states` every point becomes a
+    SteadyState with its mu1, and the walk goes on past the fold until lam
+    has dropped by a tenth of its maximum or ||w||_inf reaches 0.985.
+    Without, no eigenpair is solved and the walk stops at the first point
+    past the fold; the corrector calls up to there are the same, so its
+    points are bitwise those of the walk with states.
+    The fold is then polished (`_Curve.fold_polish`) from the last point
+    before the fold, and the polish and the fold state's eigen solve are
+    warm-started from the normalized secant into the first point past it,
+    which at a quadratic fold lies near ker G_w.  Returns (fold, states,
+    fold_index), where states[fold_index] is that last point before the
+    fold; states is empty without `keep_states`.
     """
     if ds <= 0:
         raise ValueError("ds must be positive")
-    curve = _Curve(profile, mesh)
-    n = curve.n
-
-    w = np.zeros(n)
+    w = np.zeros(curve.n)
     lam = 0.0
-    states = [curve.state(w, lam)]
+    states = [curve.state(w, lam)] if keep_states else []
 
     # tangent at the trivial point: dw/dlam solves lap(dw) = -f
     dwdlam = solve_banded(curve.Lb, -curve.f)
@@ -458,43 +479,54 @@ def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBra
     tau_w, tau_lam = dwdlam / nrm, 1.0 / nrm
 
     step = ds
-    fold_seen = False
-    last_w, last_lam = w, lam
-    while len(states) < 600:
+    points = 1
+    top = None  # (index, w, lam, secant) at the fold
+    while points < 600:
         ok = None
         while step > 1e-12:
-            pred_w = last_w + step * tau_w
-            pred_lam = last_lam + step * tau_lam
-            ok = curve.correct(pred_w, pred_lam, tau_w, tau_lam, last_w, last_lam, step, max_steps=14)
+            pred_w = w + step * tau_w
+            pred_lam = lam + step * tau_lam
+            ok = curve.correct(pred_w, pred_lam, tau_w, tau_lam, w, lam, step, max_steps=14)
             if ok is not None:
                 break
             step *= 0.5
         if ok is None:
-            raise StepFailure("continuation stalled at lam=%g" % last_lam, states[-1])
+            raise StepFailure("continuation stalled at lam=%g" % lam)
         new_w, new_lam = ok
-        sec_w, sec_lam = new_w - last_w, new_lam - last_lam
+        sec_w, sec_lam = new_w - w, new_lam - lam
         nrm = curve.norm(sec_w, sec_lam)
-        new_tau_w, new_tau_lam = sec_w / nrm, sec_lam / nrm
-        states.append(curve.state(new_w, new_lam))
-        if new_tau_lam < 0.0:
-            fold_seen = True
-        last_w, last_lam = new_w, new_lam
-        tau_w, tau_lam = new_tau_w, new_tau_lam
+        tau_w, tau_lam = sec_w / nrm, sec_lam / nrm
+        if keep_states:
+            states.append(curve.state(new_w, new_lam))
+        if top is None and tau_lam < 0.0:
+            top = (points - 1, w, lam, tau_w)
+        points += 1
+        w, lam = new_w, new_lam
         step = min(step * 1.3, 2.0 * ds)
-        if fold_seen:
+        if top is not None:
+            if not keep_states:
+                break
             lam_max = max(s.lam for s in states)
-            if new_lam <= 0.9 * lam_max or states[-1].sup_w >= 0.985:
+            if lam <= 0.9 * lam_max or states[-1].sup_w >= 0.985:
                 break
 
-    if not fold_seen:
-        raise StepFailure("no fold found within max_points", states[-1])
-
-    fold_index = int(np.argmax([s.lam for s in states]))
-    top = states[fold_index]
-    polished = curve.fold_polish(top.w.values[mesh.unknown_slice], top.lam)
+    if top is None:
+        raise StepFailure("no fold found within max_points")
+    fold_index, top_w, top_lam, curve.start = top
+    polished = curve.fold_polish(top_w, top_lam)
     if polished is None:
-        raise StepFailure("fold polish failed near lam=%g" % top.lam, states[-1])
-    fold = _fold_at(curve, *polished)
+        raise StepFailure("fold polish failed near lam=%g" % top_lam)
+    return _fold_at(curve, *polished), states, fold_index
+
+
+def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBranch:
+    """Trace the solution curve from (lam=0, w=0) past the fold, with mu1 at
+    every state (`_walk` with states).  The polished fold point is
+    `fold_state`, its lam is `lambda_star`, and its eigenpair gives
+    phi_star and psi_star.  A stalled walk or a failed polish raises
+    StepFailure.
+    """
+    fold, states, fold_index = _walk(_Curve(profile, mesh), ds, keep_states=True)
     return SteadyBranch(**vars(fold), states=tuple(states), fold_index=fold_index)
 
 
@@ -508,31 +540,36 @@ def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
 
 
 # node count of the walk behind `locate_fold` on meshes finer than
-# FULL_WALK_NODES; below about 600 nodes the full walk costs less
+# FULL_WALK_NODES; below about 700 nodes the walk on the mesh itself costs less
 COARSE_NODES = 401
-FULL_WALK_NODES = 600
+FULL_WALK_NODES = 700
 
 
 def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
-    """The fold of `continue_branch`, without its states on `mesh`.
+    """The fold of `continue_branch`, from a walk without states.
 
-    Up to FULL_WALK_NODES nodes this is `continue_branch` itself.  On a
-    finer mesh the branch is walked on COARSE_NODES nodes (nested iteration):
-    the coarse w* and phi*, interpolated onto `mesh`, start one
-    `_Curve.fold_polish` at the coarse lambda_star, which lands on the
-    same discrete fold as the full walk's polish.  If that polish fails,
-    the whole branch is walked on `mesh`.  A failed coarse walk raises
-    as `continue_branch` does.
+    Up to FULL_WALK_NODES nodes the branch is walked on `mesh` without
+    eigen solves, up to the first point past the fold, and polished from
+    the same point and start vector as in `continue_branch`, so the fold
+    is bitwise that of `continue_branch`.  On a finer mesh the fold is
+    first located so on COARSE_NODES nodes (nested iteration): the coarse
+    w* and phi*, interpolated onto `mesh`, start one `_Curve.fold_polish`
+    at the coarse lambda_star, which lands on the same discrete fold as
+    the full walk's polish.  If that polish fails, the walk runs on `mesh`
+    itself.  A failed coarse walk raises as `continue_branch` does.
     """
+    def walked(on: Mesh) -> Fold:
+        return _walk(_Curve(profile, on), ds, keep_states=False)[0]
+
     if mesh.node_count <= FULL_WALK_NODES:
-        return continue_branch(profile, mesh, ds)
-    coarse = continue_branch(profile, build_mesh(mesh.geometry, COARSE_NODES), ds)
+        return walked(mesh)
+    coarse = walked(build_mesh(mesh.geometry, COARSE_NODES))
     x, xc, inner = mesh.nodes, coarse.w_star.mesh.nodes, mesh.unknown_slice
     curve = _Curve(profile, mesh)
     curve.start = np.interp(x, xc, coarse.phi_star.values)[inner]
     polished = curve.fold_polish(np.interp(x, xc, coarse.w_star.values)[inner], coarse.lambda_star)
     if polished is None:
-        return continue_branch(profile, mesh, ds)
+        return walked(mesh)
     return _fold_at(curve, *polished)
 
 

@@ -7,6 +7,7 @@ Every run directory is under tmp_path; exit codes follow the contract
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ def read_json(path):
 def sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def stall_eigen_solves(monkeypatch):
+    """Make every steady eigen solve stall; returns the names of its callers."""
+    callers = []
+
+    def stalled(ab, weights, start=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        raise steady.IterationLimit("eigen-residual forced above its target")
+
+    monkeypatch.setattr(steady, "smallest_eigenvalue_bands", stalled)
+    return callers
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +229,7 @@ def test_unusable_lambda_is_config_error(tmp_path, monkeypatch, argv, payload):
 
     monkeypatch.setattr(dynamics, "integrate", unreachable)
     monkeypatch.setattr(steady, "continue_branch", unreachable)
+    monkeypatch.setattr(steady, "_walk", unreachable)
     monkeypatch.setattr(steady, "solve_minimal", unreachable)
     cfg = write_config(tmp_path, "lam.json", dict(payload, node_count=101))
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "lam_out")]) == 2
@@ -393,7 +407,7 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise steady.StepFailure("forced")
 
-    monkeypatch.setattr(steady, "continue_branch", fail)
+    monkeypatch.setattr(steady, "_walk", fail)
     cfg = write_config(tmp_path, "sf.json", {
         "node_count": 101, "lambda_grid": [4.0], "time": {"t_max": 0.2},
     })
@@ -406,14 +420,34 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
 
-def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys):
-    cfg = write_config(tmp_path, "s9.json", {
-        "geometry": {"kind": "ball", "dimension": 9}, "node_count": 201,
-        "lambda_grid": [60.0], "time": {"t_max": 0.01},
+def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatch):
+    # the walk to the fold solves no eigenpair; the fold polish's own eigen solve stalls
+    callers = stall_eigen_solves(monkeypatch)
+    cfg = write_config(tmp_path, "stall.json", {
+        "node_count": 201, "lambda_grid": [60.0], "time": {"t_max": 0.01},
     })
-    out = str(tmp_path / "s9_out")
+    out = str(tmp_path / "stall_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: eigen-residual" in capsys.readouterr().err
+    assert callers == ["fold_polish"]
+    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, 1)
+    assert cells[1] != "" and cells[2:5] == ["", "", ""]
+    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
+
+
+def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
+    # on a 9-ball the corrector stalls before the fold: bounds exits 3, and
+    # sweep rows keep the large-lam sandwich alone
+    cfg = write_config(tmp_path, "s9.json", {
+        "geometry": {"kind": "ball", "dimension": 9}, "node_count": 201,
+        "lambda": 60.0, "lambda_grid": [60.0], "time": {"t_max": 0.01},
+    })
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b9_out")]) == 3
+    assert "continuation failed: continuation stalled" in capsys.readouterr().err
+    out = str(tmp_path / "s9_out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert "continuation failed, steady bounds omitted: continuation stalled" in capsys.readouterr().err
     cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
     ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, 9)
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
@@ -479,27 +513,35 @@ def test_one_unknown_slab_runs(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [["steady"], ["bounds", "--lambda", "60"]])
-def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, argv):
-    # the eigen solve on a 9-ball stalls far above its residual target
-    cfg = write_config(tmp_path, "b9.json", {"geometry": {"kind": "ball", "dimension": 9}, "node_count": 201})
+def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, monkeypatch, argv):
+    # steady's eigen solves on a 9-ball stall far above their residual
+    # target; bounds walks to the fold without eigen solves, so its first
+    # one is the fold polish's own, made to stall here
+    spec = {"geometry": {"kind": "ball", "dimension": 9}, "node_count": 201}
+    callers = []
+    if argv[0] == "bounds":
+        spec = {"node_count": 201}
+        callers = stall_eigen_solves(monkeypatch)
+    cfg = write_config(tmp_path, "b9.json", spec)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "b9_out")]) == 3
     assert "continuation failed: eigen-residual" in capsys.readouterr().err
+    assert callers == (["fold_polish"] if argv[0] == "bounds" else [])
 
 
 def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     # above FULL_WALK_NODES nodes bounds and sweep take the fold from a walk on
     # COARSE_NODES nodes; a StepFailure there ends bounds with exit 3 and
     # leaves sweep rows with the large-lam sandwich alone
-    walk = steady.continue_branch
+    walk = steady._walk
     walked = []
 
-    def fail_coarse(profile, mesh, ds=0.02):
-        walked.append(mesh.node_count)
-        if mesh.node_count == steady.COARSE_NODES:
+    def fail_coarse(curve, ds, keep_states):
+        walked.append(curve.mesh.node_count)
+        if curve.mesh.node_count == steady.COARSE_NODES:
             raise steady.StepFailure("forced on the coarse mesh")
-        return walk(profile, mesh, ds)
+        return walk(curve, ds, keep_states)
 
-    monkeypatch.setattr(steady, "continue_branch", fail_coarse)
+    monkeypatch.setattr(steady, "_walk", fail_coarse)
     cfg = write_config(tmp_path, "cw.json", {
         "node_count": 1001, "lambda": 4.0, "lambda_grid": [4.0], "time": {"t_max": 0.2},
     })

@@ -27,7 +27,7 @@ from quenchlab.selfsim import (
     write_energy_csv,
     write_frame_csv,
 )
-from quenchlab.steady import branch_to_csv, solve_minimal
+from quenchlab.steady import branch_to_csv, minimal_states
 
 EDGES = (-0.0, 1.0, 5e-324, 1.7976931348623157e308)
 
@@ -139,7 +139,8 @@ def test_steady_grid_matches_oracle(tmp_path):
     out = tmp_path / "grid"
     assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
     mesh = build_mesh(Slab(-0.5, 0.5), 101)
-    states = [solve_minimal(lam, Constant(1.0), mesh) for lam in grid]
+    # the grid's states share one curve, as in the CLI
+    states = list(minimal_states(grid, Constant(1.0), mesh))
     rows = [(s.lam, s.sup_w, s.mu1) for s in states]
     assert read_bytes(out / "branch.csv") == oracle_rows("lambda,sup_w,mu1", rows)
 

@@ -92,6 +92,30 @@ def test_solve_minimal_sup_converges_second_order():
     assert errs[1] / errs[2] > 3.5
 
 
+def test_grid_mu1_is_warm_started_on_one_curve(monkeypatch):
+    # minimal_states keeps Newton cold from w = 0 at every lam, and starts
+    # each mu1 from the previous state's eigenvector: the same states, mu1
+    # within 1e-9, and fewer inverse-iteration solves than cold solves
+    mesh = build_mesh(Slab(-0.5, 0.5), 2001)
+    grid = [0.2, 0.5, 0.8, 1.1, 1.3, 1.39]
+    kernel = steady.solve_banded
+    right_sides = []
+
+    def counted(ab, b, **kwargs):
+        right_sides.append(np.ndim(b))  # inverse iteration solves for one vector
+        return kernel(ab, b, **kwargs)
+
+    monkeypatch.setattr(steady, "solve_banded", counted)
+    cold = [solve_minimal(lam, Constant(1.0), mesh) for lam in grid]
+    cold_solves = right_sides.count(1)
+    right_sides.clear()
+    warm = list(steady.minimal_states(grid, Constant(1.0), mesh))
+    assert right_sides.count(1) < cold_solves
+    for a, b in zip(cold, warm):
+        assert b.lam == a.lam and np.array_equal(b.w.values, a.w.values)
+        assert b.mu1 == pytest.approx(a.mu1, rel=1e-9)
+
+
 def test_solve_minimal_beyond_fold():
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
     assert solve_minimal(2.0, Constant(1.0), mesh) is None
@@ -291,27 +315,87 @@ def test_locate_fold_falls_back_to_the_full_walk(monkeypatch):
 
     monkeypatch.setattr(steady._Curve, "fold_polish", fail_first_fine)
     fold = steady.locate_fold(Constant(1.0), mesh)
-    assert len(fine_calls) == 2  # the failed polish, then the full walk's own
+    assert len(fine_calls) == 2  # the failed polish, then the fine walk's own
     for a, b in zip(_fold_arrays(fold), _fold_arrays(full)):
         assert np.array_equal(a, b)
 
 
 def test_locate_fold_walks_small_meshes_in_full(monkeypatch):
-    # up to FULL_WALK_NODES nodes the fold is the full walk's; one node
-    # more and the branch is walked on COARSE_NODES nodes instead
-    walk = steady.continue_branch
+    # up to FULL_WALK_NODES nodes the walk runs on the mesh itself; one node
+    # more and it runs on COARSE_NODES nodes instead; neither keeps states
+    walk = steady._walk
     walked = []
 
-    def recorded(profile, mesh, ds=0.02):
-        walked.append(mesh.node_count)
-        return walk(profile, mesh, ds)
+    def recorded(curve, ds, keep_states):
+        walked.append((curve.mesh.node_count, keep_states))
+        return walk(curve, ds, keep_states)
 
-    monkeypatch.setattr(steady, "continue_branch", recorded)
+    monkeypatch.setattr(steady, "_walk", recorded)
     n = steady.FULL_WALK_NODES
     assert steady.COARSE_NODES < n
-    assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n))) is steady.SteadyBranch
+    assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n))) is steady.Fold
     assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n + 1))) is steady.Fold
-    assert walked == [n, steady.COARSE_NODES]
+    assert walked == [(n, False), (steady.COARSE_NODES, False)]
+
+
+@pytest.mark.parametrize("profile", [Constant(1.0), SlabSinPiecewise()], ids=["f1", "two-bump"])
+def test_lean_walk_stops_at_the_fold_state_of_the_full_walk(monkeypatch, profile):
+    # the walk without states ends at the first point past the fold; its
+    # polish starts from states[fold_index] of the walk with states, with
+    # the same start vector, so the two folds agree bitwise
+    mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    polish = steady._Curve.fold_polish
+    starts = []
+
+    def recorded(self, w, lam):
+        starts.append((w.copy(), lam, self.start.copy()))
+        return polish(self, w, lam)
+
+    monkeypatch.setattr(steady._Curve, "fold_polish", recorded)
+    branch = continue_branch(profile, mesh)
+    fold = steady.locate_fold(profile, mesh)
+    (w_full, lam_full, start_full), (w_lean, lam_lean, start_lean) = starts
+    top = branch.states[branch.fold_index]
+    assert np.array_equal(w_lean, top.w.values[mesh.unknown_slice]) and lam_lean == top.lam
+    assert np.array_equal(w_full, w_lean) and lam_full == lam_lean
+    assert np.array_equal(start_full, start_lean)
+    assert branch.states[branch.fold_index + 1].lam < top.lam
+    for a, b in zip(_fold_arrays(fold), _fold_arrays(branch)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("nodes", [401, 1001])
+def test_locate_fold_solves_no_eigenpair_before_the_polish(monkeypatch, nodes):
+    events = []
+    eigen = steady.smallest_eigenvalue_bands
+    polish = steady._Curve.fold_polish
+
+    def eigen_recorded(*args, **kwargs):
+        events.append("eigen")
+        return eigen(*args, **kwargs)
+
+    def polish_recorded(self, w, lam):
+        events.append("polish")
+        return polish(self, w, lam)
+
+    monkeypatch.setattr(steady, "smallest_eigenvalue_bands", eigen_recorded)
+    monkeypatch.setattr(steady._Curve, "fold_polish", polish_recorded)
+    steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), nodes))
+    # the polish's own eigen solve, then the fold state's; on a fine mesh
+    # the same again after the coarse fold
+    assert events == ["polish", "eigen", "eigen"] * (1 if nodes <= steady.FULL_WALK_NODES else 2)
+
+
+def test_fold_polish_does_not_depend_on_its_start():
+    # two polishes on one mesh: from the interpolated coarse fold
+    # (locate_fold) and from the fine walk's last point and secant.  The
+    # residual floor here is 4.3e-6, and polishes stopped at the floor left
+    # the two lam* 4e-7 apart; converged on the Newton step, they agree
+    mesh = build_mesh(RadialBall(3, 1.0), 6001)
+    profile = Power(1.0)
+    nested = steady.locate_fold(profile, mesh)
+    walked, _, _ = steady._walk(steady._Curve(profile, mesh), 0.02, keep_states=False)
+    assert walked.lambda_star == pytest.approx(nested.lambda_star, rel=1e-10)
 
 
 @pytest.mark.parametrize("geometry,profile", [

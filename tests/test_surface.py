@@ -12,7 +12,8 @@ up under that name (the benchmark tracer wraps it there).  The CLI runs
 without importing scipy.linalg at all: `mesh` loads LAPACK dgtsv from its
 extension file, which is the routine scipy.linalg.lapack exports.  In
 `steady`, the operator G and its Jacobian are used only by the curve kit
-`_Curve`, whose corrector is the one Newton, and by the eigen solve.  The
+`_Curve`, whose corrector is the one Newton, and by the eigen solve;
+only `solve_minimal` and the one branch walk `_walk` call that corrector.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.
@@ -117,13 +118,24 @@ def test_cli_runs_without_scipy_linalg(tmp_path):
 
 
 def test_one_steady_newton():
-    # solve_minimal and continue_branch reach G = 0 through _Curve.correct
+    # solve_minimal and the branch walk reach G = 0 through _Curve.correct
     callers = set()
     for top in ast.parse((SRC / "steady.py").read_text()).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_residual", "_jacobian"):
                 callers.add(top.name)
     assert callers <= {"_Curve", "linearized_eigenpair"}, callers
+
+
+def test_one_branch_walk():
+    # continue_branch and locate_fold walk the branch through _walk, and
+    # solve_minimal is the corrector at fixed lam; nothing else corrects
+    callers = set()
+    for top in ast.parse((SRC / "steady.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "correct":
+                callers.add(top.name)
+    assert callers == {"solve_minimal", "_walk"}, callers
 
 
 def test_one_holder_sampling():
