@@ -5,7 +5,7 @@ independent yardstick for something it does compute:
 
 - `liapunov`, the energy that the flow of `dynamics.integrate` lowers;
 - `convergence_check`, the distance of a subcritical run to the minimal
-  steady state of `steady.solve_minimal`;
+  steady state of `steady.minimal_states`;
 - `singular_extremal_radial`, the closed-form singular extremal on the
   unit ball in dimensions >= 8, against which the discrete radial
   Laplacian is checked.
@@ -19,7 +19,7 @@ import numpy as np
 from quenchlab.dynamics import TimeConfig, integrate
 from quenchlab.mesh import Field, Mesh
 from quenchlab.profiles import Profile, evaluate
-from quenchlab.steady import solve_minimal
+from quenchlab.steady import minimal_states
 
 
 def liapunov(state: Field, lam: float, profile: Profile) -> float:
@@ -39,7 +39,7 @@ class ConvergenceTrace:
 
 def convergence_check(lam: float, profile: Profile, mesh: Mesh, cfg: TimeConfig) -> ConvergenceTrace:
     """Sup-distance of u(.,t) to the minimal steady state, per snapshot."""
-    state = solve_minimal(lam, profile, mesh)
+    state = next(minimal_states([lam], profile, mesh))
     if state is None:
         raise ValueError("no minimal steady state at lam=%g" % lam)
     w = state.w.values

@@ -38,13 +38,17 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def stall_eigen_solves(monkeypatch):
-    """Make every steady eigen solve stall; returns the names of its callers."""
+def stall_eigen_solves(monkeypatch, caller):
+    """Make the steady eigen solves called from `caller` stall; returns the
+    names of the callers of every eigen solve."""
     callers = []
+    eigen = steady.smallest_eigenvalue_bands
 
     def stalled(ab, weights, start=None):
         callers.append(sys._getframe(1).f_code.co_name)
-        raise steady.IterationLimit("eigen-residual forced above its target")
+        if callers[-1] == caller:
+            raise steady.IterationLimit("eigen-residual forced above its target")
+        return eigen(ab, weights, start=start)
 
     monkeypatch.setattr(steady, "smallest_eigenvalue_bands", stalled)
     return callers
@@ -230,7 +234,7 @@ def test_unusable_lambda_is_config_error(tmp_path, monkeypatch, argv, payload):
     monkeypatch.setattr(dynamics, "integrate", unreachable)
     monkeypatch.setattr(steady, "continue_branch", unreachable)
     monkeypatch.setattr(steady, "_walk", unreachable)
-    monkeypatch.setattr(steady, "solve_minimal", unreachable)
+    monkeypatch.setattr(steady, "minimal_states", unreachable)
     cfg = write_config(tmp_path, "lam.json", dict(payload, node_count=101))
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "lam_out")]) == 2
 
@@ -421,15 +425,16 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatch):
-    # the walk to the fold solves no eigenpair; the fold polish's own eigen solve stalls
-    callers = stall_eigen_solves(monkeypatch)
+    # the walk to the fold solves no eigenpair; after the fold polish's own
+    # eigen solve, the fold state's stalls
+    callers = stall_eigen_solves(monkeypatch, "linearized_eigenpair")
     cfg = write_config(tmp_path, "stall.json", {
         "node_count": 201, "lambda_grid": [60.0], "time": {"t_max": 0.01},
     })
     out = str(tmp_path / "stall_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: eigen-residual" in capsys.readouterr().err
-    assert callers == ["fold_polish"]
+    assert callers == ["fold_polish", "linearized_eigenpair"]
     cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
     ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, 1)
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
@@ -515,17 +520,26 @@ def test_one_unknown_slab_runs(tmp_path, argv):
 @pytest.mark.parametrize("argv", [["steady"], ["bounds", "--lambda", "60"]])
 def test_eigen_iteration_limit_is_solver_failure(tmp_path, capsys, monkeypatch, argv):
     # steady's eigen solves on a 9-ball stall far above their residual
-    # target; bounds walks to the fold without eigen solves, so its first
-    # one is the fold polish's own, made to stall here
+    # target; bounds walks to the fold without eigen solves, so here the
+    # fold state's eigen solve, after the fold polish's own, is made to stall
     spec = {"geometry": {"kind": "ball", "dimension": 9}, "node_count": 201}
     callers = []
     if argv[0] == "bounds":
         spec = {"node_count": 201}
-        callers = stall_eigen_solves(monkeypatch)
+        callers = stall_eigen_solves(monkeypatch, "linearized_eigenpair")
     cfg = write_config(tmp_path, "b9.json", spec)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "b9_out")]) == 3
     assert "continuation failed: eigen-residual" in capsys.readouterr().err
-    assert callers == (["fold_polish"] if argv[0] == "bounds" else [])
+    assert callers == (["fold_polish", "linearized_eigenpair"] if argv[0] == "bounds" else [])
+
+
+def test_stalled_polish_eigen_solve_fails_the_polish(tmp_path, capsys, monkeypatch):
+    # a stall in the fold polish's own eigen solve fails the polish: exit 3
+    callers = stall_eigen_solves(monkeypatch, "fold_polish")
+    cfg = write_config(tmp_path, "sp.json", {"node_count": 201})
+    assert main(["bounds", "--lambda", "60", "--config", cfg, "--out", str(tmp_path / "sp_out")]) == 3
+    assert "continuation failed: fold polish failed" in capsys.readouterr().err
+    assert callers == ["fold_polish"]
 
 
 def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):

@@ -28,8 +28,8 @@ from quenchlab.steady import (
     branch_to_csv,
     continue_branch,
     linearized_eigenpair,
+    minimal_states,
     smallest_eigenvalue_bands,
-    solve_minimal,
 )
 
 from oracles import OutOfRange, alpha_max, singular_extremal_radial
@@ -67,7 +67,7 @@ def test_closed_form_constants_recompute():
 
 def test_solve_minimal_zero_load():
     mesh = build_mesh(Slab(-0.5, 0.5), 101)
-    st = solve_minimal(0.0, Constant(1.0), mesh)
+    st = next(minimal_states([0.0], Constant(1.0), mesh))
     assert np.all(st.w.values == 0.0)
     assert st.mu1 == pytest.approx(math.pi**2, rel=1e-3)
 
@@ -77,7 +77,7 @@ def test_solve_minimal_matches_closed_form():
     # the tolerance widens at 1.35 where fold curvature inflates the h^2 term
     for lam, m_exact, tol in ((0.5, SUP_LAM_HALF, 1e-6),
                               (1.35, SUP_LAM_135, 5e-6)):
-        st = solve_minimal(lam, Constant(1.0), mesh)
+        st = next(minimal_states([lam], Constant(1.0), mesh))
         assert st is not None
         assert abs(st.sup_w - m_exact) < tol
         assert st.residual_norm < 1e-9
@@ -86,7 +86,7 @@ def test_solve_minimal_matches_closed_form():
 def test_solve_minimal_sup_converges_second_order():
     errs = []
     for n in (201, 401, 801):
-        st = solve_minimal(0.5, Constant(1.0), build_mesh(Slab(-0.5, 0.5), n))
+        st = next(minimal_states([0.5], Constant(1.0), build_mesh(Slab(-0.5, 0.5), n)))
         errs.append(abs(np.max(st.w.values) - SUP_LAM_HALF))
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
@@ -95,7 +95,8 @@ def test_solve_minimal_sup_converges_second_order():
 def test_grid_mu1_is_warm_started_on_one_curve(monkeypatch):
     # minimal_states keeps Newton cold from w = 0 at every lam, and starts
     # each mu1 from the previous state's eigenvector: the same states, mu1
-    # within 1e-9, and fewer inverse-iteration solves than cold solves
+    # within 1e-9, and fewer inverse-iteration solves than one-point grids,
+    # each of which solves cold
     mesh = build_mesh(Slab(-0.5, 0.5), 2001)
     grid = [0.2, 0.5, 0.8, 1.1, 1.3, 1.39]
     kernel = steady.solve_banded
@@ -106,10 +107,10 @@ def test_grid_mu1_is_warm_started_on_one_curve(monkeypatch):
         return kernel(ab, b, **kwargs)
 
     monkeypatch.setattr(steady, "solve_banded", counted)
-    cold = [solve_minimal(lam, Constant(1.0), mesh) for lam in grid]
+    cold = [next(minimal_states([lam], Constant(1.0), mesh)) for lam in grid]
     cold_solves = right_sides.count(1)
     right_sides.clear()
-    warm = list(steady.minimal_states(grid, Constant(1.0), mesh))
+    warm = list(minimal_states(grid, Constant(1.0), mesh))
     assert right_sides.count(1) < cold_solves
     for a, b in zip(cold, warm):
         assert b.lam == a.lam and np.array_equal(b.w.values, a.w.values)
@@ -118,7 +119,7 @@ def test_grid_mu1_is_warm_started_on_one_curve(monkeypatch):
 
 def test_solve_minimal_beyond_fold():
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
-    assert solve_minimal(2.0, Constant(1.0), mesh) is None
+    assert next(minimal_states([2.0], Constant(1.0), mesh)) is None
 
 
 def test_solve_minimal_next_to_the_fold():
@@ -126,7 +127,7 @@ def test_solve_minimal_next_to_the_fold():
     # steps a continuation corrector gets, so the cold solve has a higher cap
     mesh = build_mesh(Slab(-0.5, 0.5), 101)
     lam_star = continue_branch(Constant(1.0), mesh).lambda_star
-    st = solve_minimal((1.0 - 1e-8) * lam_star, Constant(1.0), mesh)
+    st = next(minimal_states([(1.0 - 1e-8) * lam_star], Constant(1.0), mesh))
     assert st is not None
     assert st.mu1 > 0.0
 
@@ -137,7 +138,7 @@ def test_mu1_at_zero_state():
     errs = []
     for n in (201, 401):
         mesh = build_mesh(Slab(-0.5, 0.5), n)
-        st = solve_minimal(0.0, Constant(1.0), mesh)
+        st = next(minimal_states([0.0], Constant(1.0), mesh))
         pair = linearized_eigenpair(dataclasses.replace(st, lam=lam), Constant(1.0))
         errs.append(abs(pair.eigenvalue - (math.pi**2 - 2.0 * lam)))
     assert errs[0] < 1e-3
@@ -320,6 +321,27 @@ def test_locate_fold_falls_back_to_the_full_walk(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_stalled_fine_polish_eigen_solve_falls_back_to_the_full_walk(monkeypatch):
+    # the fine polish's own eigen solve stalls; the polish fails and
+    # locate_fold walks the fine mesh itself, as after any failed polish
+    mesh = build_mesh(Slab(-0.5, 0.5), 1001)
+    full = continue_branch(Constant(1.0), mesh)
+    eigen = steady.smallest_eigenvalue_bands
+    stalls = []
+
+    def stall_first_fine_polish(ab, weights, start=None):
+        if ab.shape[1] == mesh.node_count - 2 and not stalls:
+            stalls.append(start)
+            raise steady.IterationLimit("forced")
+        return eigen(ab, weights, start=start)
+
+    monkeypatch.setattr(steady, "smallest_eigenvalue_bands", stall_first_fine_polish)
+    fold = steady.locate_fold(Constant(1.0), mesh)
+    assert len(stalls) == 1
+    for a, b in zip(_fold_arrays(fold), _fold_arrays(full)):
+        assert np.array_equal(a, b)
+
+
 def test_locate_fold_walks_small_meshes_in_full(monkeypatch):
     # up to FULL_WALK_NODES nodes the walk runs on the mesh itself; one node
     # more and it runs on COARSE_NODES nodes instead; neither keeps states
@@ -390,7 +412,7 @@ def test_fold_polish_does_not_depend_on_its_start():
     # two polishes on one mesh: from the interpolated coarse fold
     # (locate_fold) and from the fine walk's last point and secant.  The
     # residual floor here is 4.3e-6, and polishes stopped at the floor left
-    # the two lam* 4e-7 apart; converged on the Newton step, they agree
+    # the two lam* 4e-7 apart; stopped on the lam step as well, they agree
     mesh = build_mesh(RadialBall(3, 1.0), 6001)
     profile = Power(1.0)
     nested = steady.locate_fold(profile, mesh)
@@ -398,12 +420,41 @@ def test_fold_polish_does_not_depend_on_its_start():
     assert walked.lambda_star == pytest.approx(nested.lambda_star, rel=1e-10)
 
 
-@pytest.mark.parametrize("geometry,profile", [
+FOLD_PAIRS = pytest.mark.parametrize("geometry,profile", [
     (Slab(-0.5, 0.5), Constant(1.0)),
     (Slab(-0.5, 0.5), SlabSinPiecewise()),
     (RadialBall(2, 1.0), Constant(1.0)),
     (RadialBall(3, 1.0), Power(1.0)),
 ], ids=["slab-f1", "slab-two-bump", "ball2-f1", "ball3-power1"])
+
+
+@FOLD_PAIRS
+def test_fold_polish_stops_before_its_update_cap(monkeypatch, geometry, profile):
+    # each Newton update solves G_w twice, for two right sides; the polish
+    # stops on its own test, before the cap of 8 updates, on the mesh
+    # itself (401 nodes) and on the fine mesh of the nested search (2001)
+    kernel = steady.solve_banded
+    polish = steady._Curve.fold_polish
+    solves, updates = [], []
+
+    def counted(ab, b, **kwargs):
+        solves.append(np.ndim(b) == 2)
+        return kernel(ab, b, **kwargs)
+
+    def recorded(self, w, lam):
+        solves.clear()
+        out = polish(self, w, lam)
+        updates.append(sum(solves) // 2)
+        return out
+
+    monkeypatch.setattr(steady, "solve_banded", counted)
+    monkeypatch.setattr(steady._Curve, "fold_polish", recorded)
+    for nodes in (401, 2001):
+        steady.locate_fold(profile, build_mesh(geometry, nodes))
+    assert len(updates) == 3 and all(0 < k < 8 for k in updates), updates
+
+
+@FOLD_PAIRS
 def test_locate_fold_agrees_with_the_full_walk(geometry, profile):
     mesh = build_mesh(geometry, 2001)
     full = continue_branch(profile, mesh)
@@ -452,8 +503,8 @@ def test_states_increase_toward_extremal(branch_f1_401):
 def test_solvability_brackets_fold(branch_f1_401):
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
     lam_star = branch_f1_401.lambda_star
-    assert solve_minimal(0.99 * lam_star, Constant(1.0), mesh) is not None
-    assert solve_minimal(1.01 * lam_star, Constant(1.0), mesh) is None
+    assert next(minimal_states([0.99 * lam_star], Constant(1.0), mesh)) is not None
+    assert next(minimal_states([1.01 * lam_star], Constant(1.0), mesh)) is None
 
 
 def test_branch_csv(tmp_path, branch_f1_401):

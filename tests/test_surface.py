@@ -13,7 +13,7 @@ without importing scipy.linalg at all: `mesh` loads LAPACK dgtsv from its
 extension file, which is the routine scipy.linalg.lapack exports.  In
 `steady`, the operator G and its Jacobian are used only by the curve kit
 `_Curve`, whose corrector is the one Newton, and by the eigen solve;
-only `solve_minimal` and the one branch walk `_walk` call that corrector.  The
+only `minimal_states` and the one branch walk `_walk` call that corrector.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.
@@ -118,7 +118,7 @@ def test_cli_runs_without_scipy_linalg(tmp_path):
 
 
 def test_one_steady_newton():
-    # solve_minimal and the branch walk reach G = 0 through _Curve.correct
+    # minimal_states and the branch walk reach G = 0 through _Curve.correct
     callers = set()
     for top in ast.parse((SRC / "steady.py").read_text()).body:
         for node in ast.walk(top):
@@ -129,13 +129,13 @@ def test_one_steady_newton():
 
 def test_one_branch_walk():
     # continue_branch and locate_fold walk the branch through _walk, and
-    # solve_minimal is the corrector at fixed lam; nothing else corrects
+    # minimal_states is the corrector at fixed lam; nothing else corrects
     callers = set()
     for top in ast.parse((SRC / "steady.py").read_text()).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "correct":
                 callers.add(top.name)
-    assert callers == {"solve_minimal", "_walk"}, callers
+    assert callers == {"minimal_states", "_walk"}, callers
 
 
 def test_one_holder_sampling():
