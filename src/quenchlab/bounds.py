@@ -3,14 +3,15 @@
 Every estimate is assembled from two kinds of input.  The fold constants
 (see `ingredients`) come from computed steady data (fold value
 lambda_star, extremal state w*, eigenfunctions phi*/psi*) and f on the
-mesh; they do not depend on lam.  sup f and the Holder constant K of the
-profile are sampled once, in `large_lambda_bounds`; the large-lam
-sandwich and the touchdown-location defect read them from there.
-`evaluate_all` is the one place that assembles both and hands them to
-each formula; it takes a grid of lam and builds both once per grid.
-The single-estimate functions are thin entry points over the same
-formulas.  Nothing here integrates in time; measured touchdown
-times enter only for the ordering checks in `evaluate_all`.
+mesh; they do not depend on lam.  sup f over Omega and the Holder
+constant K of the profile are sampled once, in `large_lambda_bounds`;
+the large-lam sandwich and the touchdown-location defect read them from
+there.  Each estimate is one public function of lam and these inputs
+(`bound_gg2`, `bound_lower_TL`, `bound_upper_T1`, `large_lambda_bounds`),
+and `evaluate_all` is the one place that assembles the inputs and calls
+each of them; it takes a grid of lam and builds the inputs once per grid.
+Nothing here integrates in time; measured touchdown times enter only for
+the ordering checks in `evaluate_all`.
 
 Field and column names ending in _1_2, _2_6, _1_7 are interface tokens
 identifying the individual estimates; they carry no meaning beyond
@@ -186,37 +187,17 @@ def _check_regular(mesh: Mesh) -> None:
         raise NotApplicable("extremal state is singular in dimension >= 8")
 
 
-def _lower_TL(lam: float, star: float, ing: BoundIngredients, mesh: Mesh) -> float:
-    _check_regular(mesh)
-    inner = ing.sup_phi_star / (12.0 * star * ing.sup_weight * ing.integral_phi)
-    return math.sqrt(inner) / math.sqrt(lam - star)
-
-
-def _upper_T1(lam: float, star: float, ing: BoundIngredients, mesh: Mesh, form: str) -> float:
-    _check_regular(mesh)
-    if ing.J_26 is None:
-        raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
-    I1, J, I2 = ing.I1_26, ing.J_26, ing.I2_26
-    if form == "simplified":
-        return math.sqrt(3.0) * math.pi / 4.0 * math.sqrt(J / (star * I1)) / math.sqrt(lam - star)
-    x = lam - star
-    return (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
-
-
-def _fold_ingredients(lam: float, fold: Fold, profile: Profile) -> BoundIngredients:
-    if lam <= fold.lambda_star:
+def bound_lower_TL(lam: float, lambda_star: float, ing: BoundIngredients, mesh: Mesh) -> float:
+    """Lower touchdown-time estimate from the fold eigenfunction phi*."""
+    if lam <= lambda_star:
         raise DomainError("requires lam > lambda_star")
-    return ingredients(fold, profile)
-
-
-def bound_lower_TL(lam: float, fold: Fold, profile: Profile) -> float:
-    """Lower touchdown-time estimate from the fold eigenfunction."""
-    ing = _fold_ingredients(lam, fold, profile)
-    return _lower_TL(lam, fold.lambda_star, ing, fold.w_star.mesh)
+    _check_regular(mesh)
+    inner = ing.sup_phi_star / (12.0 * lambda_star * ing.sup_weight * ing.integral_phi)
+    return math.sqrt(inner) / math.sqrt(lam - lambda_star)
 
 
 def bound_upper_T1(
-    lam: float, fold: Fold, profile: Profile, form: str = "arctan"
+    lam: float, lambda_star: float, ing: BoundIngredients, mesh: Mesh, form: str = "arctan"
 ) -> float:
     """Upper touchdown-time estimate from the mass-weighted fold data.
 
@@ -225,8 +206,16 @@ def bound_upper_T1(
     """
     if form not in ("simplified", "arctan"):
         raise ValueError("form must be 'simplified' or 'arctan'")
-    ing = _fold_ingredients(lam, fold, profile)
-    return _upper_T1(lam, fold.lambda_star, ing, fold.w_star.mesh, form)
+    if lam <= lambda_star:
+        raise DomainError("requires lam > lambda_star")
+    _check_regular(mesh)
+    if ing.J_26 is None:
+        raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
+    I1, J, I2 = ing.I1_26, ing.J_26, ing.I2_26
+    x = lam - lambda_star
+    if form == "simplified":
+        return math.sqrt(3.0) * math.pi / 4.0 * math.sqrt(J / (lambda_star * I1)) / math.sqrt(x)
+    return (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
 
 
 def blowup_time_F(a: float, b: float, E0: float) -> float:
@@ -238,12 +227,10 @@ def blowup_time_F(a: float, b: float, E0: float) -> float:
     return (math.pi / 2.0 + math.atan(E0 * math.sqrt(b / a))) / math.sqrt(a * b)
 
 
-def _sampled_sup(profile: Profile) -> float:
-    lo, hi = profile.domain()
-    if np.isfinite(lo) and np.isfinite(hi):
-        xs = np.linspace(lo, hi, _SAMPLES)
-    else:
-        xs = np.zeros(1)  # domain marker for "defined everywhere": constant value
+def _sampled_sup(profile: Profile, mesh: Mesh) -> float:
+    # sup over Omega, the mesh span (r in [0, R] on a ball), not over the
+    # profile's whole domain: a larger sup would lower the upper estimate
+    xs = np.linspace(mesh.nodes[0], mesh.nodes[-1], _SAMPLES)
     return float(np.max(evaluate(profile, xs)))
 
 
@@ -251,30 +238,31 @@ def large_lambda_bounds(
     lam: float,
     profile: Profile,
     alpha: float,
-    dimension: int,
+    mesh: Mesh,
     K: Optional[float] = None,
     sup_f: Optional[float] = None,
 ) -> LargeLambdaBounds:
-    """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))).
+    """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))) on the mesh's domain.
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
-    ground eigenvalue and K the Holder constant; delta = (eps/2K)^(1/a).
-    A constant profile has K = 0 and the sandwich collapses (eps = 0).
-    The asymptotic width is gap_coefficient * lam^gap_exponent.  K and sup f
-    are sampled at 4001 points unless given.
+    ground eigenvalue in the mesh's dimension and K the Holder constant;
+    delta = (eps/2K)^(1/a).  A constant profile has K = 0 and the sandwich
+    collapses (eps = 0).  The asymptotic width is gap_coefficient *
+    lam^gap_exponent.  Unless given, sup f is sampled at 4001 points over
+    Omega, and K at 4001 points over the profile's domain.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if K is None:
         K = holder_constant(profile, alpha, _SAMPLES)
     if sup_f is None:
-        sup_f = _sampled_sup(profile)
+        sup_f = _sampled_sup(profile, mesh)
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:
         return LargeLambdaBounds(lower, lower, 0.0, math.inf, True, exponent, 0.0, sup_f, K)
     frac = alpha / (2.0 + alpha)
-    scale = 2.0 * dirichlet_eigenvalue_ball(dimension) ** frac * K ** (2.0 / (2.0 + alpha))
+    scale = 2.0 * dirichlet_eigenvalue_ball(mesh.dimension) ** frac * K ** (2.0 / (2.0 + alpha))
     eps = scale / lam**frac
     delta = (eps / (2.0 * K)) ** (1.0 / alpha) if alpha > 0 else math.inf
     upper = eta_quench_time(lam, sup_f - eps) if sup_f - eps > 0 else None
@@ -328,7 +316,7 @@ def evaluate_all(
     reports: List[BoundsReport] = []
     K = sup_f = ing = None
     for lam, quench_report in zip(lams, quench_reports, strict=True):
-        ll = large_lambda_bounds(lam, profile, profile.holder_exponent, mesh.dimension, K=K, sup_f=sup_f)
+        ll = large_lambda_bounds(lam, profile, profile.holder_exponent, mesh, K=K, sup_f=sup_f)
         K, sup_f = ll.K, ll.sup_f
         if ing is None and fold is not None and lam > fold.lambda_star:
             ing = ingredients(fold, profile)
@@ -370,13 +358,13 @@ def _report(
         except NotApplicable as exc:
             flags["bound_1_2"] = str(exc)
         try:
-            TL = _lower_TL(lam, star, ing, mesh)
+            TL = bound_lower_TL(lam, star, ing, mesh)
             flags["T_L"] = "ok"
         except NotApplicable as exc:
             flags["T_L"] = str(exc)
         try:
-            T1s = _upper_T1(lam, star, ing, mesh, "simplified")
-            T1a = _upper_T1(lam, star, ing, mesh, "arctan")
+            T1s = bound_upper_T1(lam, star, ing, mesh, "simplified")
+            T1a = bound_upper_T1(lam, star, ing, mesh)
             flags["T1"] = "ok"
         except NotApplicable as exc:
             flags["T1"] = str(exc)

@@ -18,6 +18,7 @@ from quenchlab.bounds import (
     bound_gg2,
     bound_lower_TL,
     bound_upper_T1,
+    ingredients,
     large_lambda_bounds,
 )
 from quenchlab.dynamics import TimeConfig, integrate, rate_fit
@@ -101,16 +102,17 @@ def test_criterion_04_near_fold_scaling(branch_f1_2001, near_fold_sweep):
 
 def test_criterion_05_bound_ordering(branch_f1_2001, near_fold_sweep):
     f = Constant(1.0)
+    mesh = build_mesh(UNIT_SLAB, 2001)
+    star = branch_f1_2001.lambda_star
+    ing = ingredients(branch_f1_2001, f)
     for _, (lam, rep) in sorted(near_fold_sweep.items()):
-        TL = bound_lower_TL(lam, branch_f1_2001, f)
-        T1a = bound_upper_T1(lam, branch_f1_2001, f, form="arctan")
-        T1s = bound_upper_T1(lam, branch_f1_2001, f, form="simplified")
+        TL = bound_lower_TL(lam, star, ing, mesh)
+        T1a = bound_upper_T1(lam, star, ing, mesh, form="arctan")
+        T1s = bound_upper_T1(lam, star, ing, mesh, form="simplified")
         T = rep.T
         assert TL <= T * 1.01
         assert T <= T1a * 1.01
         assert T1a <= T1s * 1.01
-    mesh = build_mesh(UNIT_SLAB, 2001)
-    star = branch_f1_2001.lambda_star
     for q in (1.5, 2.0, 5.0):
         lam = q * star
         _, rep = integrate(lam, f, mesh, TimeConfig())
@@ -120,9 +122,10 @@ def test_criterion_05_bound_ordering(branch_f1_2001, near_fold_sweep):
 
 def test_criterion_06a_large_lam_sandwich(falpha_runs):
     f = SlabSinPiecewise()
+    mesh = build_mesh(UNIT_SLAB, REPRO_NODES)
     for lam in (1e3, 1e4, 1e5, 1e6):
         _, rep = falpha_runs[lam]
-        ll = large_lambda_bounds(lam, f, 1.0, 1)
+        ll = large_lambda_bounds(lam, f, 1.0, mesh)
         assert ll.lower <= rep.T * 1.002
         if ll.upper is not None:
             assert rep.T <= ll.upper
@@ -134,9 +137,10 @@ def test_criterion_06b_sandwich_gap_slope():
     # -(2+2a)/(2+a) = -4/3, while w itself carries the factor M / (M - eps),
     # which steepens its local slope by eps / (3 (M - eps)) until eps << M.
     f = SlabSinPiecewise()
+    mesh = build_mesh(UNIT_SLAB, REPRO_NODES)
     lams, widths, leads = [], [], []
     for lam in (1e3, 1e4, 1e5, 1e6):
-        ll = large_lambda_bounds(lam, f, 1.0, 1)
+        ll = large_lambda_bounds(lam, f, 1.0, mesh)
         sup_f = 1.0 / (3.0 * lam * ll.lower)
         if lam == 1e3:
             assert ll.upper is None and ll.epsilon > sup_f

@@ -29,10 +29,12 @@ from quenchlab.bounds import (
 )
 from quenchlab.dynamics import QuenchReport, TimeConfig, integrate
 from quenchlab.mesh import Field, Slab, build_mesh
-from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
+from quenchlab.profiles import Constant, Power, SlabSinPiecewise, evaluate
 from quenchlab.steady import SteadyBranch, SteadyState
 
 BESSEL_J0_FIRST_ZERO_SQ = 5.783185962946785  # (first zero of J_0)^2
+# the domain of the sandwich tests: the unit slab, on which the two-bump profile lives
+UNIT_MESH = build_mesh(Slab(-0.5, 0.5), 401)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +119,18 @@ def test_gg2_guards():
 # fold-eigenfunction estimates
 
 
+def fold_args(fold, profile):
+    """The fold estimates' arguments after lam: lambda*, the fold constants, the mesh."""
+    return fold.lambda_star, ingredients(fold, profile), fold.w_star.mesh
+
+
 def test_TL_inverse_sqrt_scaling(branch_f1_401):
-    star = branch_f1_401.lambda_star
-    vals = [bound_lower_TL(star + dx, branch_f1_401, Constant(1.0))
+    star, ing, mesh = fold_args(branch_f1_401, Constant(1.0))
+    vals = [bound_lower_TL(star + dx, star, ing, mesh)
             * math.sqrt(dx) for dx in (0.01, 0.1, 0.5, 1.0, 5.0)]
     assert max(vals) - min(vals) < 1e-12 * vals[0]
+    with pytest.raises(DomainError):
+        bound_lower_TL(0.5 * star, star, ing, mesh)
 
 
 def test_TL_eigenfunction_scale_invariance(branch_f1_401):
@@ -129,8 +138,8 @@ def test_TL_eigenfunction_scale_invariance(branch_f1_401):
     doubled = dataclasses.replace(
         br, phi_star=Field(br.phi_star.mesh, 2.0 * br.phi_star.values))
     lam = br.lambda_star + 0.3
-    assert bound_lower_TL(lam, doubled, Constant(1.0)) == pytest.approx(
-        bound_lower_TL(lam, br, Constant(1.0)), rel=1e-14)
+    assert bound_lower_TL(lam, *fold_args(doubled, Constant(1.0))) == pytest.approx(
+        bound_lower_TL(lam, *fold_args(br, Constant(1.0))), rel=1e-14)
 
 
 def synthetic_branch_unit_mass():
@@ -147,30 +156,31 @@ def test_T1_arctan_right_angle_on_synthetic_branch():
     # I1 = J = 1 by construction and I2 = 3 lambda* / J = 1, so at
     # lam - lambda* = 1 the arctan form is exactly pi/4 + pi/4
     br = synthetic_branch_unit_mass()
-    val = bound_upper_T1(br.lambda_star + 1.0, br, Constant(1.0), form="arctan")
+    args = fold_args(br, Constant(1.0))
+    val = bound_upper_T1(br.lambda_star + 1.0, *args, form="arctan")
     assert val == pytest.approx(math.pi / 2.0, abs=1e-12)
     # simplified form: sqrt(3) pi/4 * sqrt(J/(lambda* I1)) = sqrt(3) pi/4 * sqrt(3)
-    simp = bound_upper_T1(br.lambda_star + 1.0, br, Constant(1.0),
-                          form="simplified")
+    simp = bound_upper_T1(br.lambda_star + 1.0, *args, form="simplified")
     assert simp == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
 
 
 def test_T1_simplified_dominates_arctan(branch_f1_401):
-    star = branch_f1_401.lambda_star
+    args = fold_args(branch_f1_401, Constant(1.0))
+    star = args[0]
     for lam in (1.1 * star, 1.5 * star, 3.0 * star, 10.0 * star):
-        a = bound_upper_T1(lam, branch_f1_401, Constant(1.0), form="arctan")
-        s = bound_upper_T1(lam, branch_f1_401, Constant(1.0), form="simplified")
+        a = bound_upper_T1(lam, *args, form="arctan")
+        s = bound_upper_T1(lam, *args, form="simplified")
         assert a <= s
     with pytest.raises(ValueError):
-        bound_upper_T1(2.0, branch_f1_401, Constant(1.0), form="exact")
+        bound_upper_T1(2.0, *args, form="exact")
     with pytest.raises(DomainError):
-        bound_upper_T1(0.5 * star, branch_f1_401, Constant(1.0))
+        bound_upper_T1(0.5 * star, *args)
 
 
 def test_vanishing_profile_disables_T1(branch_falpha_801):
     f = SlabSinPiecewise()
     with pytest.raises(NotApplicable):
-        bound_upper_T1(5.0, branch_falpha_801, f)
+        bound_upper_T1(5.0, *fold_args(branch_falpha_801, f))
     with pytest.raises(NotApplicable):
         bound_gg2(5.0, branch_falpha_801.lambda_star, 0.0)
 
@@ -180,7 +190,7 @@ def test_vanishing_profile_disables_T1(branch_falpha_801):
 
 
 def test_sandwich_constant_profile_collapses():
-    ll = large_lambda_bounds(1e5, Constant(1.0), 1.0, 1)
+    ll = large_lambda_bounds(1e5, Constant(1.0), 1.0, UNIT_MESH)
     assert ll.lower == pytest.approx(1.0 / 3e5, rel=1e-15)
     assert ll.upper == ll.lower
     assert ll.epsilon == 0.0
@@ -194,7 +204,7 @@ def test_sandwich_two_bump_profile_formulas():
     alpha = 1.0
     K = 8.0
     D = math.pi**2 / 4.0
-    ll = large_lambda_bounds(lam, SlabSinPiecewise(), alpha, 1, K=K)
+    ll = large_lambda_bounds(lam, SlabSinPiecewise(), alpha, UNIT_MESH, K=K)
     eps = 2.0 * D ** (1.0 / 3.0) * K ** (2.0 / 3.0) / lam ** (1.0 / 3.0)
     assert ll.epsilon == pytest.approx(eps, rel=1e-12)
     assert ll.delta == pytest.approx((eps / 16.0), rel=1e-12)  # (eps/2K)^(1/1)
@@ -204,9 +214,23 @@ def test_sandwich_two_bump_profile_formulas():
     assert ll.gap_exponent == -4.0 / 3.0
 
 
+def test_sandwich_takes_sup_f_over_the_domain():
+    # f = |x| is defined on [-1, 1], where its sup is 1, but on the slab
+    # (-1/2, 1/2) its sup is 1/2; an upper built from sup f = 1 lies below T
+    mesh = build_mesh(Slab(-0.5, 0.5), 2001)
+    f = Power(1.0)
+    lams = [1e4, 1e5]
+    quench = [integrate(lam, f, mesh, TimeConfig())[1] for lam in lams]
+    for qrep, rep in zip(quench, evaluate_all(lams, None, f, mesh, quench_reports=quench)):
+        assert qrep.quenched
+        assert rep.flags["large_lambda_upper"] == "ok"
+        assert rep.large_lambda_lower <= qrep.T * 1.01
+        assert qrep.T <= rep.large_lambda_upper * 1.01
+
+
 def test_sandwich_upper_vanishes_at_moderate_load():
     # at lam = 10 the shrinkage eps exceeds sup f and no upper is produced
-    ll = large_lambda_bounds(10.0, SlabSinPiecewise(), 1.0, 1, K=8.0)
+    ll = large_lambda_bounds(10.0, SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
     assert ll.upper is None
     assert not ll.lambda0_indicator
     assert ll.lower > 0.0
@@ -218,11 +242,11 @@ def test_sandwich_gap_decay_rate():
     lams = np.array([1e10, 1e12, 1e14])
     gaps = []
     for lam in lams:
-        ll = large_lambda_bounds(float(lam), SlabSinPiecewise(), 1.0, 1, K=8.0)
+        ll = large_lambda_bounds(float(lam), SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
         gaps.append(ll.upper - ll.lower)
     slope = np.polyfit(np.log(lams), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-4.0 / 3.0, abs=0.05)
-    ll = large_lambda_bounds(1e12, SlabSinPiecewise(), 1.0, 1, K=8.0)
+    ll = large_lambda_bounds(1e12, SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
     predicted = ll.gap_coefficient * 1e12**ll.gap_exponent
     assert (ll.upper - ll.lower) == pytest.approx(predicted, rel=1e-2)
 
@@ -271,7 +295,7 @@ def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     f = SlabSinPiecewise()
     ing = ingredients(branch_falpha_801, f)
     rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.w_star.mesh)
-    ll = large_lambda_bounds(1e5, f, f.holder_exponent, 1)
+    ll = large_lambda_bounds(1e5, f, f.holder_exponent, branch_falpha_801.w_star.mesh)
     assert ll.K > 0.0
     assert ll.epsilon == rep.epsilon
     # f vanishes where psi* has mass: J and I2 are undefined
@@ -315,7 +339,7 @@ def test_evaluate_all_without_branch():
     assert rep.T1_arctan is None and rep.T1_simplified is None
     for key in ("bound_1_2", "T_L", "T1"):
         assert rep.flags[key] == "no fold data"
-    ll = large_lambda_bounds(1e5, f, f.holder_exponent, 1)
+    ll = large_lambda_bounds(1e5, f, f.holder_exponent, mesh)
     assert ll.upper is not None
     assert (rep.large_lambda_lower, rep.large_lambda_upper, rep.epsilon, rep.delta) == (
         ll.lower, ll.upper, ll.epsilon, ll.delta)
@@ -349,6 +373,24 @@ def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):
     assert rep.T1_arctan is None
     assert "vanishes" in rep.flags["T1"]
     assert rep.T_L is not None  # the lower estimate needs no positivity
+
+
+def test_evaluate_all_reports_the_fold_estimates_bitwise(branch_f1_401, branch_falpha_801):
+    # each report field is the public formula's value, and a flag is the
+    # text of the formula's own exception
+    f = Constant(1.0)
+    args = fold_args(branch_f1_401, f)
+    mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    for lam in (1.05 * branch_f1_401.lambda_star, 30.0):
+        rep, = evaluate_all([lam], branch_f1_401, f, mesh)
+        assert rep.T_L == bound_lower_TL(lam, *args)
+        assert rep.T1_simplified == bound_upper_T1(lam, *args, form="simplified")
+        assert rep.T1_arctan == bound_upper_T1(lam, *args)
+    two_bump = SlabSinPiecewise()
+    rep, = evaluate_all([5.0], branch_falpha_801, two_bump, branch_falpha_801.w_star.mesh)
+    with pytest.raises(NotApplicable) as exc:
+        bound_upper_T1(5.0, *fold_args(branch_falpha_801, two_bump))
+    assert rep.flags["T1"] == str(exc.value)
 
 
 def test_report_dict_round_trip(branch_f1_401):

@@ -15,7 +15,7 @@ import pytest
 from quenchlab import dynamics, steady
 from quenchlab.bounds import evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
-from quenchlab.mesh import Slab, build_mesh
+from quenchlab.mesh import RadialBall, Slab, build_mesh
 from quenchlab.profiles import Constant
 from quenchlab.selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
@@ -253,8 +253,9 @@ def test_tabulated_profile_keeps_holder_exponent(tmp_path):
     out = str(tmp_path / "tab_out")
     assert main(["bounds", "--lambda", "1e4", "--config", cfg, "--out", out]) == 0
     eps = read_json(os.path.join(out, "bounds.json"))["epsilon"]
-    assert eps == large_lambda_bounds(1e4, half, 0.5, 1).epsilon
-    assert eps != large_lambda_bounds(1e4, half, 1.0, 1).epsilon
+    mesh = build_mesh(Slab(-0.5, 0.5), 101)
+    assert eps == large_lambda_bounds(1e4, half, 0.5, mesh).epsilon
+    assert eps != large_lambda_bounds(1e4, half, 1.0, mesh).epsilon
     bad = write_config(tmp_path, "tab_bad.json", {"node_count": 101, "profile": dict(spec, holder_exponent=0.0)})
     assert main(["bounds", "--lambda", "1e4", "--config", bad, "--out", out]) == 2
 
@@ -419,7 +420,7 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed" in capsys.readouterr().err
     cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
-    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, 1)
+    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 101))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
@@ -436,7 +437,7 @@ def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatc
     assert "continuation failed, steady bounds omitted: eigen-residual" in capsys.readouterr().err
     assert callers == ["fold_polish", "linearized_eigenpair"]
     cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
-    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, 1)
+    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 201))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
@@ -454,7 +455,7 @@ def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: continuation stalled" in capsys.readouterr().err
     cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
-    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, 9)
+    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(RadialBall(9, 1.0), 201))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 
@@ -566,7 +567,7 @@ def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert "continuation failed, steady bounds omitted: forced on the coarse mesh" in capsys.readouterr().err
     assert walked == [steady.COARSE_NODES, steady.COARSE_NODES]
     cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
-    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, 1)
+    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 1001))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
 

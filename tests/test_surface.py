@@ -4,7 +4,9 @@ Each module's `__all__` names must resolve, and each must occur as a
 name in src/quenchlab somewhere other than its own `def` or `class`
 line (the `__all__` entries are strings and do not count).  A public
 function that nothing in the package calls fails here unless the
-allowlist below names it with its reason.
+allowlist below names it with its reason.  Every name the benchmark
+tracer wraps is one the program looks up on that module when it calls
+it, or is allowlisted with its reason.
 
 Every banded solve goes through `mesh.solve_banded`: no module imports
 a solver from scipy.linalg, and `dynamics` and `steady` look the kernel
@@ -39,10 +41,16 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(quenchlab.__path__))
 
 # public names that nothing in src/quenchlab calls, and why they stay
 ALLOWED_UNREFERENCED = {
-    ("bounds", "bound_lower_TL"): "the benchmark tracer wraps it (perfbench/tracing.py)",
-    ("bounds", "bound_upper_T1"): "the benchmark tracer wraps it (perfbench/tracing.py)",
     ("bounds", "blowup_time_F"): "the near-fold passage time that ROADMAP item 3 will report",
     ("mesh", "apply_laplacian"): "the reference operator the stencil tests compare against",
+}
+
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+# tracer targets that no call in src/quenchlab looks up on their module, and why they stay
+ALLOWED_UNTRACED = {
+    ("quenchlab.bounds", "build_mesh"): "imported only for the tracer; a benchmark change drops it (ROADMAP item 7)",
+    ("quenchlab.mesh", "laplacian_bands"): "dynamics and steady bind it at import; the tracer wraps those too",
+    ("quenchlab.profiles", "holder_constant"): "bounds binds it at import; the tracer wraps that too",
 }
 
 
@@ -77,6 +85,48 @@ def test_allowlist_is_current():
         mod = importlib.import_module("quenchlab." + modname)
         assert name in mod.__all__, (modname, name)
         assert not references().get(name), "%s.%s is used now (%s)" % (modname, name, reason)
+
+
+def tracer_targets():
+    """The (module, attribute) pairs in the TARGETS table of perfbench/tracing.py."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return {site for sites in ast.literal_eval(node.value).values() for site in sites}
+    raise AssertionError("perfbench/tracing.py has no TARGETS table")
+
+
+def attribute_calls():
+    """(module, name) pairs that a call in src/quenchlab looks up on the module
+    at call time: a module calling its own global `name`, or a function that
+    does `from .module import name` and then calls it."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = set()
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own.add(top.name)
+            elif isinstance(top, (ast.Import, ast.ImportFrom)):
+                own.update(alias.asname or alias.name for alias in top.names)
+            elif isinstance(top, ast.Assign):
+                own.update(t.id for t in top.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in own:
+                found.add(("quenchlab." + path.stem, node.func.id))
+            if isinstance(node, ast.FunctionDef):
+                imported = {alias.asname or alias.name: ("quenchlab." + imp.module, alias.name)
+                            for imp in ast.walk(node)
+                            if isinstance(imp, ast.ImportFrom) and imp.level == 1 and imp.module
+                            for alias in imp.names}
+                found.update(imported[call.func.id] for call in ast.walk(node)
+                             if isinstance(call, ast.Call) and getattr(call.func, "id", None) in imported)
+    return found
+
+
+def test_tracer_targets_are_on_the_program_path():
+    # a wrapper on an attribute that no call looks up never records a span
+    unresolved = tracer_targets() - attribute_calls()
+    assert unresolved == set(ALLOWED_UNTRACED), unresolved ^ set(ALLOWED_UNTRACED)
 
 
 def test_one_banded_solve_path():
