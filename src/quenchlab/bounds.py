@@ -90,7 +90,6 @@ class LargeLambdaBounds:
     upper: Optional[float]
     epsilon: float
     delta: float
-    lambda0_indicator: bool
     gap_exponent: float
     gap_coefficient: float
     sup_f: float
@@ -260,14 +259,14 @@ def large_lambda_bounds(
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:
-        return LargeLambdaBounds(lower, lower, 0.0, math.inf, True, exponent, 0.0, sup_f, K)
+        return LargeLambdaBounds(lower, lower, 0.0, math.inf, exponent, 0.0, sup_f, K)
     frac = alpha / (2.0 + alpha)
     scale = 2.0 * dirichlet_eigenvalue_ball(mesh.dimension) ** frac * K ** (2.0 / (2.0 + alpha))
     eps = scale / lam**frac
     delta = (eps / (2.0 * K)) ** (1.0 / alpha) if alpha > 0 else math.inf
     upper = eta_quench_time(lam, sup_f - eps) if sup_f - eps > 0 else None
     coeff = scale / (3.0 * sup_f**2)
-    return LargeLambdaBounds(lower, upper, eps, delta, upper is not None, exponent, coeff, sup_f, K)
+    return LargeLambdaBounds(lower, upper, eps, delta, exponent, coeff, sup_f, K)
 
 
 def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:

@@ -15,7 +15,8 @@ Newton starts each stage from the Lagrange extrapolation, to the new
 time, of the last three accepted states (linear after the first step,
 u itself on it), so a stage usually converges after one banded solve.
 The convergence test is the same from any start (sup-norm residual at
-most 1e-11); a guess that reaches 1 - 1e-14 is not used, and a stage
+most 1e-11, or the `mesh.residual_floor` of I - (dt/2) L where that is
+larger); a guess that reaches 1 - 1e-14 is not used, and a stage
 that fails from the guess is solved again from u before dt is cut.
 Each run makes one set of work arrays (gap, residual, right-hand side,
 scratch, Jacobian bands) that the stage arithmetic writes into in
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import csvio
 from .csvio import MissingInput, SolverFailure
-from .mesh import Mesh, bands_matvec, laplacian_bands, solve_banded
+from .mesh import Mesh, bands_matvec, laplacian_bands, residual_floor, solve_banded
 from .profiles import Profile, evaluate
 
 __all__ = [
@@ -96,8 +97,8 @@ class TimeConfig:
     def __post_init__(self):
         if not (0.0 < self.eta_step <= ETA_STEP_MAX):
             raise ValueError("eta_step must lie in (0, %g]" % ETA_STEP_MAX)
-        if not (0.0 < self.quench_eps <= 0.1):
-            raise ValueError("quench_eps must lie in (0, 0.1]")
+        if not (1e-4 <= self.quench_eps <= 0.1):  # below 1e-4, dt underflows before the gap does
+            raise ValueError("quench_eps must lie in [1e-4, 0.1]")
         if not (0.0 < self.t_max < math.inf):
             raise ValueError("t_max must be positive and finite")
         if isinstance(self.snapshot_stride, bool) or not isinstance(self.snapshot_stride, int):
@@ -132,8 +133,8 @@ class Trajectory:
     `max_history` has one row (t, sup u, argmax) for the start and for
     each accepted step; argmax is the first node off the Dirichlet
     boundary where u is within 1e-10 sup u of sup u, or nan while sup u
-    <= 0.  The relative tie tolerance lies above the Newton residual the
-    states are solved to, so on a symmetric profile the reported node
+    <= 0.  The relative tie tolerance lies above the stage solve's 1e-11
+    residual target, so on a symmetric profile the reported node
     does not follow rounding noise between the mirror-image peaks.
     `stats` is what `integrate` counted; None for a trajectory read back
     from disk.
@@ -145,10 +146,6 @@ class Trajectory:
     values: np.ndarray
     max_history: np.ndarray
     stats: Optional[StepStats] = None
-
-    @property
-    def final_time(self) -> float:
-        return float(self.max_history[-1, 0])
 
 
 @dataclass(frozen=True)
@@ -182,6 +179,9 @@ class _StageWork:
 
     def __init__(self, Lb, f, lam):
         n = Lb.shape[1]
+        # L's diagonal is negative, so I - (dt/2) L has floor floor_I + dt/2 floor_L
+        self.floor_I = residual_floor(np.array([[0.0], [1.0], [0.0]]))
+        self.floor_L = residual_floor(Lb)
         self.lamf = lam * f
         self.gap = np.empty(n)
         self.F = np.empty(n)
@@ -205,6 +205,7 @@ def _newton(Lb, f, lam, dt, start, work):
     At most 30 Newton updates; the 31st pass only tests the last iterate.
     """
     gap, F, scratch, Jb = work.gap, work.F, work.scratch, work.Jb
+    tol = max(1e-11, work.floor_I + 0.5 * dt * work.floor_L)
     v = start.copy()
     trial = np.empty_like(v)
     for iteration in range(31):
@@ -214,7 +215,7 @@ def _newton(Lb, f, lam, dt, start, work):
         _half_step_force(Lb, v, dt, work, F)
         np.subtract(v, F, out=F)
         np.subtract(F, work.rhs, out=F)
-        if np.abs(F, out=scratch).max() <= 1e-11:
+        if np.abs(F, out=scratch).max() <= tol:
             return v
         if iteration == 30:
             return None

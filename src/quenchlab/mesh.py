@@ -145,14 +145,6 @@ class Mesh:
         return self.geometry.dimension if self.is_radial else 1
 
     @property
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.node_count, dtype=bool)
-        mask[-1] = True
-        if not self.is_radial:
-            mask[0] = True
-        return mask
-
-    @property
     def unknown_slice(self) -> slice:
         """Index range of the Dirichlet-eliminated unknowns."""
         return slice(0 if self.is_radial else 1, self.node_count - 1)
@@ -246,6 +238,14 @@ def bands_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[:-1] += ab[0, 1:] * v[1:]
     out[1:] += ab[2, :-1] * v[:-1]
     return out
+
+
+def residual_floor(ab: np.ndarray) -> float:
+    """Roundoff floor of a residual sup-norm for the tridiagonal A in solve_banded
+    layout: 30 eps times the bound max|diag| + 2 max|off-diag| on ||A|| (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 7); below it is noise."""
+    opnorm = float(np.max(np.abs(ab[1])) + 2.0 * np.max(np.abs(ab[(0, 2), :])))
+    return 30.0 * np.finfo(float).eps * opnorm
 
 
 def solve_banded(

@@ -39,7 +39,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import csvio
-from .mesh import Field, Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, solve_banded
+from .mesh import Field, Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, residual_floor, solve_banded
 from .profiles import Profile, evaluate
 
 __all__ = [
@@ -122,7 +122,8 @@ def _embed(mesh: Mesh, interior: np.ndarray) -> Field:
 
 
 # The steady operator on the unknowns, with Lb = laplacian_bands(mesh) and
-# f the interior forcing.  Every steady solve goes through these three.
+# f the interior forcing.  Every steady solve goes through these two; its
+# residual tests take their roundoff floor from mesh.residual_floor(Lb).
 
 
 def _residual(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
@@ -135,12 +136,6 @@ def _jacobian(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float) -> np.nd
     Jb = Lb.copy()
     Jb[1] += 2.0 * lam * f / (1.0 - w) ** 3
     return Jb
-
-
-def _res_floor(Lb: np.ndarray) -> float:
-    """Roundoff floor of a residual sup-norm: 30 eps times a bound on ||Lb||."""
-    opnorm = float(np.max(np.abs(Lb[1])) + 2.0 * np.max(np.abs(Lb[(0, 2), :])))
-    return 30.0 * np.finfo(float).eps * opnorm
 
 
 def minimal_states(grid, profile: Profile, mesh: Mesh) -> Iterator[Optional[SteadyState]]:
@@ -248,6 +243,8 @@ def smallest_eigenvalue_bands(
     radius[:-1] += np.abs(ab[0, 1:])
     radius[1:] += np.abs(ab[2, :-1])
     anorm = float(np.max(np.abs(ab[1])) + np.max(radius))
+    # not mesh.residual_floor: an eigen-residual floor on the Gershgorin
+    # norm; changing it moves the mu1 bits of every branch
     floor = 50.0 * np.finfo(float).eps * anorm
 
     def stop(mu):
@@ -320,7 +317,7 @@ class _Curve:
         self.wq = mesh.weights[mesh.unknown_slice].copy()
         self.n = self.Lb.shape[1]
         # residual sup-norms below the operator's roundoff floor are noise
-        self.res_floor = _res_floor(self.Lb)
+        self.res_floor = residual_floor(self.Lb)
         # eigenpair of the last state made
         self.pair: Optional[Eigenpair] = None
         # interior vector that warm-starts the next eigen solve: the last

@@ -195,7 +195,7 @@ def test_sandwich_constant_profile_collapses():
     assert ll.upper == ll.lower
     assert ll.epsilon == 0.0
     assert ll.delta == math.inf
-    assert ll.lambda0_indicator
+    assert ll.upper is not None
     assert ll.gap_coefficient == 0.0
 
 
@@ -210,7 +210,7 @@ def test_sandwich_two_bump_profile_formulas():
     assert ll.delta == pytest.approx((eps / 16.0), rel=1e-12)  # (eps/2K)^(1/1)
     assert ll.lower == pytest.approx(1.0 / (3.0 * lam), rel=1e-9)
     assert ll.upper == pytest.approx(1.0 / (3.0 * lam * (1.0 - eps)), rel=1e-9)
-    assert ll.lambda0_indicator
+    assert ll.upper is not None
     assert ll.gap_exponent == -4.0 / 3.0
 
 
@@ -232,7 +232,6 @@ def test_sandwich_upper_vanishes_at_moderate_load():
     # at lam = 10 the shrinkage eps exceeds sup f and no upper is produced
     ll = large_lambda_bounds(10.0, SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
     assert ll.upper is None
-    assert not ll.lambda0_indicator
     assert ll.lower > 0.0
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from quenchlab import dynamics, steady
+from quenchlab import cli, dynamics, steady
 from quenchlab.bounds import evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
 from quenchlab.mesh import RadialBall, Slab, build_mesh
@@ -176,6 +176,8 @@ RUNS = {
     ("steady", {"lambda_grid": ["x"]}),
     # the two-bump profile vanishes at x = 0
     ("rescale", {"rescale": {"run": TWO_BUMP_RUN, "center": 0.0}}),
+    # a quench_eps the stepper cannot reach
+    ("simulate", {"time": {"quench_eps": 1e-5}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
@@ -319,9 +321,13 @@ def test_simulate_step_limit_is_solver_failure(tmp_path, monkeypatch, capsys):
     assert "5 steps taken before touchdown or t_max" in capsys.readouterr().err
 
 
-def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys):
-    # near touchdown at quench_eps 1e-5 the accepted dt falls below the spacing of floats at t
-    cfg = write_config(tmp_path, "adv.json", {"node_count": 101, "lambda": 10.0, "time": {"quench_eps": 1e-5}})
+def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # near touchdown at quench_eps 1e-5 the accepted dt falls below the spacing of floats at t;
+    # TimeConfig rejects that quench_eps, so this run sets it past validation
+    unchecked = dynamics.TimeConfig()
+    object.__setattr__(unchecked, "quench_eps", 1e-5)
+    monkeypatch.setattr(cli, "build_time", lambda spec: unchecked)
+    cfg = write_config(tmp_path, "adv.json", {"node_count": 101, "lambda": 10.0})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "adv_out")]) == 3
     assert "does not advance t=" in capsys.readouterr().err
 

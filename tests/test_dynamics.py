@@ -95,7 +95,7 @@ def test_subcritical_run_does_not_quench():
     traj, rep = integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=0.1))
     assert not rep.quenched
     assert np.all(traj.values[-1] == 0.0)
-    assert traj.final_time == pytest.approx(0.1, rel=1e-9)
+    assert traj.max_history[-1, 0] == pytest.approx(0.1, rel=1e-9)
 
 
 def test_report_idempotent(quench_run_201):
@@ -107,7 +107,7 @@ def test_report_idempotent(quench_run_201):
 def test_quench_run_properties(quench_run_201):
     traj, rep = quench_run_201
     assert rep.quenched
-    assert rep.T > traj.final_time
+    assert rep.T > traj.max_history[-1, 0]
     assert rep.last_resolved_gap <= 1e-3
     assert rep.quench_set == pytest.approx((0.0,), abs=1e-12)
     assert rep.p == pytest.approx(1.0 / 3.0, abs=0.05)
@@ -184,6 +184,9 @@ def test_config_validation():
         TimeConfig(quench_eps=0.2)
     with pytest.raises(ValueError):
         TimeConfig(quench_eps=0.0)
+    with pytest.raises(ValueError):  # the stepper cannot resolve such a gap
+        TimeConfig(quench_eps=1e-5)
+    assert TimeConfig(quench_eps=1e-4).quench_eps == 1e-4
     with pytest.raises(TypeError):  # eta_step is the only step-size control
         TimeConfig(dt_initial=1e-6)
     with pytest.raises(TypeError):
@@ -241,11 +244,41 @@ def test_state_second_order_at_fixed_step(monkeypatch):
         dt = 2.0**-k
         pin_step(monkeypatch, dt)
         traj, _ = integrate(0.5, Constant(1.0), mesh, TimeConfig(t_max=0.25))
-        assert traj.final_time == pytest.approx(0.25, abs=1e-14)
+        assert traj.max_history[-1, 0] == pytest.approx(0.25, abs=1e-14)
         finals.append(traj.values[-1])
     d1 = np.max(np.abs(finals[0] - finals[1]))
     d2 = np.max(np.abs(finals[1] - finals[2]))
     assert math.log2(d1 / d2) > 1.9
+
+
+# ---------------------------------------------------------------------------
+# fine meshes, where (dt/2) ||L|| lifts the stage residual's roundoff floor above 1e-11
+
+FINE_NODES = (6001, 12001, 24001)
+
+
+@pytest.fixture(scope="module")
+def fine_two_bump_runs():
+    """Two-bump slab at lam = 10 and default time settings, on each of FINE_NODES."""
+    return {n: integrate(10.0, SlabSinPiecewise(), build_mesh(UNIT_SLAB, n), TimeConfig()) for n in FINE_NODES}
+
+
+def test_fine_mesh_rejects_no_stage(fine_two_bump_runs):
+    # a stage held to 1e-11 in place of its floor failed 158 times at 24001
+    # nodes by default, and 197 times at eta_step 0.1
+    stats = fine_two_bump_runs[24001][0].stats
+    assert stats.rejected_stage == 0
+    assert stats.banded_solves == stats.accepted_steps
+    mesh = build_mesh(UNIT_SLAB, 24001)
+    assert integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig(eta_step=0.1))[0].stats.rejected_stage == 0
+
+
+def test_touchdown_time_second_order_in_mesh(fine_two_bump_runs):
+    # every mesh takes the same steps, so T's changes are the O(h^2) space
+    # error: halving h divides them by 4, within [3.5, 4.5]
+    assert len({run[0].stats.accepted_steps for run in fine_two_bump_runs.values()}) == 1
+    T = [fine_two_bump_runs[n][1].T for n in FINE_NODES]
+    assert 3.5 <= (T[1] - T[0]) / (T[2] - T[1]) <= 4.5
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +493,14 @@ def test_extrapolated_start_needs_one_solve_per_step(monkeypatch):
     assert rep.T == pytest.approx(cold_rep.T, rel=1e-9, abs=0.0)
     assert len(cold.max_history) - 1 == steps
     assert rep.quench_set == cold_rep.quench_set
+
+
+def test_near_fold_stage_needs_one_solve():
+    # f = 1 at 1.1 times the fold (2001 nodes): a stage held to 1e-11 in place
+    # of its roundoff floor took a second solve on 6 % of the steps
+    lam = 1.1 * 1.40001647737100
+    stats = integrate(lam, Constant(1.0), build_mesh(UNIT_SLAB, 2001), TimeConfig(t_max=300.0))[0].stats
+    assert stats.banded_solves <= 1.01 * stats.accepted_steps
 
 
 def test_argmax_does_not_follow_solver_noise(monkeypatch):

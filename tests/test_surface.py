@@ -15,7 +15,9 @@ without importing scipy.linalg at all: `mesh` loads LAPACK dgtsv from its
 extension file, which is the routine scipy.linalg.lapack exports.  In
 `steady`, the operator G and its Jacobian are used only by the curve kit
 `_Curve`, whose corrector is the one Newton, and by the eigen solve;
-only `minimal_states` and the one branch walk `_walk` call that corrector.  The
+only `minimal_states` and the one branch walk `_walk` call that corrector.
+That corrector and the Crank-Nicolson stage solve take the roundoff floor
+of a residual from the one `mesh.residual_floor`.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.
@@ -188,15 +190,38 @@ def test_one_branch_walk():
     assert callers == {"minimal_states", "_walk"}, callers
 
 
-def test_one_holder_sampling():
-    # sup f and K are sampled in bounds.large_lambda_bounds and nowhere else
+def call_sites(name):
+    """(module, top-level definition) pairs in src/quenchlab that call `name`,
+    as a bare name or as an attribute."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holder_constant":
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
                     callers.add((path.stem, top.name))
+    return callers
+
+
+def test_one_holder_sampling():
+    # sup f and K are sampled in bounds.large_lambda_bounds and nowhere else
+    callers = call_sites("holder_constant")
     assert callers == {("bounds", "large_lambda_bounds")}, callers
+
+
+def test_one_residual_floor():
+    # the steady corrector and the stage solve take their roundoff floor from
+    # mesh.residual_floor; only it and the eigen solve's own floor read eps
+    callers = call_sites("residual_floor")
+    assert callers == {("steady", "_Curve"), ("dynamics", "_StageWork")}, callers
+    readers = call_sites("finfo")
+    assert readers == {("mesh", "residual_floor"), ("steady", "smallest_eigenvalue_bands")}, readers
+    # and the stage test in _newton compares the residual to no bare 1e-11
+    newton = next(top for top in ast.parse((SRC / "dynamics.py").read_text()).body
+                  if getattr(top, "name", None) == "_newton")
+    bare = [node.lineno for node in ast.walk(newton) if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Constant) and side.value == 1e-11 for side in node.comparators)]
+    assert not bare, bare
 
 
 def test_one_solver_failure_type():
