@@ -3,17 +3,24 @@
     u_t = lap(u) + lam * f(x) / (1 - u)^2,   u = 0 on the boundary, u(x,0) = 0.
 
 Stepping is Crank-Nicolson with a banded Newton solve per step, by the
-LAPACK tridiagonal kernel `mesh.solve_banded`.  A step raises sup u by
-at most eta_step times the gap 1 - sup u, and eta_step is the one
-accuracy scale: with s = eta_step / ETA_STEP, dt starts at
-DT_INITIAL * s and is capped at DT_MAX * s and at s / 100 of the running
-touchdown estimate, so the error in T shrinks like s^2.  Integration
+LAPACK tridiagonal kernel `mesh.solve_banded`.  eta_step is the one
+accuracy scale.  A step raises sup u by at most eta_step times the gap
+1 - sup u while the gap is above 0.1, and by eta_step / 10 below it, but
+never by more than GROWTH_CAP of the gap (or eta_step of it, where
+eta_step is larger): near touchdown T - t shrinks like the gap cubed, so
+late steps move T little.  On the default two-bump run the decade of gap
+below 0.1 takes 109 steps and the next one 34; at eta_step times the gap
+each took 282.  With s = eta_step / ETA_STEP, dt starts at DT_INITIAL * s
+and is capped at DT_MAX * s and at s / 100 of the running touchdown
+estimate, so the error in T shrinks like s^2.  Integration
 stops at sup u = 1 - eps_q; T is extrapolated from the cubic gap law
 (near touchdown the forcing dominates u_t, so (1 - sup u)^3 is linear in t).
 
-Newton starts each stage from the Lagrange extrapolation, to the new
-time, of the last three accepted states (linear after the first step,
-u itself on it), so a stage usually converges after one banded solve.
+Newton starts each stage from the state whose gap cube is the Lagrange
+extrapolation, to the new time, of the gap cubes of the last three
+accepted states (linear after the first step, u itself on it).  The gap
+cube is nearly linear in t near touchdown, so even the large late steps
+usually converge after one banded solve.
 The convergence test is the same from any start (sup-norm residual at
 most 1e-11, or the `mesh.residual_floor` of I - (dt/2) L where that is
 larger); a guess that reaches 1 - 1e-14 is not used, and a stage
@@ -21,6 +28,12 @@ that fails from the guess is solved again from u before dt is cut.
 Each run makes one set of work arrays (gap, residual, right-hand side,
 scratch, Jacobian bands) that the stage arithmetic writes into in
 place; from the same start it gives the same bits as fresh temporaries.
+
+A state is stored snapshot_stride steps after the last stored one, or
+once the gap has fallen by exp(-0.8 eta_step snapshot_stride) since
+then: the fall of snapshot_stride steps that each take 0.8 eta_step of
+the gap, so the rate fit and the similarity frame keep their late states
+when the late steps grow.
 """
 
 from __future__ import annotations
@@ -83,6 +96,8 @@ ETA_STEP = 1e-2  # the default eta_step, at which s = 1
 ETA_STEP_MAX = 1e-1
 DT_INITIAL = 1e-6  # first dt at s = 1
 DT_MAX = 1e-2  # dt cap at s = 1
+# a step near touchdown may raise sup u by this share of the gap (where eta_step is smaller)
+GROWTH_CAP = 0.07
 # the stored states of a run: arrays `times` and `values`, as Trajectory holds them
 TRAJECTORY_NAME = "trajectory.npz"
 
@@ -97,7 +112,8 @@ class TimeConfig:
     def __post_init__(self):
         if not (0.0 < self.eta_step <= ETA_STEP_MAX):
             raise ValueError("eta_step must lie in (0, %g]" % ETA_STEP_MAX)
-        if not (1e-4 <= self.quench_eps <= 0.1):  # below 1e-4, dt underflows before the gap does
+        # at 1e-5 the last dt is about one ulp of t, and at 3e-6 dt no longer advances t
+        if not (1e-4 <= self.quench_eps <= 0.1):
             raise ValueError("quench_eps must lie in [1e-4, 0.1]")
         if not (0.0 < self.t_max < math.inf):
             raise ValueError("t_max must be positive and finite")
@@ -265,22 +281,45 @@ def _cn_step(Lb, f, lam, u, dt, guess=None, work=None):
     return _newton(Lb, f, lam, dt, u, work)
 
 
-def _extrapolate(recent, t):
-    """Lagrange extrapolation to time t through the (time, state) pairs in `recent`.
+def _gap_cube(u):
+    """(1 - u)^3, by products: ** 3 is three times slower."""
+    gap = 1.0 - u
+    return gap * gap * gap
 
-    Two pairs give the linear extrapolation, three the quadratic; with
-    fewer there is nothing to extrapolate from and the result is None.
+
+def _extrapolate(recent, t):
+    """State at time t whose gap cube (1 - u)^3 is extrapolated through `recent` by Lagrange.
+
+    `recent` holds (time, state, _gap_cube(state)) triples, the last one
+    latest.  Two give the linear extrapolation of the gap cube, three the
+    quadratic; with fewer there is nothing to extrapolate from and the
+    result is None.  The extrapolation is written as increments on the
+    last state, so triples that share one state give that state back bit
+    for bit.
     """
     if len(recent) < 2:
         return None
-    guess = np.zeros_like(recent[-1][1])
-    for i, (ti, ui) in enumerate(recent):
+    *older, (_, u_last, cube_last) = recent
+    rise = np.zeros_like(u_last)  # of the gap cube from t_last to t
+    for i, (ti, _, cube_i) in enumerate(older):
         weight = 1.0
-        for j, (tj, _) in enumerate(recent):
+        for j, (tj, _, _) in enumerate(recent):
             if j != i:
                 weight *= (t - tj) / (ti - tj)
-        guess += weight * ui
-    return guess
+        rise += weight * (cube_i - cube_last)
+    return u_last - (1.0 - u_last) * (np.cbrt(1.0 + rise / cube_last) - 1.0)
+
+
+def _growth_target(sup, eta_step):
+    """Largest rise of sup u that a step from sup u = `sup` may make.
+
+    eta_step times the gap 1 - sup u down to a gap of 0.1, eta_step / 10
+    below it, and never more than max(GROWTH_CAP, eta_step) times the gap:
+    near touchdown T - t shrinks like the gap cubed, so a step there moves
+    T little and may take a larger share of the gap.
+    """
+    gap = 1.0 - sup
+    return min(max(GROWTH_CAP, eta_step) * gap, eta_step * max(gap, 0.1))
 
 
 def integrate(
@@ -306,10 +345,12 @@ def integrate(
     dt_cap = DT_MAX * s
 
     times, states = [0.0], [u]
+    snapshot_fall = math.exp(-0.8 * cfg.eta_step * cfg.snapshot_stride)
+    stored_step, stored_gap = 0, 1.0
     max_history = [(0.0, 0.0, math.nan)]
 
     work = _StageWork(Lb, f, lam)
-    recent = deque([(t, u)], maxlen=3)  # the last accepted (time, state) pairs
+    recent = deque([(t, u, _gap_cube(u))], maxlen=3)  # the last accepted states with their gap cubes
     rejected_stage = rejected_growth = 0
     dt_lo, dt_hi = math.inf, 0.0
 
@@ -321,7 +362,7 @@ def integrate(
             break
         if step_index == MAX_STEPS:
             raise StepLimit("%d steps taken before touchdown or t_max, at t=%g" % (MAX_STEPS, t))
-        target = cfg.eta_step * (1.0 - sup)
+        target = _growth_target(sup, cfg.eta_step)
         dt_try = min(dt, dt_cap, cfg.t_max - t)
         while True:
             if t + dt_try == t:  # the step would give two recent states one time
@@ -344,16 +385,17 @@ def integrate(
         u = v
         t += dt_try
         step_index += 1
-        recent.append((t, u))
+        recent.append((t, u, _gap_cube(u)))
         dt_lo, dt_hi = min(dt_lo, dt_try), max(dt_hi, dt_try)
         sup = float(u.max())
         argmax = float(coords[np.argmax(np.abs(u - sup) <= 1e-10 * sup)]) if sup > 0.0 else math.nan
         max_history.append((t, sup, argmax))
-        if step_index % cfg.snapshot_stride == 0:
+        g1 = 1.0 - sup
+        if step_index - stored_step >= cfg.snapshot_stride or g1 <= stored_gap * snapshot_fall:
             times.append(t)
             states.append(u)
+            stored_step, stored_gap = step_index, g1
         # running touchdown estimate caps dt at s hundredths of it
-        g1 = 1.0 - sup
         g0 = 1.0 - max_history[-2][1]
         tprev = max_history[-2][0]
         slope = (g1**3 - g0**3) / (t - tprev) if t > tprev else 0.0
@@ -362,7 +404,7 @@ def integrate(
             dt_cap = min(DT_MAX * s, t_est * s / 100.0)
         growth = 1.5
         if dsup > 0:
-            growth = min(1.5, max(0.3, 0.8 * cfg.eta_step * (1.0 - sup) / dsup))
+            growth = min(1.5, max(0.3, 0.8 * _growth_target(sup, cfg.eta_step) / dsup))
         dt = min(dt_try * growth, dt_cap)
 
     if times[-1] != t:

@@ -41,7 +41,6 @@ __all__ = [
     "Field",
     "build_mesh",
     "integrate",
-    "apply_laplacian",
     "sphere_area",
 ]
 
@@ -270,22 +269,4 @@ def solve_banded(
     if info < 0:
         raise ValueError("illegal value in argument %d of dgtsv" % -info)
     return x
-
-
-def apply_laplacian(f: Field) -> Field:
-    """Discrete Laplacian of a field; boundary rows are returned as 0.
-
-    Interior rows use the stored neighbor values, so the stencil is exact
-    for quadratics regardless of the boundary data.
-    """
-    mesh, u = f.mesh, f.values
-    h2 = mesh.h * mesh.h
-    out = np.zeros_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-    if mesh.is_radial:
-        dim = mesh.geometry.dimension
-        r = mesh.nodes[1:-1]
-        out[1:-1] += (dim - 1) * (u[2:] - u[:-2]) / (2.0 * mesh.h * r)
-        out[0] = 2.0 * dim * (u[1] - u[0]) / h2
-    return Field(mesh, out)
 

@@ -3,6 +3,8 @@
 None of these is reached from the `quenchlab` command; each one is an
 independent yardstick for something it does compute:
 
+- `apply_laplacian`, the Laplacian stencil applied node by node, against
+  which the banded operator of `mesh.laplacian_bands` is checked;
 - `liapunov`, the energy that the flow of `dynamics.integrate` lowers;
 - `convergence_check`, the distance of a subcritical run to the minimal
   steady state of `steady.minimal_states`;
@@ -20,6 +22,24 @@ from quenchlab.dynamics import TimeConfig, integrate
 from quenchlab.mesh import Field, Mesh
 from quenchlab.profiles import Profile, evaluate
 from quenchlab.steady import minimal_states
+
+
+def apply_laplacian(f: Field) -> Field:
+    """Discrete Laplacian of a field; boundary rows are returned as 0.
+
+    Interior rows use the stored neighbor values, so the stencil is exact
+    for quadratics regardless of the boundary data.
+    """
+    mesh, u = f.mesh, f.values
+    h2 = mesh.h * mesh.h
+    out = np.zeros_like(u)
+    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
+    if mesh.is_radial:
+        dim = mesh.geometry.dimension
+        r = mesh.nodes[1:-1]
+        out[1:-1] += (dim - 1) * (u[2:] - u[:-2]) / (2.0 * mesh.h * r)
+        out[0] = 2.0 * dim * (u[1] - u[0]) / h2
+    return Field(mesh, out)
 
 
 def liapunov(state: Field, lam: float, profile: Profile) -> float:

@@ -27,7 +27,7 @@ from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 from quenchlab.selfsim import F_profile, asymptotic_limit, rescale
 from quenchlab.steady import continue_branch
 
-from oracles import convergence_check, singular_extremal_radial
+from oracles import apply_laplacian, convergence_check, singular_extremal_radial
 
 UNIT_SLAB = Slab(-0.5, 0.5)
 REPRO_NODES = 6000
@@ -270,7 +270,7 @@ def test_criterion_11c_singular_family():
     assert sp.simplify(residual) == 0
     assert sp.simplify(lam - (2 + alpha) * (3 * N + alpha - 4) / 9) == 0
 
-    from quenchlab.mesh import RadialBall, apply_laplacian
+    from quenchlab.mesh import RadialBall
 
     se = singular_extremal_radial(8, 0.0)
     errs = []

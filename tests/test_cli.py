@@ -322,10 +322,10 @@ def test_simulate_step_limit_is_solver_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys, monkeypatch):
-    # near touchdown at quench_eps 1e-5 the accepted dt falls below the spacing of floats at t;
+    # near touchdown at quench_eps 1e-6 the accepted dt falls below the spacing of floats at t;
     # TimeConfig rejects that quench_eps, so this run sets it past validation
     unchecked = dynamics.TimeConfig()
-    object.__setattr__(unchecked, "quench_eps", 1e-5)
+    object.__setattr__(unchecked, "quench_eps", 1e-6)
     monkeypatch.setattr(cli, "build_time", lambda spec: unchecked)
     cfg = write_config(tmp_path, "adv.json", {"node_count": 101, "lambda": 10.0})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "adv_out")]) == 3

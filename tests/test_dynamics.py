@@ -201,7 +201,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TimeConfig(snapshot_stride=0)
     with pytest.raises(ValueError):
-        TimeConfig(snapshot_stride=2.5)  # step % 2.5 == 0 would keep every 5th step
+        TimeConfig(snapshot_stride=2.5)  # would act as a stride of 3
     with pytest.raises(ValueError):
         TimeConfig(snapshot_stride=True)
     with pytest.raises(ValueError):
@@ -495,6 +495,58 @@ def test_extrapolated_start_needs_one_solve_per_step(monkeypatch):
     assert rep.quench_set == cold_rep.quench_set
 
 
+def test_growth_target():
+    # eta_step of the gap down to 0.1, eta_step / 10 below, at most GROWTH_CAP of the gap
+    target = dynamics._growth_target
+    assert target(0.5, 0.01) == pytest.approx(5e-3, rel=1e-12)
+    assert target(0.95, 0.01) == pytest.approx(1e-3, rel=1e-12)
+    assert target(0.999, 0.01) == pytest.approx(dynamics.GROWTH_CAP * 1e-3, rel=1e-9)
+    # past GROWTH_CAP, eta_step times the gap everywhere: each eta_step keeps its own target
+    for eta in (0.08, 0.1):
+        for sup in (0.5, 0.95, 0.999):
+            assert target(sup, eta) == pytest.approx(eta * (1.0 - sup), rel=1e-12)
+
+
+def test_touchdown_run_step_budget():
+    # near touchdown a step may take up to GROWTH_CAP of the gap: 464 steps,
+    # where eta_step of the gap at every gap takes 885 (282 for each decade
+    # below 0.1); the gap-cube start keeps one solve per step
+    stats = integrate(10.0, SlabSinPiecewise(), build_mesh(UNIT_SLAB, 2001), TimeConfig())[0].stats
+    assert stats.accepted_steps <= 480
+    assert stats.banded_solves == stats.accepted_steps
+
+
+@pytest.mark.parametrize("cfg", [TimeConfig(), TimeConfig(eta_step=0.05, snapshot_stride=3)],
+                         ids=["default", "eta0.05-stride3"])
+def test_snapshots_paced_by_steps_and_gap(cfg):
+    # a state is stored snapshot_stride steps after the last stored one or
+    # at the first step whose gap lies one snapshot factor below its gap
+    mesh = build_mesh(UNIT_SLAB, 201)
+    traj, _ = integrate(10.0, SlabSinPiecewise(), mesh, cfg)
+    history = traj.max_history
+    rows = np.searchsorted(history[:, 0], traj.times)
+    assert np.array_equal(history[rows, 0], traj.times)
+    assert rows[0] == 0 and rows[-1] == len(history) - 1
+    gap = 1.0 - history[:, 1]
+    fall = math.exp(-0.8 * cfg.eta_step * cfg.snapshot_stride)
+    assert np.all(np.diff(rows) <= cfg.snapshot_stride)
+    assert np.all(gap[rows[1:] - 1] > fall * gap[rows[:-1]])  # none stored late
+    # the last state is stored however close it lies to the one before
+    for i, j in zip(rows[:-2], rows[1:-1]):
+        assert j - i == cfg.snapshot_stride or gap[j] <= fall * gap[i]
+    assert np.any(np.diff(rows[:-1]) < cfg.snapshot_stride)  # the gap, not only the stride, stored some
+
+
+def test_zero_load_keeps_every_state_zero():
+    # the gap-cube start is an increment on the last state, so an unchanging
+    # state is extrapolated to itself and no rounding creeps into u = 0
+    mesh = build_mesh(UNIT_SLAB, 101)
+    traj, _ = integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=0.1, snapshot_stride=1))
+    assert len(traj.values) > 10
+    assert not traj.values.any()
+    assert not traj.max_history[:, 1].any()
+
+
 def test_near_fold_stage_needs_one_solve():
     # f = 1 at 1.1 times the fold (2001 nodes): a stage held to 1e-11 in place
     # of its roundoff floor took a second solve on 6 % of the steps
@@ -518,12 +570,24 @@ def test_argmax_does_not_follow_solver_noise(monkeypatch):
 def test_extrapolate_is_lagrange_through_recent_states():
     from collections import deque
 
-    # the states (t^2, 1 + 2t) at t = 0, 1, 2
-    u0, u1, u2 = np.array([0.0, 1.0]), np.array([1.0, 3.0]), np.array([4.0, 5.0])
-    assert dynamics._extrapolate(deque([(0.0, u0)]), 1.0) is None
-    assert np.array_equal(dynamics._extrapolate(deque([(1.0, u1), (2.0, u2)]), 3.0), [7.0, 7.0])
-    assert np.allclose(dynamics._extrapolate(deque([(0.0, u0), (1.0, u1), (2.0, u2)]), 3.0), [9.0, 7.0],
-                       rtol=0.0, atol=1e-14)
+    # gap cubes (1 - u)^3 = (1 + t^2, 8 - t) at t = 0, 1, 2: the quadratic
+    # through three pairs is exact, and so is the line through two when the
+    # cube is linear in t
+    def state(t):
+        return 1.0 - np.cbrt(np.array([1.0 + t * t, 8.0 - t]))
+
+    def recent(times, u=state):
+        return deque((t, u(t), dynamics._gap_cube(u(t))) for t in times)
+
+    assert dynamics._extrapolate(recent([0.0]), 1.0) is None
+    assert dynamics._extrapolate(recent([]), 1.0) is None
+    assert np.allclose(dynamics._extrapolate(recent([0.0, 1.0, 2.0]), 3.0), state(3.0), rtol=0.0, atol=1e-14)
+    assert np.allclose(dynamics._extrapolate(recent([1.0, 2.0]), 3.0)[1], state(3.0)[1], rtol=0.0, atol=1e-14)
+    # a state that does not change comes back bit for bit, also a zero one
+    for fixed in (np.array([0.0, 0.3, -0.2, 0.999]), np.zeros(3)):
+        for times in ([0.0, 0.1], [0.0, 0.1, 0.3]):
+            guess = dynamics._extrapolate(recent(times, lambda t: fixed.copy()), 0.7)
+            assert guess.tobytes() == fixed.tobytes()
 
 
 def test_step_stats_count_the_run(monkeypatch):

@@ -14,7 +14,6 @@ from quenchlab.mesh import (
     Field,
     RadialBall,
     Slab,
-    apply_laplacian,
     bands_matvec,
     build_mesh,
     integrate,
@@ -22,6 +21,8 @@ from quenchlab.mesh import (
     solve_banded,
     sphere_area,
 )
+
+from oracles import apply_laplacian
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(quenchlab.__path__))
 # public names that nothing in src/quenchlab calls, and why they stay
 ALLOWED_UNREFERENCED = {
     ("bounds", "blowup_time_F"): "the near-fold passage time that ROADMAP item 3 will report",
-    ("mesh", "apply_laplacian"): "the reference operator the stencil tests compare against",
 }
 
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
