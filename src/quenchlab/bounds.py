@@ -13,7 +13,7 @@ each of them; it takes a grid of lam and builds the inputs once per grid.
 Nothing here integrates in time; measured touchdown times enter only for
 the ordering checks in `evaluate_all`.
 
-Field and column names ending in _1_2, _2_6, _1_7 are interface tokens
+Report field and column names ending in _1_2, _2_6, _1_7 are interface tokens
 identifying the individual estimates; they carry no meaning beyond
 telling the bounds apart.
 """
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 # build_mesh is unused here but stays a module attribute: perfbench/tracing.py wraps it
-from .mesh import Field, Mesh, RadialBall, build_mesh, integrate  # noqa: F401
+from .mesh import Mesh, RadialBall, build_mesh, integrate  # noqa: F401
 from .dynamics import eta_quench_time
 from .profiles import Profile, evaluate, holder_constant
 from .steady import Fold
@@ -271,23 +271,20 @@ def large_lambda_bounds(
 
 def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:
     """The fold constants of the estimates; f is evaluated on the mesh once."""
-    mesh = fold.w_star.mesh
+    mesh, phi, psi = fold.mesh, fold.phi_star, fold.psi_star
     f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    wstar = fold.w_star.values
-    gap = 1.0 - wstar
-    phi = fold.phi_star.values
-    psi = fold.psi_star.values
+    gap = 1.0 - fold.w_star
     J = None
     if not np.any((f <= _VANISH_TOL) & (psi > _VANISH_TOL)):
         ratio = np.where(f > _VANISH_TOL, psi / np.where(f > _VANISH_TOL, f, 1.0), 0.0)
-        J = float(integrate(Field(mesh, ratio)))
+        J = integrate(mesh, ratio)
     return BoundIngredients(
         sup_phi_star=float(phi.max()),
         sup_weight=float((f / gap**4).max()),
-        integral_phi=float(integrate(Field(mesh, phi / gap**2))),
-        I1_26=float(integrate(Field(mesh, psi * f))),
+        integral_phi=integrate(mesh, phi / gap**2),
+        I1_26=integrate(mesh, psi * f),
         J_26=J,
-        E0=float(integrate(Field(mesh, psi * wstar))),
+        E0=integrate(mesh, psi * fold.w_star),
         I2_26=None if J is None else 3.0 * fold.lambda_star / J,
         inf_f=float(f.min()),
     )

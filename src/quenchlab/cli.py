@@ -207,6 +207,8 @@ def _validated(cfg: dict) -> Tuple[Mesh, Profile]:
         validate_profile(profile, mesh)
     except IncompatibleGeometry as exc:
         raise ConfigError("profile incompatible with geometry: %s" % exc)
+    except ValueError as exc:
+        raise ConfigError("bad profile: %s" % exc)
     return mesh, profile
 
 
@@ -392,7 +394,8 @@ def cmd_sweep(cfg: dict, files: List[str]) -> None:
 
     jobs = [(lam, profile, mesh, tc) for lam in grid]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # under fork the pool starts all max_workers processes at the first map
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_sweep_run, jobs))
     else:
         results = [_sweep_run(job) for job in jobs]

@@ -547,8 +547,9 @@ def read_trajectory(directory, mesh: Mesh, lam: float) -> Trajectory:
 
     These files come from outside the program: a missing or unreadable
     one, a store without `times` and `values`, states that are not finite
-    values on every node at each stored time, or a history that is not
-    three columns raises MissingInput.
+    values on every node at each stored time, stored times that are fewer
+    than two or do not strictly increase, or a history that is not three
+    columns raises MissingInput.
     """
     directory = str(directory)
     try:
@@ -559,6 +560,8 @@ def read_trajectory(directory, mesh: Mesh, lam: float) -> Trajectory:
             raise ValueError("%s does not hold %d values per stored time" % (TRAJECTORY_NAME, mesh.node_count))
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("%s holds a value that is not finite" % TRAJECTORY_NAME)
+        if times.size < 2 or np.any(np.diff(times) <= 0.0):
+            raise ValueError("%s does not hold two or more strictly increasing times" % TRAJECTORY_NAME)
         history = np.loadtxt(os.path.join(directory, "max_history.csv"), delimiter=",", skiprows=1, ndmin=2)
         if history.shape[1:] != (3,):
             raise ValueError("max_history.csv does not hold (t, sup_u, argmax) rows")

@@ -38,7 +38,6 @@ __all__ = [
     "RadialBall",
     "Geometry",
     "Mesh",
-    "Field",
     "build_mesh",
     "integrate",
     "sphere_area",
@@ -175,30 +174,14 @@ def build_mesh(geometry: Geometry, node_count: int) -> Mesh:
     return Mesh(geometry=geometry, nodes=nodes, h=h)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Nodal values attached to a mesh."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.mesh.node_count,):
-            raise ValueError("field length must match the mesh node count")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", values)
-
-
-def integrate(f: Field) -> float:
-    """Trapezoid quadrature of the field over its domain.
+def integrate(mesh: Mesh, values: np.ndarray) -> float:
+    """Trapezoid quadrature of nodal values over the mesh's domain.
 
     On a ball the integrand is weighted by omega_{N-1} r^{N-1}, so the
     result is the full N-dimensional integral of the radial profile.
     Exact for affine integrands on slabs.
     """
-    return float(np.dot(f.mesh.weights, f.values))
+    return float(np.dot(mesh.weights, values))
 
 
 def laplacian_bands(mesh: Mesh) -> np.ndarray:

@@ -124,6 +124,8 @@ class Tabulated:
         fs = np.asarray(self.fs, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or xs.shape != fs.shape:
             raise ValueError("tabulated profile needs matching 1-D xs, fs with >= 2 samples")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+            raise ValueError("tabulated xs and fs must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("tabulated xs must be strictly increasing")
         if fs.min() < 0.0 or fs.max() > 1.0:
@@ -155,16 +157,20 @@ def _check_alpha(alpha: float) -> None:
 
 
 def evaluate(profile: Profile, x):
-    """Profile value(s) at x; raises outside the profile's domain or [0,1]."""
+    """Profile value(s) at x; raises outside the profile's domain, or for a
+    value that is not finite or escapes [0,1]."""
     out = profile(x)
     arr = np.asarray(out)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("profile value is not finite")
     if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-9:
         raise ValueError("profile value escapes [0,1]; rejected, not clamped")
     return out
 
 
 def tabulated_from_csv(path, holder_exponent: float = 1.0) -> Tabulated:
-    """Load a two-column (coordinate, value) CSV, header row optional."""
+    """Load a two-column (coordinate, value) CSV, header row optional; a
+    numeric row with one column raises ValueError."""
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -176,6 +182,8 @@ def tabulated_from_csv(path, holder_exponent: float = 1.0) -> Tabulated:
                 rows.append((float(parts[0]), float(parts[1])))
             except ValueError:
                 continue  # header line
+            except IndexError:
+                raise ValueError("tabulated CSV row %r has one column, not two" % line)
     if len(rows) < 2:
         raise ValueError("tabulated CSV needs at least 2 numeric rows")
     data = np.asarray(rows)
@@ -213,8 +221,6 @@ def holder_constant(profile: Profile, alpha: float, sample_count: int) -> float:
     if isinstance(profile, Constant):
         return 0.0
     lo, hi = profile.domain()
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return 0.0
     xs = np.linspace(lo, hi, int(sample_count))
     vals = np.asarray(evaluate(profile, xs), dtype=float)
     best = 0.0

@@ -29,6 +29,11 @@ it walks a coarse one and runs the same fold Newton on the fine mesh
 from the coarse fold.  Every tridiagonal solve here, in the corrector,
 the fold Newton and inverse iteration, is the LAPACK kernel
 `mesh.solve_banded`.
+
+One `_Curve` holds the operator (Laplacian bands, f and quadrature
+weights at the unknowns) for its corrector, its fold Newton and the eigen
+solve of each of its states, `linearized_eigenpair`.  States,
+eigenfunctions and fold data are arrays of values on every node.
 """
 
 from __future__ import annotations
@@ -39,14 +44,13 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import csvio
-from .mesh import Field, Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, residual_floor, solve_banded
+from .mesh import Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, residual_floor, solve_banded
 from .profiles import Profile, evaluate
 
 __all__ = [
     "SteadyState",
     "Fold",
     "SteadyBranch",
-    "Eigenpair",
     "StepFailure",
     "IterationLimit",
     "minimal_states",
@@ -72,34 +76,29 @@ class IterationLimit(csvio.SolverFailure):
 
 @dataclass(frozen=True)
 class SteadyState:
+    """A point of the solution curve: lam, w on every node and mu_1."""
+
     lam: float
-    w: Field
-    residual_norm: float
-    mu1: Optional[float] = None
+    w: np.ndarray
+    mu1: float
 
     @property
     def sup_w(self) -> float:
-        return float(self.w.values.max())
-
-
-@dataclass(frozen=True)
-class Eigenpair:
-    """mu_1 and its eigenfunction, positive at its peak with unit L2 norm."""
-
-    eigenvalue: float
-    eigenfunction: Field
+        return float(self.w.max())
 
 
 @dataclass(frozen=True)
 class Fold:
-    """Fold data: the fold state, its lam, w* = its field, phi* (the
-    L2-normalized eigenfunction of mu_1 = 0) and psi* = phi* / int(phi*)."""
+    """Fold data on `mesh`, each function on every node: the fold state, its
+    lam, w* = its w, phi* (the L2-normalized eigenfunction of mu_1 = 0) and
+    psi* = phi* / int(phi*)."""
 
+    mesh: Mesh
     fold_state: SteadyState
     lambda_star: float
-    w_star: Field
-    phi_star: Field
-    psi_star: Field
+    w_star: np.ndarray
+    phi_star: np.ndarray
+    psi_star: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,10 @@ def _interior_forcing(profile: Profile, mesh: Mesh) -> np.ndarray:
     return np.asarray(evaluate(profile, mesh.nodes[mesh.unknown_slice]), dtype=float)
 
 
-def _embed(mesh: Mesh, interior: np.ndarray) -> Field:
+def _embed(mesh: Mesh, interior: np.ndarray) -> np.ndarray:
     full = np.zeros(mesh.node_count)
     full[mesh.unknown_slice] = interior
-    return Field(mesh, full)
+    return full
 
 
 # The steady operator on the unknowns, with Lb = laplacian_bands(mesh) and
@@ -273,33 +272,21 @@ def smallest_eigenvalue_bands(
     return mu, v, best_res
 
 
-def linearized_eigenpair(
-    state: SteadyState,
-    profile: Profile,
-    start: Optional[np.ndarray] = None,
-) -> Eigenpair:
-    """First eigenpair of -G_w = -lap - 2 lam f/(1-w)^3 with zero Dirichlet
-    data; the eigenfunction is L2-normalized.
+def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float) -> Tuple[float, np.ndarray]:
+    """(mu1, phi): the first eigenpair of -G_w = -lap - 2 lam f/(1-w)^3 on
+    `curve`'s operator at its interior values w, with zero Dirichlet data.
+    phi holds every node and is L2-normalized.
 
-    `start` (interior values) warm-starts the eigen solve; see
-    `smallest_eigenvalue_bands`.
+    `curve.start` warm-starts the eigen solve; see `smallest_eigenvalue_bands`.
     """
-    mesh = state.w.mesh
-    wi = state.w.values[mesh.unknown_slice]
-    if (1.0 - wi).min() < 1e-9:
+    if (1.0 - w).min() < 1e-9:
         raise ValueError("state touches the obstacle; linearization undefined")
-    f = _interior_forcing(profile, mesh)
-    ab = -_jacobian(laplacian_bands(mesh), f, wi, state.lam)
-    wq = mesh.weights[mesh.unknown_slice]
-    mu, v, _ = smallest_eigenvalue_bands(ab, wq, start=start)
-    full = _embed(mesh, v)
-    scale = np.sqrt(integrate(Field(mesh, full.values**2)))
+    mu, v, _ = smallest_eigenvalue_bands(-_jacobian(curve.Lb, curve.f, w, lam), curve.wq, start=curve.start)
+    phi = _embed(curve.mesh, v)
+    scale = np.sqrt(integrate(curve.mesh, phi**2))
     if scale <= 0:
         raise IterationLimit("eigenfunction normalization degenerate")
-    return Eigenpair(
-        eigenvalue=float(mu),
-        eigenfunction=Field(mesh, full.values / scale),
-    )
+    return float(mu), phi / scale
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +298,12 @@ class _Curve:
 
     def __init__(self, profile: Profile, mesh: Mesh):
         self.mesh = mesh
-        self.profile = profile
         self.Lb = laplacian_bands(mesh)
         self.f = _interior_forcing(profile, mesh)
         self.wq = mesh.weights[mesh.unknown_slice].copy()
         self.n = self.Lb.shape[1]
         # residual sup-norms below the operator's roundoff floor are noise
         self.res_floor = residual_floor(self.Lb)
-        # eigenpair of the last state made
-        self.pair: Optional[Eigenpair] = None
         # interior vector that warm-starts the next eigen solve: the last
         # state's eigenvector, or a guess set before a fold polish
         self.start: Optional[np.ndarray] = None
@@ -431,13 +415,12 @@ class _Curve:
         return w, lam
 
     def state(self, w, lam) -> SteadyState:
-        """The curve point as a SteadyState with mu1; keeps its eigenpair."""
-        res = _residual(self.Lb, self.f, w, lam)
-        field = _embed(self.mesh, np.where((w > -1e-12) & (w < 0.0), 0.0, w))
-        st = SteadyState(lam=float(lam), w=field, residual_norm=float(np.max(np.abs(res))), mu1=None)
-        self.pair = linearized_eigenpair(st, self.profile, start=self.start)
-        self.start = self.pair.eigenfunction.values[self.mesh.unknown_slice]
-        return SteadyState(lam=st.lam, w=st.w, residual_norm=st.residual_norm, mu1=self.pair.eigenvalue)
+        """The curve point as a SteadyState with mu1, roundoff below 0 in w
+        clipped; its eigenvector, interior values, becomes `self.start`."""
+        w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)
+        mu1, phi = linearized_eigenpair(self, w, float(lam))
+        self.start = phi[self.mesh.unknown_slice]
+        return SteadyState(lam=float(lam), w=_embed(self.mesh, w), mu1=mu1)
 
 
 def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]:
@@ -523,10 +506,11 @@ def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBra
 def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
     """Fold data of the polished curve point (w, lam)."""
     fold_state = curve.state(w, lam)
-    phi = curve.pair.eigenfunction  # L2-normalized
+    phi = _embed(curve.mesh, curve.start)  # L2-normalized
     # psi_star is phi_star rescaled to unit mass, nodewise
-    psi = Field(curve.mesh, phi.values / integrate(phi))
-    return Fold(fold_state=fold_state, lambda_star=fold_state.lam, w_star=fold_state.w, phi_star=phi, psi_star=psi)
+    psi = phi / integrate(curve.mesh, phi)
+    return Fold(mesh=curve.mesh, fold_state=fold_state, lambda_star=fold_state.lam, w_star=fold_state.w,
+                phi_star=phi, psi_star=psi)
 
 
 # node count of the walk behind `locate_fold` on meshes finer than
@@ -554,17 +538,17 @@ def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
     if mesh.node_count <= FULL_WALK_NODES:
         return walked(mesh)
     coarse = walked(build_mesh(mesh.geometry, COARSE_NODES))
-    x, xc, inner = mesh.nodes, coarse.w_star.mesh.nodes, mesh.unknown_slice
+    x, xc, inner = mesh.nodes, coarse.mesh.nodes, mesh.unknown_slice
     curve = _Curve(profile, mesh)
-    curve.start = np.interp(x, xc, coarse.phi_star.values)[inner]
-    polished = curve.fold_polish(np.interp(x, xc, coarse.w_star.values)[inner], coarse.lambda_star)
+    curve.start = np.interp(x, xc, coarse.phi_star)[inner]
+    polished = curve.fold_polish(np.interp(x, xc, coarse.w_star)[inner], coarse.lambda_star)
     if polished is None:
         return walked(mesh)
     return _fold_at(curve, *polished)
 
 
 def states_to_csv(states, path) -> None:
-    """(lambda, sup_w, mu1) rows, one per state; a None mu1 is an empty cell."""
+    """(lambda, sup_w, mu1) rows, one per state."""
     rows = [(s.lam, s.sup_w, s.mu1) for s in states]
     csvio.write_rows(path, "lambda,sup_w,mu1", rows)
 

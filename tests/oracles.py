@@ -19,18 +19,17 @@ from typing import Tuple
 import numpy as np
 
 from quenchlab.dynamics import TimeConfig, integrate
-from quenchlab.mesh import Field, Mesh
+from quenchlab.mesh import Mesh
 from quenchlab.profiles import Profile, evaluate
 from quenchlab.steady import minimal_states
 
 
-def apply_laplacian(f: Field) -> Field:
-    """Discrete Laplacian of a field; boundary rows are returned as 0.
+def apply_laplacian(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """Discrete Laplacian of nodal values u; boundary rows are returned as 0.
 
     Interior rows use the stored neighbor values, so the stencil is exact
     for quadratics regardless of the boundary data.
     """
-    mesh, u = f.mesh, f.values
     h2 = mesh.h * mesh.h
     out = np.zeros_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
@@ -39,15 +38,14 @@ def apply_laplacian(f: Field) -> Field:
         r = mesh.nodes[1:-1]
         out[1:-1] += (dim - 1) * (u[2:] - u[:-2]) / (2.0 * mesh.h * r)
         out[0] = 2.0 * dim * (u[1] - u[0]) / h2
-    return Field(mesh, out)
+    return out
 
 
-def liapunov(state: Field, lam: float, profile: Profile) -> float:
+def liapunov(mesh: Mesh, u: np.ndarray, lam: float, profile: Profile) -> float:
     """Energy 1/2 int |grad u|^2 - lam int f/(1-u), by centered differences."""
-    mesh = state.mesh
-    grad = np.gradient(state.values, mesh.h)
+    grad = np.gradient(u, mesh.h)
     f = np.asarray(evaluate(profile, mesh.nodes), dtype=float)
-    density = 0.5 * grad**2 - lam * f / (1.0 - state.values)
+    density = 0.5 * grad**2 - lam * f / (1.0 - u)
     return float(np.dot(mesh.weights, density))
 
 
@@ -62,7 +60,7 @@ def convergence_check(lam: float, profile: Profile, mesh: Mesh, cfg: TimeConfig)
     state = next(minimal_states([lam], profile, mesh))
     if state is None:
         raise ValueError("no minimal steady state at lam=%g" % lam)
-    w = state.w.values
+    w = state.w
     traj, _ = integrate(lam, profile, mesh, cfg)
     dists = tuple(float(np.max(np.abs(u - w))) for u in traj.values)
     return ConvergenceTrace(times=tuple(traj.times.tolist()), distances=dists)
@@ -80,8 +78,8 @@ class SingularExtremal:
     lambda_star: float
     alpha_max: float
 
-    def w_star(self, mesh: Mesh) -> Field:
-        return Field(mesh, 1.0 - np.abs(mesh.nodes) ** self.beta)
+    def w_star(self, mesh: Mesh) -> np.ndarray:
+        return 1.0 - np.abs(mesh.nodes) ** self.beta
 
 
 def alpha_max(dimension: int) -> float:

@@ -28,7 +28,7 @@ from quenchlab.bounds import (
     large_lambda_bounds,
 )
 from quenchlab.dynamics import QuenchReport, TimeConfig, integrate
-from quenchlab.mesh import Field, Slab, build_mesh
+from quenchlab.mesh import Slab, build_mesh
 from quenchlab.profiles import Constant, Power, SlabSinPiecewise, evaluate
 from quenchlab.steady import SteadyBranch, SteadyState
 
@@ -121,7 +121,7 @@ def test_gg2_guards():
 
 def fold_args(fold, profile):
     """The fold estimates' arguments after lam: lambda*, the fold constants, the mesh."""
-    return fold.lambda_star, ingredients(fold, profile), fold.w_star.mesh
+    return fold.lambda_star, ingredients(fold, profile), fold.mesh
 
 
 def test_TL_inverse_sqrt_scaling(branch_f1_401):
@@ -135,8 +135,7 @@ def test_TL_inverse_sqrt_scaling(branch_f1_401):
 
 def test_TL_eigenfunction_scale_invariance(branch_f1_401):
     br = branch_f1_401
-    doubled = dataclasses.replace(
-        br, phi_star=Field(br.phi_star.mesh, 2.0 * br.phi_star.values))
+    doubled = dataclasses.replace(br, phi_star=2.0 * br.phi_star)
     lam = br.lambda_star + 0.3
     assert bound_lower_TL(lam, *fold_args(doubled, Constant(1.0))) == pytest.approx(
         bound_lower_TL(lam, *fold_args(br, Constant(1.0))), rel=1e-14)
@@ -145,10 +144,10 @@ def test_TL_eigenfunction_scale_invariance(branch_f1_401):
 def synthetic_branch_unit_mass():
     """Branch stub with psi* = 1 and lambda* = 1/3 on the unit slab (0,1)."""
     mesh = build_mesh(Slab(0.0, 1.0), 101)
-    ones = Field(mesh, np.ones(mesh.node_count))
-    zero = Field(mesh, np.zeros(mesh.node_count))
-    st = SteadyState(lam=1.0 / 3.0, w=zero, residual_norm=0.0, mu1=0.0)
-    return SteadyBranch(states=(st,), fold_state=st, lambda_star=1.0 / 3.0,
+    ones = np.ones(mesh.node_count)
+    zero = np.zeros(mesh.node_count)
+    st = SteadyState(lam=1.0 / 3.0, w=zero, mu1=0.0)
+    return SteadyBranch(mesh=mesh, states=(st,), fold_state=st, lambda_star=1.0 / 3.0,
                         w_star=zero, phi_star=ones, psi_star=ones, fold_index=0)
 
 
@@ -262,7 +261,7 @@ def make_report(points):
 
 def test_location_defect_formula(branch_falpha_801):
     f = SlabSinPiecewise()
-    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.w_star.mesh,
+    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.mesh,
                         quench_reports=[make_report((-0.204, 0.204))])
     assert rep.location_exponent == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert len(rep.location_lhs) == 2
@@ -274,7 +273,7 @@ def test_location_defect_formula(branch_falpha_801):
 
 def test_location_empty_set_is_blank(branch_falpha_801):
     rep, = evaluate_all([1e5], branch_falpha_801, SlabSinPiecewise(),
-                        branch_falpha_801.w_star.mesh, quench_reports=[make_report(())])
+                        branch_falpha_801.mesh, quench_reports=[make_report(())])
     assert rep.location_lhs == ()
     assert rep.location_exponent is None
 
@@ -293,8 +292,8 @@ def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     # epsilon is the sandwich's, bitwise
     f = SlabSinPiecewise()
     ing = ingredients(branch_falpha_801, f)
-    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.w_star.mesh)
-    ll = large_lambda_bounds(1e5, f, f.holder_exponent, branch_falpha_801.w_star.mesh)
+    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.mesh)
+    ll = large_lambda_bounds(1e5, f, f.holder_exponent, branch_falpha_801.mesh)
     assert ll.K > 0.0
     assert ll.epsilon == rep.epsilon
     # f vanishes where psi* has mass: J and I2 are undefined
@@ -349,7 +348,7 @@ def test_evaluate_all_without_branch():
 def test_evaluate_all_builds_lam_free_constants_once_per_grid(branch_falpha_801, monkeypatch):
     # sup f, K and the fold constants do not depend on lam: one build serves the
     # grid, and each row is bitwise the report of its lam evaluated alone
-    mesh = branch_falpha_801.w_star.mesh
+    mesh = branch_falpha_801.mesh
     f = SlabSinPiecewise()
     lams = [0.5 * branch_falpha_801.lambda_star, 5.0, 30.0, 1e5]
     alone = [dataclasses.asdict(evaluate_all([lam], branch_falpha_801, f, mesh)[0]) for lam in lams]
@@ -365,7 +364,7 @@ def test_evaluate_all_builds_lam_free_constants_once_per_grid(branch_falpha_801,
 
 
 def test_evaluate_all_vanishing_profile_flags(branch_falpha_801):
-    mesh = branch_falpha_801.w_star.mesh
+    mesh = branch_falpha_801.mesh
     rep, = evaluate_all([5.0], branch_falpha_801, SlabSinPiecewise(), mesh)
     assert rep.bound_1_2 is None
     assert "inf f" in rep.flags["bound_1_2"]
@@ -386,7 +385,7 @@ def test_evaluate_all_reports_the_fold_estimates_bitwise(branch_f1_401, branch_f
         assert rep.T1_simplified == bound_upper_T1(lam, *args, form="simplified")
         assert rep.T1_arctan == bound_upper_T1(lam, *args)
     two_bump = SlabSinPiecewise()
-    rep, = evaluate_all([5.0], branch_falpha_801, two_bump, branch_falpha_801.w_star.mesh)
+    rep, = evaluate_all([5.0], branch_falpha_801, two_bump, branch_falpha_801.mesh)
     with pytest.raises(NotApplicable) as exc:
         bound_upper_T1(5.0, *fold_args(branch_falpha_801, two_bump))
     assert rep.flags["T1"] == str(exc.value)

@@ -133,6 +133,14 @@ RUNS = {
     BALL_RUN: {"node_count": 101, "lambda": 5.0, "geometry": {"kind": "ball", "dimension": 2}},
     TWO_BUMP_RUN: {"node_count": 101, "lambda": 10.0, "profile": {"kind": "sin_piecewise"}},
 }
+NAN_VALUE_TABLE, NAN_X_TABLE, INFINITE_X_TABLE, ONE_COLUMN_TABLE = (
+    "<nan value table>", "<nan x table>", "<infinite x table>", "<one-column table>")
+TABLES = {
+    NAN_VALUE_TABLE: "x,f\n-0.5,0.5\n0.0,nan\n0.5,0.5\n",
+    NAN_X_TABLE: "x,f\n-0.5,0.5\nnan,0.5\n0.5,0.5\n",
+    INFINITE_X_TABLE: "x,f\n-0.5,0.5\n0.5,0.5\ninf,0.5\n",
+    ONE_COLUMN_TABLE: "x,f\n-0.5,0.5\n0.0\n0.5,0.5\n",
+}
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -178,11 +186,22 @@ RUNS = {
     ("rescale", {"rescale": {"run": TWO_BUMP_RUN, "center": 0.0}}),
     # a quench_eps the stepper cannot reach
     ("simulate", {"time": {"quench_eps": 1e-5}}),
+    # profile values that are not finite, and a table row with one column
+    ("simulate", {"profile": {"kind": "power", "exponent": float("nan")}}),
+    ("simulate", {"profile": {"kind": "tabulated", "path": NAN_VALUE_TABLE}}),
+    ("simulate", {"profile": {"kind": "tabulated", "path": NAN_X_TABLE}}),
+    ("simulate", {"profile": {"kind": "tabulated", "path": INFINITE_X_TABLE}}),
+    ("simulate", {"profile": {"kind": "tabulated", "path": ONE_COLUMN_TABLE}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
     if run in RUNS:  # a real quenched run, so that only the rescale value is wrong
         payload = {"rescale": dict(payload["rescale"], run=simulate_run(tmp_path, "ok", RUNS[run]))}
+    table = payload.get("profile", {}).get("path")
+    if table in TABLES:
+        path = tmp_path / "table.csv"
+        path.write_text(TABLES[table])
+        payload = dict(payload, profile=dict(payload["profile"], path=str(path)))
     cfg = write_config(tmp_path, "bad.json", dict(payload, node_count=payload.get("node_count", 101)))
     out = str(tmp_path / "bad_out")
     assert main([command, "--config", cfg, "--out", out]) == 2
@@ -412,6 +431,31 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     bytes1 = open(os.path.join(out1, "sweep.csv"), "rb").read()
     bytes2 = open(os.path.join(out2, "sweep.csv"), "rb").read()
     assert bytes1 == bytes2
+
+
+def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
+    # a pool forks all its workers at the first map; this fake starts none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = write_config(tmp_path, "pool.json", {
+        "node_count": 101, "lambda_grid": [4.0, 8.0], "workers": 64, "time": {"t_max": 0.2},
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "pool_out")]) == 0
+    assert sizes == [2]
 
 
 def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
@@ -741,11 +785,29 @@ def _torus_geometry(run):
     _edit_config(run, lambda cfg: cfg.update(geometry={"kind": "torus"}))
 
 
+def _start_only(run):
+    arrays = _store(run)
+    np.savez(os.path.join(run, "trajectory.npz"), times=arrays["times"][:1], values=arrays["values"][:1])
+
+
+def _second_time_after_T(run):
+    arrays = _store(run)
+    arrays["times"][1] = 2.0 * read_json(os.path.join(run, "quench.json"))["T"]
+    np.savez(os.path.join(run, "trajectory.npz"), **arrays)
+
+
+def _swapped_times(run):
+    arrays = _store(run)
+    arrays["times"][[1, 2]] = arrays["times"][[2, 1]]
+    np.savez(os.path.join(run, "trajectory.npz"), **arrays)
+
+
 @pytest.mark.parametrize("damage", [
     _drop_history, _nan_cell, _short_snapshot, _drop_record, _truncated_quench,
     _truncated_store, _missing_member, _drop_store, _empty_store, _npy_store,
     _early_quench_T, _outside_quench_point, _quench_point_where_f_vanishes,
     _no_geometry, _no_lambda, _text_node_count, _torus_geometry,
+    _start_only, _second_time_after_T, _swapped_times,
 ])
 def test_rescale_damaged_run_is_missing_input(tmp_path, capsys, damage):
     run = simulate_run(tmp_path, "rd", {"node_count": 101, "lambda": 5.0})

@@ -25,7 +25,7 @@ from quenchlab.dynamics import (
     write_max_history,
     write_snapshots,
 )
-from quenchlab.mesh import Field, Slab, bands_matvec, build_mesh, laplacian_bands
+from quenchlab.mesh import Slab, bands_matvec, build_mesh, laplacian_bands
 from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 
 from oracles import convergence_check, liapunov
@@ -287,9 +287,9 @@ def test_touchdown_time_second_order_in_mesh(fine_two_bump_runs):
 
 def test_liapunov_reference_values():
     mesh = build_mesh(UNIT_SLAB, 201)
-    zero = Field(mesh, np.zeros(mesh.node_count))
-    assert liapunov(zero, 1.0, Constant(1.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert liapunov(zero, 0.0, Constant(1.0)) == 0.0
+    zero = np.zeros(mesh.node_count)
+    assert liapunov(mesh, zero, 1.0, Constant(1.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert liapunov(mesh, zero, 0.0, Constant(1.0)) == 0.0
 
 
 def test_liapunov_decreases_along_flow():
@@ -299,7 +299,7 @@ def test_liapunov_decreases_along_flow():
     traj, rep = integrate(5.0, Constant(1.0), mesh, TimeConfig(snapshot_stride=1))
     assert rep.quenched
     assert np.array_equal(traj.times, traj.max_history[:, 0])
-    vals = [liapunov(Field(mesh, u), 5.0, Constant(1.0)) for u in traj.values]
+    vals = [liapunov(mesh, u, 5.0, Constant(1.0)) for u in traj.values]
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 

@@ -11,7 +11,6 @@ from scipy import linalg
 
 from quenchlab import mesh as mesh_module
 from quenchlab.mesh import (
-    Field,
     RadialBall,
     Slab,
     bands_matvec,
@@ -62,32 +61,24 @@ def test_build_mesh_rejects_degenerate():
         RadialBall(3, -1.0)
 
 
-def test_field_rejects_bad_values():
-    mesh = build_mesh(Slab(0.0, 1.0), 5)
-    with pytest.raises(ValueError):
-        Field(mesh, np.zeros(4))
-    with pytest.raises(ValueError):
-        Field(mesh, np.array([0.0, np.nan, 0.0, 0.0, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
 
 def test_integrate_constant_slab():
     mesh = build_mesh(Slab(-0.5, 0.5), 17)
-    assert integrate(Field(mesh, np.ones(17))) == pytest.approx(1.0, abs=1e-14)
+    assert integrate(mesh, np.ones(17)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_integrate_constant_ball_volume():
     mesh = build_mesh(RadialBall(3, 1.0), 2001)
-    vol = integrate(Field(mesh, np.ones(mesh.node_count)))
+    vol = integrate(mesh, np.ones(mesh.node_count))
     assert vol == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
 
 
 def test_integrate_linear_exact():
     mesh = build_mesh(Slab(0.0, 1.0), 101)
-    val = integrate(Field(mesh, mesh.nodes))
+    val = integrate(mesh, mesh.nodes)
     assert val == pytest.approx(0.5, abs=1e-14)
 
 
@@ -106,7 +97,7 @@ def test_sphere_area_values():
 )
 def test_integrate_affine_exact_property(a, b, lo, width, n):
     mesh = build_mesh(Slab(lo, lo + width), n)
-    val = integrate(Field(mesh, a * mesh.nodes + b))
+    val = integrate(mesh, a * mesh.nodes + b)
     hi = lo + width
     exact = a * (hi * hi - lo * lo) / 2.0 + b * width
     assert val == pytest.approx(exact, abs=1e-12 * max(1.0, abs(exact)))
@@ -118,25 +109,25 @@ def test_integrate_affine_exact_property(a, b, lo, width, n):
 
 def test_laplacian_quadratic_slab_exact():
     mesh = build_mesh(Slab(0.0, 1.0), 41)
-    out = apply_laplacian(Field(mesh, mesh.nodes * (1.0 - mesh.nodes)))
-    assert np.allclose(out.values[1:-1], -2.0, atol=1e-11)
-    assert out.values[0] == 0.0 and out.values[-1] == 0.0
+    out = apply_laplacian(mesh, mesh.nodes * (1.0 - mesh.nodes))
+    assert np.allclose(out[1:-1], -2.0, atol=1e-11)
+    assert out[0] == 0.0 and out[-1] == 0.0
 
 
 def test_laplacian_r_squared_ball():
     mesh = build_mesh(RadialBall(3, 1.0), 21)
-    out = apply_laplacian(Field(mesh, mesh.nodes**2))
+    out = apply_laplacian(mesh, mesh.nodes**2)
     # lap(r^2) = 2N, exact for the centered stencil including the origin row
-    assert np.allclose(out.values[:-1], 6.0, atol=1e-10)
+    assert np.allclose(out[:-1], 6.0, atol=1e-10)
 
 
 def test_laplacian_sine_second_order():
     errs = []
     for n in (101, 201, 401):
         mesh = build_mesh(Slab(0.0, 1.0), n)
-        out = apply_laplacian(Field(mesh, np.sin(math.pi * mesh.nodes)))
+        out = apply_laplacian(mesh, np.sin(math.pi * mesh.nodes))
         exact = -math.pi**2 * np.sin(math.pi * mesh.nodes)
-        errs.append(np.max(np.abs(out.values[1:-1] - exact[1:-1])))
+        errs.append(np.max(np.abs(out[1:-1] - exact[1:-1])))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
     assert errs[1] < 1e-3
@@ -148,13 +139,13 @@ def test_laplacian_radial_smooth_second_order():
         mesh = build_mesh(RadialBall(3, 1.0), n)
         r = mesh.nodes
         # u = cos(pi r / 2): lap = -pi^2/4 u - (N-1) pi/(2r) sin(pi r/2)
-        out = apply_laplacian(Field(mesh, np.cos(0.5 * math.pi * r)))
+        out = apply_laplacian(mesh, np.cos(0.5 * math.pi * r))
         with np.errstate(invalid="ignore", divide="ignore"):
             exact = -0.25 * math.pi**2 * np.cos(0.5 * math.pi * r) - (
                 2.0 * 0.5 * math.pi * np.sin(0.5 * math.pi * r) / r
             )
         exact[0] = -0.25 * math.pi**2 * 3.0  # limit N * u''(0)
-        errs.append(np.max(np.abs(out.values[:-1] - exact[:-1])))
+        errs.append(np.max(np.abs(out[:-1] - exact[:-1])))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
 
@@ -165,7 +156,7 @@ def test_banded_matches_dense_stencil(rng):
         mesh = build_mesh(geom, 41)
         vals = np.zeros(mesh.node_count)
         vals[mesh.unknown_slice] = rng.standard_normal(mesh.node_count)[mesh.unknown_slice]
-        dense = apply_laplacian(Field(mesh, vals)).values[mesh.unknown_slice]
+        dense = apply_laplacian(mesh, vals)[mesh.unknown_slice]
         banded = bands_matvec(laplacian_bands(mesh), vals[mesh.unknown_slice])
         assert np.max(np.abs(dense - banded)) < 1e-10
 

@@ -68,26 +68,29 @@ def test_closed_form_constants_recompute():
 def test_solve_minimal_zero_load():
     mesh = build_mesh(Slab(-0.5, 0.5), 101)
     st = next(minimal_states([0.0], Constant(1.0), mesh))
-    assert np.all(st.w.values == 0.0)
+    assert np.all(st.w == 0.0)
     assert st.mu1 == pytest.approx(math.pi**2, rel=1e-3)
 
 
 def test_solve_minimal_matches_closed_form():
+    from quenchlab.mesh import laplacian_bands
+
     mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    Lb, f = laplacian_bands(mesh), steady._interior_forcing(Constant(1.0), mesh)
     # the tolerance widens at 1.35 where fold curvature inflates the h^2 term
     for lam, m_exact, tol in ((0.5, SUP_LAM_HALF, 1e-6),
                               (1.35, SUP_LAM_135, 5e-6)):
         st = next(minimal_states([lam], Constant(1.0), mesh))
         assert st is not None
         assert abs(st.sup_w - m_exact) < tol
-        assert st.residual_norm < 1e-9
+        assert np.max(np.abs(steady._residual(Lb, f, st.w[mesh.unknown_slice], st.lam))) < 1e-9
 
 
 def test_solve_minimal_sup_converges_second_order():
     errs = []
     for n in (201, 401, 801):
         st = next(minimal_states([0.5], Constant(1.0), build_mesh(Slab(-0.5, 0.5), n)))
-        errs.append(abs(np.max(st.w.values) - SUP_LAM_HALF))
+        errs.append(abs(np.max(st.w) - SUP_LAM_HALF))
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
 
@@ -113,7 +116,7 @@ def test_grid_mu1_is_warm_started_on_one_curve(monkeypatch):
     warm = list(minimal_states(grid, Constant(1.0), mesh))
     assert right_sides.count(1) < cold_solves
     for a, b in zip(cold, warm):
-        assert b.lam == a.lam and np.array_equal(b.w.values, a.w.values)
+        assert b.lam == a.lam and np.array_equal(b.w, a.w)
         assert b.mu1 == pytest.approx(a.mu1, rel=1e-9)
 
 
@@ -139,8 +142,8 @@ def test_mu1_at_zero_state():
     for n in (201, 401):
         mesh = build_mesh(Slab(-0.5, 0.5), n)
         st = next(minimal_states([0.0], Constant(1.0), mesh))
-        pair = linearized_eigenpair(dataclasses.replace(st, lam=lam), Constant(1.0))
-        errs.append(abs(pair.eigenvalue - (math.pi**2 - 2.0 * lam)))
+        mu1, _ = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[mesh.unknown_slice], lam)
+        errs.append(abs(mu1 - (math.pi**2 - 2.0 * lam)))
     assert errs[0] < 1e-3
     assert errs[0] / errs[1] > 3.5
 
@@ -150,13 +153,11 @@ def test_eigen_residual_recompute(branch_f1_401):
 
     minimal = branch_f1_401.states[: branch_f1_401.fold_index + 1]
     st = minimal[len(minimal) // 2]
-    pair = linearized_eigenpair(st, Constant(1.0))
-    mesh = st.w.mesh
-    mu = pair.eigenvalue
-    phi = pair.eigenfunction.values
-    ab = laplacian_bands(mesh)
+    mesh = branch_f1_401.mesh
     inner = mesh.unknown_slice
-    pot = 2.0 * st.lam / (1.0 - st.w.values[inner]) ** 3
+    mu, phi = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[inner], st.lam)
+    ab = laplacian_bands(mesh)
+    pot = 2.0 * st.lam / (1.0 - st.w[inner]) ** 3
     resid = -bands_matvec(ab, phi[inner]) - pot * phi[inner] - mu * phi[inner]
     assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(phi))
 
@@ -198,7 +199,7 @@ def test_branch_monotonicity(branch_f1_401):
     br = branch_f1_401
     minimal = br.states[: br.fold_index + 1]
     lams = np.array([s.lam for s in minimal])
-    sups = np.array([np.max(s.w.values) for s in minimal])
+    sups = np.array([np.max(s.w) for s in minimal])
     assert np.all(np.diff(lams) > 0.0)
     assert np.all(np.diff(sups) > 0.0)
     assert all(s.mu1 > 0.0 for s in minimal[:-1])
@@ -214,7 +215,7 @@ def test_branch_bends_back(branch_f1_401):
 
 def test_lambda_star_against_closed_form(branch_f1_401):
     assert branch_f1_401.lambda_star == pytest.approx(LAMBDA_STAR_SLAB, abs=1e-5)
-    assert np.max(branch_f1_401.w_star.values) == pytest.approx(M_STAR, abs=1e-4)
+    assert np.max(branch_f1_401.w_star) == pytest.approx(M_STAR, abs=1e-4)
 
 
 def test_lambda_star_converges_second_order():
@@ -243,8 +244,9 @@ def test_warm_mu1_matches_cold(branch_f1_401):
     # every state's mu1 was warm-started from its predecessor's eigenvector;
     # a cold solve from the ones vector must agree
     br = branch_f1_401
+    curve = steady._Curve(Constant(1.0), br.mesh)  # no start vector: every solve is cold
     for st in br.states + (br.fold_state,):
-        cold = linearized_eigenpair(st, Constant(1.0)).eigenvalue
+        cold, _ = linearized_eigenpair(curve, st.w[br.mesh.unknown_slice], st.lam)
         assert abs(st.mu1 - cold) <= 1e-9 * max(1.0, abs(cold))
 
 
@@ -295,8 +297,7 @@ def test_failed_fold_polish_is_step_failure(tmp_path, monkeypatch):
 
 def _fold_arrays(fold):
     st = fold.fold_state
-    return [fold.lambda_star, st.lam, st.residual_norm, st.mu1, st.w.values,
-            fold.w_star.values, fold.phi_star.values, fold.psi_star.values]
+    return [fold.lambda_star, st.lam, st.mu1, st.w, fold.w_star, fold.phi_star, fold.psi_star]
 
 
 def test_locate_fold_falls_back_to_the_full_walk(monkeypatch):
@@ -378,7 +379,7 @@ def test_lean_walk_stops_at_the_fold_state_of_the_full_walk(monkeypatch, profile
     fold = steady.locate_fold(profile, mesh)
     (w_full, lam_full, start_full), (w_lean, lam_lean, start_lean) = starts
     top = branch.states[branch.fold_index]
-    assert np.array_equal(w_lean, top.w.values[mesh.unknown_slice]) and lam_lean == top.lam
+    assert np.array_equal(w_lean, top.w[mesh.unknown_slice]) and lam_lean == top.lam
     assert np.array_equal(w_full, w_lean) and lam_full == lam_lean
     assert np.array_equal(start_full, start_lean)
     assert branch.states[branch.fold_index + 1].lam < top.lam
@@ -477,25 +478,21 @@ def test_lambda_star_scales_inversely_with_f():
 
 
 def test_eigenfunction_normalizations(branch_f1_401):
-    from quenchlab.mesh import Field
-
     br = branch_f1_401
-    mesh = br.w_star.mesh
-    phi_sq = Field(mesh, br.phi_star.values**2)
-    assert integrate(phi_sq) == pytest.approx(1.0, abs=1e-10)
-    assert integrate(br.psi_star) == pytest.approx(1.0, abs=1e-10)
-    ratio = br.psi_star.values[1:-1] / br.phi_star.values[1:-1]
+    assert integrate(br.mesh, br.phi_star**2) == pytest.approx(1.0, abs=1e-10)
+    assert integrate(br.mesh, br.psi_star) == pytest.approx(1.0, abs=1e-10)
+    ratio = br.psi_star[1:-1] / br.phi_star[1:-1]
     assert np.max(ratio) - np.min(ratio) < 1e-9
-    assert np.all(br.phi_star.values[1:-1] > 0.0)
+    assert np.all(br.phi_star[1:-1] > 0.0)
 
 
 def test_states_increase_toward_extremal(branch_f1_401):
     br = branch_f1_401
     minimal = br.states[: br.fold_index + 1]
-    dist = [np.max(np.abs(s.w.values - br.w_star.values)) for s in minimal]
+    dist = [np.max(np.abs(s.w - br.w_star)) for s in minimal]
     assert all(a > b for a, b in zip(dist, dist[1:]))
     mid = len(minimal) // 2
-    lo, hi = minimal[mid].w.values, minimal[mid + 1].w.values
+    lo, hi = minimal[mid].w, minimal[mid + 1].w
     assert np.all(hi - lo >= -1e-14)
     assert hi[len(hi) // 2] > lo[len(lo) // 2]
 

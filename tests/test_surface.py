@@ -16,6 +16,8 @@ extension file, which is the routine scipy.linalg.lapack exports.  In
 `steady`, the operator G and its Jacobian are used only by the curve kit
 `_Curve`, whose corrector is the one Newton, and by the eigen solve;
 only `minimal_states` and the one branch walk `_walk` call that corrector.
+Only `_Curve` builds the Laplacian bands and evaluates f, so every eigen
+solve of a state runs on its curve's operator.
 That corrector and the Crank-Nicolson stage solve take the roundoff floor
 of a residual from the one `mesh.residual_floor`.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
@@ -176,6 +178,16 @@ def test_one_steady_newton():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_residual", "_jacobian"):
                 callers.add(top.name)
     assert callers <= {"_Curve", "linearized_eigenpair"}, callers
+
+
+def test_one_steady_operator_build():
+    # linearized_eigenpair takes the Laplacian and f from the _Curve it is given
+    callers = set()
+    for top in ast.parse((SRC / "steady.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("laplacian_bands", "_interior_forcing"):
+                callers.add(top.name)
+    assert callers == {"_Curve"}, callers
 
 
 def test_one_branch_walk():
