@@ -553,7 +553,8 @@ def read_trajectory(directory, mesh: Mesh, lam: float) -> Trajectory:
     """
     directory = str(directory)
     try:
-        with np.load(os.path.join(directory, TRAJECTORY_NAME), allow_pickle=False) as store:
+        # np.load of a path leaves the file open when the zip does not parse
+        with open(os.path.join(directory, TRAJECTORY_NAME), "rb") as fh, np.load(fh, allow_pickle=False) as store:
             times = np.asarray(store["times"], dtype=float)
             values = np.asarray(store["values"], dtype=float)
         if times.ndim != 1 or not times.size or values.shape != (times.size, mesh.node_count):

@@ -169,21 +169,21 @@ def evaluate(profile: Profile, x):
 
 
 def tabulated_from_csv(path, holder_exponent: float = 1.0) -> Tabulated:
-    """Load a two-column (coordinate, value) CSV, header row optional; a
-    numeric row with one column raises ValueError."""
-    rows = []
+    """Load a two-column (coordinate, value) CSV.  The first non-blank line
+    may be a header; a later row that is not two numbers, or any row
+    without exactly two cells, raises ValueError."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue  # header line
-            except IndexError:
-                raise ValueError("tabulated CSV row %r has one column, not two" % line)
+        lines = [line.strip() for line in fh if line.strip()]
+    rows = []
+    for i, line in enumerate(lines):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError("tabulated CSV row %r has %d cells, not two" % (line, len(parts)))
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            if i:  # only the first line may be a header
+                raise ValueError("tabulated CSV row %r is not two numbers" % line) from None
     if len(rows) < 2:
         raise ValueError("tabulated CSV needs at least 2 numeric rows")
     data = np.asarray(rows)

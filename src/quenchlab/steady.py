@@ -23,10 +23,12 @@ from the last point before the fold and from the walk's secant there.
 That lands on the discrete fold, whose lam is O(h^2) from the continuum
 lam_star.  `continue_branch` keeps every state of the walk with its mu_1,
 from inverse iteration warm-started from the previous state's
-eigenvector.  `locate_fold` returns the fold alone: its walk solves no
-eigenpair and stops at the first point past the fold, and on a fine mesh
-it walks a coarse one and runs the same fold Newton on the fine mesh
-from the coarse fold.  Every tridiagonal solve here, in the corrector,
+eigenvector.  Each solve (A - sigma) y = v there yields its iterate's
+Rayleigh quotient and residual without a product by A, and the shift
+follows that quotient from the first iterate on.  `locate_fold` returns
+the fold alone: its walk solves no eigenpair and stops at the first
+point past the fold, and on a fine mesh it walks a coarse one and runs
+the same fold Newton on the fine mesh from the coarse fold.  Every tridiagonal solve here, in the corrector,
 the fold Newton and inverse iteration, is the LAPACK kernel
 `mesh.solve_banded`.
 
@@ -89,16 +91,16 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class Fold:
-    """Fold data on `mesh`, each function on every node: the fold state, its
-    lam, w* = its w, phi* (the L2-normalized eigenfunction of mu_1 = 0) and
-    psi* = phi* / int(phi*)."""
+    """Fold data on `mesh`, each function on every node: the fold state,
+    whose lam and w are lambda_star and w*, phi* (the L2-normalized
+    eigenfunction of mu_1 = 0) and psi* = phi* / int(phi*)."""
 
     mesh: Mesh
     fold_state: SteadyState
-    lambda_star: float
-    w_star: np.ndarray
     phi_star: np.ndarray
     psi_star: np.ndarray
+    lambda_star = property(lambda self: self.fold_state.lam)
+    w_star = property(lambda self: self.fold_state.w)
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,15 @@ def _embed(mesh: Mesh, interior: np.ndarray) -> np.ndarray:
 # residual tests take their roundoff floor from mesh.residual_floor(Lb).
 
 
-def _residual(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """G(w, lam) = lap(w) + lam f / (1 - w)^2."""
-    return bands_matvec(Lb, w) + lam * f / (1.0 - w) ** 2
+def _residual(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float, gap2: np.ndarray) -> np.ndarray:
+    """G(w, lam) = lap(w) + lam f / (1 - w)^2, given gap2 = (1 - w)^2."""
+    return bands_matvec(Lb, w) + lam * f / gap2
 
 
-def _jacobian(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """G_w(w, lam) = lap + 2 lam f / (1 - w)^3, in solve_banded layout."""
+def _jacobian(Lb: np.ndarray, f: np.ndarray, gap: np.ndarray, lam: float) -> np.ndarray:
+    """G_w(w, lam) = lap + 2 lam f / (1 - w)^3, given gap = 1 - w, in solve_banded layout."""
     Jb = Lb.copy()
-    Jb[1] += 2.0 * lam * f / (1.0 - w) ** 3
+    Jb[1] += 2.0 * lam * f / gap**3
     return Jb
 
 
@@ -170,14 +172,6 @@ def minimal_states(grid, profile: Profile, mesh: Mesh) -> Iterator[Optional[Stea
         yield None if ok is None else curve.state(*ok)
 
 
-def _rayleigh(ab: np.ndarray, weights: np.ndarray, v: np.ndarray) -> Tuple[float, float]:
-    """Weighted Rayleigh quotient of v and the sup-norm of its residual."""
-    av = bands_matvec(ab, v)
-    wv = weights * v
-    mu = float(np.dot(wv, av) / np.dot(wv, v))
-    return mu, float(np.max(np.abs(av - mu * v)))
-
-
 # inverse iteration solves per start vector
 _EIG_MAX_ITER = 400
 
@@ -188,14 +182,17 @@ def _shift(mu: float, res: float) -> float:
 
 
 def _inverse_iteration(ab, weights, v, sigma, stop):
-    """Shifted inverse iteration from v; returns (best residual, (mu, v)) or
-    (inf, None).  The shift follows the Rayleigh quotient from the second
-    iterate on."""
+    """Shifted inverse iteration from v; returns (best residual, (mu, x)) or
+    (inf, None).  Each solve (A - sigma) y = v gives the iterate x = y / y[peak]
+    and (A - sigma) x = r = v / y[peak], hence its weighted Rayleigh quotient
+    mu = sigma + <x, r>_W / <x, x>_W and residual (A - mu) x = r - (mu - sigma) x
+    with no product by A.  The shift follows mu from the first iterate on."""
     best_res = np.inf
     best: Tuple[float, np.ndarray] | None = None
     stale = 0
-    for it in range(_EIG_MAX_ITER):
-        shifted = ab.copy()
+    shifted = np.empty_like(ab)
+    for _ in range(_EIG_MAX_ITER):
+        np.copyto(shifted, ab)
         shifted[1] -= sigma
         try:
             y = solve_banded(shifted, v, overwrite_ab=True)
@@ -206,17 +203,18 @@ def _inverse_iteration(ab, weights, v, sigma, stop):
             sigma -= max(1.0, abs(sigma)) * 1e-8
             continue
         peak = int(np.argmax(np.abs(y)))
-        v = y / y[peak]
-        mu, res = _rayleigh(ab, weights, v)
+        x, r = y / y[peak], v / y[peak]
+        wx = weights * x
+        mu = sigma + float(np.dot(wx, r) / np.dot(wx, x))
+        res = float(np.max(np.abs(r - (mu - sigma) * x)))
         if res < best_res:
-            best_res, best = res, (mu, v.copy())
+            best_res, best = res, (mu, x)
             stale = 0
         else:
             stale += 1
         if best_res <= stop(mu) or stale >= 6:
             break
-        if it >= 1:
-            sigma = _shift(mu, res)
+        v, sigma = x, _shift(mu, res)
     return best_res, best
 
 
@@ -254,7 +252,10 @@ def smallest_eigenvalue_bands(
 
     if start is not None:
         v = np.asarray(start, dtype=float) / np.max(np.abs(start))
-        sigma = _shift(*_rayleigh(ab, weights, v))
+        # the start's weighted Rayleigh quotient and residual set the first shift
+        av, wv = bands_matvec(ab, v), weights * v
+        mu = float(np.dot(wv, av) / np.dot(wv, v))
+        sigma = _shift(mu, float(np.max(np.abs(av - mu * v))))
         best_res, best = _inverse_iteration(ab, weights, v, sigma, stop)
         if best is not None and best_res <= target(best[0]) and best[1].min() >= -1e-8:
             return best[0], best[1], best_res
@@ -279,9 +280,10 @@ def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float) -> Tuple[floa
 
     `curve.start` warm-starts the eigen solve; see `smallest_eigenvalue_bands`.
     """
-    if (1.0 - w).min() < 1e-9:
+    gap = 1.0 - w
+    if gap.min() < 1e-9:
         raise ValueError("state touches the obstacle; linearization undefined")
-    mu, v, _ = smallest_eigenvalue_bands(-_jacobian(curve.Lb, curve.f, w, lam), curve.wq, start=curve.start)
+    mu, v, _ = smallest_eigenvalue_bands(-_jacobian(curve.Lb, curve.f, gap, lam), curve.wq, start=curve.start)
     phi = _embed(curve.mesh, v)
     scale = np.sqrt(integrate(curve.mesh, phi**2))
     if scale <= 0:
@@ -318,13 +320,14 @@ class _Curve:
             gap = 1.0 - w
             if gap.min() <= 1e-12:
                 return None
-            R = _residual(self.Lb, self.f, w, lam)
+            gap2 = gap**2
+            R = _residual(self.Lb, self.f, w, lam, gap2)
             Ncon = float(np.dot(self.wq, tau_w * (w - base_w)) + tau_lam * (lam - base_lam) - ds)
             if np.max(np.abs(R)) <= tol_eff and abs(Ncon) <= 1e-11 * max(1.0, abs(ds)):
                 return w, lam
-            glam = self.f / gap**2
+            glam = self.f / gap2
             try:
-                Jb = _jacobian(self.Lb, self.f, w, lam)
+                Jb = _jacobian(self.Lb, self.f, gap, lam)
                 ab = solve_banded(Jb, np.column_stack((R, glam)), overwrite_ab=True, overwrite_b=True)
             except np.linalg.LinAlgError:
                 return None
@@ -337,11 +340,11 @@ class _Curve:
             dlam = (float(np.dot(self.wq, tau_w * a)) - Ncon) / denom
             dw = -a - dlam * b
             theta = 1.0
-            while theta > 1e-12 and (w + theta * dw).max() >= 1.0 - 1e-12:
+            while (trial := w + theta * dw).max() >= 1.0 - 1e-12:
                 theta *= 0.5
-            if theta <= 1e-12:
-                return None
-            w = w + theta * dw
+                if theta <= 1e-12:
+                    return None
+            w = trial
             lam = lam + theta * dlam
         return None
 
@@ -370,7 +373,7 @@ class _Curve:
         """
         w = np.array(w, dtype=float)
         lam = float(lam)
-        ab = -_jacobian(self.Lb, self.f, w, lam)
+        ab = -_jacobian(self.Lb, self.f, 1.0 - w, lam)
         try:
             _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start)
         except IterationLimit:
@@ -382,12 +385,13 @@ class _Curve:
             gap = 1.0 - w
             if gap.min() <= 1e-12 or not 0.2 * lam0 <= lam <= 5.0 * lam0:
                 return None
-            G = _residual(self.Lb, self.f, w, lam)
+            gap2 = gap**2
+            G = _residual(self.Lb, self.f, w, lam, gap2)
             if abs(dlam) <= 1e-10 * abs(lam) and np.max(np.abs(G)) <= self.res_floor:
                 break
-            Jb = _jacobian(self.Lb, self.f, w, lam)
+            Jb = _jacobian(self.Lb, self.f, gap, lam)
             H = bands_matvec(Jb, phi)
-            glam = self.f / gap**2
+            glam = self.f / gap2
             d1 = 6.0 * lam * self.f / gap**4 * phi
             d2 = 2.0 * self.f / gap**3 * phi
             try:
@@ -409,7 +413,7 @@ class _Curve:
             w = w + dw
             phi = phi + dphi
             lam = lam + dlam
-        G = _residual(self.Lb, self.f, w, lam)
+        G = _residual(self.Lb, self.f, w, lam, (1.0 - w) ** 2)
         if np.max(np.abs(G)) > max(1e-10, 10.0 * self.res_floor):
             return None
         return w, lam
@@ -509,8 +513,7 @@ def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
     phi = _embed(curve.mesh, curve.start)  # L2-normalized
     # psi_star is phi_star rescaled to unit mass, nodewise
     psi = phi / integrate(curve.mesh, phi)
-    return Fold(mesh=curve.mesh, fold_state=fold_state, lambda_star=fold_state.lam, w_star=fold_state.w,
-                phi_star=phi, psi_star=psi)
+    return Fold(mesh=curve.mesh, fold_state=fold_state, phi_star=phi, psi_star=psi)
 
 
 # node count of the walk behind `locate_fold` on meshes finer than

@@ -147,8 +147,7 @@ def synthetic_branch_unit_mass():
     ones = np.ones(mesh.node_count)
     zero = np.zeros(mesh.node_count)
     st = SteadyState(lam=1.0 / 3.0, w=zero, mu1=0.0)
-    return SteadyBranch(mesh=mesh, states=(st,), fold_state=st, lambda_star=1.0 / 3.0,
-                        w_star=zero, phi_star=ones, psi_star=ones, fold_index=0)
+    return SteadyBranch(mesh=mesh, states=(st,), fold_state=st, phi_star=ones, psi_star=ones, fold_index=0)
 
 
 def test_T1_arctan_right_angle_on_synthetic_branch():

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_steady_continuation_and_manifest(tmp_path):
 
     summary = read_json(os.path.join(out, "summary.json"))
     assert summary["lambda_star"] == pytest.approx(1.40, abs=0.01)
-    lines = open(os.path.join(out, "branch.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "branch.csv")).read_text().splitlines()
     assert lines[0] == "lambda,sup_w,mu1"
     assert len(lines) > 20
 
@@ -82,7 +83,7 @@ def test_steady_outputs_independent_of_out_dir(tmp_path):
     for out in outs:
         assert main(["steady", "--config", cfg, "--out", out]) == 0
     for name in ("summary.json", "branch.csv"):
-        first, second = (open(os.path.join(out, name), "rb").read() for out in outs)
+        first, second = (Path(os.path.join(out, name)).read_bytes() for out in outs)
         assert first == second
     assert "out" not in read_json(os.path.join(outs[0], "summary.json"))["config"]
     assert read_json(os.path.join(outs[1], "run.json"))["config"]["out"] == outs[1]
@@ -93,7 +94,7 @@ def test_steady_lambda_grid_rows(tmp_path):
                        {"node_count": 201, "lambda_grid": [0.3, 0.6, 0.9]})
     out = str(tmp_path / "grid_out")
     assert main(["steady", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "branch.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "branch.csv")).read_text().splitlines()
     assert len(lines) == 4
     lams = [float(line.split(",")[0]) for line in lines[1:]]
     assert lams == [0.3, 0.6, 0.9]
@@ -135,11 +136,14 @@ RUNS = {
 }
 NAN_VALUE_TABLE, NAN_X_TABLE, INFINITE_X_TABLE, ONE_COLUMN_TABLE = (
     "<nan value table>", "<nan x table>", "<infinite x table>", "<one-column table>")
+TEXT_ROW_TABLE, THREE_COLUMN_TABLE = "<table with a text row>", "<three-column table>"
 TABLES = {
     NAN_VALUE_TABLE: "x,f\n-0.5,0.5\n0.0,nan\n0.5,0.5\n",
     NAN_X_TABLE: "x,f\n-0.5,0.5\nnan,0.5\n0.5,0.5\n",
     INFINITE_X_TABLE: "x,f\n-0.5,0.5\n0.5,0.5\ninf,0.5\n",
     ONE_COLUMN_TABLE: "x,f\n-0.5,0.5\n0.0\n0.5,0.5\n",
+    TEXT_ROW_TABLE: "x,f\n-0.5,0.5\n0.0,abc\n0.5,0.5\n",
+    THREE_COLUMN_TABLE: "x,f\n-0.5,0.5\n0.0,0.9,7\n0.5,0.5\n",
 }
 
 
@@ -192,6 +196,9 @@ TABLES = {
     ("simulate", {"profile": {"kind": "tabulated", "path": NAN_X_TABLE}}),
     ("simulate", {"profile": {"kind": "tabulated", "path": INFINITE_X_TABLE}}),
     ("simulate", {"profile": {"kind": "tabulated", "path": ONE_COLUMN_TABLE}}),
+    # a text row after the first line, and a row of three cells
+    ("simulate", {"profile": {"kind": "tabulated", "path": TEXT_ROW_TABLE}}),
+    ("simulate", {"profile": {"kind": "tabulated", "path": THREE_COLUMN_TABLE}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
@@ -406,7 +413,7 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     assert main(["sweep", "--config", cfg1, "--out", out1]) == 0
     assert main(["sweep", "--config", cfg2, "--out", out2]) == 0
 
-    lines = open(os.path.join(out1, "sweep.csv")).read().splitlines()
+    lines = Path(os.path.join(out1, "sweep.csv")).read_text().splitlines()
     assert lines[0] == "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7"
     assert len(lines) == 4
     for line in lines[1:]:
@@ -428,8 +435,8 @@ def test_sweep_rows_and_worker_independence(tmp_path):
         rep, = evaluate_all([float(cells[0])], fold, Constant(1.0), mesh)
         assert [float(c) if c else None for c in cells[2:]] == [getattr(rep, f) for f in fields]
 
-    bytes1 = open(os.path.join(out1, "sweep.csv"), "rb").read()
-    bytes2 = open(os.path.join(out2, "sweep.csv"), "rb").read()
+    bytes1 = Path(os.path.join(out1, "sweep.csv")).read_bytes()
+    bytes2 = Path(os.path.join(out2, "sweep.csv")).read_bytes()
     assert bytes1 == bytes2
 
 
@@ -469,7 +476,7 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "sf_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed" in capsys.readouterr().err
-    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 101))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
@@ -486,7 +493,7 @@ def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatc
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: eigen-residual" in capsys.readouterr().err
     assert callers == ["fold_polish", "linearized_eigenpair"]
-    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 201))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
@@ -504,7 +511,7 @@ def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
     out = str(tmp_path / "s9_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: continuation stalled" in capsys.readouterr().err
-    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(RadialBall(9, 1.0), 201))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
@@ -520,7 +527,7 @@ def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "sw_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 3
     assert "lambda=4 failed: forced stage failure" in capsys.readouterr().err
-    assert open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")[1] == ""
+    assert Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")[1] == ""
     assert set(read_json(os.path.join(out, "run.json"))["files"]) == {"sweep.csv"}
 
     def bug(*args, **kwargs):
@@ -616,7 +623,7 @@ def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: forced on the coarse mesh" in capsys.readouterr().err
     assert walked == [steady.COARSE_NODES, steady.COARSE_NODES]
-    cells = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 1001))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
     assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
@@ -638,10 +645,10 @@ def test_rescale_round_trip(tmp_path):
     cfg = write_config(tmp_path, "rs_cfg.json", {"rescale": {"run": run}})
     out = str(tmp_path / "rs_out")
     assert main(["rescale", "--config", cfg, "--out", out]) == 0
-    frame_lines = open(os.path.join(out, "frame.csv")).read().splitlines()
+    frame_lines = Path(os.path.join(out, "frame.csv")).read_text().splitlines()
     assert frame_lines[0] == "s,y,w"
     assert not frame_lines[1].startswith("#")
-    energy_lines = open(os.path.join(out, "energy.csv")).read().splitlines()
+    energy_lines = Path(os.path.join(out, "energy.csv")).read_text().splitlines()
     assert energy_lines[0] == "s,E,k_a,E_of_k"
     assert len(energy_lines) > 10
 
@@ -666,7 +673,7 @@ def test_rescale_off_center_warning(tmp_path):
                        {"rescale": {"run": run, "center": 0.3}})
     out = str(tmp_path / "rw_out")
     assert main(["rescale", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "frame.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "frame.csv")).read_text().splitlines()
     assert lines[1] == "# warning: center not in the touchdown set"
 
 
@@ -711,22 +718,22 @@ def _drop_record(run):
 
 def _truncated_quench(run):
     path = os.path.join(run, "quench.json")
-    text = open(path).read()
-    open(path, "w").write(text[: len(text) // 2])
+    text = Path(path).read_text()
+    Path(path).write_text(text[: len(text) // 2])
 
 
 def _early_quench_T(run):
     path = os.path.join(run, "quench.json")
     quench = read_json(path)
     quench["T"] = 0.01  # before the last stored time
-    open(path, "w").write(json.dumps(quench))
+    Path(path).write_text(json.dumps(quench))
 
 
 def _outside_quench_point(run):
     path = os.path.join(run, "quench.json")
     quench = read_json(path)
     quench["quench_set"] = [2.0]
-    open(path, "w").write(json.dumps(quench))
+    Path(path).write_text(json.dumps(quench))
 
 
 def _quench_point_where_f_vanishes(run):
@@ -734,13 +741,13 @@ def _quench_point_where_f_vanishes(run):
     path = os.path.join(run, "quench.json")
     quench = read_json(path)
     quench["quench_set"] = [0.0]
-    open(path, "w").write(json.dumps(quench))
+    Path(path).write_text(json.dumps(quench))
 
 
 def _truncated_store(run):
     path = os.path.join(run, "trajectory.npz")
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[: len(data) // 2])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[: len(data) // 2])
 
 
 def _missing_member(run):
@@ -766,7 +773,7 @@ def _edit_config(run, edit):
     path = os.path.join(run, "run.json")
     record = read_json(path)
     edit(record["config"])
-    open(path, "w").write(json.dumps(record))
+    Path(path).write_text(json.dumps(record))
 
 
 def _no_geometry(run):

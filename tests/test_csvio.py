@@ -8,15 +8,18 @@ and must come back bit for bit.
 """
 
 import dataclasses
+import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quenchlab import csvio
 from quenchlab.cli import main
-from quenchlab.dynamics import Trajectory, read_trajectory, write_max_history, write_snapshots
+from quenchlab.csvio import MissingInput
+from quenchlab.dynamics import TRAJECTORY_NAME, Trajectory, read_trajectory, write_max_history, write_snapshots
 from quenchlab.mesh import Slab, build_mesh
 from quenchlab.profiles import Constant
 from quenchlab.selfsim import (
@@ -236,3 +239,19 @@ def test_snapshot_round_trip(tmp_path, quench_run_201):
     assert np.array_equal(bits(loaded.times), bits(traj.times))
     assert np.array_equal(bits(loaded.values), bits(traj.values))
     assert np.array_equal(bits(loaded.max_history), bits(traj.max_history))
+
+
+def test_truncated_store_closes_its_file(tmp_path, quench_run_201):
+    # the zip of a truncated store does not parse; the file is closed all the same
+    traj, _ = quench_run_201
+    write_snapshots(traj, tmp_path)
+    write_max_history(traj, tmp_path / "max_history.csv")
+    store = tmp_path / TRAJECTORY_NAME
+    data = store.read_bytes()
+    store.write_bytes(data[: len(data) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(MissingInput):
+            read_trajectory(tmp_path, traj.mesh, traj.lam)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -167,3 +167,27 @@ def test_tabulated_rejects_bad_tables(tmp_path):
     path.write_text("only,header\n")
     with pytest.raises(ValueError):
         tabulated_from_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "-1.0,0.0\n0.0,abc\n0.5,0.5\n1.0,0.0\n",  # a text row after the first line
+    "x,f\ny,g\n-1.0,0.0\n1.0,0.0\n",  # a second header
+    "-1.0,0.0\n0.0,0.9,7\n1.0,0.0\n",  # three cells
+    "x,f,g\n-1.0,0.0\n1.0,0.0\n",  # a header of three cells
+    "-1.0,0.0\n0.0\n1.0,0.0\n",  # one cell
+], ids=["text_row", "second_header", "three_cells", "three_cell_header", "one_cell"])
+def test_tabulated_csv_rejects_malformed_rows(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        tabulated_from_csv(path)
+
+
+def test_tabulated_csv_header_first_or_none(tmp_path):
+    # a header is read only on the first non-blank line; blank lines are skipped
+    headed, bare = tmp_path / "headed.csv", tmp_path / "bare.csv"
+    headed.write_text("\n  x , f \n-1.0,0.0\n\n0.0,1.0\n1.0,0.0\n")
+    bare.write_text("-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
+    for path in (headed, bare):
+        f = tabulated_from_csv(path)
+        assert np.array_equal(f.xs, [-1.0, 0.0, 1.0]) and np.array_equal(f.fs, [0.0, 1.0, 0.0])

@@ -14,13 +14,14 @@ against the frozen constants before the solver is trusted against them.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from quenchlab.bounds import evaluate_all
-from quenchlab.mesh import RadialBall, Slab, build_mesh, integrate
+from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, integrate
 from quenchlab.profiles import Constant, Power, SlabSinPiecewise
 from quenchlab import steady
 from quenchlab.steady import (
@@ -83,7 +84,8 @@ def test_solve_minimal_matches_closed_form():
         st = next(minimal_states([lam], Constant(1.0), mesh))
         assert st is not None
         assert abs(st.sup_w - m_exact) < tol
-        assert np.max(np.abs(steady._residual(Lb, f, st.w[mesh.unknown_slice], st.lam))) < 1e-9
+        w = st.w[mesh.unknown_slice]
+        assert np.max(np.abs(steady._residual(Lb, f, w, st.lam, (1.0 - w) ** 2))) < 1e-9
 
 
 def test_solve_minimal_sup_converges_second_order():
@@ -184,8 +186,10 @@ def test_jacobian_matches_central_differences(geometry, profile):
     for j in range(x.size):
         e = np.zeros(x.size)
         e[j] = step
-        fd[:, j] = (steady._residual(Lb, f, w + e, lam) - steady._residual(Lb, f, w - e, lam)) / (2.0 * step)
-    J = _dense(steady._jacobian(Lb, f, w, lam))
+        up, down = w + e, w - e
+        fd[:, j] = (steady._residual(Lb, f, up, lam, (1.0 - up) ** 2)
+                    - steady._residual(Lb, f, down, lam, (1.0 - down) ** 2)) / (2.0 * step)
+    J = _dense(steady._jacobian(Lb, f, 1.0 - w, lam))
     assert np.max(np.abs(fd - J)) <= 1e-6 * np.max(np.abs(J))
     # the nonlinear part is present: the Jacobian is not the Laplacian alone
     assert np.max(np.abs(J - _dense(Lb))) > 1.0
@@ -421,12 +425,14 @@ def test_fold_polish_does_not_depend_on_its_start():
     assert walked.lambda_star == pytest.approx(nested.lambda_star, rel=1e-10)
 
 
-FOLD_PAIRS = pytest.mark.parametrize("geometry,profile", [
+FOLD_PAIR_CASES = (
     (Slab(-0.5, 0.5), Constant(1.0)),
     (Slab(-0.5, 0.5), SlabSinPiecewise()),
     (RadialBall(2, 1.0), Constant(1.0)),
     (RadialBall(3, 1.0), Power(1.0)),
-], ids=["slab-f1", "slab-two-bump", "ball2-f1", "ball3-power1"])
+)
+FOLD_PAIRS = pytest.mark.parametrize("geometry,profile", FOLD_PAIR_CASES,
+                                     ids=["slab-f1", "slab-two-bump", "ball2-f1", "ball3-power1"])
 
 
 @FOLD_PAIRS
@@ -467,6 +473,78 @@ def test_locate_fold_agrees_with_the_full_walk(geometry, profile):
     assert a.keys() == b.keys()
     for key in a:
         assert b[key] == pytest.approx(a[key], rel=1e-6), key
+
+
+# ---------------------------------------------------------------------------
+# inverse iteration: Rayleigh quotient and residual from the solve
+
+
+def recorded_eigen_solves(geometry, profile, nodes):
+    """continue_branch on `nodes` nodes; returns every eigen solve as
+    (ab, mu, v) and the number of inverse-iteration solves."""
+    eigen, kernel = steady.smallest_eigenvalue_bands, steady.solve_banded
+    pairs, solves = [], []
+
+    def recorded(ab, weights, start=None):
+        mu, v, res = eigen(ab, weights, start=start)
+        pairs.append((ab, mu, v))
+        return mu, v, res
+
+    def counted(ab, b, **kwargs):
+        solves.append(sys._getframe(1).f_code.co_name == "_inverse_iteration")
+        return kernel(ab, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steady, "smallest_eigenvalue_bands", recorded)
+        mp.setattr(steady, "solve_banded", counted)
+        continue_branch(profile, build_mesh(geometry, nodes))
+    return pairs, sum(solves)
+
+
+def eigen_floor(ab):
+    """50 eps ||A|| on the Gershgorin norm: the eigen-residual floor of
+    smallest_eigenvalue_bands."""
+    radius = np.zeros(ab.shape[1])
+    radius[:-1] += np.abs(ab[0, 1:])
+    radius[1:] += np.abs(ab[2, :-1])
+    return 50.0 * np.finfo(float).eps * (np.max(np.abs(ab[1])) + np.max(radius))
+
+
+@pytest.fixture(scope="module")
+def fold_pair_solves_401():
+    return [recorded_eigen_solves(geometry, profile, 401) for geometry, profile in FOLD_PAIR_CASES]
+
+
+def test_eigenpairs_meet_the_accept_target_with_A(fold_pair_solves_401):
+    # the residual that stops inverse iteration comes from the solve; the
+    # residual A v - mu v formed with A meets the accept target as well
+    for pairs, _ in fold_pair_solves_401:
+        for ab, mu, v in pairs:
+            res = np.max(np.abs(bands_matvec(ab, v) - mu * v))
+            assert res <= max(1e-8 * max(1.0, abs(mu)), 2.0 * eigen_floor(ab)), (mu, res)
+
+
+def test_inverse_iteration_solve_count(fold_pair_solves_401):
+    # with the shift on the Rayleigh quotient from the first iterate on, the
+    # four walks take 670 solves; from the second iterate on they took 735
+    assert sum(count for _, count in fold_pair_solves_401) <= 700
+
+
+@pytest.mark.parametrize("geometry,profile", [FOLD_PAIR_CASES[i] for i in (0, 2, 3)],
+                         ids=["slab-f1", "ball2-f1", "ball3-power1"])
+def test_mu1_matches_a_dense_symmetric_solver(geometry, profile):
+    # W A is symmetric for the quadrature weights W, so A is similar to the
+    # symmetric tridiagonal with off-diagonal sqrt(a_{i,i+1} a_{i+1,i}); at
+    # the ball's origin, whose weight is 0, that product still symmetrizes
+    mesh = build_mesh(geometry, 101)
+    wq = mesh.weights[mesh.unknown_slice]
+    pairs, _ = recorded_eigen_solves(geometry, profile, 101)
+    for ab, mu, _ in pairs:
+        upper, lower = ab[0, 1:], ab[2, :-1]
+        assert np.allclose(wq[1:-1] * upper[1:], wq[2:] * lower[1:], rtol=1e-14, atol=0.0)
+        off = np.sqrt(upper * lower)
+        dense = np.diag(ab[1]) + np.diag(off, 1) + np.diag(off, -1)
+        assert abs(mu - np.linalg.eigvalsh(dense)[0]) <= eigen_floor(ab)
 
 
 def test_lambda_star_scales_inversely_with_f():
