@@ -131,6 +131,33 @@ def test_comparison_time_lower_bound(quench_run_201):
     assert rep.T >= eta_quench_time(5.0, 1.0) * (1.0 - 2e-3)
 
 
+@pytest.mark.parametrize("profile,lam", [
+    (SlabSinPiecewise(), 2.17e5),
+    (SlabSinPiecewise(), 1e6),
+    (Constant(1.0), 1e3),
+    (Constant(1.0), 1e5),
+], ids=["two_bump-lam2.17e5", "two_bump-lam1e6", "f1-lam1e3", "f1-lam1e5"])
+def test_large_load_T_not_below_flat_time(profile, lam):
+    """T >= 1/(3 lam sup f) at default settings, with no slack.
+
+    The flat solution of U' = lam sup f / (1 - U)^2 is a supersolution,
+    so the exact T is never below 1/(3 lam sup f), and at these loads it
+    exceeds it by less than the T error of a default run.  The sign of
+    that error comes from the stage: for the flat ODE u' = F(u) a step of
+    the linearized rule du = dt F / (1 - (dt/2) F') lands off the exact
+    solution by dt^3 F (F'^2/12 - F F''/6) + O(dt^4), and for
+    F = lam / (1 - u)^2 the bracket is -(2/3) lam^2 / (1 - u)^6 < 0.  So
+    each step falls short and the run's T comes out late: 3 lam T - 1
+    reads +5.6e-5, +3.5e-5, +2.9e-5 and +2.9e-5 on these cases, where the
+    iterated Crank-Nicolson stage, whose error has the opposite sign, read
+    -8.9e-6, -3.0e-5, -3.6e-5 and -3.6e-5.
+    """
+    sup_f = 1.0  # both profiles peak at 1
+    _, rep = integrate(lam, profile, build_mesh(UNIT_SLAB, 2001), TimeConfig())
+    assert rep.quenched
+    assert rep.T >= eta_quench_time(lam, sup_f)
+
+
 def test_touchdown_time_decreases_with_load(quench_run_201):
     _, rep5 = quench_run_201
     mesh = build_mesh(UNIT_SLAB, 201)
@@ -206,7 +233,7 @@ def test_config_validation():
         TimeConfig(snapshot_stride=True)
     with pytest.raises(ValueError):
         TimeConfig(eta_step=0.0)
-    for bad in (0.3, 1000.0):  # past 0.1 the growth target stops binding
+    for bad in (0.3, 1000.0):  # T is 0.4 % high at 0.1 and 1.3-1.5 % at 0.3
         with pytest.raises(ValueError):
             TimeConfig(eta_step=bad)
     assert TimeConfig(eta_step=0.1).eta_step == 0.1
@@ -252,7 +279,7 @@ def test_state_second_order_at_fixed_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fine meshes, where (dt/2) ||L|| lifts the stage residual's roundoff floor above 1e-11
+# fine meshes, where (dt/2) ||L|| grows like dt/h^2
 
 FINE_NODES = (6001, 12001, 24001)
 
@@ -264,8 +291,9 @@ def fine_two_bump_runs():
 
 
 def test_fine_mesh_rejects_no_stage(fine_two_bump_runs):
-    # a stage held to 1e-11 in place of its floor failed 158 times at 24001
-    # nodes by default, and 197 times at eta_step 0.1
+    # the linearized stage tests no residual, so the roundoff of a large
+    # (dt/2) ||L|| fails none: at 24001 nodes every default step is one
+    # solve, and eta_step 0.1 makes 93 solves for 87 steps (6 growth rejections)
     stats = fine_two_bump_runs[24001][0].stats
     assert stats.rejected_stage == 0
     assert stats.banded_solves == stats.accepted_steps
@@ -316,7 +344,7 @@ def test_convergence_to_minimal_state():
     cfg = TimeConfig(t_max=20.0)
     trace = convergence_check(0.7, Constant(1.0), mesh, cfg)
     assert trace.distances[-1] < 1e-10
-    # strict decay holds until the Newton-vs-stepper floor; past it the
+    # strict decay holds until the steady Newton's tolerance floor; past it the
     # distances only jitter at machine precision
     resolved = [d for d in trace.distances if d > 1e-10]
     assert len(resolved) > 10
@@ -344,7 +372,7 @@ def _stage_inputs():
     mesh = build_mesh(UNIT_SLAB, 11)
     Lb = laplacian_bands(mesh)
     n = Lb.shape[1]
-    return Lb, np.ones(n), 1.0, np.zeros(n), 1e-3
+    return Lb, np.zeros(n), 1e-3, dynamics._StageWork(Lb, np.ones(n), 1.0)
 
 
 def test_cn_step_singular_solve_is_a_failed_stage(monkeypatch):
@@ -352,7 +380,7 @@ def test_cn_step_singular_solve_is_a_failed_stage(monkeypatch):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(dynamics, "solve_banded", singular)
-    assert dynamics._cn_step(*_stage_inputs()) is None
+    assert dynamics._linearized_step(*_stage_inputs()) is None
 
 
 def test_cn_step_propagates_other_solver_faults(monkeypatch):
@@ -361,38 +389,23 @@ def test_cn_step_propagates_other_solver_faults(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_banded", broken)
     with pytest.raises(TypeError):
-        dynamics._cn_step(*_stage_inputs())
+        dynamics._linearized_step(*_stage_inputs())
 
 
-def _cn_step_reference(Lb, f, lam, u, dt, start=None):
-    """The stage solve written with fresh temporaries: the oracle for _cn_step."""
-    gap0 = 1.0 - u
-    rhs = u + 0.5 * dt * (bands_matvec(Lb, u) + lam * f / gap0**2)
-    v = (u if start is None else start).copy()
-    for _ in range(30):
-        gap = 1.0 - v
-        if gap.min() <= 1e-14:
-            return None
-        F = v - 0.5 * dt * (bands_matvec(Lb, v) + lam * f / gap**2) - rhs
-        if np.max(np.abs(F)) <= 1e-11:
-            return v
-        Jb = -0.5 * dt * Lb
-        Jb[1] += 1.0 - dt * lam * f / gap**3
-        try:
-            delta = solve_banded((1, 1), Jb, -F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        theta = 1.0
-        while theta > 1e-12 and (v + theta * delta).max() >= 1.0 - 1e-14:
-            theta *= 0.5
-        if theta <= 1e-12:
-            return None
-        v = v + theta * delta
-    gap = 1.0 - v
-    F = v - 0.5 * dt * (bands_matvec(Lb, v) + lam * f / gap**2) - rhs
-    return v if np.max(np.abs(F)) <= 1e-11 else None
+def _linearized_step_reference(Lb, f, lam, u, dt):
+    """The linearized stage written with fresh temporaries: the oracle for _linearized_step."""
+    gap = 1.0 - u
+    force = lam * f / gap**2
+    Jb = -0.5 * dt * Lb
+    Jb[1] += 1.0 - dt * force / gap
+    try:
+        du = solve_banded((1, 1), Jb, dt * (bands_matvec(Lb, u) + force))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(du)):
+        return None
+    v = u + du
+    return v if v.max() < 1.0 - 1e-14 else None
 
 
 def _run_stage_inputs(quench_run_201):
@@ -405,15 +418,16 @@ def _run_stage_inputs(quench_run_201):
 
 
 def test_cn_step_buffers_match_reference_bitwise(quench_run_201):
-    # every stored state of a quenching run, at steps from easy to
-    # unsolvable; one work object serves all the calls, as in integrate
+    # every stored state of a quenching run, at steps from easy to ones
+    # that overshoot u = 1; one work object serves all the calls, as in integrate
     Lb, f, lam, states = _run_stage_inputs(quench_run_201)
     work = dynamics._StageWork(Lb, f, lam)
     solved = failed = 0
     for u in states:
         for dt in (1e-5, 1e-4, 1e-3, 1e-2):
-            ref = _cn_step_reference(Lb, f, lam, u, dt)
-            for got in (dynamics._cn_step(Lb, f, lam, u, dt), dynamics._cn_step(Lb, f, lam, u, dt, None, work)):
+            ref = _linearized_step_reference(Lb, f, lam, u, dt)
+            for got in (dynamics._linearized_step(Lb, u, dt, dynamics._StageWork(Lb, f, lam)),
+                        dynamics._linearized_step(Lb, u, dt, work)):
                 if ref is None:
                     assert got is None
                 else:
@@ -424,75 +438,30 @@ def test_cn_step_buffers_match_reference_bitwise(quench_run_201):
             solved += ref is not None
     assert solved > 20 and failed > 20
 
-    # from a start past the solution, where the line search halves theta once
-    Lb, f, lam, u, _ = _stage_inputs()
-    start = np.full_like(u, 0.9)
-    ref = _cn_step_reference(Lb, f, lam, u, 1e-2, start)
-    assert ref is not None
-    assert dynamics._cn_step(Lb, f, lam, u, 1e-2, start).tobytes() == ref.tobytes()
 
-
-def test_cn_step_ignores_guess_at_or_above_one(quench_run_201):
-    Lb, f, lam, states = _run_stage_inputs(quench_run_201)
-    u = states[len(states) // 2]
-    plain = dynamics._StageWork(Lb, f, lam)
-    ref = dynamics._cn_step(Lb, f, lam, u, 1e-6, None, plain)
-    assert ref is not None
-    for top in (1.0 - 1e-14, 1.0, np.nan):
-        guess = u.copy()
-        guess[u.size // 2] = top
-        work = dynamics._StageWork(Lb, f, lam)
-        assert dynamics._cn_step(Lb, f, lam, u, 1e-6, guess, work).tobytes() == ref.tobytes()
-        assert work.solves == plain.solves  # Newton from u alone
-
-
-def test_cn_step_retries_failed_guess_from_u():
-    Lb, f, lam, u, dt = _stage_inputs()
-    bad = np.full_like(u, 1.0 - 1e-13)  # gap 1e-13: 30 Newton steps do not climb out
-    work = dynamics._StageWork(Lb, f, lam)
-    assert dynamics._newton(Lb, f, lam, dt, bad, work) is None
-    ref = dynamics._cn_step(Lb, f, lam, u, dt)
-    assert dynamics._cn_step(Lb, f, lam, u, dt, bad).tobytes() == ref.tobytes()
-
-
-def test_failed_guess_costs_no_rejection(monkeypatch):
-    # every extrapolated guess fails, so each stage is solved again from u:
-    # the run must take the steps of a run that never had a guess
-    mesh = build_mesh(UNIT_SLAB, 101)
-    cfg = TimeConfig(t_max=0.02)
-    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: None)
-    plain, _ = integrate(5.0, Constant(1.0), mesh, cfg)
-    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: np.full_like(recent[-1][1], 1.0 - 1e-13))
-    bad, _ = integrate(5.0, Constant(1.0), mesh, cfg)
-    assert bad.max_history.tobytes() == plain.max_history.tobytes()
-    assert bad.values.tobytes() == plain.values.tobytes()
-    assert (bad.stats.rejected_stage, bad.stats.rejected_growth) == (plain.stats.rejected_stage,
-                                                                     plain.stats.rejected_growth)
-    assert bad.stats.banded_solves == plain.stats.banded_solves + 30 * bad.stats.accepted_steps
-
-
-def test_extrapolated_start_needs_one_solve_per_step(monkeypatch):
+def test_each_stage_makes_one_banded_solve(monkeypatch):
+    # accepted and growth-rejected stages alike: the stage is one linearized
+    # update, so the run makes one solve per stage and counts each
     mesh = build_mesh(UNIT_SLAB, 2001)
-    calls = []
-    kernel = dynamics.solve_banded
+    stages, calls = [], []
+    stage, kernel = dynamics._linearized_step, dynamics.solve_banded
+
+    def counted_stage(*args):
+        before = len(calls)
+        stages.append(stage(*args))
+        assert len(calls) == before + 1
+        return stages[-1]
 
     def counted(*args, **kwargs):
         calls.append(1)
         return kernel(*args, **kwargs)
 
+    monkeypatch.setattr(dynamics, "_linearized_step", counted_stage)
     monkeypatch.setattr(dynamics, "solve_banded", counted)
-    traj, rep = integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig())
-    steps = len(traj.max_history) - 1
-    assert traj.stats.accepted_steps == steps
-    assert traj.stats.banded_solves == len(calls)
-    assert len(calls) / steps <= 1.1
-
-    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: None)
-    cold, cold_rep = integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig())
-    assert cold.stats.banded_solves / steps > 1.9
-    assert rep.T == pytest.approx(cold_rep.T, rel=1e-9, abs=0.0)
-    assert len(cold.max_history) - 1 == steps
-    assert rep.quench_set == cold_rep.quench_set
+    stats = integrate(1e5, SlabSinPiecewise(), mesh, TimeConfig())[0].stats
+    assert stats.rejected_growth > 0
+    assert stats.banded_solves == len(calls) == len(stages)
+    assert len(stages) == stats.accepted_steps + stats.rejected_stage + stats.rejected_growth
 
 
 def test_growth_target():
@@ -510,7 +479,7 @@ def test_growth_target():
 def test_touchdown_run_step_budget():
     # near touchdown a step may take up to GROWTH_CAP of the gap: 464 steps,
     # where eta_step of the gap at every gap takes 885 (282 for each decade
-    # below 0.1); the gap-cube start keeps one solve per step
+    # below 0.1); no stage is rejected, so each step is one solve
     stats = integrate(10.0, SlabSinPiecewise(), build_mesh(UNIT_SLAB, 2001), TimeConfig())[0].stats
     assert stats.accepted_steps <= 480
     assert stats.banded_solves == stats.accepted_steps
@@ -538,8 +507,8 @@ def test_snapshots_paced_by_steps_and_gap(cfg):
 
 
 def test_zero_load_keeps_every_state_zero():
-    # the gap-cube start is an increment on the last state, so an unchanging
-    # state is extrapolated to itself and no rounding creeps into u = 0
+    # at zero load the stage's right side dt g(0) is exactly zero, so is
+    # its update, and no rounding creeps into u = 0
     mesh = build_mesh(UNIT_SLAB, 101)
     traj, _ = integrate(0.0, Constant(1.0), mesh, TimeConfig(t_max=0.1, snapshot_stride=1))
     assert len(traj.values) > 10
@@ -548,63 +517,47 @@ def test_zero_load_keeps_every_state_zero():
 
 
 def test_near_fold_stage_needs_one_solve():
-    # f = 1 at 1.1 times the fold (2001 nodes): a stage held to 1e-11 in place
-    # of its roundoff floor took a second solve on 6 % of the steps
+    # f = 1 at 1.1 times the fold (2001 nodes), 484 steps of which many sit
+    # at the dt cap: each stage is one linearized update, and none is rejected
     lam = 1.1 * 1.40001647737100
     stats = integrate(lam, Constant(1.0), build_mesh(UNIT_SLAB, 2001), TimeConfig(t_max=300.0))[0].stats
     assert stats.banded_solves <= 1.01 * stats.accepted_steps
 
 
 def test_argmax_does_not_follow_solver_noise(monkeypatch):
-    # the two bumps tie to rounding; runs that differ only in the Newton
-    # start (states equal to the solve tolerance) report the same node
+    # the two bumps tie to rounding; a run whose solves eliminate from the
+    # other end (the mirrored system, so the states differ by rounding)
+    # reports the same node
     mesh = build_mesh(UNIT_SLAB, 1001)
     traj, _ = integrate(100.0, SlabSinPiecewise(), mesh, TimeConfig())
-    monkeypatch.setattr(dynamics, "_extrapolate", lambda recent, t: None)
+    kernel = dynamics.solve_banded
+
+    def mirrored(ab, b, **kwargs):
+        return kernel(np.ascontiguousarray(ab[::-1, ::-1]), b[::-1].copy())[::-1]
+
+    monkeypatch.setattr(dynamics, "solve_banded", mirrored)
     cold, _ = integrate(100.0, SlabSinPiecewise(), mesh, TimeConfig())
+    assert traj.values.tobytes() != cold.values.tobytes()
     assert traj.max_history.shape == cold.max_history.shape
     assert np.array_equal(traj.max_history[:, 2], cold.max_history[:, 2], equal_nan=True)
     assert abs(abs(traj.max_history[-1, 2]) - 0.25) < 0.01
-
-
-def test_extrapolate_is_lagrange_through_recent_states():
-    from collections import deque
-
-    # gap cubes (1 - u)^3 = (1 + t^2, 8 - t) at t = 0, 1, 2: the quadratic
-    # through three pairs is exact, and so is the line through two when the
-    # cube is linear in t
-    def state(t):
-        return 1.0 - np.cbrt(np.array([1.0 + t * t, 8.0 - t]))
-
-    def recent(times, u=state):
-        return deque((t, u(t), dynamics._gap_cube(u(t))) for t in times)
-
-    assert dynamics._extrapolate(recent([0.0]), 1.0) is None
-    assert dynamics._extrapolate(recent([]), 1.0) is None
-    assert np.allclose(dynamics._extrapolate(recent([0.0, 1.0, 2.0]), 3.0), state(3.0), rtol=0.0, atol=1e-14)
-    assert np.allclose(dynamics._extrapolate(recent([1.0, 2.0]), 3.0)[1], state(3.0)[1], rtol=0.0, atol=1e-14)
-    # a state that does not change comes back bit for bit, also a zero one
-    for fixed in (np.array([0.0, 0.3, -0.2, 0.999]), np.zeros(3)):
-        for times in ([0.0, 0.1], [0.0, 0.1, 0.3]):
-            guess = dynamics._extrapolate(recent(times, lambda t: fixed.copy()), 0.7)
-            assert guess.tobytes() == fixed.tobytes()
 
 
 def test_step_stats_count_the_run(monkeypatch):
     # a first step of 0.2 has no stage solution and is halved; later
     # steps that raise sup u too far are cut by the controller
     stages, solves = [], []
-    cn_step, kernel = dynamics._cn_step, dynamics.solve_banded
+    stage, kernel = dynamics._linearized_step, dynamics.solve_banded
 
     def counted_stage(*args):
-        stages.append(cn_step(*args))
+        stages.append(stage(*args))
         return stages[-1]
 
     def counted_solve(*args, **kwargs):
         solves.append(1)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_cn_step", counted_stage)
+    monkeypatch.setattr(dynamics, "_linearized_step", counted_stage)
     monkeypatch.setattr(dynamics, "solve_banded", counted_solve)
     mesh = build_mesh(UNIT_SLAB, 101)
     pin_step(monkeypatch, 0.2)

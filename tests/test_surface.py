@@ -18,8 +18,8 @@ extension file, which is the routine scipy.linalg.lapack exports.  In
 only `minimal_states` and the one branch walk `_walk` call that corrector.
 Only `_Curve` builds the Laplacian bands and evaluates f, so every eigen
 solve of a state runs on its curve's operator.
-That corrector and the Crank-Nicolson stage solve take the roundoff floor
-of a residual from the one `mesh.residual_floor`.  The
+That corrector takes the roundoff floor of a residual from the one
+`mesh.residual_floor`.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.
@@ -221,18 +221,13 @@ def test_one_holder_sampling():
 
 
 def test_one_residual_floor():
-    # the steady corrector and the stage solve take their roundoff floor from
-    # mesh.residual_floor; only it and the eigen solve's own floor read eps
+    # the steady corrector takes its roundoff floor from mesh.residual_floor
+    # (the Crank-Nicolson stage is one linearized update and tests no
+    # residual); only it and the eigen solve's own floor read eps
     callers = call_sites("residual_floor")
-    assert callers == {("steady", "_Curve"), ("dynamics", "_StageWork")}, callers
+    assert callers == {("steady", "_Curve")}, callers
     readers = call_sites("finfo")
     assert readers == {("mesh", "residual_floor"), ("steady", "smallest_eigenvalue_bands")}, readers
-    # and the stage test in _newton compares the residual to no bare 1e-11
-    newton = next(top for top in ast.parse((SRC / "dynamics.py").read_text()).body
-                  if getattr(top, "name", None) == "_newton")
-    bare = [node.lineno for node in ast.walk(newton) if isinstance(node, ast.Compare)
-            and any(isinstance(side, ast.Constant) and side.value == 1e-11 for side in node.comparators)]
-    assert not bare, bare
 
 
 def test_one_solver_failure_type():
