@@ -22,10 +22,9 @@ from the cubic gap law (near touchdown the forcing dominates u_t, so
 (1 - sup u)^3 is linear in t).
 
 A stage fails, and dt is halved, only when the solve finds the system
-singular, du is not finite or the new state reaches 1 - 1e-14.  Each run
-makes one set of work arrays (gap, force, Jacobian bands) that
-the stage arithmetic writes into in place; it gives the same bits as
-fresh temporaries.
+singular, du is not finite or the new state reaches 1 - 1e-14.
+`integrate` reads each new state's sup u once and carries it into the
+next step.
 
 A state is stored snapshot_stride steps after the last stored one, or
 once the gap has fallen by exp(-0.8 eta_step snapshot_stride) since
@@ -128,8 +127,8 @@ class StepStats:
 
     Accepted steps; rejected stages by reason (`rejected_stage`: the
     stage solve failed, `rejected_growth`: sup u rose by more than the
-    controller target); banded solves made; smallest and largest
-    accepted dt.
+    controller target); banded solves made, one per stage, so the sum of
+    the three counts; smallest and largest accepted dt.
     """
 
     accepted_steps: int
@@ -148,9 +147,11 @@ class Trajectory:
     `max_history` has one row (t, sup u, argmax) for the start and for
     each accepted step; argmax is the first node off the Dirichlet
     boundary where u is within 1e-10 sup u of sup u, or nan while sup u
-    <= 0.  The relative tie tolerance lies far above rounding, so on a
-    symmetric profile the reported node does not follow rounding noise
-    between the mirror-image peaks.
+    <= 0.  On a symmetric profile the mirror-image peaks report the left
+    one while rounding parts them by less than that tolerance; near
+    touchdown it can part them by more (two-bump slab, lam = 10: 1.3e-10
+    to 1.2e-9 sup u at 1001 to 6000 nodes, where the last 3 to 19 rows
+    report the right peak).
     `stats` is what `integrate` counted; None for a trajectory read back
     from disk.
     """
@@ -185,52 +186,28 @@ class QuenchReport:
     low_confidence: Optional[bool] = None
 
 
-class _StageWork:
-    """Arrays that every stage of one run writes into.
-
-    The stage arithmetic fills them with `out=` in place of fresh
-    temporaries; `solves` counts the banded solves made through them.
-    """
-
-    def __init__(self, Lb, f, lam):
-        n = Lb.shape[1]
-        self.lamf = lam * f
-        self.gap = np.empty(n)
-        self.force = np.empty(n)
-        self.Jb = np.empty_like(Lb)
-        self.solves = 0
-
-
-def _linearized_step(Lb, u, dt, work):
+def _linearized_step(Lb, lamf, u, dt):
     """One linearly implicit Crank-Nicolson step from u; None on failure.
 
     du solves (I - (dt/2) J) du = dt g(u), where g(u) = L u + lam f / (1 - u)^2
     and J = L + 2 lam f / (1 - u)^3 is its Jacobian at u; the step returns
     u + du.  A singular system, a non-finite du or a new state whose max
-    reaches 1 - 1e-14 is a failed stage.  `work` is the run's _StageWork,
-    which holds lam f; the state returned is a new array, never one of its
-    buffers.
+    reaches 1 - 1e-14 is a failed stage.  `lamf` is lam f on the unknowns.
     """
-    gap, force, Jb = work.gap, work.force, work.Jb
-    np.subtract(1.0, u, out=gap)
-    np.square(gap, out=force)
-    np.divide(work.lamf, force, out=force)
+    gap = 1.0 - u
+    force = lamf / np.square(gap)
     rhs = bands_matvec(Lb, u)  # a new array, which the solve overwrites with du
-    np.add(rhs, force, out=rhs)
-    np.multiply(rhs, dt, out=rhs)
-    np.multiply(force, dt, out=force)
-    np.divide(force, gap, out=force)
-    np.subtract(1.0, force, out=force)
-    np.multiply(Lb, -0.5 * dt, out=Jb)
-    np.add(Jb[1], force, out=Jb[1])
-    work.solves += 1
+    rhs += force
+    rhs *= dt
+    Jb = Lb * (-0.5 * dt)
+    Jb[1] += 1.0 - dt * force / gap
     try:
         du = solve_banded(Jb, rhs, overwrite_ab=True, overwrite_b=True)
     except np.linalg.LinAlgError:  # singular stage Jacobian
         return None
     if not np.isfinite(du).all():
         return None
-    v = np.add(u, du, out=du)
+    v = u + du
     return v if v.max() < 1.0 - 1e-14 else None
 
 
@@ -257,12 +234,11 @@ def integrate(
         raise ValueError("lam must be nonnegative")
     Lb = laplacian_bands(mesh)
     sl = mesh.unknown_slice
-    f = np.asarray(evaluate(profile, mesh.nodes[sl]), dtype=float)
+    lamf = lam * np.asarray(evaluate(profile, mesh.nodes[sl]), dtype=float)
     coords = mesh.nodes[sl]
-    n = Lb.shape[1]
 
-    u = np.zeros(n)
-    t = 0.0
+    u = np.zeros(Lb.shape[1])
+    t = sup = 0.0
     s = cfg.eta_step / ETA_STEP
     dt = DT_INITIAL * s
     dt_floor = 1e-16 * dt
@@ -273,16 +249,12 @@ def integrate(
     stored_step, stored_gap = 0, 1.0
     max_history = [(0.0, 0.0, math.nan)]
 
-    work = _StageWork(Lb, f, lam)
     rejected_stage = rejected_growth = 0
     dt_lo, dt_hi = math.inf, 0.0
 
     threshold = 1.0 - cfg.quench_eps
     step_index = 0
-    while True:
-        sup = float(u.max())
-        if sup >= threshold or t >= cfg.t_max * (1.0 - 1e-12):
-            break
+    while sup < threshold and t < cfg.t_max * (1.0 - 1e-12):
         if step_index == MAX_STEPS:
             raise StepLimit("%d steps taken before touchdown or t_max, at t=%g" % (MAX_STEPS, t))
         target = _growth_target(sup, cfg.eta_step)
@@ -290,14 +262,15 @@ def integrate(
         while True:
             if t + dt_try == t:
                 raise StepUnderflow("dt %g does not advance t=%g" % (dt_try, t))
-            v = _linearized_step(Lb, u, dt_try, work)
+            v = _linearized_step(Lb, lamf, u, dt_try)
             if v is None:
                 rejected_stage += 1
                 dt_try *= 0.5
                 if dt_try < dt_floor:
                     raise NewtonFailure("stage solve failed at t=%g" % t)
                 continue
-            dsup = float(v.max()) - sup
+            vmax = float(v.max())
+            dsup = vmax - sup
             if dsup > target * (1.0 + 1e-9) and dsup > 0:
                 rejected_growth += 1
                 dt_try *= max(0.1, 0.5 * target / dsup)
@@ -305,11 +278,11 @@ def integrate(
                     raise StepUnderflow("dt underflow at t=%g" % t)
                 continue
             break
-        u = v
+        g0, t_prev = 1.0 - sup, t
+        u, sup = v, vmax
         t += dt_try
         step_index += 1
         dt_lo, dt_hi = min(dt_lo, dt_try), max(dt_hi, dt_try)
-        sup = float(u.max())
         argmax = float(coords[np.argmax(np.abs(u - sup) <= 1e-10 * sup)]) if sup > 0.0 else math.nan
         max_history.append((t, sup, argmax))
         g1 = 1.0 - sup
@@ -318,9 +291,7 @@ def integrate(
             states.append(u)
             stored_step, stored_gap = step_index, g1
         # running touchdown estimate caps dt at s hundredths of it
-        g0 = 1.0 - max_history[-2][1]
-        tprev = max_history[-2][0]
-        slope = (g1**3 - g0**3) / (t - tprev) if t > tprev else 0.0
+        slope = (g1**3 - g0**3) / (t - t_prev) if t > t_prev else 0.0
         if slope < 0.0:
             t_est = t + (g1**3) / (-slope)
             dt_cap = min(DT_MAX * s, t_est * s / 100.0)
@@ -335,7 +306,8 @@ def integrate(
     values = np.zeros((len(states), mesh.node_count))
     for row, state in zip(values, states):
         row[sl] = state
-    stats = StepStats(step_index, rejected_stage, rejected_growth, work.solves, dt_lo, dt_hi)
+    solves = step_index + rejected_stage + rejected_growth
+    stats = StepStats(step_index, rejected_stage, rejected_growth, solves, dt_lo, dt_hi)
     traj = Trajectory(float(lam), mesh, np.array(times), values, np.array(max_history), stats)
     return traj, detect_quench(traj, cfg.quench_eps)
 
@@ -346,7 +318,8 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
     T comes from a linear fit of (1 - sup u)^3 against t over the last
     decade of resolved gap.  The touchdown set is the final-state nodes
     whose gap is within a factor 2 of the minimum, merged into clusters
-    of radius 3h and reported by centroid.
+    of radius 3h and reported by centroid.  A gap cube that does not
+    fall over that decade extrapolates to no T and raises SolverFailure.
     """
     times = trajectory.max_history[:, 0]
     gaps = 1.0 - trajectory.max_history[:, 1]
@@ -368,7 +341,7 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
         window[-min(3, len(gaps)) :] = True
     c1, c0 = np.polyfit(times[window], gaps[window] ** 3, 1)
     if c1 >= 0:
-        raise ValueError("gap cube not decreasing; cannot extrapolate")
+        raise SolverFailure("gap cube not decreasing; cannot extrapolate")
     T = float(-c0 / c1)
 
     mesh = trajectory.mesh

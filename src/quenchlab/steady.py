@@ -98,9 +98,9 @@ class Fold:
     mesh: Mesh
     fold_state: SteadyState
     phi_star: np.ndarray
-    psi_star: np.ndarray
     lambda_star = property(lambda self: self.fold_state.lam)
     w_star = property(lambda self: self.fold_state.w)
+    psi_star = property(lambda self: self.phi_star / integrate(self.mesh, self.phi_star))
 
 
 @dataclass(frozen=True)
@@ -511,9 +511,7 @@ def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
     """Fold data of the polished curve point (w, lam)."""
     fold_state = curve.state(w, lam)
     phi = _embed(curve.mesh, curve.start)  # L2-normalized
-    # psi_star is phi_star rescaled to unit mass, nodewise
-    psi = phi / integrate(curve.mesh, phi)
-    return Fold(mesh=curve.mesh, fold_state=fold_state, phi_star=phi, psi_star=psi)
+    return Fold(mesh=curve.mesh, fold_state=fold_state, phi_star=phi)
 
 
 # node count of the walk behind `locate_fold` on meshes finer than

@@ -358,6 +358,15 @@ def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys, monkey
     assert "does not advance t=" in capsys.readouterr().err
 
 
+def test_rising_gap_cube_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # at eta_step 1 (past the config range) the f = 1 run's gap jumps up
+    # and down over its last decade, and its cube fits no falling line
+    monkeypatch.setattr(dynamics, "ETA_STEP_MAX", 1.0)
+    cfg = write_config(tmp_path, "rise.json", {"node_count": 101, "lambda": 5.0, "time": {"eta_step": 1.0}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "rise_out")]) == 3
+    assert "gap cube not decreasing" in capsys.readouterr().err
+
+
 def test_simulate_flag_overrides(tmp_path):
     cfg = write_config(tmp_path, "ov.json", {"node_count": 401, "lambda": 5.0})
     out = str(tmp_path / "ov_out")

@@ -6,6 +6,7 @@ quantity (T, the touchdown set, the rate exponent) is known in closed
 form before the integrator is involved.
 """
 
+import dataclasses
 import math
 import os
 
@@ -14,6 +15,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from quenchlab import dynamics
+from quenchlab.csvio import SolverFailure
 from quenchlab.dynamics import (
     StepLimit,
     TimeConfig,
@@ -67,6 +69,16 @@ def test_detect_quench_synthetic_exact():
     assert rep.p == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert rep.M == pytest.approx(0.5, rel=1e-6)
     assert rep.fit_residual < 1e-8
+
+
+def test_rising_gap_cube_is_a_solver_failure():
+    # the gap falls to 0.2 and then rises from 1e-3 to 1e-2: over the last
+    # decade the gap cube grows in time and extrapolates to no touchdown
+    gaps = np.concatenate([np.geomspace(0.5, 0.2, 10), np.geomspace(1e-3, 1e-2, 10)])
+    hist = np.column_stack([np.linspace(0.0, 1.0, gaps.size), 1.0 - gaps, np.zeros(gaps.size)])
+    traj = dataclasses.replace(synthetic_cubic_trajectory(), max_history=hist)
+    with pytest.raises(SolverFailure, match="gap cube not decreasing"):
+        detect_quench(traj, quench_eps=2e-2)
 
 
 def test_rate_fit_synthetic():
@@ -191,12 +203,14 @@ def test_two_bump_profile_quenches_off_center():
 
 def test_argmax_is_first_node_tied_with_sup():
     # the two bumps tie within 1e-10 sup u for the whole run, and early
-    # on every node does; the history keeps the first tied unknown
+    # on every node does; the history keeps the first tied unknown, and its
+    # sup u, carried from the stage that made the state, is that state's max
     mesh = build_mesh(UNIT_SLAB, 201)
     traj, _ = integrate(10.0, SlabSinPiecewise(), mesh, TimeConfig(snapshot_stride=1))
     assert len(traj.values) == len(traj.max_history)
     ties = 0
     for u, (_, sup, argmax) in zip(traj.values, traj.max_history):
+        assert np.float64(sup).tobytes() == u.max().tobytes()
         tied = mesh.nodes[1:-1][np.abs(u[1:-1] - sup) <= 1e-10 * sup]
         if sup <= 0.0:
             assert math.isnan(argmax)
@@ -372,7 +386,7 @@ def _stage_inputs():
     mesh = build_mesh(UNIT_SLAB, 11)
     Lb = laplacian_bands(mesh)
     n = Lb.shape[1]
-    return Lb, np.zeros(n), 1e-3, dynamics._StageWork(Lb, np.ones(n), 1.0)
+    return Lb, np.ones(n), np.zeros(n), 1e-3
 
 
 def test_cn_step_singular_solve_is_a_failed_stage(monkeypatch):
@@ -417,23 +431,19 @@ def _run_stage_inputs(quench_run_201):
     return Lb, f, traj.lam, states
 
 
-def test_cn_step_buffers_match_reference_bitwise(quench_run_201):
+def test_stage_matches_reference_bitwise(quench_run_201):
     # every stored state of a quenching run, at steps from easy to ones
-    # that overshoot u = 1; one work object serves all the calls, as in integrate
+    # that overshoot u = 1
     Lb, f, lam, states = _run_stage_inputs(quench_run_201)
-    work = dynamics._StageWork(Lb, f, lam)
     solved = failed = 0
     for u in states:
         for dt in (1e-5, 1e-4, 1e-3, 1e-2):
             ref = _linearized_step_reference(Lb, f, lam, u, dt)
-            for got in (dynamics._linearized_step(Lb, u, dt, dynamics._StageWork(Lb, f, lam)),
-                        dynamics._linearized_step(Lb, u, dt, work)):
-                if ref is None:
-                    assert got is None
-                else:
-                    assert got.tobytes() == ref.tobytes()
-                    assert not any(np.shares_memory(got, buf) for buf in vars(work).values()
-                                   if isinstance(buf, np.ndarray))
+            got = dynamics._linearized_step(Lb, lam * f, u, dt)
+            if ref is None:
+                assert got is None
+            else:
+                assert got.tobytes() == ref.tobytes()
             failed += ref is None
             solved += ref is not None
     assert solved > 20 and failed > 20
@@ -483,6 +493,21 @@ def test_touchdown_run_step_budget():
     stats = integrate(10.0, SlabSinPiecewise(), build_mesh(UNIT_SLAB, 2001), TimeConfig())[0].stats
     assert stats.accepted_steps <= 480
     assert stats.banded_solves == stats.accepted_steps
+
+
+def test_dt_capped_by_running_touchdown_estimate():
+    # after each step the cubic gap law through the last two history rows
+    # estimates T; the next step takes at most s/100 of it (s = 1 here), and
+    # near touchdown that cap binds.  Differences of stored t carry the
+    # rounding of t, up to 1e-7 of the last steps' dt.
+    traj, _ = integrate(5.0, Constant(1.0), build_mesh(UNIT_SLAB, 401), TimeConfig())
+    t, g = traj.max_history[:, 0], 1.0 - traj.max_history[:, 1]
+    slope = (g[1:] ** 3 - g[:-1] ** 3) / np.diff(t)
+    t_est = t[1:] + g[1:] ** 3 / -slope
+    falling = slope[:-1] < 0
+    ratio = np.diff(t)[1:][falling] / (t_est[:-1][falling] / 100.0)
+    assert ratio.max() <= 1.0 + 1e-6
+    assert np.sum(ratio > 1.0 - 1e-6) > 20
 
 
 @pytest.mark.parametrize("cfg", [TimeConfig(), TimeConfig(eta_step=0.05, snapshot_stride=3)],
