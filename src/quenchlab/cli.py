@@ -407,11 +407,14 @@ def cmd_sweep(cfg: dict, files: List[str]) -> None:
         if res["error"] is not None:
             failures += 1
             print("warning: lambda=%g failed: %s" % (res["lam"], res["error"]), file=sys.stderr)
+        # the location defect (sup f)^(1/3) - f(a)^(1/3), worst over the touchdown set
+        location_defect = max(rep.location_lhs) if rep.location_lhs else None
         rows.append((rep.lam, rep.T_measured, rep.T_L, rep.T1_arctan, rep.T1_simplified,
-                     rep.large_lambda_lower, rep.large_lambda_upper))
+                     rep.large_lambda_lower, rep.large_lambda_upper, location_defect))
 
     sweep_path = os.path.join(_outdir(cfg), "sweep.csv")
-    csvio.write_rows(sweep_path, "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7", rows)
+    csvio.write_rows(sweep_path, "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7,"
+                     "location_defect", rows)
     files.append(sweep_path)
     if failures == len(grid):
         raise SolverFailure("every integration failed")
@@ -424,9 +427,10 @@ def _bad_rescale_value(spec: dict, key: str, run_dir: str, problem: str) -> Exce
     return ConfigError("'rescale.%s': %s" % (key, problem))
 
 
-def cmd_rescale(cfg: dict, files: List[str]) -> None:
+def cmd_rescale(cfg: dict, files: List[str]):
+    """Returns the frame's RescaleStats, which run.json records."""
     from .dynamics import read_trajectory
-    from .selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
+    from .selfsim import energy_trace, rescale, rescale_stats, write_energy_csv, write_frame_csv
 
     spec = cfg.get("rescale")
     if not isinstance(spec, dict):
@@ -482,6 +486,7 @@ def cmd_rescale(cfg: dict, files: List[str]) -> None:
     energy_path = os.path.join(out, "energy.csv")
     write_energy_csv(trace, frame, lam, f_center, energy_path)
     files += [frame_path, energy_path]
+    return rescale_stats(frame)
 
 
 # ---------------------------------------------------------------------------

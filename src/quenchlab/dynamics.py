@@ -22,9 +22,9 @@ from the cubic gap law (near touchdown the forcing dominates u_t, so
 (1 - sup u)^3 is linear in t).
 
 A stage fails, and dt is halved, only when the solve finds the system
-singular, du is not finite or the new state reaches 1 - 1e-14.
-`integrate` reads each new state's sup u once and carries it into the
-next step.
+singular, du is not finite or the new state reaches 1 - 1e-14.  The
+stage reads its new state's sup u once, for that test and for the
+step controller, and `integrate` carries it into the next step.
 
 A state is stored snapshot_stride steps after the last stored one, or
 once the gap has fallen by exp(-0.8 eta_step snapshot_stride) since
@@ -187,12 +187,13 @@ class QuenchReport:
 
 
 def _linearized_step(Lb, lamf, u, dt):
-    """One linearly implicit Crank-Nicolson step from u; None on failure.
+    """One linearly implicit Crank-Nicolson step from u: (v, sup v), or None on failure.
 
     du solves (I - (dt/2) J) du = dt g(u), where g(u) = L u + lam f / (1 - u)^2
     and J = L + 2 lam f / (1 - u)^3 is its Jacobian at u; the step returns
-    u + du.  A singular system, a non-finite du or a new state whose max
-    reaches 1 - 1e-14 is a failed stage.  `lamf` is lam f on the unknowns.
+    v = u + du with its max.  A singular system, a non-finite du or a new
+    state whose max reaches 1 - 1e-14 is a failed stage.  `lamf` is lam f
+    on the unknowns.
     """
     gap = 1.0 - u
     force = lamf / np.square(gap)
@@ -208,7 +209,8 @@ def _linearized_step(Lb, lamf, u, dt):
     if not np.isfinite(du).all():
         return None
     v = u + du
-    return v if v.max() < 1.0 - 1e-14 else None
+    vmax = float(v.max())
+    return (v, vmax) if vmax < 1.0 - 1e-14 else None
 
 
 def _growth_target(sup, eta_step):
@@ -262,14 +264,14 @@ def integrate(
         while True:
             if t + dt_try == t:
                 raise StepUnderflow("dt %g does not advance t=%g" % (dt_try, t))
-            v = _linearized_step(Lb, lamf, u, dt_try)
-            if v is None:
+            stage = _linearized_step(Lb, lamf, u, dt_try)
+            if stage is None:
                 rejected_stage += 1
                 dt_try *= 0.5
                 if dt_try < dt_floor:
                     raise NewtonFailure("stage solve failed at t=%g" % t)
                 continue
-            vmax = float(v.max())
+            v, vmax = stage
             dsup = vmax - sup
             if dsup > target * (1.0 + 1e-9) and dsup > 0:
                 rejected_growth += 1

@@ -10,6 +10,13 @@ expected limit of w is the constant k(a) = (3 lam f(a))^(1/3), the
 maximizer of F(z) = -z^2/6 - lam f(a)/z, and the frozen energy of w over
 the expanding ball |y| <= s (Gaussian weight exp(-y^2/4)) decreases up
 to an exponentially small defect.
+
+A sample is resolved while one mesh cell spans at most 10 y-grid
+spacings, h <= 10 * 0.01 * sqrt(T - t).  Past that, w between two or
+three nodes is linear interpolation and carries no information.  T - t
+falls with t, so the resolved samples are a prefix of the frame.
+`rescale` keeps every sample in memory, and the energy trace reads them
+all; `write_frame_csv` writes the resolved ones only.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from .mesh import Slab, sphere_area
 __all__ = [
     "RescaledFrame",
     "EnergyTrace",
+    "RescaleStats",
     "rescale",
     "asymptotic_limit",
     "F_profile",
@@ -35,9 +43,12 @@ __all__ = [
     "energy_trace",
     "write_frame_csv",
     "write_energy_csv",
+    "rescale_stats",
 ]
 
 _Y_SPACING = 0.01
+# a sample is resolved while one mesh cell spans at most this many y-spacings
+_RESOLVED_SPACINGS = 10
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,7 @@ class RescaledFrame:
     samples: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]  # (s, y, w)
     s0: float
     contained: Tuple[bool, ...]
+    resolved: Tuple[bool, ...]
     dimension: int
     radial: bool
 
@@ -63,13 +75,23 @@ class EnergyTrace:
     E_limit: float
 
 
+@dataclass(frozen=True)
+class RescaleStats:
+    """How much of a frame `frame.csv` holds; `rescale`'s run.json stats."""
+
+    samples: int
+    resolved_samples: int
+    resolved_s_max: Optional[float]  # s of the last resolved sample; None when none is
+
+
 def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
     """Transform stored snapshots to similarity variables around (a, T).
 
     Each snapshot becomes (s, y-grid, w-values) with w linearly
     interpolated onto a uniform y-grid of spacing 0.01 truncated to the
     ball |y| <= s intersected with the rescaled domain.  s0 is the first
-    stored s from which the ball stays inside the rescaled domain.
+    stored s from which the ball stays inside the rescaled domain.  A
+    sample is resolved where mesh.h <= 10 * 0.01 * sqrt(T - t).
     """
     mesh = trajectory.mesh
     if isinstance(mesh.geometry, Slab):
@@ -87,6 +109,7 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
 
     samples = []
     contained = []
+    resolved = []
     for t, u in zip(trajectory.times.tolist(), trajectory.values):
         if t >= T:
             raise ValueError("snapshot at t >= T cannot be rescaled")
@@ -104,6 +127,7 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
         w = (1.0 - np.interp(x, mesh.nodes, u)) / (T - t) ** (1.0 / 3.0)
         samples.append((s, y, w))
         contained.append(bool(s * root <= boundary_dist))
+        resolved.append(bool(mesh.h <= _RESOLVED_SPACINGS * _Y_SPACING * root))
     if not samples:
         raise ValueError("no usable snapshots before T")
 
@@ -119,6 +143,7 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
         samples=tuple(samples),
         s0=float(s0),
         contained=tuple(contained),
+        resolved=tuple(resolved),
         dimension=mesh.dimension,
         radial=radial,
     )
@@ -192,11 +217,20 @@ def energy_trace(frame: RescaledFrame, lam: float, f_at_a: float) -> EnergyTrace
     return EnergyTrace(points=tuple(points), k_a=k, E_limit=Fk * gamma_inf)
 
 
+def rescale_stats(frame: RescaledFrame) -> RescaleStats:
+    """How many samples the frame has, how many `write_frame_csv` writes, and the last one's s."""
+    kept = [smp[0] for smp, ok in zip(frame.samples, frame.resolved) if ok]
+    return RescaleStats(len(frame.samples), len(kept), kept[-1] if kept else None)
+
+
 def write_frame_csv(frame: RescaledFrame, path, comments: Sequence[str] = ()) -> None:
-    """(s, y, w) rows, one sample at a time; `comments` go below the header."""
+    """(s, y, w) rows of the resolved samples, one sample at a time;
+    `comments` go below the header.  The unresolved samples, the tail of
+    the frame, are left out."""
     bodies = (
         csvio.template(y.size, [csvio.FLOAT % s, csvio.FLOAT, csvio.FLOAT]) % csvio.interleave(y, w)
-        for s, y, w in frame.samples
+        for (s, y, w), ok in zip(frame.samples, frame.resolved)
+        if ok
     )
     csvio.write(path, "s,y,w", bodies, comments)
 

@@ -17,7 +17,7 @@ from quenchlab import cli, dynamics, steady
 from quenchlab.bounds import evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
 from quenchlab.mesh import RadialBall, Slab, build_mesh
-from quenchlab.profiles import Constant
+from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 from quenchlab.selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -423,7 +423,7 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     assert main(["sweep", "--config", cfg2, "--out", out2]) == 0
 
     lines = Path(os.path.join(out1, "sweep.csv")).read_text().splitlines()
-    assert lines[0] == "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7"
+    assert lines[0] == "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7,location_defect"
     assert len(lines) == 4
     for line in lines[1:]:
         cells = line.split(",")
@@ -442,7 +442,8 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     for line in lines[1:]:
         cells = line.split(",")
         rep, = evaluate_all([float(cells[0])], fold, Constant(1.0), mesh)
-        assert [float(c) if c else None for c in cells[2:]] == [getattr(rep, f) for f in fields]
+        assert [float(c) if c else None for c in cells[2:7]] == [getattr(rep, f) for f in fields]
+        assert cells[7] == "0"  # f = 1: f(a) = sup f at every touchdown point
 
     bytes1 = Path(os.path.join(out1, "sweep.csv")).read_bytes()
     bytes2 = Path(os.path.join(out2, "sweep.csv")).read_bytes()
@@ -488,7 +489,7 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 101))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
+    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
 
 
 def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatch):
@@ -505,7 +506,7 @@ def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatc
     cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 201))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
+    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
 
 
 def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
@@ -523,7 +524,25 @@ def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
     cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(RadialBall(9, 1.0), 201))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
+    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
+
+
+def test_sweep_location_defect_column(tmp_path):
+    # two-bump profile: the defect is the worst of (sup f)^(1/3) - f(a)^(1/3)
+    # over the row's touchdown set; a row below the fold has no touchdown set
+    cfg = write_config(tmp_path, "loc.json", {
+        "node_count": 201, "profile": {"kind": "sin_piecewise"}, "lambda_grid": [1.0, 20.0],
+    })
+    out = str(tmp_path / "loc_out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    below, above = [line.split(",") for line in Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1:]]
+    assert below[1] == "" and below[7] == ""
+
+    profile, mesh = SlabSinPiecewise(), build_mesh(Slab(-0.5, 0.5), 201)
+    _, report = dynamics.integrate(20.0, profile, mesh, dynamics.TimeConfig())
+    sup_f = float(np.max(evaluate(profile, np.linspace(-0.5, 0.5, 4001))))
+    defects = [sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0) for a in report.quench_set]
+    assert report.quench_set and float(above[7]) == max(defects) > 0.0
 
 
 def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
@@ -635,7 +654,7 @@ def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
     ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 1001))
     assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:]] == [ll.lower, ll.upper]
+    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +703,45 @@ def test_rescale_off_center_warning(tmp_path):
     assert main(["rescale", "--config", cfg, "--out", out]) == 0
     lines = Path(os.path.join(out, "frame.csv")).read_text().splitlines()
     assert lines[1] == "# warning: center not in the touchdown set"
+
+
+def rescaled_run(tmp_path, name, payload):
+    """simulate `payload`, rescale the run; the rescale's output directory."""
+    run = simulate_run(tmp_path, name, payload)
+    cfg = write_config(tmp_path, name + "_rescale.json", {"rescale": {"run": run}})
+    out = str(tmp_path / (name + "_out"))
+    assert main(["rescale", "--config", cfg, "--out", out]) == 0
+    return run, out
+
+
+@pytest.mark.parametrize("payload", [
+    {"node_count": 201, "lambda": 5.0},
+    {"geometry": {"kind": "ball", "dimension": 3}, "node_count": 201, "lambda": 10.0},
+])
+def test_frame_csv_holds_resolved_samples_only(tmp_path, payload):
+    run, out = rescaled_run(tmp_path, "res", payload)
+    T = read_json(os.path.join(run, "quench.json"))["T"]
+    h = build_mesh(cli.build_geometry(payload.get("geometry", cli.DEFAULTS["geometry"])), 201).h
+    lines = Path(os.path.join(out, "frame.csv")).read_text().splitlines()
+    s_values = sorted({float(line.split(",")[0]) for line in lines[1:]})
+    assert s_values
+    for s in s_values:
+        assert h <= 0.1 * np.sqrt(T * np.exp(-s))  # T - t = T e^(-s)
+    stats = read_json(os.path.join(out, "run.json"))["stats"]
+    assert stats["resolved_samples"] == len(s_values) < stats["samples"]
+    assert stats["resolved_s_max"] == s_values[-1]
+
+
+def test_rescale_without_resolved_samples(tmp_path):
+    # T is about 1/(3 lam) = 3e-6, far below the (10 h)^2 = 0.01 that a 101-node
+    # cell needs: no sample is resolved, and the run says so
+    _, out = rescaled_run(tmp_path, "unres", {"node_count": 101, "lambda": 1e5})
+    lines = Path(os.path.join(out, "frame.csv")).read_text().splitlines()
+    assert lines[0] == "s,y,w" and all(line.startswith("# ") for line in lines[1:])
+    stats = read_json(os.path.join(out, "run.json"))["stats"]
+    assert stats["samples"] > 0
+    assert stats["resolved_samples"] == 0 and stats["resolved_s_max"] is None
+    assert len(Path(os.path.join(out, "energy.csv")).read_text().splitlines()) > 1
 
 
 def test_rescale_missing_run(tmp_path):

@@ -174,24 +174,47 @@ def frame_201(quench_run_201):
     return rescale(traj, report.quench_set[0], report.T)
 
 
-def oracle_frame(frame):
+def oracle_frame(frame, h=None):
+    """The per-row writer; given the mesh spacing h, over the samples it
+    resolves only: h <= 0.1 sqrt(T - t), where T - t = T exp(-s)."""
     text = "s,y,w\n"
     for s, y, w in frame.samples:
+        if h is not None and h > 0.1 * math.sqrt(frame.T * math.exp(-s)):
+            continue
         for yi, wi in zip(y, w):
             text += "%.17g,%.17g,%.17g\n" % (s, yi, wi)
     return text
 
 
 @pytest.mark.parametrize("warned", [False, True])
-def test_write_frame_csv_matches_oracle(tmp_path, frame_201, warned):
+def test_write_frame_csv_matches_oracle(tmp_path, quench_run_201, frame_201, warned):
     path = tmp_path / "frame.csv"
     warning = "warning: center not in the touchdown set"
     write_frame_csv(frame_201, path, [warning] if warned else [])
-    expected = oracle_frame(frame_201)
+    expected = oracle_frame(frame_201, quench_run_201[0].mesh.h)
     if warned:  # the old rescale command re-read the file to insert this line
         head, rest = expected.split("\n", 1)
         expected = head + "\n# " + warning + "\n" + rest
     assert read_bytes(path) == expected.encode()
+
+
+def test_frame_csv_is_the_full_frame_cut_after_the_resolved_samples(tmp_path, frame_201):
+    # the run behind frame_201, stored and rescaled by the CLI; its frame.csv
+    # is the every-sample file up to the last row of sample `resolved_samples`
+    run, out = tmp_path / "run", tmp_path / "rescale"
+    sim_cfg = write_config(tmp_path, "sim.json", {"node_count": 201, "lambda": 5.0})
+    assert main(["simulate", "--config", sim_cfg, "--out", str(run)]) == 0
+    cfg = write_config(tmp_path, "rescale.json", {"rescale": {"run": str(run)}})
+    assert main(["rescale", "--config", cfg, "--out", str(out)]) == 0
+    stats = json.loads((out / "run.json").read_text())["stats"]
+    kept = stats["resolved_samples"]
+    assert stats["samples"] == len(frame_201.samples) > kept > 0
+    assert stats["resolved_s_max"] == frame_201.samples[kept - 1][0]
+    full = oracle_frame(frame_201).encode()
+    rows = 1 + sum(y.size for _, y, _ in frame_201.samples[:kept])
+    cut = b"".join(full.splitlines(keepends=True)[:rows])
+    assert read_bytes(out / "frame.csv") == cut
+    assert len(cut) < len(full)
 
 
 def old_nearest_sample(frame, s):
