@@ -10,8 +10,8 @@ there.  Each estimate is one public function of lam and these inputs
 (`bound_gg2`, `bound_lower_TL`, `bound_upper_T1`, `large_lambda_bounds`),
 and `evaluate_all` is the one place that assembles the inputs and calls
 each of them; it takes a grid of lam and builds the inputs once per grid.
-Nothing here integrates in time; measured touchdown times enter only for
-the ordering checks in `evaluate_all`.
+Nothing here integrates in time; a measured run enters only through
+`_measured`, which sets a `BoundsReport` against it in a `MeasuredReport`.
 
 Report field and column names ending in _1_2, _2_6, _1_7 are interface tokens
 identifying the individual estimates; they carry no meaning beyond
@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "BoundIngredients",
     "LargeLambdaBounds",
     "BoundsReport",
+    "MeasuredReport",
     "dirichlet_eigenvalue_ball",
     "bound_gg2",
     "bound_lower_TL",
@@ -98,6 +99,8 @@ class LargeLambdaBounds:
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """The estimates at one lam; `flags` gives each estimate's status."""
+
     lam: float
     lambda_star: Optional[float]
     bound_1_2: Optional[float]
@@ -108,12 +111,22 @@ class BoundsReport:
     large_lambda_upper: Optional[float]
     epsilon: float
     delta: float
-    location_exponent: Optional[float]
-    location_lhs: Tuple[float, ...]
     flags: Dict[str, str]
-    T_measured: Optional[float]
-    ordering_lower_pass: Optional[bool]
-    ordering_upper_pass: Optional[bool]
+
+
+@dataclass(frozen=True)
+class MeasuredReport(BoundsReport):
+    """The estimates against a measured run, each check with a 1 % relative
+    slack; a field added here is None where the run failed or did not quench,
+    `sandwich_pass` (lower <= T <= upper) where no upper is reported.
+    `location_defect` is the largest (sup f)^(1/3) - f(a)^(1/3) over the
+    touchdown set; only its decay exponent alpha/(2+alpha) is certified."""
+
+    T_measured: Optional[float] = None
+    location_defect: Optional[float] = None
+    ordering_lower_pass: Optional[bool] = None
+    ordering_upper_pass: Optional[bool] = None
+    sandwich_pass: Optional[bool] = None
 
 
 # ---------------------------------------------------------------------------
@@ -301,43 +314,30 @@ def evaluate_all(
 
     At or below the fold only the large-lam lower estimate is reported.
     Without fold data the large-lam sandwich is all there is.
-    When measured reports are supplied (one per lam, None where there is
-    none), the lower/upper ordering against each measured T is recorded
-    with a 1 % relative tolerance.  What does not depend on lam is built
-    once for the grid: sup f and K, sampled by the first lam's
-    `large_lambda_bounds` and handed to the others, and `ingredients`.
+    Given measured reports (one per lam, None where a run failed), every
+    report is a `MeasuredReport` (see `_measured`).  What does not depend
+    on lam is built once for the grid: sup f and K, sampled by the first
+    lam's `large_lambda_bounds` and handed to the others, and `ingredients`.
     """
-    if quench_reports is None:
-        quench_reports = [None] * len(lams)
     reports: List[BoundsReport] = []
+    star = None if fold is None else fold.lambda_star
     K = sup_f = ing = None
-    for lam, quench_report in zip(lams, quench_reports, strict=True):
+    runs = [None] * len(lams) if quench_reports is None else quench_reports
+    for lam, quench_report in zip(lams, runs, strict=True):
         ll = large_lambda_bounds(lam, profile, profile.holder_exponent, mesh, K=K, sup_f=sup_f)
         K, sup_f = ll.K, ll.sup_f
-        if ing is None and fold is not None and lam > fold.lambda_star:
+        if ing is None and star is not None and lam > star:
             ing = ingredients(fold, profile)
-        reports.append(_report(lam, fold, profile, mesh, quench_report, ll, ing))
+        report = _report(lam, star, mesh, ll, ing)
+        reports.append(report if quench_reports is None else _measured(report, quench_report, profile, sup_f))
     return reports
 
 
 def _report(
-    lam: float,
-    fold: Optional[Fold],
-    profile: Profile,
-    mesh: Mesh,
-    quench_report,
-    ll: LargeLambdaBounds,
-    ing: Optional[BoundIngredients],
+    lam: float, star: Optional[float], mesh: Mesh, ll: LargeLambdaBounds, ing: Optional[BoundIngredients]
 ) -> BoundsReport:
-    """One lam's report from its sandwich and the grid's fold constants."""
-    star = None if fold is None else fold.lambda_star
-    alpha = profile.holder_exponent
-    T_measured = None
-    if quench_report is not None and quench_report.quenched:
-        T_measured = quench_report.T
-    b12 = TL = T1s = T1a = loc_exp = lower_ok = upper_ok = None
-    loc_lhs: Tuple[float, ...] = ()
-
+    """One lam's estimates from its sandwich, the fold value star and the grid's fold constants."""
+    b12 = TL = T1s = T1a = None
     upper = ll.upper
     flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
 
@@ -365,33 +365,6 @@ def _report(
         except NotApplicable as exc:
             flags["T1"] = str(exc)
 
-        if T_measured is not None:
-            if quench_report.quench_set:
-                # (sup f)^(1/3) - f(a)^(1/3) per touchdown point a; only its decay
-                # exponent alpha/(2+alpha) is certified, no prefactor is invented
-                loc_lhs = tuple(
-                    float(ll.sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0))
-                    for a in quench_report.quench_set
-                )
-                loc_exp = alpha / (2.0 + alpha)
-            lowers = [ll.lower] + ([TL] if TL is not None else [])
-            lower_ok = all(v <= T_measured * (1.0 + _ORDERING_SLACK) for v in lowers)
-            # the large-lambda upper self-qualifies (it defines lambda0 as the
-            # first lam where it brackets T), so it stays out of the pass/fail
-            # chain and is reported through its own flag instead
-            uppers = [v for v in (b12, T1a, T1s) if v is not None]
-            if uppers:
-                upper_ok = T_measured <= min(uppers) * (1.0 + _ORDERING_SLACK)
-            if upper is None:
-                flags["large_lambda_sandwich"] = "upper not applicable at this lam"
-            elif (
-                ll.lower <= T_measured * (1.0 + _ORDERING_SLACK)
-                and T_measured <= upper * (1.0 + _ORDERING_SLACK)
-            ):
-                flags["large_lambda_sandwich"] = "holds (lam >= lambda0)"
-            else:
-                flags["large_lambda_sandwich"] = "below lambda0"
-
     return BoundsReport(
         lam=lam,
         lambda_star=star,
@@ -403,10 +376,24 @@ def _report(
         large_lambda_upper=upper,
         epsilon=ll.epsilon,
         delta=ll.delta,
-        location_exponent=loc_exp,
-        location_lhs=loc_lhs,
         flags=flags,
-        T_measured=T_measured,
-        ordering_lower_pass=lower_ok,
-        ordering_upper_pass=upper_ok,
+    )
+
+
+def _measured(report: BoundsReport, quench_report, profile: Profile, sup_f: float) -> MeasuredReport:
+    """`report` set against its run's touchdown time and set, wherever T is measured."""
+    if quench_report is None or not quench_report.quenched:
+        return MeasuredReport(**vars(report))
+    T, slack, upper = quench_report.T, 1.0 + _ORDERING_SLACK, report.large_lambda_upper
+    lowers = [v for v in (report.large_lambda_lower, report.T_L) if v is not None]
+    # the large-lam upper is judged on its own, by sandwich_pass
+    uppers = [v for v in (report.bound_1_2, report.T1_arctan, report.T1_simplified) if v is not None]
+    defects = [sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0) for a in quench_report.quench_set]
+    return MeasuredReport(
+        **vars(report),
+        T_measured=T,
+        location_defect=max(defects, default=None),
+        ordering_lower_pass=all(v <= T * slack for v in lowers),
+        ordering_upper_pass=T <= min(uppers) * slack if uppers else None,
+        sandwich_pass=None if upper is None else report.large_lambda_lower <= T * slack and T <= upper * slack,
     )

@@ -345,6 +345,14 @@ def cmd_simulate(cfg: dict, files: List[str]):
     return traj.stats
 
 
+# report field -> its name in an artifact, where the two differ; the sweep.csv
+# names of the large-lam sandwich are the ones the benchmark reads
+ARTIFACT_NAMES = {
+    "bounds.json": {"lam": "lambda"},
+    "sweep.csv": {"lam": "lambda", "large_lambda_lower": "lower_1_7", "large_lambda_upper": "upper_1_7"},
+}
+
+
 def cmd_bounds(cfg: dict, files: List[str]) -> None:
     from .bounds import evaluate_all
     from .steady import locate_fold
@@ -355,9 +363,7 @@ def cmd_bounds(cfg: dict, files: List[str]) -> None:
     report, = evaluate_all([lam], locate_fold(profile, mesh, ds=ds), profile, mesh)
 
     path = os.path.join(_outdir(cfg), "bounds.json")
-    fields = dataclasses.asdict(report)
-    fields["lambda"] = fields.pop("lam")
-    _write_json(path, fields)
+    _write_json(path, {ARTIFACT_NAMES["bounds.json"].get(k, k): v for k, v in dataclasses.asdict(report).items()})
     files.append(path)
 
 
@@ -375,7 +381,7 @@ def _sweep_run(job: tuple) -> dict:
 
 
 def cmd_sweep(cfg: dict, files: List[str]) -> None:
-    from .bounds import evaluate_all
+    from .bounds import MeasuredReport, evaluate_all
     from .steady import locate_fold
 
     mesh, profile = _validated(cfg)
@@ -400,23 +406,18 @@ def cmd_sweep(cfg: dict, files: List[str]) -> None:
     else:
         results = [_sweep_run(job) for job in jobs]
 
-    rows = []
-    failures = 0
-    reports = evaluate_all([res["lam"] for res in results], fold, profile, mesh, [res["report"] for res in results])
-    for res, rep in zip(results, reports):
-        if res["error"] is not None:
-            failures += 1
-            print("warning: lambda=%g failed: %s" % (res["lam"], res["error"]), file=sys.stderr)
-        # the location defect (sup f)^(1/3) - f(a)^(1/3), worst over the touchdown set
-        location_defect = max(rep.location_lhs) if rep.location_lhs else None
-        rows.append((rep.lam, rep.T_measured, rep.T_L, rep.T1_arctan, rep.T1_simplified,
-                     rep.large_lambda_lower, rep.large_lambda_upper, location_defect))
+    failures = [res for res in results if res["error"] is not None]
+    for res in failures:
+        print("warning: lambda=%g failed: %s" % (res["lam"], res["error"]), file=sys.stderr)
+    reports = evaluate_all(grid, fold, profile, mesh, [res["report"] for res in results])
 
+    # one column per report field, in field order; the flags stay in bounds.json
+    columns = [f.name for f in dataclasses.fields(MeasuredReport) if f.name != "flags"]
     sweep_path = os.path.join(_outdir(cfg), "sweep.csv")
-    csvio.write_rows(sweep_path, "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7,"
-                     "location_defect", rows)
+    csvio.write_rows(sweep_path, ",".join(ARTIFACT_NAMES["sweep.csv"].get(c, c) for c in columns),
+                     [[getattr(rep, c) for c in columns] for rep in reports])
     files.append(sweep_path)
-    if failures == len(grid):
+    if len(failures) == len(grid):
         raise SolverFailure("every integration failed")
 
 

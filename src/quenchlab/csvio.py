@@ -8,8 +8,8 @@ the template as literal text, so only the columns that vary are
 formatted per row.
 
 Templates and bodies are ASCII bytes, written as they are.  Numbers are
-written ``%.17g`` (round-trip exact, '.' decimals, ``nan`` for NaN);
-``None`` is an empty cell; lines end in LF.  Files read back in that are
+written ``%.17g`` (round-trip exact, '.' decimals, ``nan``, ``inf``, and
+``1``/``0`` for booleans); ``None`` is an empty cell; lines end in LF.  Files read back in that are
 missing or malformed raise `MissingInput`.  Every solver fault (a
 stalled continuation, a failed eigen or stage solve, a time step that
 collapses) is a `SolverFailure`.

@@ -17,6 +17,7 @@ from quenchlab import bounds
 from quenchlab.bounds import (
     BoundsReport,
     DomainError,
+    MeasuredReport,
     NotApplicable,
     blowup_time_F,
     bound_gg2,
@@ -259,22 +260,22 @@ def make_report(points):
 
 
 def test_location_defect_formula(branch_falpha_801):
+    # the defect is the worst point of the set, wherever it is listed
     f = SlabSinPiecewise()
-    rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.mesh,
-                        quench_reports=[make_report((-0.204, 0.204))])
-    assert rep.location_exponent == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert len(rep.location_lhs) == 2
-    for a, lhs in zip((-0.204, 0.204), rep.location_lhs):
-        assert lhs == pytest.approx(1.0 - evaluate(f, a) ** (1.0 / 3.0),
-                                    abs=1e-12)
-        assert 0.012 < lhs < 0.016
+    sets = [(-0.204, 0.204), (0.21, -0.204)]
+    reps = evaluate_all([1e5, 1e5], branch_falpha_801, f, branch_falpha_801.mesh,
+                        quench_reports=[make_report(points) for points in sets])
+    for points, rep in zip(sets, reps):
+        per_point = [1.0 - evaluate(f, a) ** (1.0 / 3.0) for a in points]
+        assert rep.location_defect == pytest.approx(max(per_point), abs=1e-12)
+        assert 0.012 < rep.location_defect < 0.016
 
 
 def test_location_empty_set_is_blank(branch_falpha_801):
     rep, = evaluate_all([1e5], branch_falpha_801, SlabSinPiecewise(),
                         branch_falpha_801.mesh, quench_reports=[make_report(())])
-    assert rep.location_lhs == ()
-    assert rep.location_exponent is None
+    assert rep.T_measured == 1.0
+    assert rep.location_defect is None
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,8 @@ def test_evaluate_all_near_fold(branch_f1_401):
     assert rep.ordering_lower_pass is True
     assert rep.ordering_upper_pass is True
     assert rep.T_L < rep.T_measured < rep.T1_arctan
-    assert rep.flags["large_lambda_sandwich"] == "below lambda0"
+    # f = 1 has K = 0, so the reported upper equals the lower
+    assert rep.sandwich_pass is False
 
 
 def test_evaluate_all_below_fold(branch_f1_401):
@@ -320,7 +322,7 @@ def test_evaluate_all_below_fold(branch_f1_401):
     rep, = evaluate_all([1.0], branch_f1_401, Constant(1.0), mesh)
     assert rep.bound_1_2 is None and rep.T_L is None
     assert rep.T1_arctan is None and rep.T1_simplified is None
-    assert rep.ordering_lower_pass is None
+    assert not isinstance(rep, MeasuredReport)
     reason = "no finite touchdown below the fold value"
     assert rep.flags["T_L"] == reason
     assert rep.large_lambda_lower > 0.0
@@ -341,7 +343,7 @@ def test_evaluate_all_without_branch():
     assert (rep.large_lambda_lower, rep.large_lambda_upper, rep.epsilon, rep.delta) == (
         ll.lower, ll.upper, ll.epsilon, ll.delta)
     assert rep.flags["large_lambda_upper"] == "ok"
-    assert rep.ordering_lower_pass is None and rep.ordering_upper_pass is None
+    assert not isinstance(rep, MeasuredReport)
 
 
 def test_evaluate_all_builds_lam_free_constants_once_per_grid(branch_falpha_801, monkeypatch):
@@ -402,3 +404,5 @@ def test_report_dict_round_trip(branch_f1_401):
                       "T1_simplified", "T1_arctan", "large_lambda_lower",
                       "large_lambda_upper", "epsilon", "delta", "flags"}
     assert BoundsReport(**d) == rep
+    measured, = evaluate_all([2.0], branch_f1_401, Constant(1.0), mesh, quench_reports=[make_report((0.0,))])
+    assert MeasuredReport(**dataclasses.asdict(measured)) == measured and measured.location_defect == 0.0

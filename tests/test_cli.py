@@ -4,6 +4,9 @@ Every run directory is under tmp_path; exit codes follow the contract
 0 = ok, 2 = bad configuration, 3 = solver gave up, 4 = missing input.
 """
 
+import ast
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchlab import cli, dynamics, steady
-from quenchlab.bounds import evaluate_all, large_lambda_bounds
+from quenchlab import bounds, cli, dynamics, steady
+from quenchlab.bounds import BoundsReport, MeasuredReport, evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
 from quenchlab.mesh import RadialBall, Slab, build_mesh
 from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
@@ -37,6 +40,30 @@ def read_json(path):
 def sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def read_sweep(out):
+    """The rows of out/sweep.csv, column name -> number (None for a blank cell)."""
+    with open(os.path.join(out, "sweep.csv"), newline="") as fh:
+        return [{k: float(v) if v else None for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+def artifact_names(report_type, artifact):
+    """The names `report_type`'s fields take in `artifact`, in field order; sweep.csv has no flags."""
+    names = cli.ARTIFACT_NAMES[artifact]
+    fields = [f.name for f in dataclasses.fields(report_type)]
+    return [names.get(f, f) for f in fields if artifact == "bounds.json" or f != "flags"]
+
+
+def sandwich_alone(out, lam, mesh):
+    """Check the one sweep.csv row of an f = 1 run without fold data: of the
+    estimates only the large-lam sandwich, and the measured columns written."""
+    row, = read_sweep(out)
+    ll = large_lambda_bounds(lam, Constant(1.0), 1.0, mesh)
+    assert row["bound_1_2"] is row["T_L"] is row["T1_simplified"] is row["T1_arctan"] is None
+    assert [row["lower_1_7"], row["upper_1_7"]] == [ll.lower, ll.upper]
+    assert row["T_measured"] is not None and row["ordering_upper_pass"] is None
+    assert row["location_defect"] == 0 and row["ordering_lower_pass"] is not None  # f(a) = sup f
 
 
 def stall_eigen_solves(monkeypatch, caller):
@@ -422,28 +449,23 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     assert main(["sweep", "--config", cfg1, "--out", out1]) == 0
     assert main(["sweep", "--config", cfg2, "--out", out2]) == 0
 
-    lines = Path(os.path.join(out1, "sweep.csv")).read_text().splitlines()
-    assert lines[0] == "lambda,T_measured,T_L,T1_arctan,T1_simplified,lower_1_7,upper_1_7,location_defect"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        cells = line.split(",")
-        lam = float(cells[0])
-        T = float(cells[1])
-        TL = float(cells[2])
-        T1a = float(cells[3])
-        assert TL <= T * 1.01
-        assert T <= T1a * 1.01
-        assert float(cells[5]) == pytest.approx(1.0 / (3.0 * lam), rel=1e-12)
-
-    # every bound cell is the evaluate_all field, bitwise; a blank cell is None
+    # one column per MeasuredReport field but the flags, in field order
+    header = Path(os.path.join(out1, "sweep.csv")).read_text().splitlines()[0]
+    assert header.split(",") == artifact_names(MeasuredReport, "sweep.csv")
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
     fold = steady.locate_fold(Constant(1.0), mesh, ds=0.02)
-    fields = ("T_L", "T1_arctan", "T1_simplified", "large_lambda_lower", "large_lambda_upper")
-    for line in lines[1:]:
-        cells = line.split(",")
-        rep, = evaluate_all([float(cells[0])], fold, Constant(1.0), mesh)
-        assert [float(c) if c else None for c in cells[2:7]] == [getattr(rep, f) for f in fields]
-        assert cells[7] == "0"  # f = 1: f(a) = sup f at every touchdown point
+    rows = read_sweep(out1)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["T_L"] <= row["T_measured"] * 1.01
+        assert row["T_measured"] <= row["T1_arctan"] * 1.01
+        assert row["lower_1_7"] == pytest.approx(1.0 / (3.0 * row["lambda"]), rel=1e-12)
+        assert row["ordering_lower_pass"] == row["ordering_upper_pass"] == 1
+        # every estimate cell is the evaluate_all field, bitwise; a blank cell is None
+        rep, = evaluate_all([row["lambda"]], fold, Constant(1.0), mesh)
+        estimates = [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "flags"]
+        assert [row[c] for c in artifact_names(BoundsReport, "sweep.csv")] == estimates
+        assert row["location_defect"] == 0 and row["delta"] == float("inf")  # f = 1: f(a) = sup f, K = 0
 
     bytes1 = Path(os.path.join(out1, "sweep.csv")).read_bytes()
     bytes2 = Path(os.path.join(out2, "sweep.csv")).read_bytes()
@@ -486,10 +508,7 @@ def test_sweep_without_fold_keeps_sandwich(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "sf_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed" in capsys.readouterr().err
-    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
-    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 101))
-    assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
+    sandwich_alone(out, 4.0, build_mesh(Slab(-0.5, 0.5), 101))
 
 
 def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatch):
@@ -503,10 +522,7 @@ def test_sweep_eigen_iteration_limit_keeps_sandwich(tmp_path, capsys, monkeypatc
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: eigen-residual" in capsys.readouterr().err
     assert callers == ["fold_polish", "linearized_eigenpair"]
-    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
-    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 201))
-    assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
+    sandwich_alone(out, 60.0, build_mesh(Slab(-0.5, 0.5), 201))
 
 
 def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
@@ -521,10 +537,7 @@ def test_nine_ball_walk_stall_is_solver_failure(tmp_path, capsys):
     out = str(tmp_path / "s9_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: continuation stalled" in capsys.readouterr().err
-    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
-    ll = large_lambda_bounds(60.0, Constant(1.0), 1.0, build_mesh(RadialBall(9, 1.0), 201))
-    assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
+    sandwich_alone(out, 60.0, build_mesh(RadialBall(9, 1.0), 201))
 
 
 def test_sweep_location_defect_column(tmp_path):
@@ -535,14 +548,14 @@ def test_sweep_location_defect_column(tmp_path):
     })
     out = str(tmp_path / "loc_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    below, above = [line.split(",") for line in Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1:]]
-    assert below[1] == "" and below[7] == ""
+    below, above = read_sweep(out)
+    assert below["T_measured"] is None and below["location_defect"] is None
 
     profile, mesh = SlabSinPiecewise(), build_mesh(Slab(-0.5, 0.5), 201)
     _, report = dynamics.integrate(20.0, profile, mesh, dynamics.TimeConfig())
     sup_f = float(np.max(evaluate(profile, np.linspace(-0.5, 0.5, 4001))))
     defects = [sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0) for a in report.quench_set]
-    assert report.quench_set and float(above[7]) == max(defects) > 0.0
+    assert report.quench_set and above["location_defect"] == max(defects) > 0.0
 
 
 def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
@@ -555,7 +568,8 @@ def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "sw_out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 3
     assert "lambda=4 failed: forced stage failure" in capsys.readouterr().err
-    assert Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")[1] == ""
+    row, = read_sweep(out)
+    assert row["T_measured"] is row["location_defect"] is row["ordering_lower_pass"] is None
     assert set(read_json(os.path.join(out, "run.json"))["files"]) == {"sweep.csv"}
 
     def bug(*args, **kwargs):
@@ -564,6 +578,40 @@ def test_sweep_worker_keeps_only_solver_faults(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "integrate", bug)
     with pytest.raises(RuntimeError, match="not a solver fault"):
         main(["sweep", "--config", cfg, "--out", out])
+
+
+def perfbench_constant(filename, name):
+    """The literal value bound to `name` at the top of perfbench/`filename`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / filename
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/%s has no %s" % (filename, name))
+
+
+def test_artifacts_carry_every_report_field_and_the_names_the_benchmark_reads(tmp_path, monkeypatch):
+    # a field added to BoundsReport is a bounds.json key and a sweep.csv column
+    # with no other change; perfbench checks bounds.json by the BOUND_FLAG_FIELDS
+    # keys and counts ordering violations by the SWEEP_HEADER columns, so a
+    # renamed one would silently go unread
+    wider = dataclasses.make_dataclass("Wider", [("extra", float, 0.5)], bases=(BoundsReport,), frozen=True)
+    added = [f for f in dataclasses.fields(MeasuredReport) if f not in dataclasses.fields(BoundsReport)]
+    measured = dataclasses.make_dataclass("WiderMeasured", [(f.name, f.type, f.default) for f in added],
+                                          bases=(wider,), frozen=True)
+    monkeypatch.setattr(bounds, "BoundsReport", wider)
+    monkeypatch.setattr(bounds, "MeasuredReport", measured)
+    cfg = write_config(tmp_path, "bs.json", {
+        "node_count": 101, "lambda": 4.0, "lambda_grid": [4.0], "time": {"t_max": 0.2},
+    })
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    rep = read_json(str(tmp_path / "b" / "bounds.json"))
+    header = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[0].split(",")
+    assert set(rep) == set(artifact_names(wider, "bounds.json")) and rep["extra"] == 0.5
+    assert header == artifact_names(measured, "sweep.csv") and read_sweep(str(tmp_path / "s"))[0]["extra"] == 0.5
+    flagged = perfbench_constant("workloads.py", "BOUND_FLAG_FIELDS")
+    assert {field for fields in flagged.values() for field in fields} <= set(rep)
+    assert set(perfbench_constant("test_harness.py", "SWEEP_HEADER")) <= set(header)
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +623,7 @@ def test_bounds_report_above_and_below_fold(tmp_path):
     out = str(tmp_path / "b_out")
     assert main(["bounds", "--config", cfg, "--out", out]) == 0
     rep = read_json(os.path.join(out, "bounds.json"))
-    assert set(rep) == {"lambda", "lambda_star", "bound_1_2", "T_L",
-                        "T1_simplified", "T1_arctan", "large_lambda_lower",
-                        "large_lambda_upper", "epsilon", "delta", "location_exponent",
-                        "location_lhs", "flags", "T_measured", "ordering_lower_pass",
-                        "ordering_upper_pass"}
+    assert set(rep) == set(artifact_names(BoundsReport, "bounds.json"))
     assert isinstance(rep["flags"], dict)
     assert rep["lambda"] == 2.0
     assert rep["lambda_star"] == pytest.approx(1.40, abs=0.01)
@@ -651,10 +695,7 @@ def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert "continuation failed, steady bounds omitted: forced on the coarse mesh" in capsys.readouterr().err
     assert walked == [steady.COARSE_NODES, steady.COARSE_NODES]
-    cells = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()[1].split(",")
-    ll = large_lambda_bounds(4.0, Constant(1.0), 1.0, build_mesh(Slab(-0.5, 0.5), 1001))
-    assert cells[1] != "" and cells[2:5] == ["", "", ""]
-    assert [float(c) for c in cells[5:7]] == [ll.lower, ll.upper]
+    sandwich_alone(out, 4.0, build_mesh(Slab(-0.5, 0.5), 1001))
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,10 @@ def bits(a):
 
 def test_edge_values_formatting(tmp_path):
     path = tmp_path / "edge.csv"
-    rows = [(math.nan, -0.0, 1.0), (5e-324, None, 1.7976931348623157e308)]
+    rows = [(math.nan, -0.0, 1.0), (5e-324, None, 1.7976931348623157e308), (True, False, math.inf)]
     csvio.write_rows(path, "a,b,c", rows)
     assert read_bytes(path) == oracle_rows("a,b,c", rows)
-    assert path.read_text() == "a,b,c\nnan,-0,1\n4.9406564584124654e-324,,1.7976931348623157e+308\n"
+    assert path.read_text() == "a,b,c\nnan,-0,1\n4.9406564584124654e-324,,1.7976931348623157e+308\n1,0,inf\n"
 
 
 def test_template_builds_in_shared_columns():
