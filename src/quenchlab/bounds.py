@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 # build_mesh is unused here but stays a module attribute: perfbench/tracing.py wraps it
-from .mesh import Mesh, RadialBall, build_mesh, integrate  # noqa: F401
+from .mesh import Mesh, build_mesh, integrate  # noqa: F401
 from .dynamics import eta_quench_time
 from .profiles import Profile, evaluate, holder_constant
 from .steady import Fold
@@ -99,7 +99,8 @@ class LargeLambdaBounds:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """The estimates at one lam; `flags` gives each estimate's status."""
+    """The estimates at one lam; `flags` gives each estimate's status, and
+    flags `delta` where K = 0 leaves the localization radius unbounded."""
 
     lam: float
     lambda_star: Optional[float]
@@ -194,23 +195,19 @@ def bound_gg2(lam: float, lambda_star: float, inf_f: float) -> float:
     return lead * (1.0 + root)
 
 
-def _check_regular(mesh: Mesh) -> None:
-    if isinstance(mesh.geometry, RadialBall) and mesh.geometry.dimension >= 8:
-        raise NotApplicable("extremal state is singular in dimension >= 8")
+def bound_lower_TL(lam: float, lambda_star: float, ing: BoundIngredients) -> float:
+    """Lower touchdown-time estimate from the fold eigenfunction phi*.
 
-
-def bound_lower_TL(lam: float, lambda_star: float, ing: BoundIngredients, mesh: Mesh) -> float:
-    """Lower touchdown-time estimate from the fold eigenfunction phi*."""
+    The fold data are regular: where the branch ends singular,
+    `steady.locate_fold` raises before any estimate is taken.
+    """
     if lam <= lambda_star:
         raise DomainError("requires lam > lambda_star")
-    _check_regular(mesh)
     inner = ing.sup_phi_star / (12.0 * lambda_star * ing.sup_weight * ing.integral_phi)
     return math.sqrt(inner) / math.sqrt(lam - lambda_star)
 
 
-def bound_upper_T1(
-    lam: float, lambda_star: float, ing: BoundIngredients, mesh: Mesh, form: str = "arctan"
-) -> float:
+def bound_upper_T1(lam: float, lambda_star: float, ing: BoundIngredients, form: str = "arctan") -> float:
     """Upper touchdown-time estimate from the mass-weighted fold data.
 
     The `simplified` form bounds the `arctan` form from above; both decay
@@ -220,7 +217,6 @@ def bound_upper_T1(
         raise ValueError("form must be 'simplified' or 'arctan'")
     if lam <= lambda_star:
         raise DomainError("requires lam > lambda_star")
-    _check_regular(mesh)
     if ing.J_26 is None:
         raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
     I1, J, I2 = ing.I1_26, ing.J_26, ing.I2_26
@@ -249,7 +245,6 @@ def _sampled_sup(profile: Profile, mesh: Mesh) -> float:
 def large_lambda_bounds(
     lam: float,
     profile: Profile,
-    alpha: float,
     mesh: Mesh,
     K: Optional[float] = None,
     sup_f: Optional[float] = None,
@@ -257,14 +252,15 @@ def large_lambda_bounds(
     """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))) on the mesh's domain.
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
-    ground eigenvalue in the mesh's dimension and K the Holder constant;
-    delta = (eps/2K)^(1/a).  A constant profile has K = 0 and the sandwich
-    collapses (eps = 0).  The asymptotic width is gap_coefficient *
-    lam^gap_exponent.  Unless given, sup f is sampled at 4001 points over
+    ground eigenvalue in the mesh's dimension, a the profile's Holder
+    exponent and K its Holder constant; delta = (eps/2K)^(1/a).  A constant
+    profile has K = 0 and the sandwich collapses (eps = 0).  The asymptotic
+    width is gap_coefficient * lam^gap_exponent.  Unless given, sup f is sampled at 4001 points over
     Omega, and K at 4001 points over the profile's domain.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    alpha = profile.holder_exponent
     if K is None:
         K = holder_constant(profile, alpha, _SAMPLES)
     if sup_f is None:
@@ -276,7 +272,7 @@ def large_lambda_bounds(
     frac = alpha / (2.0 + alpha)
     scale = 2.0 * dirichlet_eigenvalue_ball(mesh.dimension) ** frac * K ** (2.0 / (2.0 + alpha))
     eps = scale / lam**frac
-    delta = (eps / (2.0 * K)) ** (1.0 / alpha) if alpha > 0 else math.inf
+    delta = (eps / (2.0 * K)) ** (1.0 / alpha)
     upper = eta_quench_time(lam, sup_f - eps) if sup_f - eps > 0 else None
     coeff = scale / (3.0 * sup_f**2)
     return LargeLambdaBounds(lower, upper, eps, delta, exponent, coeff, sup_f, K)
@@ -324,22 +320,22 @@ def evaluate_all(
     K = sup_f = ing = None
     runs = [None] * len(lams) if quench_reports is None else quench_reports
     for lam, quench_report in zip(lams, runs, strict=True):
-        ll = large_lambda_bounds(lam, profile, profile.holder_exponent, mesh, K=K, sup_f=sup_f)
+        ll = large_lambda_bounds(lam, profile, mesh, K=K, sup_f=sup_f)
         K, sup_f = ll.K, ll.sup_f
         if ing is None and star is not None and lam > star:
             ing = ingredients(fold, profile)
-        report = _report(lam, star, mesh, ll, ing)
+        report = _report(lam, star, ll, ing)
         reports.append(report if quench_reports is None else _measured(report, quench_report, profile, sup_f))
     return reports
 
 
-def _report(
-    lam: float, star: Optional[float], mesh: Mesh, ll: LargeLambdaBounds, ing: Optional[BoundIngredients]
-) -> BoundsReport:
+def _report(lam: float, star: Optional[float], ll: LargeLambdaBounds, ing: Optional[BoundIngredients]) -> BoundsReport:
     """One lam's estimates from its sandwich, the fold value star and the grid's fold constants."""
     b12 = TL = T1s = T1a = None
     upper = ll.upper
     flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
+    if ll.K == 0.0:
+        flags["delta"] = "unbounded: K = 0"
 
     if star is None or lam <= star:
         reason = "no fold data" if star is None else "no finite touchdown below the fold value"
@@ -353,14 +349,11 @@ def _report(
             flags["bound_1_2"] = "ok"
         except NotApplicable as exc:
             flags["bound_1_2"] = str(exc)
+        TL = bound_lower_TL(lam, star, ing)
+        flags["T_L"] = "ok"
         try:
-            TL = bound_lower_TL(lam, star, ing, mesh)
-            flags["T_L"] = "ok"
-        except NotApplicable as exc:
-            flags["T_L"] = str(exc)
-        try:
-            T1s = bound_upper_T1(lam, star, ing, mesh, "simplified")
-            T1a = bound_upper_T1(lam, star, ing, mesh)
+            T1s = bound_upper_T1(lam, star, ing, "simplified")
+            T1a = bound_upper_T1(lam, star, ing)
             flags["T1"] = "ok"
         except NotApplicable as exc:
             flags["T1"] = str(exc)

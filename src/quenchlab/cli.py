@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import datetime
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -62,20 +63,7 @@ DEFAULTS = {
     "out": "runs/out",
 }
 
-_TOP_KEYS = {
-    "geometry",
-    "node_count",
-    "profile",
-    "lambda",
-    "lambda_grid",
-    "time",
-    "ds",
-    "workers",
-    "out",
-    "rescale",
-}
-_GEOM_KEYS = {"kind", "x_left", "x_right", "dimension", "radius"}
-_PROFILE_KEYS = {"kind", "value", "exponent", "holder_exponent", "path"}
+_TOP_KEYS = set(DEFAULTS) | {"lambda_grid", "rescale"}
 _RESCALE_KEYS = {"run", "center", "T"}
 
 
@@ -89,6 +77,19 @@ def _integer(value, what: str) -> int:
     """value itself if it is an int; a bool, float or string is not."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("%s must be an integer" % what)
+    return value
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be a number" % what)
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError("%s must be a string" % what)
     return value
 
 
@@ -134,49 +135,46 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     return cfg
 
 
-def build_geometry(spec: dict) -> Geometry:
+# section -> kind -> the constructor it names.  A kind's keys are its
+# constructor's parameters, their defaults the parameters' defaults, and each
+# value is read by the reader of the parameter's annotated type.
+KINDS = {
+    "geometry": {"slab": Slab, "ball": RadialBall},
+    "profile": {"constant": Constant, "power": Power, "sin_piecewise": SlabSinPiecewise,
+                "tabulated": tabulated_from_csv},
+}
+_READERS = {float: _number, int: _integer, str: _text}
+
+
+def _build(section: str, spec):
+    """The object that `spec`, one config section's object, names by its 'kind'."""
     if not isinstance(spec, dict):
-        raise ConfigError("'geometry' must be an object")
-    _check_keys(spec, _GEOM_KEYS, "geometry")
-    kind = spec.get("kind")
+        raise ConfigError("'%s' must be an object" % section)
+    kinds, kind = KINDS[section], spec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError("%s kind must be %s" % (section, "|".join(kinds)))
+    where = "%s %s" % (kind, section)
+    params = inspect.signature(kinds[kind], eval_str=True).parameters
+    _check_keys(spec, {"kind", *params}, where)
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in spec]
+    if missing:
+        raise ConfigError("%s requires %s" % (where, ", ".join(repr(name) for name in missing)))
+    args = {name: _READERS[params[name].annotation](value, "%s.%s" % (section, name))
+            for name, value in spec.items() if name != "kind"}
     try:
-        if kind == "slab":
-            return Slab(float(spec.get("x_left", -0.5)), float(spec.get("x_right", 0.5)))
-        if kind == "ball":
-            return RadialBall(_integer(spec["dimension"], "dimension"), float(spec.get("radius", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("bad geometry: %s" % exc)
-    raise ConfigError("geometry kind must be 'slab' or 'ball'")
+        return kinds[kind](**args)
+    except OSError as exc:  # the tabulated profile's table
+        raise MissingInput("profile table not readable: %s" % exc)
+    except ValueError as exc:
+        raise ConfigError("bad %s: %s" % (section, exc))
+
+
+def build_geometry(spec: dict) -> Geometry:
+    return _build("geometry", spec)
 
 
 def build_profile(spec: dict) -> Profile:
-    if not isinstance(spec, dict):
-        raise ConfigError("'profile' must be an object")
-    _check_keys(spec, _PROFILE_KEYS, "profile")
-    kind = spec.get("kind")
-    try:
-        if kind == "constant":
-            return Constant(float(spec.get("value", 1.0)), float(spec.get("holder_exponent", 1.0)))
-        if kind == "power":
-            if "exponent" not in spec:
-                raise ConfigError("power profile requires 'exponent'")
-            he = spec.get("holder_exponent")
-            return Power(float(spec["exponent"]), None if he is None else float(he))
-        if kind == "sin_piecewise":
-            return SlabSinPiecewise(float(spec.get("holder_exponent", 1.0)))
-        if kind == "tabulated":
-            if "path" not in spec:
-                raise ConfigError("tabulated profile requires 'path'")
-            if not os.path.exists(spec["path"]):
-                raise MissingInput("profile table not found: %s" % spec["path"])
-            return tabulated_from_csv(spec["path"], float(spec.get("holder_exponent", 1.0)))
-    except ConfigError:
-        raise
-    except MissingInput:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad profile: %s" % exc)
-    raise ConfigError("profile kind must be constant|power|sin_piecewise|tabulated")
+    return _build("profile", spec)
 
 
 def build_time(spec: dict):
@@ -217,13 +215,6 @@ def _checked_lam(lam: float, positive: bool, what: str) -> float:
     if not (math.isfinite(lam) and (lam > 0 or (lam == 0 and not positive))):
         raise ConfigError("%s must be finite and %s" % (what, "positive" if positive else "nonnegative"))
     return lam
-
-
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be a number" % what)
 
 
 def _lam(cfg: dict, positive: bool = False) -> float:
@@ -485,7 +476,7 @@ def cmd_rescale(cfg: dict, files: List[str]):
     warnings = ["warning: center not in the touchdown set"] if off_set else []
     write_frame_csv(frame, frame_path, warnings)
     energy_path = os.path.join(out, "energy.csv")
-    write_energy_csv(trace, frame, lam, f_center, energy_path)
+    write_energy_csv(trace, energy_path)
     files += [frame_path, energy_path]
     return rescale_stats(frame)
 

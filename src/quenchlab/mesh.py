@@ -75,8 +75,8 @@ dgtsv = _load_dgtsv()
 class Slab:
     """Interval domain (x_left, x_right)."""
 
-    x_left: float
-    x_right: float
+    x_left: float = -0.5
+    x_right: float = 0.5
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.x_left) or not np.isfinite(self.x_right):
@@ -90,7 +90,7 @@ class RadialBall:
     """Ball of given dimension and radius, reduced to r in [0, radius]."""
 
     dimension: int
-    radius: float
+    radius: float = 1.0
 
     def __post_init__(self) -> None:
         if int(self.dimension) != self.dimension or self.dimension < 1:

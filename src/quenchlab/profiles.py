@@ -2,11 +2,13 @@
 
 Admissible profiles take values in [0,1], are positive on a set of
 positive measure, and are Hoelder continuous with some exponent
-alpha in (0,1].
+alpha in (0,1].  Each kind knows its own exponent, `holder_exponent`:
+Power has alpha = min(beta, 1) (1 at beta = 0), and the other kinds are
+Lipschitz, alpha = 1.
 
 The built-in kinds:
 
-  Constant(c)          f = c, c in (0,1]
+  Constant(value)      f = value, value in (0,1]
   Power(beta)          f = |x|^beta
   SlabSinPiecewise     the piecewise profile used by the simulation
                        sections: 1-16(x+1/4)^2 left of -1/4, |sin(2 pi x)|
@@ -44,20 +46,21 @@ class IncompatibleGeometry(ValueError):
 
 @dataclass(frozen=True)
 class Constant:
-    c: float
-    holder_exponent: float = 1.0
+    """f = value everywhere; Lipschitz (alpha = 1)."""
+
+    value: float = 1.0
+    holder_exponent = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.c <= 1.0):
-            raise ValueError("constant profile requires c in (0,1]")
-        _check_alpha(self.holder_exponent)
+        if not (0.0 < self.value <= 1.0):
+            raise ValueError("constant profile requires value in (0,1]")
 
     def domain(self) -> Tuple[float, float]:
         return (-np.inf, np.inf)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return np.full_like(x, self.c) if x.ndim else float(self.c)
+        return np.full_like(x, self.value) if x.ndim else float(self.value)
 
 
 @dataclass(frozen=True)
@@ -65,15 +68,15 @@ class Power:
     """f(x) = |x|^beta; stays in [0,1] on domains with |x| <= 1."""
 
     exponent: float
-    holder_exponent: float = None
 
     def __post_init__(self) -> None:
         if self.exponent < 0:
             raise ValueError("power profile requires exponent >= 0")
-        if self.holder_exponent is None:
-            alpha = min(self.exponent, 1.0) if self.exponent > 0 else 1.0
-            object.__setattr__(self, "holder_exponent", alpha)
-        _check_alpha(self.holder_exponent)
+
+    @property
+    def holder_exponent(self) -> float:
+        """min(beta, 1); |x|^0 = 1 is Lipschitz."""
+        return min(self.exponent, 1.0) if self.exponent > 0 else 1.0
 
     def domain(self) -> Tuple[float, float]:
         return (-1.0, 1.0)
@@ -92,10 +95,7 @@ class SlabSinPiecewise:
     endpoints.
     """
 
-    holder_exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.holder_exponent)
+    holder_exponent = 1.0
 
     def domain(self) -> Tuple[float, float]:
         return (-0.5, 0.5)
@@ -113,11 +113,11 @@ class SlabSinPiecewise:
 
 @dataclass(frozen=True)
 class Tabulated:
-    """Piecewise-linear profile through (xs, fs) samples."""
+    """Piecewise-linear profile through (xs, fs) samples; Lipschitz (alpha = 1)."""
 
     xs: np.ndarray
     fs: np.ndarray
-    holder_exponent: float = 1.0
+    holder_exponent = 1.0
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -130,7 +130,6 @@ class Tabulated:
             raise ValueError("tabulated xs must be strictly increasing")
         if fs.min() < 0.0 or fs.max() > 1.0:
             raise ValueError("tabulated values must lie in [0,1]")
-        _check_alpha(self.holder_exponent)
         xs.setflags(write=False)
         fs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -168,7 +167,7 @@ def evaluate(profile: Profile, x):
     return out
 
 
-def tabulated_from_csv(path, holder_exponent: float = 1.0) -> Tabulated:
+def tabulated_from_csv(path: str) -> Tabulated:
     """Load a two-column (coordinate, value) CSV.  The first non-blank line
     may be a header; a later row that is not two numbers, or any row
     without exactly two cells, raises ValueError."""
@@ -187,7 +186,7 @@ def tabulated_from_csv(path, holder_exponent: float = 1.0) -> Tabulated:
     if len(rows) < 2:
         raise ValueError("tabulated CSV needs at least 2 numeric rows")
     data = np.asarray(rows)
-    return Tabulated(data[:, 0], data[:, 1], holder_exponent=holder_exponent)
+    return Tabulated(data[:, 0], data[:, 1])
 
 
 def validate(profile: Profile, mesh: Mesh) -> None:

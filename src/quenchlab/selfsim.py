@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,15 +61,14 @@ class RescaledFrame:
     dimension: int
     radial: bool
 
-    @cached_property
-    def s_values(self) -> np.ndarray:
-        """The s of every sample, built once for nearest-sample lookups."""
-        return np.array([smp[0] for smp in self.samples])
-
 
 @dataclass(frozen=True)
 class EnergyTrace:
+    """(s, E) per point, F(k) times the point's Gaussian mass Gamma, the
+    limit k(a) and the limit energy F(k) Gamma(infinity)."""
+
     points: Tuple[Tuple[float, float], ...]
+    E_of_k: Tuple[float, ...]
     k_a: float
     E_limit: float
 
@@ -174,18 +172,12 @@ def _rho_weights(frame: RescaledFrame, y: np.ndarray) -> np.ndarray:
     return rho * trap
 
 
-def _nearest_sample(frame: RescaledFrame, s: float):
-    idx = int(np.argmin(np.abs(frame.s_values - s)))
-    return frame.samples[idx]
-
-
-def frozen_energy(frame: RescaledFrame, lam: float, f_at_a: float, s: float) -> float:
-    """Frozen energy over the ball |y| <= s at the stored sample nearest s."""
+def frozen_energy(frame: RescaledFrame, lam: float, f_at_a: float, sample) -> Tuple[float, float]:
+    """Frozen energy E of one stored sample (s, y, w) over its ball |y| <= s
+    (the sample's whole y-grid), and the ball's Gaussian mass Gamma."""
+    s, y, w = sample
     if s < frame.s0:
         raise ValueError("ball not contained in the rescaled domain below s0")
-    s_smp, y, w = _nearest_sample(frame, s)
-    mask = np.abs(y) <= s + 1e-12
-    y, w = y[mask], w[mask]
     if y.size < 3:
         raise ValueError("sample too short for quadrature")
     if w.min() <= 0:
@@ -193,28 +185,23 @@ def frozen_energy(frame: RescaledFrame, lam: float, f_at_a: float, s: float) -> 
     wy = np.gradient(w, _Y_SPACING)
     weights = _rho_weights(frame, y)
     density = 0.5 * wy**2 - w**2 / 6.0 - lam * f_at_a / w
-    return float(np.dot(weights, density))
-
-
-def _gamma(frame: RescaledFrame, s: float) -> float:
-    s_smp, y, _ = _nearest_sample(frame, s)
-    mask = np.abs(y) <= s + 1e-12
-    return float(np.sum(_rho_weights(frame, y[mask])))
+    return float(np.dot(weights, density)), float(np.sum(weights))
 
 
 def energy_trace(frame: RescaledFrame, lam: float, f_at_a: float) -> EnergyTrace:
-    """E(s) for every contained sample with s >= s0, with the k(a) target."""
+    """E(s) for every sample with s >= s0 (so contained), with the k(a) target."""
     k = asymptotic_limit(lam, f_at_a)
     Fk, _ = F_profile(k, lam, f_at_a)
     gamma_inf = (2.0 * math.sqrt(math.pi)) ** frame.dimension
-    points = []
-    for (s, y, w), inside in zip(frame.samples, frame.contained):
-        if not inside or s < frame.s0:
-            continue
-        if np.count_nonzero(np.abs(y) <= s + 1e-12) < 3:
-            continue  # y-window narrower than the grid: no quadrature yet
-        points.append((s, frozen_energy(frame, lam, f_at_a, s)))
-    return EnergyTrace(points=tuple(points), k_a=k, E_limit=Fk * gamma_inf)
+    points, E_of_k = [], []
+    for sample in frame.samples:
+        s, y, _ = sample
+        if s < frame.s0 or y.size < 3:
+            continue  # not contained, or a y-window narrower than the grid: no quadrature yet
+        E, gamma = frozen_energy(frame, lam, f_at_a, sample)
+        points.append((s, E))
+        E_of_k.append(Fk * gamma)
+    return EnergyTrace(points=tuple(points), E_of_k=tuple(E_of_k), k_a=k, E_limit=Fk * gamma_inf)
 
 
 def rescale_stats(frame: RescaledFrame) -> RescaleStats:
@@ -235,7 +222,6 @@ def write_frame_csv(frame: RescaledFrame, path, comments: Sequence[str] = ()) ->
     csvio.write(path, "s,y,w", bodies, comments)
 
 
-def write_energy_csv(trace: EnergyTrace, frame: RescaledFrame, lam: float, f_at_a: float, path) -> None:
-    Fk, _ = F_profile(trace.k_a, lam, f_at_a)
-    rows = [(s, E, trace.k_a, Fk * _gamma(frame, s)) for s, E in trace.points]
+def write_energy_csv(trace: EnergyTrace, path) -> None:
+    rows = [(s, E, trace.k_a, Ek) for (s, E), Ek in zip(trace.points, trace.E_of_k)]
     csvio.write_rows(path, "s,E,k_a,E_of_k", rows)

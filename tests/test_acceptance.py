@@ -106,9 +106,9 @@ def test_criterion_05_bound_ordering(branch_f1_2001, near_fold_sweep):
     star = branch_f1_2001.lambda_star
     ing = ingredients(branch_f1_2001, f)
     for _, (lam, rep) in sorted(near_fold_sweep.items()):
-        TL = bound_lower_TL(lam, star, ing, mesh)
-        T1a = bound_upper_T1(lam, star, ing, mesh, form="arctan")
-        T1s = bound_upper_T1(lam, star, ing, mesh, form="simplified")
+        TL = bound_lower_TL(lam, star, ing)
+        T1a = bound_upper_T1(lam, star, ing, form="arctan")
+        T1s = bound_upper_T1(lam, star, ing, form="simplified")
         T = rep.T
         assert TL <= T * 1.01
         assert T <= T1a * 1.01
@@ -125,7 +125,7 @@ def test_criterion_06a_large_lam_sandwich(falpha_runs):
     mesh = build_mesh(UNIT_SLAB, REPRO_NODES)
     for lam in (1e3, 1e4, 1e5, 1e6):
         _, rep = falpha_runs[lam]
-        ll = large_lambda_bounds(lam, f, 1.0, mesh)
+        ll = large_lambda_bounds(lam, f, mesh)
         assert ll.lower <= rep.T * 1.002
         if ll.upper is not None:
             assert rep.T <= ll.upper
@@ -140,7 +140,7 @@ def test_criterion_06b_sandwich_gap_slope():
     mesh = build_mesh(UNIT_SLAB, REPRO_NODES)
     lams, widths, leads = [], [], []
     for lam in (1e3, 1e4, 1e5, 1e6):
-        ll = large_lambda_bounds(lam, f, 1.0, mesh)
+        ll = large_lambda_bounds(lam, f, mesh)
         sup_f = 1.0 / (3.0 * lam * ll.lower)
         if lam == 1e3:
             assert ll.upper is None and ll.epsilon > sup_f

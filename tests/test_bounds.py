@@ -121,17 +121,17 @@ def test_gg2_guards():
 
 
 def fold_args(fold, profile):
-    """The fold estimates' arguments after lam: lambda*, the fold constants, the mesh."""
-    return fold.lambda_star, ingredients(fold, profile), fold.mesh
+    """The fold estimates' arguments after lam: lambda* and the fold constants."""
+    return fold.lambda_star, ingredients(fold, profile)
 
 
 def test_TL_inverse_sqrt_scaling(branch_f1_401):
-    star, ing, mesh = fold_args(branch_f1_401, Constant(1.0))
-    vals = [bound_lower_TL(star + dx, star, ing, mesh)
+    star, ing = fold_args(branch_f1_401, Constant(1.0))
+    vals = [bound_lower_TL(star + dx, star, ing)
             * math.sqrt(dx) for dx in (0.01, 0.1, 0.5, 1.0, 5.0)]
     assert max(vals) - min(vals) < 1e-12 * vals[0]
     with pytest.raises(DomainError):
-        bound_lower_TL(0.5 * star, star, ing, mesh)
+        bound_lower_TL(0.5 * star, star, ing)
 
 
 def test_TL_eigenfunction_scale_invariance(branch_f1_401):
@@ -189,7 +189,7 @@ def test_vanishing_profile_disables_T1(branch_falpha_801):
 
 
 def test_sandwich_constant_profile_collapses():
-    ll = large_lambda_bounds(1e5, Constant(1.0), 1.0, UNIT_MESH)
+    ll = large_lambda_bounds(1e5, Constant(1.0), UNIT_MESH)
     assert ll.lower == pytest.approx(1.0 / 3e5, rel=1e-15)
     assert ll.upper == ll.lower
     assert ll.epsilon == 0.0
@@ -200,10 +200,9 @@ def test_sandwich_constant_profile_collapses():
 
 def test_sandwich_two_bump_profile_formulas():
     lam = 1e5
-    alpha = 1.0
     K = 8.0
     D = math.pi**2 / 4.0
-    ll = large_lambda_bounds(lam, SlabSinPiecewise(), alpha, UNIT_MESH, K=K)
+    ll = large_lambda_bounds(lam, SlabSinPiecewise(), UNIT_MESH, K=K)  # alpha = 1
     eps = 2.0 * D ** (1.0 / 3.0) * K ** (2.0 / 3.0) / lam ** (1.0 / 3.0)
     assert ll.epsilon == pytest.approx(eps, rel=1e-12)
     assert ll.delta == pytest.approx((eps / 16.0), rel=1e-12)  # (eps/2K)^(1/1)
@@ -229,7 +228,7 @@ def test_sandwich_takes_sup_f_over_the_domain():
 
 def test_sandwich_upper_vanishes_at_moderate_load():
     # at lam = 10 the shrinkage eps exceeds sup f and no upper is produced
-    ll = large_lambda_bounds(10.0, SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
+    ll = large_lambda_bounds(10.0, SlabSinPiecewise(), UNIT_MESH, K=8.0)
     assert ll.upper is None
     assert ll.lower > 0.0
 
@@ -240,11 +239,11 @@ def test_sandwich_gap_decay_rate():
     lams = np.array([1e10, 1e12, 1e14])
     gaps = []
     for lam in lams:
-        ll = large_lambda_bounds(float(lam), SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
+        ll = large_lambda_bounds(float(lam), SlabSinPiecewise(), UNIT_MESH, K=8.0)
         gaps.append(ll.upper - ll.lower)
     slope = np.polyfit(np.log(lams), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-4.0 / 3.0, abs=0.05)
-    ll = large_lambda_bounds(1e12, SlabSinPiecewise(), 1.0, UNIT_MESH, K=8.0)
+    ll = large_lambda_bounds(1e12, SlabSinPiecewise(), UNIT_MESH, K=8.0)
     predicted = ll.gap_coefficient * 1e12**ll.gap_exponent
     assert (ll.upper - ll.lower) == pytest.approx(predicted, rel=1e-2)
 
@@ -293,7 +292,7 @@ def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     f = SlabSinPiecewise()
     ing = ingredients(branch_falpha_801, f)
     rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.mesh)
-    ll = large_lambda_bounds(1e5, f, f.holder_exponent, branch_falpha_801.mesh)
+    ll = large_lambda_bounds(1e5, f, branch_falpha_801.mesh)
     assert ll.K > 0.0
     assert ll.epsilon == rep.epsilon
     # f vanishes where psi* has mass: J and I2 are undefined
@@ -338,7 +337,7 @@ def test_evaluate_all_without_branch():
     assert rep.T1_arctan is None and rep.T1_simplified is None
     for key in ("bound_1_2", "T_L", "T1"):
         assert rep.flags[key] == "no fold data"
-    ll = large_lambda_bounds(1e5, f, f.holder_exponent, mesh)
+    ll = large_lambda_bounds(1e5, f, mesh)
     assert ll.upper is not None
     assert (rep.large_lambda_lower, rep.large_lambda_upper, rep.epsilon, rep.delta) == (
         ll.lower, ll.upper, ll.epsilon, ll.delta)

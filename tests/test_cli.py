@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from quenchlab import bounds, cli, dynamics, steady
 from quenchlab.bounds import BoundsReport, MeasuredReport, evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
 from quenchlab.mesh import RadialBall, Slab, build_mesh
-from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
+from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate, holder_constant
 from quenchlab.selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -59,7 +60,7 @@ def sandwich_alone(out, lam, mesh):
     """Check the one sweep.csv row of an f = 1 run without fold data: of the
     estimates only the large-lam sandwich, and the measured columns written."""
     row, = read_sweep(out)
-    ll = large_lambda_bounds(lam, Constant(1.0), 1.0, mesh)
+    ll = large_lambda_bounds(lam, Constant(1.0), mesh)
     assert row["bound_1_2"] is row["T_L"] is row["T1_simplified"] is row["T1_arctan"] is None
     assert [row["lower_1_7"], row["upper_1_7"]] == [ll.lower, ll.upper]
     assert row["T_measured"] is not None and row["ordering_upper_pass"] is None
@@ -164,7 +165,9 @@ RUNS = {
 NAN_VALUE_TABLE, NAN_X_TABLE, INFINITE_X_TABLE, ONE_COLUMN_TABLE = (
     "<nan value table>", "<nan x table>", "<infinite x table>", "<one-column table>")
 TEXT_ROW_TABLE, THREE_COLUMN_TABLE = "<table with a text row>", "<three-column table>"
+GOOD_TABLE = "<good table>"
 TABLES = {
+    GOOD_TABLE: "x,f\n-0.5,0.5\n0.0,1.0\n0.5,0.5\n",
     NAN_VALUE_TABLE: "x,f\n-0.5,0.5\n0.0,nan\n0.5,0.5\n",
     NAN_X_TABLE: "x,f\n-0.5,0.5\nnan,0.5\n0.5,0.5\n",
     INFINITE_X_TABLE: "x,f\n-0.5,0.5\n0.5,0.5\ninf,0.5\n",
@@ -226,6 +229,21 @@ TABLES = {
     # a text row after the first line, and a row of three cells
     ("simulate", {"profile": {"kind": "tabulated", "path": TEXT_ROW_TABLE}}),
     ("simulate", {"profile": {"kind": "tabulated", "path": THREE_COLUMN_TABLE}}),
+    # each kind takes exactly its constructor's keys
+    ("steady", {"geometry": {"kind": "slab", "radius": 2}}),
+    ("steady", {"geometry": {"kind": "slab", "dimension": 2}}),
+    ("steady", {"geometry": {"kind": "ball", "dimension": 2, "x_left": 0.0}}),
+    ("steady", {"profile": {"kind": "constant", "exponent": 2}}),
+    ("steady", {"profile": {"kind": "power", "exponent": 1.0, "value": 0.5}}),
+    ("steady", {"profile": {"kind": "sin_piecewise", "path": "f.csv"}}),
+    ("steady", {"profile": {"kind": "tabulated", "path": GOOD_TABLE, "value": 1.0}}),
+    # the Hoelder exponent is the profile's own, not a key
+    ("steady", {"profile": {"kind": "constant", "holder_exponent": 1.0}}),
+    ("steady", {"profile": {"kind": "power", "exponent": 1.0, "holder_exponent": 1.0}}),
+    ("steady", {"profile": {"kind": "sin_piecewise", "holder_exponent": 1.0}}),
+    ("steady", {"profile": {"kind": "tabulated", "path": GOOD_TABLE, "holder_exponent": 1.0}}),
+    # a path is a string, not a file descriptor
+    ("steady", {"profile": {"kind": "tabulated", "path": 5}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
     run = payload.get("rescale", {}).get("run")
@@ -294,34 +312,33 @@ def test_unusable_lambda_is_config_error(tmp_path, monkeypatch, argv, payload):
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "lam_out")]) == 2
 
 
-def test_tabulated_profile_keeps_holder_exponent(tmp_path):
-    from quenchlab.cli import build_profile
-
-    table = tmp_path / "f.csv"
-    table.write_text("x,f\n-0.5,0.2\n0.0,1.0\n0.5,0.2\n")
-    spec = {"kind": "tabulated", "path": str(table)}
-    assert build_profile(spec).holder_exponent == 1.0
-    half = build_profile(dict(spec, holder_exponent=0.5))
-    assert half.holder_exponent == 0.5
-    # the exponent reaches the estimates through eps(lam) ~ lam^(-a/(2+a))
-    cfg = write_config(tmp_path, "tab.json", {"node_count": 101, "profile": dict(spec, holder_exponent=0.5)})
-    out = str(tmp_path / "tab_out")
+@pytest.mark.parametrize("spec,alpha", [
+    ({"kind": "power", "exponent": 0.5}, 0.5),
+    ({"kind": "tabulated", "path": GOOD_TABLE}, 1.0),
+])
+def test_derived_holder_exponent_reaches_epsilon(tmp_path, spec, alpha):
+    # the profile's own exponent a enters eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)),
+    # with D = (pi/2)^2 on the slab and K sampled at 4001 points
+    if spec.get("path") in TABLES:
+        (tmp_path / "f.csv").write_text(TABLES[spec["path"]])
+        spec = dict(spec, path=str(tmp_path / "f.csv"))
+    cfg = write_config(tmp_path, "a.json", {"node_count": 101, "profile": spec})
+    out = str(tmp_path / "a_out")
     assert main(["bounds", "--lambda", "1e4", "--config", cfg, "--out", out]) == 0
     eps = read_json(os.path.join(out, "bounds.json"))["epsilon"]
-    mesh = build_mesh(Slab(-0.5, 0.5), 101)
-    assert eps == large_lambda_bounds(1e4, half, 0.5, mesh).epsilon
-    assert eps != large_lambda_bounds(1e4, half, 1.0, mesh).epsilon
-    bad = write_config(tmp_path, "tab_bad.json", {"node_count": 101, "profile": dict(spec, holder_exponent=0.0)})
-    assert main(["bounds", "--lambda", "1e4", "--config", bad, "--out", out]) == 2
+    K = holder_constant(cli.build_profile(spec), alpha, 4001)
+    frac = alpha / (2.0 + alpha)
+    assert eps == pytest.approx(2.0 * (math.pi**2 / 4.0) ** frac * K ** (2.0 / (2.0 + alpha)) / 1e4**frac, rel=1e-12)
 
 
 def test_missing_profile_table(tmp_path):
-    cfg = write_config(tmp_path, "tab.json", {
-        "node_count": 101,
-        "profile": {"kind": "tabulated", "path": str(tmp_path / "absent.csv")},
-    })
-    assert main(["steady", "--config", cfg,
-                 "--out", str(tmp_path / "tab_out")]) == 4
+    for name in ("absent.csv", "."):  # no file, and a directory
+        cfg = write_config(tmp_path, "tab.json", {
+            "node_count": 101,
+            "profile": {"kind": "tabulated", "path": str(tmp_path / name)},
+        })
+        assert main(["steady", "--config", cfg,
+                     "--out", str(tmp_path / "tab_out")]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +655,42 @@ def test_bounds_report_above_and_below_fold(tmp_path):
     assert "no finite touchdown" in rep2["flags"]["T_L"]
 
 
+@pytest.mark.parametrize("profile,flag", [
+    ({"kind": "constant", "value": 1.0}, "unbounded: K = 0"),
+    ({"kind": "sin_piecewise"}, None),
+])
+def test_unbounded_delta_is_flagged(tmp_path, profile, flag):
+    # K = 0 leaves the localization radius unbounded; bounds.json writes it
+    # as null and says why, where a null alone would read as a missing value
+    cfg = write_config(tmp_path, "d.json", {"node_count": 201, "profile": profile})
+    out = str(tmp_path / "d_out")
+    assert main(["bounds", "--lambda", "30", "--config", cfg, "--out", out]) == 0
+    rep = read_json(os.path.join(out, "bounds.json"))
+    assert rep["flags"].get("delta") == flag
+    assert (rep["delta"] is None) == (flag is not None)
+
+
+@pytest.mark.parametrize("lam", [7.1, 20.0])
+def test_eight_ball_fold_estimates(tmp_path, lam):
+    # f = |x| on the 8-ball has a regular fold (lam* = 7.0135 at 401 nodes):
+    # T_L is reported and lies below the measured T, and only T1 is refused,
+    # since f vanishes at the origin where psi* has mass
+    cfg = write_config(tmp_path, "b8.json", {
+        "geometry": {"kind": "ball", "dimension": 8}, "node_count": 401,
+        "profile": {"kind": "power", "exponent": 1.0}, "lambda": lam,
+    })
+    out = str(tmp_path / "b8_bounds")
+    assert main(["bounds", "--config", cfg, "--out", out]) == 0
+    rep = read_json(os.path.join(out, "bounds.json"))
+    assert rep["lambda_star"] == pytest.approx(7.01353, abs=1e-4)
+    assert rep["flags"]["T_L"] == "ok"
+    assert rep["flags"]["T1"] == "profile vanishes at a node carrying eigenfunction mass"
+    run = str(tmp_path / "b8_run")
+    assert main(["simulate", "--config", cfg, "--out", run]) == 0
+    quench = read_json(os.path.join(run, "quench.json"))
+    assert quench["quenched"] and quench["T"] > rep["T_L"]
+
+
 @pytest.mark.parametrize("argv", [["steady"], ["simulate"], ["bounds", "--lambda", "30"]])
 def test_one_unknown_slab_runs(tmp_path, argv):
     # a 3-node slab has one unknown, so every banded solve is 1 x 1
@@ -731,7 +784,7 @@ def test_rescale_of_stored_run_matches_rescale_in_memory(tmp_path, quench_run_20
     traj, report = quench_run_201  # the same config, integrated in this process
     frame = rescale(traj, report.quench_set[0], report.T)
     write_frame_csv(frame, tmp_path / "frame.csv")
-    write_energy_csv(energy_trace(frame, 5.0, 1.0), frame, 5.0, 1.0, tmp_path / "energy.csv")
+    write_energy_csv(energy_trace(frame, 5.0, 1.0), tmp_path / "energy.csv")
     for name in ("frame.csv", "energy.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 

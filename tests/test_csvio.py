@@ -22,14 +22,7 @@ from quenchlab.csvio import MissingInput
 from quenchlab.dynamics import TRAJECTORY_NAME, Trajectory, read_trajectory, write_max_history, write_snapshots
 from quenchlab.mesh import Slab, build_mesh
 from quenchlab.profiles import Constant
-from quenchlab.selfsim import (
-    _gamma,
-    _nearest_sample,
-    energy_trace,
-    rescale,
-    write_energy_csv,
-    write_frame_csv,
-)
+from quenchlab.selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 from quenchlab.steady import branch_to_csv, minimal_states
 
 EDGES = (-0.0, 1.0, 5e-324, 1.7976931348623157e308)
@@ -226,7 +219,7 @@ def test_write_energy_csv_matches_oracle(tmp_path, frame_201):
     lam, f_at_a = 5.0, 1.0
     trace = energy_trace(frame_201, lam, f_at_a)
     path = tmp_path / "energy.csv"
-    write_energy_csv(trace, frame_201, lam, f_at_a, path)
+    write_energy_csv(trace, path)
     Fk = -(trace.k_a**2) / 6.0 - lam * f_at_a / trace.k_a
     text = "s,E,k_a,E_of_k\n"
     for s, E in trace.points:
@@ -235,16 +228,8 @@ def test_write_energy_csv_matches_oracle(tmp_path, frame_201):
         trap = np.full(y.size, 0.01)
         trap[0] = trap[-1] = 0.005
         gamma = float(np.sum(np.exp(-(y**2) / 4.0) * trap))
-        assert gamma == _gamma(frame_201, s)
         text += "%.17g,%.17g,%.17g,%.17g\n" % (s, E, trace.k_a, Fk * gamma)
     assert read_bytes(path) == text.encode()
-
-
-def test_nearest_sample_lookup_unchanged(frame_201):
-    ss = [smp[0] for smp in frame_201.samples]
-    probes = np.concatenate([ss, np.linspace(min(ss) - 1.0, max(ss) + 1.0, 97)])
-    for s in probes:
-        assert _nearest_sample(frame_201, s) is old_nearest_sample(frame_201, s)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_delayed_containment_near_boundary():
     assert frame.contained[-1]
     assert frame.s0 > frame.samples[0][0]
     with pytest.raises(ValueError):
-        frozen_energy(frame, 1.0, 1.0, frame.samples[0][0])
+        frozen_energy(frame, 1.0, 1.0, frame.samples[0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +169,11 @@ def test_frozen_energy_of_constant_state():
     Fk = F_profile(k, lam, f)[0]
 
     s, y, w = frame.samples[-1]
-    mask = np.abs(y) <= 15.0 + 1e-12
-    trap = np.full(mask.sum(), 0.01)
+    trap = np.full(y.size, 0.01)
     trap[0] = trap[-1] = 0.005
-    gamma = float(np.dot(np.exp(-y[mask] ** 2 / 4.0), trap))
-    E = frozen_energy(frame, lam, f, 15.0)
+    gamma = float(np.dot(np.exp(-y ** 2 / 4.0), trap))
+    E, mass = frozen_energy(frame, lam, f, frame.samples[-1])
+    assert mass == pytest.approx(gamma, rel=1e-14)
     assert E == pytest.approx(Fk * gamma, rel=1e-12)
     scale = abs(Fk) * 2.0 * math.sqrt(math.pi)
     assert abs(E - Fk * 2.0 * math.sqrt(math.pi)) < 1e-4 * scale
@@ -192,7 +192,7 @@ def test_frozen_energy_without_containment():
     frame = rescale(traj, 0.0, 1.0)
     assert frame.s0 == math.inf
     with pytest.raises(ValueError):
-        frozen_energy(frame, 1.0, 1.0, 5.0)
+        frozen_energy(frame, 1.0, 1.0, frame.samples[-1])
 
 
 def test_energy_trace_on_quench_run(quench_run_201):
@@ -242,7 +242,7 @@ def test_frame_and_energy_csv(tmp_path):
 
     trace = energy_trace(frame, lam, f)
     epath = tmp_path / "energy.csv"
-    write_energy_csv(trace, frame, lam, f, epath)
+    write_energy_csv(trace, epath)
     elines = epath.read_text().splitlines()
     assert elines[0] == "s,E,k_a,E_of_k"
     assert len(elines) == 1 + len(trace.points)

@@ -22,12 +22,15 @@ That corrector takes the roundoff floor of a residual from the one
 `mesh.residual_floor`.  The
 profile's Hoelder constant is sampled only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
-turns a failure into an exit code.
+turns a failure into an exit code.  Each config kind's keys are its
+constructor's fields, so a renamed field renames the key.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -237,6 +240,24 @@ def test_one_solver_failure_type():
     faults = [cls for cls in faults if isinstance(cls, type) and issubclass(cls, RuntimeError)]
     assert len(faults) == 5
     assert all(issubclass(cls, csvio.SolverFailure) for cls in faults), faults
+
+
+def test_config_kinds_take_their_constructors_fields():
+    # cli reads a kind's keys, defaults and value types off its constructor's
+    # signature: that signature is the constructor's fields (the table loader
+    # takes a path), each field's type has a reader, and the default geometry
+    # and profile of DEFAULTS are the constructors' defaults
+    from quenchlab import cli
+
+    for section, kinds in cli.KINDS.items():
+        for kind, ctor in kinds.items():
+            params = inspect.signature(ctor, eval_str=True).parameters
+            fields = [f.name for f in dataclasses.fields(ctor)] if dataclasses.is_dataclass(ctor) else ["path"]
+            assert list(params) == fields, (section, kind)
+            assert all(p.annotation in cli._READERS for p in params.values()), (section, kind)
+        default = dict(cli.DEFAULTS[section])
+        params = inspect.signature(kinds[default.pop("kind")]).parameters
+        assert default == {name: p.default for name, p in params.items()}, section
 
 
 def test_exit_codes_set_in_main_only():
