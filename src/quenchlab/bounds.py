@@ -3,13 +3,14 @@
 Every estimate is assembled from two kinds of input.  The fold constants
 (see `ingredients`) come from computed steady data (fold value
 lambda_star, extremal state w*, eigenfunctions phi*/psi*) and f on the
-mesh; they do not depend on lam.  sup f over Omega and the Holder
-constant K of the profile are sampled once, in `large_lambda_bounds`;
-the large-lam sandwich and the touchdown-location defect read them from
+mesh; they do not depend on lam.  sup f over Omega is sampled, and the
+profile's exact Holder constant K read, in `large_lambda_bounds`; the
+large-lam sandwich and the touchdown-location defect take them from
 there.  Each estimate is one public function of lam and these inputs
 (`bound_gg2`, `bound_lower_TL`, `bound_upper_T1`, `large_lambda_bounds`),
 and `evaluate_all` is the one place that assembles the inputs and calls
-each of them; it takes a grid of lam and builds the inputs once per grid.
+each of them; it takes a grid of lam and builds the fold constants once
+per grid.
 Nothing here integrates in time; a measured run enters only through
 `_measured`, which sets a `BoundsReport` against it in a `MeasuredReport`.
 
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 _VANISH_TOL = 1e-12
-# sample count of sup f and of the Holder constant K, wherever they are taken
+# sample count of sup f over Omega
 _SAMPLES = 4001
 # relative slack of the ordering checks against a measured touchdown time
 _ORDERING_SLACK = 0.01
@@ -70,7 +71,7 @@ class DomainError(ValueError):
 class BoundIngredients:
     """Fold constants of the estimates, built from the fold data and f on the
     mesh; they do not depend on lam.  sup f and K are not among them: they
-    are sampled once, in `large_lambda_bounds`.  J_26 and I2_26 are None
+    are taken in `large_lambda_bounds`.  J_26 and I2_26 are None
     when f vanishes at a node carrying psi* mass; inf_f is the nodal minimum."""
 
     sup_phi_star: float
@@ -85,7 +86,7 @@ class BoundIngredients:
 
 @dataclass(frozen=True)
 class LargeLambdaBounds:
-    """The large-lam sandwich, with the sampled sup f and K it is built from."""
+    """The large-lam sandwich, with the sampled sup f and the exact K it is built from."""
 
     lower: float
     upper: Optional[float]
@@ -242,33 +243,27 @@ def _sampled_sup(profile: Profile, mesh: Mesh) -> float:
     return float(np.max(evaluate(profile, xs)))
 
 
-def large_lambda_bounds(
-    lam: float,
-    profile: Profile,
-    mesh: Mesh,
-    K: Optional[float] = None,
-    sup_f: Optional[float] = None,
-) -> LargeLambdaBounds:
+def large_lambda_bounds(lam: float, profile: Profile, mesh: Mesh) -> LargeLambdaBounds:
     """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))) on the mesh's domain.
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
     ground eigenvalue in the mesh's dimension, a the profile's Holder
-    exponent and K its Holder constant; delta = (eps/2K)^(1/a).  A constant
-    profile has K = 0 and the sandwich collapses (eps = 0).  The asymptotic
-    width is gap_coefficient * lam^gap_exponent.  Unless given, sup f is sampled at 4001 points over
-    Omega, and K at 4001 points over the profile's domain.
+    exponent and K its exact Holder constant (`profiles.holder_constant`);
+    delta = (eps/2K)^(1/a).  At K = 0 (a constant profile) delta is
+    unbounded, the ball of that radius around the maximum cannot lie in
+    Omega, and no upper is given (eps = 0).  The asymptotic width is
+    gap_coefficient * lam^gap_exponent.  sup f is sampled at 4001 points
+    over Omega.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     alpha = profile.holder_exponent
-    if K is None:
-        K = holder_constant(profile, alpha, _SAMPLES)
-    if sup_f is None:
-        sup_f = _sampled_sup(profile, mesh)
+    K = holder_constant(profile)
+    sup_f = _sampled_sup(profile, mesh)
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:
-        return LargeLambdaBounds(lower, lower, 0.0, math.inf, exponent, 0.0, sup_f, K)
+        return LargeLambdaBounds(lower, None, 0.0, math.inf, exponent, 0.0, sup_f, K)
     frac = alpha / (2.0 + alpha)
     scale = 2.0 * dirichlet_eigenvalue_ball(mesh.dimension) ** frac * K ** (2.0 / (2.0 + alpha))
     eps = scale / lam**frac
@@ -311,21 +306,19 @@ def evaluate_all(
     At or below the fold only the large-lam lower estimate is reported.
     Without fold data the large-lam sandwich is all there is.
     Given measured reports (one per lam, None where a run failed), every
-    report is a `MeasuredReport` (see `_measured`).  What does not depend
-    on lam is built once for the grid: sup f and K, sampled by the first
-    lam's `large_lambda_bounds` and handed to the others, and `ingredients`.
+    report is a `MeasuredReport` (see `_measured`).  The fold constants do
+    not depend on lam: `ingredients` builds them once for the grid.
     """
     reports: List[BoundsReport] = []
     star = None if fold is None else fold.lambda_star
-    K = sup_f = ing = None
+    ing = None
     runs = [None] * len(lams) if quench_reports is None else quench_reports
     for lam, quench_report in zip(lams, runs, strict=True):
-        ll = large_lambda_bounds(lam, profile, mesh, K=K, sup_f=sup_f)
-        K, sup_f = ll.K, ll.sup_f
+        ll = large_lambda_bounds(lam, profile, mesh)
         if ing is None and star is not None and lam > star:
             ing = ingredients(fold, profile)
         report = _report(lam, star, ll, ing)
-        reports.append(report if quench_reports is None else _measured(report, quench_report, profile, sup_f))
+        reports.append(report if quench_reports is None else _measured(report, quench_report, profile, ll.sup_f))
     return reports
 
 
@@ -333,9 +326,11 @@ def _report(lam: float, star: Optional[float], ll: LargeLambdaBounds, ing: Optio
     """One lam's estimates from its sandwich, the fold value star and the grid's fold constants."""
     b12 = TL = T1s = T1a = None
     upper = ll.upper
-    flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
     if ll.K == 0.0:
-        flags["delta"] = "unbounded: K = 0"
+        flags = {"large_lambda_upper": "K = 0: delta is unbounded, so its ball does not lie in Omega",
+                 "delta": "unbounded: K = 0"}
+    else:
+        flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
 
     if star is None or lam <= star:
         reason = "no fold data" if star is None else "no finite touchdown below the fold value"

@@ -204,9 +204,7 @@ def _linearized_step(Lb, lamf, u, dt):
     Jb[1] += 1.0 - dt * force / gap
     try:
         du = solve_banded(Jb, rhs, overwrite_ab=True, overwrite_b=True)
-    except np.linalg.LinAlgError:  # singular stage Jacobian
-        return None
-    if not np.isfinite(du).all():
+    except np.linalg.LinAlgError:  # singular stage Jacobian or non-finite du
         return None
     v = u + du
     vmax = float(v.max())

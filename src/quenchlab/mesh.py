@@ -235,21 +235,26 @@ def solve_banded(
 ) -> np.ndarray:
     """Solve the tridiagonal system with bands ab (solve_banded layout) for b, (n,) or (n, k).
 
-    Bit for bit `scipy.linalg.solve_banded((1, 1), ab, b)`, with its checks
-    (ValueError for a non-finite entry or mismatched shapes, LinAlgError
-    for a singular matrix), but calling LAPACK dgtsv directly.  The
-    overwrite flags let dgtsv work in ab or b in place of a copy.
+    Bit for bit `scipy.linalg.solve_banded((1, 1), ab, b)` on finite
+    operands, but calling LAPACK dgtsv directly.  The operands are not
+    scanned, since callers build them finite from validated input; the
+    solution is.  A zero pivot or a solution that is not finite (an
+    overflow, or a non-finite operand that reaches it) raises LinAlgError;
+    mismatched shapes raise ValueError.  The overwrite flags let dgtsv work
+    in ab or b in place of a copy.
     """
     if ab.shape[0] != 3 or ab.shape[1] != b.shape[0]:
         raise ValueError("shapes of ab and b are not compatible")
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     if ab.shape[1] == 1:  # dgtsv's wrapper rejects empty off-diagonals
-        return b / ab[1, 0]
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError("illegal value in argument %d of dgtsv" % -info)
+        with np.errstate(all="ignore"):
+            x = b / ab[1, 0]
+    else:
+        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError("illegal value in argument %d of dgtsv" % -info)
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("solution is not finite")
     return x
 

@@ -4,7 +4,8 @@ Admissible profiles take values in [0,1], are positive on a set of
 positive measure, and are Hoelder continuous with some exponent
 alpha in (0,1].  Each kind knows its own exponent, `holder_exponent`:
 Power has alpha = min(beta, 1) (1 at beta = 0), and the other kinds are
-Lipschitz, alpha = 1.
+Lipschitz, alpha = 1.  `holder_constant` gives each kind's exact
+constant K for that exponent.
 
 The built-in kinds:
 
@@ -150,11 +151,6 @@ class Tabulated:
 Profile = Constant | Power | SlabSinPiecewise | Tabulated
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("Hoelder exponent must lie in (0,1]")
-
-
 def evaluate(profile: Profile, x):
     """Profile value(s) at x; raises outside the profile's domain, or for a
     value that is not finite or escapes [0,1]."""
@@ -207,26 +203,19 @@ def validate(profile: Profile, mesh: Mesh) -> None:
     evaluate(profile, mesh.nodes)
 
 
-def holder_constant(profile: Profile, alpha: float, sample_count: int) -> float:
-    """Sampled lower bound on the Hoelder constant.
+def holder_constant(profile: Profile) -> float:
+    """Hoelder constant K of the profile over its domain, exactly: the least K
+    with |f(x) - f(y)| <= K |x - y|^alpha there, alpha = its `holder_exponent`.
 
-    K = max |f(x)-f(y)| / |x-y|^alpha over pairs at dyadic strides of a
-    uniform sample grid, from adjacent samples up to the domain diameter.
-    Nested grids (sample_count -> 2*sample_count - 1) never decrease K.
+    Constant: 0.  Power |x|^beta on [-1, 1]: 0 at beta = 0, 1 for
+    0 < beta <= 1 (the pair 0, 1), and beta above (the slope at |x| = 1).
+    SlabSinPiecewise: 8, the wings' slope 32|x -+ 1/4| at -+1/2, above the
+    sine's 2 pi.  Tabulated: the steepest segment.
     """
-    _check_alpha(alpha)
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
     if isinstance(profile, Constant):
         return 0.0
-    lo, hi = profile.domain()
-    xs = np.linspace(lo, hi, int(sample_count))
-    vals = np.asarray(evaluate(profile, xs), dtype=float)
-    best = 0.0
-    stride = 1
-    while stride < sample_count:
-        dx = (xs[stride:] - xs[:-stride]) ** alpha
-        ratio = np.abs(vals[stride:] - vals[:-stride]) / dx
-        best = max(best, float(ratio.max()))
-        stride *= 2
-    return best
+    if isinstance(profile, Power):
+        return max(profile.exponent, 1.0) if profile.exponent > 0 else 0.0
+    if isinstance(profile, SlabSinPiecewise):
+        return 8.0
+    return float(np.max(np.abs(np.diff(profile.fs) / np.diff(profile.xs))))

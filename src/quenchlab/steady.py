@@ -196,10 +196,7 @@ def _inverse_iteration(ab, weights, v, sigma, stop):
         shifted[1] -= sigma
         try:
             y = solve_banded(shifted, v, overwrite_ab=True)
-        except np.linalg.LinAlgError:
-            sigma -= max(1.0, abs(sigma)) * 1e-8
-            continue
-        if not np.all(np.isfinite(y)):
+        except np.linalg.LinAlgError:  # singular or non-finite: nudge the shift
             sigma -= max(1.0, abs(sigma)) * 1e-8
             continue
         peak = int(np.argmax(np.abs(y)))
@@ -331,8 +328,6 @@ class _Curve:
                 ab = solve_banded(Jb, np.column_stack((R, glam)), overwrite_ab=True, overwrite_b=True)
             except np.linalg.LinAlgError:
                 return None
-            if not np.all(np.isfinite(ab)):
-                return None
             a, b = ab[:, 0], ab[:, 1]
             denom = tau_lam - float(np.dot(self.wq, tau_w * b))
             if denom == 0.0:
@@ -406,7 +401,7 @@ class _Curve:
             dlam = (1.0 - phi[i0] - v0[i0]) / v1[i0]
             dw = u0 + dlam * u1
             dphi = v0 + dlam * v1
-            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(dphi)) and np.isfinite(dlam)):
+            if not np.isfinite(dlam):
                 return None
             if (w + dw).max() >= 1.0 - 1e-12:
                 return None

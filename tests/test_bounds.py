@@ -189,20 +189,24 @@ def test_vanishing_profile_disables_T1(branch_falpha_801):
 
 
 def test_sandwich_constant_profile_collapses():
+    # the sandwich collapses to its lower side: K = 0 leaves delta unbounded,
+    # and a ball of that radius does not lie in Omega, so no upper is given
     ll = large_lambda_bounds(1e5, Constant(1.0), UNIT_MESH)
     assert ll.lower == pytest.approx(1.0 / 3e5, rel=1e-15)
-    assert ll.upper == ll.lower
+    assert ll.upper is None
     assert ll.epsilon == 0.0
     assert ll.delta == math.inf
-    assert ll.upper is not None
     assert ll.gap_coefficient == 0.0
+    rep, = evaluate_all([1e5], None, Constant(1.0), UNIT_MESH)
+    assert rep.large_lambda_upper is None
+    assert "K = 0" in rep.flags["large_lambda_upper"] and "unbounded" in rep.flags["large_lambda_upper"]
 
 
 def test_sandwich_two_bump_profile_formulas():
     lam = 1e5
     K = 8.0
     D = math.pi**2 / 4.0
-    ll = large_lambda_bounds(lam, SlabSinPiecewise(), UNIT_MESH, K=K)  # alpha = 1
+    ll = large_lambda_bounds(lam, SlabSinPiecewise(), UNIT_MESH)  # alpha = 1, K = 8
     eps = 2.0 * D ** (1.0 / 3.0) * K ** (2.0 / 3.0) / lam ** (1.0 / 3.0)
     assert ll.epsilon == pytest.approx(eps, rel=1e-12)
     assert ll.delta == pytest.approx((eps / 16.0), rel=1e-12)  # (eps/2K)^(1/1)
@@ -228,7 +232,7 @@ def test_sandwich_takes_sup_f_over_the_domain():
 
 def test_sandwich_upper_vanishes_at_moderate_load():
     # at lam = 10 the shrinkage eps exceeds sup f and no upper is produced
-    ll = large_lambda_bounds(10.0, SlabSinPiecewise(), UNIT_MESH, K=8.0)
+    ll = large_lambda_bounds(10.0, SlabSinPiecewise(), UNIT_MESH)
     assert ll.upper is None
     assert ll.lower > 0.0
 
@@ -239,11 +243,11 @@ def test_sandwich_gap_decay_rate():
     lams = np.array([1e10, 1e12, 1e14])
     gaps = []
     for lam in lams:
-        ll = large_lambda_bounds(float(lam), SlabSinPiecewise(), UNIT_MESH, K=8.0)
+        ll = large_lambda_bounds(float(lam), SlabSinPiecewise(), UNIT_MESH)
         gaps.append(ll.upper - ll.lower)
     slope = np.polyfit(np.log(lams), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-4.0 / 3.0, abs=0.05)
-    ll = large_lambda_bounds(1e12, SlabSinPiecewise(), UNIT_MESH, K=8.0)
+    ll = large_lambda_bounds(1e12, SlabSinPiecewise(), UNIT_MESH)
     predicted = ll.gap_coefficient * 1e12**ll.gap_exponent
     assert (ll.upper - ll.lower) == pytest.approx(predicted, rel=1e-2)
 
@@ -287,8 +291,8 @@ def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     assert ing.I2_26 == pytest.approx(3.0 * branch_f1_401.lambda_star / ing.J_26,
                                       rel=1e-14)
     assert ing.I1_26 > 0.0 and ing.J_26 > 0.0
-    # sup f and K are sampled once, in large_lambda_bounds: evaluate_all's
-    # epsilon is the sandwich's, bitwise
+    # sup f and K are taken in large_lambda_bounds: evaluate_all's epsilon
+    # is the sandwich's, bitwise
     f = SlabSinPiecewise()
     ing = ingredients(branch_falpha_801, f)
     rep, = evaluate_all([1e5], branch_falpha_801, f, branch_falpha_801.mesh)
@@ -312,8 +316,9 @@ def test_evaluate_all_near_fold(branch_f1_401):
     assert rep.ordering_lower_pass is True
     assert rep.ordering_upper_pass is True
     assert rep.T_L < rep.T_measured < rep.T1_arctan
-    # f = 1 has K = 0, so the reported upper equals the lower
-    assert rep.sandwich_pass is False
+    # f = 1 has K = 0: no large-lam upper, so the sandwich is not judged
+    assert rep.large_lambda_upper is None
+    assert rep.sandwich_pass is None
 
 
 def test_evaluate_all_below_fold(branch_f1_401):
@@ -346,20 +351,21 @@ def test_evaluate_all_without_branch():
 
 
 def test_evaluate_all_builds_lam_free_constants_once_per_grid(branch_falpha_801, monkeypatch):
-    # sup f, K and the fold constants do not depend on lam: one build serves the
-    # grid, and each row is bitwise the report of its lam evaluated alone
+    # the fold constants do not depend on lam: one build serves the grid, and
+    # each row is bitwise the report of its lam evaluated alone
     mesh = branch_falpha_801.mesh
     f = SlabSinPiecewise()
     lams = [0.5 * branch_falpha_801.lambda_star, 5.0, 30.0, 1e5]
     alone = [dataclasses.asdict(evaluate_all([lam], branch_falpha_801, f, mesh)[0]) for lam in lams]
-    calls = dict.fromkeys(("holder_constant", "_sampled_sup", "ingredients"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(bounds, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(bounds, name, counted)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ingredients(*args)
+    monkeypatch.setattr(bounds, "ingredients", counted)
     grid = evaluate_all(lams, branch_falpha_801, f, mesh)
-    assert calls == dict.fromkeys(calls, 1)
+    assert calls == 1
     assert [dataclasses.asdict(rep) for rep in grid] == alone
 
 

@@ -21,7 +21,7 @@ from quenchlab import bounds, cli, dynamics, steady
 from quenchlab.bounds import BoundsReport, MeasuredReport, evaluate_all, large_lambda_bounds
 from quenchlab.cli import main
 from quenchlab.mesh import RadialBall, Slab, build_mesh
-from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate, holder_constant
+from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 from quenchlab.selfsim import energy_trace, rescale, write_energy_csv, write_frame_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -166,8 +166,10 @@ NAN_VALUE_TABLE, NAN_X_TABLE, INFINITE_X_TABLE, ONE_COLUMN_TABLE = (
     "<nan value table>", "<nan x table>", "<infinite x table>", "<one-column table>")
 TEXT_ROW_TABLE, THREE_COLUMN_TABLE = "<table with a text row>", "<three-column table>"
 GOOD_TABLE = "<good table>"
+NARROW_PEAK_TABLE = "<peak of half-width 1e-4>"
 TABLES = {
     GOOD_TABLE: "x,f\n-0.5,0.5\n0.0,1.0\n0.5,0.5\n",
+    NARROW_PEAK_TABLE: "x,f\n-0.5,0.5\n-0.0001,0.5\n0.0,1.0\n0.0001,0.5\n0.5,0.5\n",
     NAN_VALUE_TABLE: "x,f\n-0.5,0.5\n0.0,nan\n0.5,0.5\n",
     NAN_X_TABLE: "x,f\n-0.5,0.5\nnan,0.5\n0.5,0.5\n",
     INFINITE_X_TABLE: "x,f\n-0.5,0.5\n0.5,0.5\ninf,0.5\n",
@@ -312,21 +314,25 @@ def test_unusable_lambda_is_config_error(tmp_path, monkeypatch, argv, payload):
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "lam_out")]) == 2
 
 
-@pytest.mark.parametrize("spec,alpha", [
-    ({"kind": "power", "exponent": 0.5}, 0.5),
-    ({"kind": "tabulated", "path": GOOD_TABLE}, 1.0),
+@pytest.mark.parametrize("spec,alpha,K", [
+    ({"kind": "power", "exponent": 0.5}, 0.5, 1.0),
+    ({"kind": "tabulated", "path": GOOD_TABLE}, 1.0, 1.0),
+    ({"kind": "power", "exponent": 3.0}, 1.0, 3.0),
+    ({"kind": "tabulated", "path": NARROW_PEAK_TABLE}, 1.0, 5000.0),
 ])
-def test_derived_holder_exponent_reaches_epsilon(tmp_path, spec, alpha):
-    # the profile's own exponent a enters eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)),
-    # with D = (pi/2)^2 on the slab and K sampled at 4001 points
+def test_derived_holder_exponent_reaches_epsilon(tmp_path, spec, alpha, K):
+    # the profile's own exponent a and exact constant K enter
+    # eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)), with D = (pi/2)^2 on
+    # the slab, here the profile's whole domain
     if spec.get("path") in TABLES:
         (tmp_path / "f.csv").write_text(TABLES[spec["path"]])
         spec = dict(spec, path=str(tmp_path / "f.csv"))
-    cfg = write_config(tmp_path, "a.json", {"node_count": 101, "profile": spec})
+    lo, hi = cli.build_profile(spec).domain()
+    cfg = write_config(tmp_path, "a.json", {
+        "node_count": 101, "profile": spec, "geometry": {"kind": "slab", "x_left": lo, "x_right": hi}})
     out = str(tmp_path / "a_out")
     assert main(["bounds", "--lambda", "1e4", "--config", cfg, "--out", out]) == 0
     eps = read_json(os.path.join(out, "bounds.json"))["epsilon"]
-    K = holder_constant(cli.build_profile(spec), alpha, 4001)
     frac = alpha / (2.0 + alpha)
     assert eps == pytest.approx(2.0 * (math.pi**2 / 4.0) ** frac * K ** (2.0 / (2.0 + alpha)) / 1e4**frac, rel=1e-12)
 
@@ -668,6 +674,11 @@ def test_unbounded_delta_is_flagged(tmp_path, profile, flag):
     rep = read_json(os.path.join(out, "bounds.json"))
     assert rep["flags"].get("delta") == flag
     assert (rep["delta"] is None) == (flag is not None)
+    # nor is there an upper at K = 0: no ball of unbounded radius lies in Omega
+    # (for two-bump at lam = 30, eps exceeds sup f)
+    assert rep["large_lambda_upper"] is None
+    upper_flag = rep["flags"]["large_lambda_upper"]
+    assert ("K = 0" in upper_flag and "unbounded" in upper_flag) == (flag is not None)
 
 
 @pytest.mark.parametrize("lam", [7.1, 20.0])

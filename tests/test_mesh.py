@@ -251,13 +251,29 @@ def test_solve_banded_singular_raises():
 @pytest.mark.parametrize("operand", ["ab", "b"])
 @pytest.mark.parametrize("unknowns", [1, 399])
 def test_solve_banded_rejects_non_finite(operand, bad, unknowns):
+    # the operands are not scanned; a solution that is not finite raises.  An
+    # infinite pivot is the one case here whose solution stays finite (its
+    # unknown is 0), and it is returned as such
     ab, b = _banded_system(Slab(-0.5, 0.5), unknowns, 1, seed=0)
     if operand == "ab":
         ab[1, -1] = bad
     else:
         b[-1] = bad
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    if operand == "ab" and np.isinf(bad):
+        x = solve_banded(ab, b)
+        assert np.isfinite(x).all() and x[-1] == 0.0
+        return
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
         solve_banded(ab, b)
+
+
+@pytest.mark.parametrize("unknowns", [1, 2, 399])
+def test_solve_banded_rejects_overflow(unknowns):
+    # finite operands whose solution overflows: 1e300 / 1e-300
+    ab = np.zeros((3, unknowns))
+    ab[1] = 1e-300
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        solve_banded(ab, np.full(unknowns, 1e300))
 
 
 def test_solve_banded_rejects_mismatched_shapes():

@@ -20,7 +20,7 @@ Only `_Curve` builds the Laplacian bands and evaluates f, so every eigen
 solve of a state runs on its curve's operator.
 That corrector takes the roundoff floor of a residual from the one
 `mesh.residual_floor`.  The
-profile's Hoelder constant is sampled only by the large-lam sandwich.
+profile's Hoelder constant is read only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.  Each config kind's keys are its
 constructor's fields, so a renamed field renames the key.
@@ -218,7 +218,7 @@ def call_sites(name):
 
 
 def test_one_holder_sampling():
-    # sup f and K are sampled in bounds.large_lambda_bounds and nowhere else
+    # K is read in bounds.large_lambda_bounds and nowhere else
     callers = call_sites("holder_constant")
     assert callers == {("bounds", "large_lambda_bounds")}, callers
 
