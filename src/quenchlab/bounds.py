@@ -248,7 +248,8 @@ def large_lambda_bounds(lam: float, profile: Profile, mesh: Mesh) -> LargeLambda
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
     ground eigenvalue in the mesh's dimension, a the profile's Holder
-    exponent and K its exact Holder constant (`profiles.holder_constant`);
+    exponent and K its exact Holder constant over Omega, the mesh span
+    (`profiles.holder_constant`);
     delta = (eps/2K)^(1/a).  At K = 0 (a constant profile) delta is
     unbounded, the ball of that radius around the maximum cannot lie in
     Omega, and no upper is given (eps = 0).  The asymptotic width is
@@ -258,7 +259,7 @@ def large_lambda_bounds(lam: float, profile: Profile, mesh: Mesh) -> LargeLambda
     if lam <= 0:
         raise ValueError("lam must be positive")
     alpha = profile.holder_exponent
-    K = holder_constant(profile)
+    K = holder_constant(profile, (mesh.nodes[0], mesh.nodes[-1]))
     sup_f = _sampled_sup(profile, mesh)
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)

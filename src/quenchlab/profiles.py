@@ -5,7 +5,7 @@ positive measure, and are Hoelder continuous with some exponent
 alpha in (0,1].  Each kind knows its own exponent, `holder_exponent`:
 Power has alpha = min(beta, 1) (1 at beta = 0), and the other kinds are
 Lipschitz, alpha = 1.  `holder_constant` gives each kind's exact
-constant K for that exponent.
+constant K for that exponent over a span, by default the kind's domain.
 
 The built-in kinds:
 
@@ -21,7 +21,7 @@ The built-in kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -203,19 +203,29 @@ def validate(profile: Profile, mesh: Mesh) -> None:
     evaluate(profile, mesh.nodes)
 
 
-def holder_constant(profile: Profile) -> float:
-    """Hoelder constant K of the profile over its domain, exactly: the least K
-    with |f(x) - f(y)| <= K |x - y|^alpha there, alpha = its `holder_exponent`.
+def holder_constant(profile: Profile, span: Optional[Tuple[float, float]] = None) -> float:
+    """Hoelder constant K of the profile over `span` = (lo, hi), by default
+    its domain: the least K with |f(x) - f(y)| <= K |x - y|^alpha for x, y
+    in the span, alpha = its `holder_exponent`.
 
-    Constant: 0.  Power |x|^beta on [-1, 1]: 0 at beta = 0, 1 for
-    0 < beta <= 1 (the pair 0, 1), and beta above (the slope at |x| = 1).
-    SlabSinPiecewise: 8, the wings' slope 32|x -+ 1/4| at -+1/2, above the
-    sine's 2 pi.  Tabulated: the steepest segment.
+    Constant: 0.  Power |x|^beta: 0 at beta = 0; 1 for 0 < beta <= 1,
+    exact on a span that holds 0 (the pairs 0, t), an upper bound on
+    others; beta m^(beta - 1) above, the slope at m = max |x| over the
+    span.  SlabSinPiecewise: 8, the wings' slope 32|x -+ 1/4| at -+1/2,
+    above the sine's 2 pi; exact on its domain (-1/2, 1/2), the only span
+    `validate` admits for it.  Tabulated: the steepest segment that meets
+    the span.
     """
+    lo, hi = profile.domain() if span is None else span
     if isinstance(profile, Constant):
         return 0.0
     if isinstance(profile, Power):
-        return max(profile.exponent, 1.0) if profile.exponent > 0 else 0.0
+        beta = profile.exponent
+        if beta <= 1.0:
+            return 1.0 if beta > 0 else 0.0
+        return float(beta * max(abs(lo), abs(hi)) ** (beta - 1.0))
     if isinstance(profile, SlabSinPiecewise):
         return 8.0
-    return float(np.max(np.abs(np.diff(profile.fs) / np.diff(profile.xs))))
+    xs, fs = profile.xs, profile.fs
+    meets = (xs[:-1] < hi) & (xs[1:] > lo)
+    return float(np.max(np.abs(np.diff(fs) / np.diff(xs))[meets]))

@@ -12,20 +12,24 @@ the linearization
     -lap(phi) - 2 lam f / (1 - w)^3 phi = mu phi
 
 crosses zero.  One Newton, `_Curve.correct`, solves G(w, lam) = lap w +
-lam f/(1-w)^2 = 0 plus one scalar constraint.  G is convex in w and -G_w
-is an M-matrix below the minimal solution, so from w = 0 at fixed lam
-Newton rises monotonically to it without damping.  `minimal_states` is
-that corrector with lam held fixed, allowed 50 steps because it slows
-near the fold.  One pseudo-arclength walk, `_walk`, corrects each step
-in at most 14 and locates the fold once, by Newton on the extended
-system {G = 0, G_w phi = 0, phi pinned} (Moore & Spence 1980) started
-from the last point before the fold and from the walk's secant there.
-That lands on the discrete fold, whose lam is O(h^2) from the continuum
-lam_star.  `continue_branch` keeps every state of the walk with its mu_1,
-from inverse iteration warm-started from the previous state's
-eigenvector.  Each solve (A - sigma) y = v there yields its iterate's
-Rayleigh quotient and residual without a product by A, and the shift
-follows that quotient from the first iterate on.  `locate_fold` returns
+lam f/(1-w)^2 = 0 plus one scalar constraint, and gives up at the first
+iterate whose residual is not below the last one (Deuflhard's natural
+monotonicity test, plain).  G is convex in w and -G_w is an M-matrix
+below the minimal solution, so from w = 0 at fixed lam Newton rises
+monotonically to it without damping.  `minimal_states` is that corrector
+with lam held fixed, allowed 50 steps because it slows near the fold.
+One pseudo-arclength walk, `_walk`, corrects each step in at most 14 and
+locates the fold once, by Newton on the extended system {G = 0,
+G_w phi = 0, phi pinned} (Moore & Spence 1980) started from the last
+point before the fold and from the walk's secant there.  That lands on
+the discrete fold, whose lam is O(h^2) from the continuum lam_star.
+`continue_branch` keeps every state of the walk with its mu_1, from
+inverse iteration warm-started from the last three states' eigenvectors,
+extrapolated in chord length to the new state (Parlett, The Symmetric
+Eigenvalue Problem, sec. 4.6, on starting Rayleigh-quotient iteration
+near the wanted vector).  Each solve (A - sigma) y = v there yields its
+iterate's Rayleigh quotient and residual without a product by A, and the
+shift follows that quotient from the first iterate on.  `locate_fold` returns
 the fold alone: its walk solves no eigenpair and stops at the first
 point past the fold, and on a fine mesh it walks a coarse one and runs
 the same fold Newton on the fine mesh from the coarse fold.  Every tridiagonal solve here, in the corrector,
@@ -40,6 +44,7 @@ eigenfunctions and fold data are arrays of values on every node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -215,10 +220,20 @@ def _inverse_iteration(ab, weights, v, sigma, stop):
     return best_res, best
 
 
+def _offdiagonal_radii(ab: np.ndarray) -> np.ndarray:
+    """Gershgorin radii of a tridiagonal in solve_banded layout: each row's
+    off-diagonal sum |a_{i,i-1}| + |a_{i,i+1}|."""
+    radius = np.zeros(ab.shape[1])
+    radius[:-1] += np.abs(ab[0, 1:])
+    radius[1:] += np.abs(ab[2, :-1])
+    return radius
+
+
 def smallest_eigenvalue_bands(
     ab: np.ndarray,
     weights: np.ndarray,
     start: Optional[np.ndarray] = None,
+    radius: Optional[float] = None,
 ) -> Tuple[float, np.ndarray, float]:
     """Smallest eigenvalue of a tridiagonal operator by shifted inverse
     power iteration with Rayleigh-quotient shift updates.
@@ -228,15 +243,16 @@ def smallest_eigenvalue_bands(
     the iteration from itself at its Rayleigh-quotient shift instead.  The
     ground state of these operators has one sign, so a warm result with an
     interior sign change (a higher mode), or one short of the residual
-    target, is discarded and the solve redone cold.
+    target, is discarded and the solve redone cold.  `radius`, the largest
+    off-diagonal Gershgorin radius of `ab`, is taken from `ab` when not
+    given; operators that share their off-diagonals share it.
 
     The returned vector has sup-norm 1 and positive entry at its peak.
     """
     n = ab.shape[1]
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(ab[0, 1:])
-    radius[1:] += np.abs(ab[2, :-1])
-    anorm = float(np.max(np.abs(ab[1])) + np.max(radius))
+    if radius is None:
+        radius = float(np.max(_offdiagonal_radii(ab)))
+    anorm = float(np.max(np.abs(ab[1]))) + radius
     # not mesh.residual_floor: an eigen-residual floor on the Gershgorin
     # norm; changing it moves the mu1 bits of every branch
     floor = 50.0 * np.finfo(float).eps * anorm
@@ -257,7 +273,7 @@ def smallest_eigenvalue_bands(
         if best is not None and best_res <= target(best[0]) and best[1].min() >= -1e-8:
             return best[0], best[1], best_res
 
-    sigma = float(np.min(ab[1] - radius)) - 1.0
+    sigma = float(np.min(ab[1] - _offdiagonal_radii(ab))) - 1.0
     best_res, best = _inverse_iteration(ab, weights, np.ones(n), sigma, stop)
     if best is None:
         raise IterationLimit("inverse iteration produced no usable vector")
@@ -280,7 +296,9 @@ def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float) -> Tuple[floa
     gap = 1.0 - w
     if gap.min() < 1e-9:
         raise ValueError("state touches the obstacle; linearization undefined")
-    mu, v, _ = smallest_eigenvalue_bands(-_jacobian(curve.Lb, curve.f, gap, lam), curve.wq, start=curve.start)
+    ab = np.negative(curve.Lb)  # -G_w, bitwise -_jacobian(curve.Lb, curve.f, gap, lam)
+    ab[1] -= 2.0 * lam * curve.f / gap**3
+    mu, v, _ = smallest_eigenvalue_bands(ab, curve.wq, start=curve.start, radius=curve.radius)
     phi = _embed(curve.mesh, v)
     scale = np.sqrt(integrate(curve.mesh, phi**2))
     if scale <= 0:
@@ -303,16 +321,25 @@ class _Curve:
         self.n = self.Lb.shape[1]
         # residual sup-norms below the operator's roundoff floor are noise
         self.res_floor = residual_floor(self.Lb)
+        # largest off-diagonal Gershgorin radius of every -G_w on this curve
+        self.radius = float(np.max(_offdiagonal_radii(self.Lb)))
         # interior vector that warm-starts the next eigen solve: the last
         # state's eigenvector, or a guess set before a fold polish
         self.start: Optional[np.ndarray] = None
 
     def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, max_steps):
         """Newton on the bordered system {G = 0, arclength constraint}: (w, lam)
-        on the residual target, or None on failure or after max_steps iterates."""
+        on the residual target, or None on failure or after max_steps iterates.
+
+        The first iterate whose residual sup-norm, above its target, is not
+        below the last one ends the call with None: on the walks the README
+        lists, every converging call's residual fell at every iterate (by a
+        factor 0.71 or less), and a failing call now stops after at most two
+        solves instead of running to its cap."""
         w = np.array(w, dtype=float)
         lam = float(lam)
         tol_eff = max(1e-10, self.res_floor)
+        last = np.inf
         for _ in range(max_steps):
             gap = 1.0 - w
             if gap.min() <= 1e-12:
@@ -320,12 +347,20 @@ class _Curve:
             gap2 = gap**2
             R = _residual(self.Lb, self.f, w, lam, gap2)
             Ncon = float(np.dot(self.wq, tau_w * (w - base_w)) + tau_lam * (lam - base_lam) - ds)
-            if np.max(np.abs(R)) <= tol_eff and abs(Ncon) <= 1e-11 * max(1.0, abs(ds)):
+            res = float(np.max(np.abs(R)))
+            if res <= tol_eff and abs(Ncon) <= 1e-11 * max(1.0, abs(ds)):
                 return w, lam
-            glam = self.f / gap2
+            if res >= last and res > tol_eff:  # not contracting
+                return None
+            last = res
+            # rows R and G_lam: their transpose is the Fortran-order right
+            # side that dgtsv solves in place
+            rhs = np.empty((2, self.n))
+            rhs[0] = R
+            np.divide(self.f, gap2, out=rhs[1])
             try:
                 Jb = _jacobian(self.Lb, self.f, gap, lam)
-                ab = solve_banded(Jb, np.column_stack((R, glam)), overwrite_ab=True, overwrite_b=True)
+                ab = solve_banded(Jb, rhs.T, overwrite_ab=True, overwrite_b=True)
             except np.linalg.LinAlgError:
                 return None
             a, b = ab[:, 0], ab[:, 1]
@@ -370,7 +405,7 @@ class _Curve:
         lam = float(lam)
         ab = -_jacobian(self.Lb, self.f, 1.0 - w, lam)
         try:
-            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start)
+            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start, radius=self.radius)
         except IterationLimit:
             return None
         i0 = int(np.argmax(np.abs(phi)))  # phi[i0] = 1
@@ -416,10 +451,17 @@ class _Curve:
     def state(self, w, lam) -> SteadyState:
         """The curve point as a SteadyState with mu1, roundoff below 0 in w
         clipped; its eigenvector, interior values, becomes `self.start`."""
-        w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)
+        if w.min() < 0.0:
+            w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)
         mu1, phi = linearized_eigenpair(self, w, float(lam))
         self.start = phi[self.mesh.unknown_slice]
         return SteadyState(lam=float(lam), w=_embed(self.mesh, w), mu1=mu1)
+
+
+def _lagrange_weights(nodes: list, s: float) -> list:
+    """Weights c with sum_i c_i p_i the value at s of the polynomial
+    through the points (nodes[i], p_i)."""
+    return [math.prod((s - b) / (a - b) for b in nodes if b != a) for a in nodes]
 
 
 def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]:
@@ -429,13 +471,18 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
     for at most 600 points.  With `keep_states` every point becomes a
     SteadyState with its mu1, and the walk goes on past the fold until lam
     has dropped by a tenth of its maximum or ||w||_inf reaches 0.985.
+    Each state's eigen solve, about one inverse-iteration solve, starts
+    from the Lagrange extrapolation of the last three states' eigenvectors
+    in cumulative chord length (the sum of the secant norms; a halved step
+    leaves the states unevenly spaced in index).
     Without, no eigenpair is solved and the walk stops at the first point
     past the fold; the corrector calls up to there are the same, so its
     points are bitwise those of the walk with states.
     The fold is then polished (`_Curve.fold_polish`) from the last point
     before the fold, and the polish and the fold state's eigen solve are
     warm-started from the normalized secant into the first point past it,
-    which at a quadratic fold lies near ker G_w.  Returns (fold, states,
+    which at a quadratic fold lies near ker G_w; the eigenvector history is
+    dropped before the polish.  Returns (fold, states,
     fold_index), where states[fold_index] is that last point before the
     fold; states is empty without `keep_states`.
     """
@@ -444,6 +491,8 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
     w = np.zeros(curve.n)
     lam = 0.0
     states = [curve.state(w, lam)] if keep_states else []
+    # (cumulative chord length, eigenvector) of the last three states
+    past = [(0.0, curve.start)] if keep_states else []
 
     # tangent at the trivial point: dw/dlam solves lap(dw) = -f
     dwdlam = solve_banded(curve.Lb, -curve.f)
@@ -469,7 +518,16 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
         nrm = curve.norm(sec_w, sec_lam)
         tau_w, tau_lam = sec_w / nrm, sec_lam / nrm
         if keep_states:
+            chord = past[-1][0] + nrm
+            weights = _lagrange_weights([t for t, _ in past], chord)
+            # elementwise, in one buffer: np.dot(weights, rows), a BLAS
+            # matrix-vector product, alone raised peak RSS by 128 KB
+            start = weights[0] * past[0][1]
+            for c, (_, phi) in zip(weights[1:], past[1:]):
+                start += c * phi
+            curve.start = start
             states.append(curve.state(new_w, new_lam))
+            past = past[-2:] + [(chord, curve.start)]
         if top is None and tau_lam < 0.0:
             top = (points - 1, w, lam, tau_w)
         points += 1
@@ -484,6 +542,7 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
 
     if top is None:
         raise StepFailure("no fold found within max_points")
+    past.clear()  # the eigenvector history is not held through the polish
     fold_index, top_w, top_lam, curve.start = top
     polished = curve.fold_polish(top_w, top_lam)
     if polished is None:

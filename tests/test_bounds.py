@@ -188,6 +188,20 @@ def test_vanishing_profile_disables_T1(branch_falpha_801):
 # large-load sandwich
 
 
+
+def test_sandwich_takes_K_over_omega():
+    # f = |x|^3 on the unit slab: K over Omega is 3 (1/2)^2 = 0.75, not the
+    # 3 of the profile's domain [-1, 1]; eps scales as K^(2/3).  No fold is
+    # needed, and this branch has none
+    lam = 1e4
+    ll = large_lambda_bounds(lam, Power(3.0), UNIT_MESH)
+    assert ll.K == 0.75
+    frac = 1.0 / 3.0  # alpha = 1
+    eps = 2.0 * dirichlet_eigenvalue_ball(1) ** frac * 0.75 ** (2.0 / 3.0) / lam**frac
+    assert ll.epsilon == pytest.approx(eps, rel=1e-14)
+    assert ll.sup_f == pytest.approx(0.125, rel=1e-14)
+
+
 def test_sandwich_constant_profile_collapses():
     # the sandwich collapses to its lower side: K = 0 leaves delta unbounded,
     # and a ball of that radius does not lie in Omega, so no upper is given

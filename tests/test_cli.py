@@ -73,11 +73,11 @@ def stall_eigen_solves(monkeypatch, caller):
     callers = []
     eigen = steady.smallest_eigenvalue_bands
 
-    def stalled(ab, weights, start=None):
+    def stalled(ab, weights, start=None, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
         if callers[-1] == caller:
             raise steady.IterationLimit("eigen-residual forced above its target")
-        return eigen(ab, weights, start=start)
+        return eigen(ab, weights, start=start, **kwargs)
 
     monkeypatch.setattr(steady, "smallest_eigenvalue_bands", stalled)
     return callers

@@ -171,6 +171,36 @@ def test_holder_constant_is_reached(f, x, y):
     assert (1.0 - 1e-6) * K <= ratio <= (1.0 + 1e-9) * K
 
 
+@pytest.mark.parametrize("f,span,K", [
+    (Power(3.0), (-0.5, 0.5), 0.75),  # 3 (1/2)^2, not 3 as over [-1, 1]
+    (Power(2.0), (0.0, 0.25), 0.5),
+    (Power(0.5), (0.0, 0.25), 1.0),
+    (NARROW_PEAK, (-0.5, 0.5), 5000.0),
+    (NARROW_PEAK, (-0.5, -1e-4), 0.0),  # the peak's segment only touches it
+    (NARROW_PEAK, (-0.5, -0.5e-4), 5000.0),
+])
+def test_holder_constant_over_a_span(f, span, K):
+    assert holder_constant(f, span) == K
+
+
+@pytest.mark.parametrize("kind", ["power", "tabulated"])
+@given(data=st.data())
+def test_holder_constant_over_a_span_bounds_its_pairs(kind, data):
+    # K over a sub-span of the domain holds for every pair in that span
+    f = data.draw(KINDS[kind])
+    lo, hi = f.domain()
+    a = data.draw(st.floats(0.0, 0.99))
+    b = data.draw(st.floats(a + 0.01, 1.0))
+    span = (lo + (hi - lo) * a, lo + (hi - lo) * b)
+    K, alpha = holder_constant(f, span), f.holder_exponent
+    s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20)))
+    x = np.clip(span[0] + (span[1] - span[0]) * s, *span)
+    vals = np.asarray(evaluate(f, x))
+    lhs = np.abs(vals[:, None] - vals[None, :])
+    rhs = K * np.abs(x[:, None] - x[None, :]) ** alpha * (1.0 + 1e-9) + ROUNDING
+    assert np.all(lhs <= rhs)
+
+
 # ---------------------------------------------------------------------------
 # tabulated round-trip
 

@@ -127,6 +127,23 @@ def test_solve_minimal_beyond_fold():
     assert next(minimal_states([2.0], Constant(1.0), mesh)) is None
 
 
+def test_solve_minimal_above_the_fold_stops_early(monkeypatch):
+    # from w = 0 Newton rises until its residual stops falling; the corrector
+    # gives up there instead of after its 50-step cap
+    mesh = build_mesh(Slab(-0.5, 0.5), 201)
+    lam_star = steady.locate_fold(Constant(1.0), mesh).lambda_star
+    kernel = steady.solve_banded
+    solves = []
+
+    def counted(ab, b, **kwargs):
+        solves.append(np.ndim(b))
+        return kernel(ab, b, **kwargs)
+
+    monkeypatch.setattr(steady, "solve_banded", counted)
+    assert next(minimal_states([1.001 * lam_star], Constant(1.0), mesh)) is None
+    assert 0 < len(solves) <= 8, solves
+
+
 def test_solve_minimal_next_to_the_fold():
     # 1e-8 below the discrete fold, Newton from zero needs more than the 14
     # steps a continuation corrector gets, so the cold solve has a higher cap
@@ -334,11 +351,11 @@ def test_stalled_fine_polish_eigen_solve_falls_back_to_the_full_walk(monkeypatch
     eigen = steady.smallest_eigenvalue_bands
     stalls = []
 
-    def stall_first_fine_polish(ab, weights, start=None):
+    def stall_first_fine_polish(ab, weights, start=None, **kwargs):
         if ab.shape[1] == mesh.node_count - 2 and not stalls:
             stalls.append(start)
             raise steady.IterationLimit("forced")
-        return eigen(ab, weights, start=start)
+        return eigen(ab, weights, start=start, **kwargs)
 
     monkeypatch.setattr(steady, "smallest_eigenvalue_bands", stall_first_fine_polish)
     fold = steady.locate_fold(Constant(1.0), mesh)
@@ -461,6 +478,42 @@ def test_fold_polish_stops_before_its_update_cap(monkeypatch, geometry, profile)
     assert len(updates) == 3 and all(0 < k < 8 for k in updates), updates
 
 
+def test_corrector_stops_once_its_residual_stops_falling(monkeypatch):
+    # every corrector call of the four 401-node walks that converges has a
+    # strictly falling residual sup-norm; a call that fails gives up at the
+    # first residual that is not below the one before, after at most two
+    # solves (it took 14 when it ran to its 14-iterate cap)
+    kernel, residual, correct = steady.solve_banded, steady._residual, steady._Curve.correct
+    calls = []
+
+    def counted(ab, b, **kwargs):
+        if sys._getframe(1).f_code.co_name == "correct":
+            calls[-1]["solves"] += 1
+        return kernel(ab, b, **kwargs)
+
+    def traced(Lb, f, w, lam, gap2):
+        R = residual(Lb, f, w, lam, gap2)
+        if sys._getframe(1).f_code.co_name == "correct":
+            calls[-1]["res"].append(np.max(np.abs(R)))
+        return R
+
+    def recorded(self, *args, **kwargs):
+        calls.append({"res": [], "solves": 0})
+        calls[-1]["ok"] = (out := correct(self, *args, **kwargs)) is not None
+        return out
+
+    monkeypatch.setattr(steady, "solve_banded", counted)
+    monkeypatch.setattr(steady, "_residual", traced)
+    monkeypatch.setattr(steady._Curve, "correct", recorded)
+    for geometry, profile in FOLD_PAIR_CASES:
+        continue_branch(profile, build_mesh(geometry, 401))
+    failed = [c for c in calls if not c["ok"]]
+    assert failed and all(c["solves"] <= 2 for c in failed), [c["solves"] for c in failed]
+    for c in calls:
+        if c["ok"]:
+            assert all(b < a for a, b in zip(c["res"], c["res"][1:])), c["res"]
+
+
 @FOLD_PAIRS
 def test_locate_fold_agrees_with_the_full_walk(geometry, profile):
     mesh = build_mesh(geometry, 2001)
@@ -485,8 +538,8 @@ def recorded_eigen_solves(geometry, profile, nodes):
     eigen, kernel = steady.smallest_eigenvalue_bands, steady.solve_banded
     pairs, solves = [], []
 
-    def recorded(ab, weights, start=None):
-        mu, v, res = eigen(ab, weights, start=start)
+    def recorded(ab, weights, start=None, radius=None):
+        mu, v, res = eigen(ab, weights, start=start, radius=radius)
         pairs.append((ab, mu, v))
         return mu, v, res
 
@@ -525,9 +578,26 @@ def test_eigenpairs_meet_the_accept_target_with_A(fold_pair_solves_401):
 
 
 def test_inverse_iteration_solve_count(fold_pair_solves_401):
-    # with the shift on the Rayleigh quotient from the first iterate on, the
-    # four walks take 670 solves; from the second iterate on they took 735
-    assert sum(count for _, count in fold_pair_solves_401) <= 700
+    # each state's solve starts from the last three eigenvectors extrapolated
+    # in chord length and takes about one solve: the four walks take 401
+    # solves (670 from the previous state's eigenvector alone, 735 with the
+    # shift on the Rayleigh quotient from the second iterate on)
+    assert sum(count for _, count in fold_pair_solves_401) <= 430
+
+
+def test_extrapolated_start_takes_about_one_solve_per_state():
+    # on the 2001-node two-bump walk the extrapolated start leaves about one
+    # and a half inverse-iteration solves per eigen solve (2.4 from the
+    # previous state's eigenvector), and each mu1 agrees with a cold solve of
+    # the same state to the accept target
+    mesh = build_mesh(Slab(-0.5, 0.5), 2001)
+    pairs, solves = recorded_eigen_solves(Slab(-0.5, 0.5), SlabSinPiecewise(), 2001)
+    assert solves <= 1.6 * len(pairs), (solves, len(pairs))
+    branch = continue_branch(SlabSinPiecewise(), mesh)
+    curve = steady._Curve(SlabSinPiecewise(), mesh)  # no start vector: every solve is cold
+    for st in branch.states:
+        cold, _ = linearized_eigenpair(curve, st.w[mesh.unknown_slice], st.lam)
+        assert abs(st.mu1 - cold) <= 1e-8 * max(1.0, abs(cold)), (st.lam, st.mu1, cold)
 
 
 @pytest.mark.parametrize("geometry,profile", [FOLD_PAIR_CASES[i] for i in (0, 2, 3)],
