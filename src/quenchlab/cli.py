@@ -19,6 +19,7 @@ import argparse
 import copy
 import dataclasses
 import datetime
+import functools
 import hashlib
 import inspect
 import json
@@ -494,8 +495,9 @@ COMMANDS = {
 _FLAG_OPTIONS = {"--lambda": {"dest": "lam", "type": float}, "--nodes": {"type": int}, "--quench-eps": {"type": float}}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Run one subcommand: the one place where a failure becomes an exit code."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="quenchlab",
         description="numerical laboratory for touchdown of an electrostatically forced membrane",
@@ -505,7 +507,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         p = sub.add_parser(name)
         for flag in ("--config", "--out") + flags:
             p.add_argument(flag, **_FLAG_OPTIONS.get(flag, {}))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand: the one place where a failure becomes an exit code."""
+    args = _parser().parse_args(argv)
 
     files: List[str] = []
     stats = None

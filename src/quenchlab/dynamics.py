@@ -7,7 +7,10 @@ step makes one Newton update of the Crank-Nicolson stage equation from
 the current state, (I - (dt/2) J(u)) du = dt g(u) with
 g(u) = L u + lam f / (1 - u)^2 and its Jacobian J, by one call of the
 LAPACK tridiagonal kernel `mesh.solve_banded` (Hairer & Wanner, Solving
-ODEs II, sec. IV.7).  It keeps second order and needs no iteration.
+ODEs II, sec. IV.7).  It keeps second order and needs no iteration.  On a
+slab L is symmetric, and so is the stage matrix: the run passes the
+2-row band of L, and each stage is an LDL^T solve (dptsv).  A ball's L is
+not symmetric, and its stages are LU solves (dgtsv) of the 3-row band.
 eta_step is the one accuracy scale.  A step raises sup u by at most
 eta_step times the gap 1 - sup u while the gap is above 0.1, and by
 eta_step / 10 below it, but never by more than GROWTH_CAP of the gap (or
@@ -22,9 +25,10 @@ from the cubic gap law (near touchdown the forcing dominates u_t, so
 (1 - sup u)^3 is linear in t).
 
 A stage fails, and dt is halved, only when the solve finds the system
-singular, du is not finite or the new state reaches 1 - 1e-14.  The
-stage reads its new state's sup u once, for that test and for the
-step controller, and `integrate` carries it into the next step.
+singular or (on a slab) not positive definite, du is not finite or the
+new state reaches 1 - 1e-14.  The stage reads its new state's sup u
+once, for that test and for the step controller, and `integrate`
+carries it into the next step.
 
 A state is stored snapshot_stride steps after the last stored one, or
 once the gap has fallen by exp(-0.8 eta_step snapshot_stride) since
@@ -68,8 +72,8 @@ __all__ = [
 
 
 class NewtonFailure(SolverFailure):
-    """Linearized stage failed (singular system, non-finite update or u reaching 1)
-    even after time-step reductions."""
+    """Linearized stage failed (singular or not positive definite system, non-finite
+    update or u reaching 1) even after time-step reductions."""
 
     stage = "integration"
 
@@ -88,9 +92,11 @@ class StepLimit(SolverFailure):
 
 MAX_STEPS = 500000
 ETA_STEP = 1e-2  # the default eta_step, at which s = 1
-# largest eta_step (s = 10), where T comes out 0.4 % high (+3.9e-3 on the
-# 2001-node two-bump slab at lam = 10, +4.0e-3 for f = 1 at 101 nodes, lam = 5);
-# at 0.3 it is 1.3 and 1.5 % high, and at 1 failed stages, not the controller, set dt
+# largest eta_step (s = 10), where T comes out 0.4 % high against eta_step 1e-3
+# (+3.9e-3 on the 2001-node two-bump slab at lam = 10, +4.0e-3 for f = 1 at 101
+# nodes, lam = 5); at 0.3 it is 1.3 and 1.5 % high, and at 1 stages that are not
+# positive definite, not the controller, set dt (21 and 27 of them) and T is 12.5
+# and 16 % high
 ETA_STEP_MAX = 1e-1
 DT_INITIAL = 1e-6  # first dt at s = 1
 DT_MAX = 1e-2  # dt cap at s = 1
@@ -149,9 +155,10 @@ class Trajectory:
     boundary where u is within 1e-10 sup u of sup u, or nan while sup u
     <= 0.  On a symmetric profile the mirror-image peaks report the left
     one while rounding parts them by less than that tolerance; near
-    touchdown it can part them by more (two-bump slab, lam = 10: 1.3e-10
-    to 1.2e-9 sup u at 1001 to 6000 nodes, where the last 3 to 19 rows
-    report the right peak).
+    touchdown it can part them by more, and the higher one is reported
+    (two-bump slab, lam = 10: 3.1e-11, 4.3e-10 and 1.3e-11 sup u at 1001,
+    2001 and 6000 nodes, where the left peak stays the higher and every
+    row reports it).
     `stats` is what `integrate` counted; None for a trajectory read back
     from disk.
     """
@@ -191,9 +198,10 @@ def _linearized_step(Lb, lamf, u, dt):
 
     du solves (I - (dt/2) J) du = dt g(u), where g(u) = L u + lam f / (1 - u)^2
     and J = L + 2 lam f / (1 - u)^3 is its Jacobian at u; the step returns
-    v = u + du with its max.  A singular system, a non-finite du or a new
-    state whose max reaches 1 - 1e-14 is a failed stage.  `lamf` is lam f
-    on the unknowns.
+    v = u + du with its max.  A singular system, a 2-row (symmetric) one
+    that is not positive definite, a non-finite du or a new state whose max
+    reaches 1 - 1e-14 is a failed stage.  `Lb` is L in either
+    `solve_banded` layout; `lamf` is lam f on the unknowns.
     """
     gap = 1.0 - u
     force = lamf / np.square(gap)
@@ -204,7 +212,7 @@ def _linearized_step(Lb, lamf, u, dt):
     Jb[1] += 1.0 - dt * force / gap
     try:
         du = solve_banded(Jb, rhs, overwrite_ab=True, overwrite_b=True)
-    except np.linalg.LinAlgError:  # singular stage Jacobian or non-finite du
+    except np.linalg.LinAlgError:  # singular or indefinite stage matrix, or non-finite du
         return None
     v = u + du
     vmax = float(v.max())
@@ -233,6 +241,8 @@ def integrate(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     Lb = laplacian_bands(mesh)
+    if np.array_equal(Lb[0, 1:], Lb[2, :-1]):  # symmetric (every slab): step by LDL^T
+        Lb = Lb[:2]
     sl = mesh.unknown_slice
     lamf = lam * np.asarray(evaluate(profile, mesh.nodes[sl]), dtype=float)
     coords = mesh.nodes[sl]
@@ -283,7 +293,7 @@ def integrate(
         t += dt_try
         step_index += 1
         dt_lo, dt_hi = min(dt_lo, dt_try), max(dt_hi, dt_try)
-        argmax = float(coords[np.argmax(np.abs(u - sup) <= 1e-10 * sup)]) if sup > 0.0 else math.nan
+        argmax = float(coords[np.argmax(sup - u <= 1e-10 * sup)]) if sup > 0.0 else math.nan
         max_history.append((t, sup, argmax))
         g1 = 1.0 - sup
         if step_index - stored_step >= cfg.snapshot_stride or g1 <= stored_gap * snapshot_fall:

@@ -13,14 +13,17 @@ u_rr + (N - 1)/r * u_r.  Quadrature is the composite trapezoid rule, with
 radial integrands carrying the volume weight omega_{N-1} r^{N-1} where
 omega_{N-1} = 2 pi^{N/2} / Gamma(N/2) is the area of the unit sphere.
 
-Every tridiagonal solve is `solve_banded`, which calls LAPACK dgtsv.  The
-routine is taken from scipy's compiled LAPACK wrapper, the extension file
-scipy/linalg/_flapack<suffix>, loaded on its own: importing it through
+Every tridiagonal solve is `solve_banded`, which takes two band layouts:
+3 rows for a general matrix, solved by LAPACK dgtsv (LU with partial
+pivoting), and 2 rows for a symmetric positive definite one, solved by
+LAPACK dptsv (LDL^T without pivoting).  Both routines are taken from
+scipy's compiled LAPACK wrapper, the extension file
+scipy/linalg/_flapack<suffix>, loaded on its own: importing them through
 `scipy.linalg.lapack` would run all of `scipy.linalg/__init__` (with
 numpy.f2py, numpy.testing and numpy.ma), about 0.3 s and 26 MB per process
 for code quenchlab never calls.  That file is private to scipy, so when it
 is not where the loader looks, the public `scipy.linalg.lapack` import
-supplies the same routine.
+supplies the same routines.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ __all__ = [
 ]
 
 
-def _load_dgtsv():
-    """LAPACK dgtsv from scipy's _flapack extension file, without importing scipy.linalg.
+def _load_lapack():
+    """LAPACK (dgtsv, dptsv) from scipy's _flapack extension file, without importing scipy.linalg.
 
     Neither scipy/__init__ nor scipy.linalg/__init__ runs.  The extension
     registers itself as scipy.linalg._flapack, so a later import of
-    scipy.linalg reuses it and `scipy.linalg.lapack.dgtsv` is this object.
-    Without the file, the public import is the fallback.
+    scipy.linalg reuses it and `scipy.linalg.lapack.dgtsv` and `.dptsv` are
+    these objects.  Without the file, the public import is the fallback.
     """
     name = "scipy.linalg._flapack"
     spec = importlib.util.find_spec("scipy")
@@ -62,13 +65,13 @@ def _load_dgtsv():
                 module = importlib.util.module_from_spec(
                     importlib.util.spec_from_file_location(name, path, loader=loader))
                 loader.exec_module(module)
-                return module.dgtsv
-    from scipy.linalg.lapack import dgtsv
+                return module.dgtsv, module.dptsv
+    from scipy.linalg.lapack import dgtsv, dptsv
 
-    return dgtsv
+    return dgtsv, dptsv
 
 
-dgtsv = _load_dgtsv()
+dgtsv, dptsv = _load_lapack()
 
 
 @dataclass(frozen=True)
@@ -215,10 +218,14 @@ def laplacian_bands(mesh: Mesh) -> np.ndarray:
 
 
 def bands_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply a tridiagonal matrix in solve_banded layout by a vector."""
+    """Multiply a tridiagonal matrix in either `solve_banded` layout by a vector.
+
+    A 2-row band is symmetric: row 0 serves as both off-diagonals, which
+    gives the bits of the 3-row product of the same operator.
+    """
     out = ab[1] * v
     out[:-1] += ab[0, 1:] * v[1:]
-    out[1:] += ab[2, :-1] * v[:-1]
+    out[1:] += (ab[2, :-1] if ab.shape[0] == 3 else ab[0, 1:]) * v[:-1]
     return out
 
 
@@ -233,28 +240,47 @@ def residual_floor(ab: np.ndarray) -> float:
 def solve_banded(
     ab: np.ndarray, b: np.ndarray, overwrite_ab: bool = False, overwrite_b: bool = False
 ) -> np.ndarray:
-    """Solve the tridiagonal system with bands ab (solve_banded layout) for b, (n,) or (n, k).
+    """Solve the tridiagonal system with bands ab for b, (n,) or (n, k).
 
-    Bit for bit `scipy.linalg.solve_banded((1, 1), ab, b)` on finite
-    operands, but calling LAPACK dgtsv directly.  The operands are not
-    scanned, since callers build them finite from validated input; the
-    solution is.  A zero pivot or a solution that is not finite (an
+    The number of band rows says which structure the matrix has:
+
+    - 3 rows, scipy's solve_banded layout (upper off-diagonal ab[0, 1:],
+      diagonal ab[1], lower off-diagonal ab[2, :-1]): a general matrix,
+      solved by LAPACK dgtsv and bit for bit
+      `scipy.linalg.solve_banded((1, 1), ab, b)` on finite operands.  A zero
+      pivot raises LinAlgError.
+    - 2 rows, scipy's solveh_banded upper form (off-diagonal ab[0, 1:],
+      diagonal ab[1]): a symmetric positive definite matrix, solved by
+      LAPACK dptsv and bit for bit `scipy.linalg.solveh_banded(ab, b)` on
+      finite operands.  A matrix that is not positive definite raises
+      LinAlgError; so does a 1 x 1 whose diagonal is <= 0.
+
+    The operands are not scanned, since callers build them finite from
+    validated input; the solution is.  A solution that is not finite (an
     overflow, or a non-finite operand that reaches it) raises LinAlgError;
-    mismatched shapes raise ValueError.  The overwrite flags let dgtsv work
+    mismatched shapes raise ValueError.  The overwrite flags let LAPACK work
     in ab or b in place of a copy.
     """
-    if ab.shape[0] != 3 or ab.shape[1] != b.shape[0]:
+    rows = ab.shape[0]
+    if rows not in (2, 3) or ab.shape[1] != b.shape[0]:
         raise ValueError("shapes of ab and b are not compatible")
-    if ab.shape[1] == 1:  # dgtsv's wrapper rejects empty off-diagonals
+    if ab.shape[1] == 1:  # the LAPACK wrappers reject empty off-diagonals
+        if rows == 2 and ab[1, 0] <= 0.0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
         with np.errstate(all="ignore"):
             x = b / ab[1, 0]
-    else:
+    elif rows == 3:
         *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
             raise ValueError("illegal value in argument %d of dgtsv" % -info)
+    else:
+        *_, x, info = dptsv(ab[1], ab[0, 1:], b, overwrite_ab, overwrite_ab, overwrite_b)
+        if info > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        if info < 0:
+            raise ValueError("illegal value in argument %d of dptsv" % -info)
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("solution is not finite")
     return x
-

@@ -208,11 +208,12 @@ def holder_constant(profile: Profile, span: Optional[Tuple[float, float]] = None
     its domain: the least K with |f(x) - f(y)| <= K |x - y|^alpha for x, y
     in the span, alpha = its `holder_exponent`.
 
-    Constant: 0.  Power |x|^beta: 0 at beta = 0; 1 for 0 < beta <= 1,
-    exact on a span that holds 0 (the pairs 0, t), an upper bound on
-    others; beta m^(beta - 1) above, the slope at m = max |x| over the
-    span.  SlabSinPiecewise: 8, the wings' slope 32|x -+ 1/4| at -+1/2,
-    above the sine's 2 pi; exact on its domain (-1/2, 1/2), the only span
+    Constant: 0.  Power |x|^beta, with m and M the least and largest |x|
+    over the span: 0 at beta = 0; (M^beta - m^beta) / (M - m)^beta for
+    0 < beta <= 1, reached by the pair at |x| = m, M (1 on a span that
+    holds 0, and at beta = 1); beta M^(beta - 1) above, the slope at M.
+    SlabSinPiecewise: 8, the wings' slope 32|x -+ 1/4| at -+1/2, above the
+    sine's 2 pi; exact on its domain (-1/2, 1/2), the only span
     `validate` admits for it.  Tabulated: the steepest segment that meets
     the span.
     """
@@ -221,9 +222,13 @@ def holder_constant(profile: Profile, span: Optional[Tuple[float, float]] = None
         return 0.0
     if isinstance(profile, Power):
         beta = profile.exponent
-        if beta <= 1.0:
-            return 1.0 if beta > 0 else 0.0
-        return float(beta * max(abs(lo), abs(hi)) ** (beta - 1.0))
+        big = max(abs(lo), abs(hi))
+        if beta > 1.0:
+            return float(beta * big ** (beta - 1.0))
+        if beta == 0.0:
+            return 0.0
+        small = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+        return float((big**beta - small**beta) / (big - small) ** beta)
     if isinstance(profile, SlabSinPiecewise):
         return 8.0
     xs, fs = profile.xs, profile.fs

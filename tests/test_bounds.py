@@ -202,6 +202,21 @@ def test_sandwich_takes_K_over_omega():
     assert ll.sup_f == pytest.approx(0.125, rel=1e-14)
 
 
+def test_sandwich_takes_the_fractional_K_over_omega():
+    # f = |x|^(1/2) on the slab (1/4, 1): K = (1 - 1/2) / (3/4)^(1/2) = 0.57735,
+    # not the 1 of a span that holds 0; alpha = 1/2, so eps scales as K^(4/5)
+    lam = 1e4
+    ll = large_lambda_bounds(lam, Power(0.5), build_mesh(Slab(0.25, 1.0), 401))
+    K = 0.5 / math.sqrt(0.75)
+    assert ll.K == pytest.approx(K, rel=1e-15)
+    frac = 0.5 / 2.5
+    # the slab's dimension is 1, so D is the unit interval's ground eigenvalue pi^2 / 4
+    eps = 2.0 * dirichlet_eigenvalue_ball(1) ** frac * K ** (2.0 / 2.5) / lam**frac
+    assert ll.epsilon == pytest.approx(eps, rel=1e-14)
+    assert ll.sup_f == 1.0
+    assert ll.delta == pytest.approx((eps / (2.0 * K)) ** 2, rel=1e-14)
+
+
 def test_sandwich_constant_profile_collapses():
     # the sandwich collapses to its lower side: K = 0 leaves delta unbounded,
     # and a ball of that radius does not lie in Omega, so no upper is given

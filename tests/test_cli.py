@@ -281,6 +281,24 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
     assert not os.path.exists(tmp_path / "flags_out")
 
 
+def test_parser_is_built_once_and_keeps_no_flags(tmp_path, capsys):
+    # one parser serves every call; a flag of one call does not reach the next
+    assert cli._parser() is cli._parser()
+    cfg = write_config(tmp_path, "once.json", {"node_count": 51, "lambda": 5.0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"), "--lambda", "6.0"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert read_json(tmp_path / "a" / "run.json")["config"]["lambda"] == 6.0
+    assert read_json(tmp_path / "b" / "run.json")["config"]["lambda"] == 5.0
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quenchlab ")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "c"), "--nodes", "many"])
+    assert exc.value.code == 2
+    assert "argument --nodes: invalid int value" in capsys.readouterr().err
+
+
 def test_rescale_unknown_key(tmp_path):
     cfg = write_config(tmp_path, "r.json",
                        {"rescale": {"run": "somewhere", "bogus": 1}})
@@ -409,10 +427,12 @@ def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys, monkey
 
 
 def test_rising_gap_cube_is_solver_failure(tmp_path, capsys, monkeypatch):
-    # at eta_step 1 (past the config range) the f = 1 run's gap jumps up
-    # and down over its last decade, and its cube fits no falling line
+    # at eta_step 1 (past the config range) the f = 1 run on the 3-ball
+    # (LU stages) has a gap that jumps up and down over its last decade, and
+    # its cube fits no falling line
     monkeypatch.setattr(dynamics, "ETA_STEP_MAX", 1.0)
-    cfg = write_config(tmp_path, "rise.json", {"node_count": 101, "lambda": 5.0, "time": {"eta_step": 1.0}})
+    cfg = write_config(tmp_path, "rise.json", {"geometry": {"kind": "ball", "dimension": 3}, "node_count": 101,
+                                               "lambda": 5.0, "time": {"eta_step": 1.0}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "rise_out")]) == 3
     assert "gap cube not decreasing" in capsys.readouterr().err
 

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from quenchlab import dynamics
 from quenchlab.csvio import SolverFailure
@@ -27,7 +27,7 @@ from quenchlab.dynamics import (
     write_max_history,
     write_snapshots,
 )
-from quenchlab.mesh import Slab, bands_matvec, build_mesh, laplacian_bands
+from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, laplacian_bands
 from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
 
 from oracles import convergence_check, liapunov
@@ -406,14 +406,19 @@ def test_cn_step_propagates_other_solver_faults(monkeypatch):
         dynamics._linearized_step(*_stage_inputs())
 
 
-def _linearized_step_reference(Lb, f, lam, u, dt):
-    """The linearized stage written with fresh temporaries: the oracle for _linearized_step."""
+def _linearized_step_reference(Lb, f, lam, u, dt, rows):
+    """The linearized stage written with fresh temporaries: the oracle for _linearized_step.
+
+    `Lb` is the 3-row band; with rows = 2 the stage matrix is its symmetric
+    2-row band, solved by scipy's solveh_banded.
+    """
     gap = 1.0 - u
     force = lam * f / gap**2
-    Jb = -0.5 * dt * Lb
+    Jb = -0.5 * dt * Lb[:rows]
     Jb[1] += 1.0 - dt * force / gap
+    rhs = dt * (bands_matvec(Lb, u) + force)
     try:
-        du = solve_banded((1, 1), Jb, dt * (bands_matvec(Lb, u) + force))
+        du = solveh_banded(Jb, rhs) if rows == 2 else solve_banded((1, 1), Jb, rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(du)):
@@ -433,22 +438,23 @@ def _run_stage_inputs(quench_run_201):
 
 def test_stage_matches_reference_bitwise(quench_run_201):
     # every stored state of a quenching run, at steps from easy to ones
-    # that overshoot u = 1
+    # that overshoot u = 1, in the general (LU) and the symmetric (LDL^T) layout
     Lb, f, lam, states = _run_stage_inputs(quench_run_201)
-    solved = failed = 0
-    for u in states:
-        for dt in (1e-5, 1e-4, 1e-3, 1e-2):
-            ref = _linearized_step_reference(Lb, f, lam, u, dt)
-            got = dynamics._linearized_step(Lb, lam * f, u, dt)
-            if ref is None:
-                assert got is None
-            else:
-                v, vmax = got
-                assert v.tobytes() == ref.tobytes()
-                assert vmax == ref.max()  # the one sup the stage takes, bitwise
-            failed += ref is None
-            solved += ref is not None
-    assert solved > 20 and failed > 20
+    for rows in (3, 2):
+        solved = failed = 0
+        for u in states:
+            for dt in (1e-5, 1e-4, 1e-3, 1e-2):
+                ref = _linearized_step_reference(Lb, f, lam, u, dt, rows)
+                got = dynamics._linearized_step(Lb[:rows], lam * f, u, dt)
+                if ref is None:
+                    assert got is None
+                else:
+                    v, vmax = got
+                    assert v.tobytes() == ref.tobytes()
+                    assert vmax == ref.max()  # the one sup the stage takes, bitwise
+                failed += ref is None
+                solved += ref is not None
+        assert solved > 20 and failed > 20
 
 
 def test_each_stage_makes_one_banded_solve(monkeypatch):
@@ -474,6 +480,51 @@ def test_each_stage_makes_one_banded_solve(monkeypatch):
     assert stats.rejected_growth > 0
     assert stats.banded_solves == len(calls) == len(stages)
     assert len(stages) == stats.accepted_steps + stats.rejected_stage + stats.rejected_growth
+
+
+@pytest.mark.parametrize("geometry,rows", [(UNIT_SLAB, 2), (Slab(0.25, 1.0), 2),
+                                           (RadialBall(1), 3), (RadialBall(3), 3)])
+def test_stage_layout_follows_laplacian_symmetry(monkeypatch, geometry, rows):
+    # a slab's Laplacian is symmetric and its stages are LDL^T solves of the
+    # 2-row band; a ball's is not, and its stages are LU solves of the 3-row band
+    layouts = []
+    kernel, product = dynamics.solve_banded, dynamics.bands_matvec
+
+    def recorded(ab, *args, **kwargs):
+        layouts.append(ab.shape[0])
+        return kernel(ab, *args, **kwargs)
+
+    def recorded_product(ab, v):
+        layouts.append(ab.shape[0])
+        return product(ab, v)
+
+    monkeypatch.setattr(dynamics, "solve_banded", recorded)
+    monkeypatch.setattr(dynamics, "bands_matvec", recorded_product)
+    integrate(10.0, Constant(1.0), build_mesh(geometry, 201), TimeConfig(t_max=0.05))
+    assert len(layouts) > 20 and set(layouts) == {rows}
+
+
+def _run_with_general_stages(lam, profile, mesh):
+    """integrate with every stage solved in the 3-row layout by dgtsv."""
+    Lb = laplacian_bands(mesh)
+    stage = dynamics._linearized_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_linearized_step", lambda band, *args: stage(Lb, *args))
+        return integrate(lam, profile, mesh, TimeConfig())
+
+
+def test_symmetric_stage_keeps_the_run(quench_run_201):
+    # the LDL^T run and an LU run of the same slab, whose stages see the
+    # 3-row band, differ in rounding only: same steps, same touchdown set
+    traj, report = quench_run_201
+    lu_traj, lu_report = _run_with_general_stages(5.0, Constant(1.0), traj.mesh)
+    assert traj.values.tobytes() != lu_traj.values.tobytes()
+    counts = ("accepted_steps", "rejected_stage", "rejected_growth", "banded_solves")
+    assert [getattr(traj.stats, k) for k in counts] == [getattr(lu_traj.stats, k) for k in counts]
+    assert traj.stats.dt_min == pytest.approx(lu_traj.stats.dt_min, rel=1e-10)
+    assert report.quench_set == lu_report.quench_set
+    assert report.T == pytest.approx(lu_report.T, rel=1e-12)
+    assert np.max(np.abs(traj.values - lu_traj.values)) < 1e-10
 
 
 def test_growth_target():
@@ -560,7 +611,15 @@ def test_argmax_does_not_follow_solver_noise(monkeypatch):
     kernel = dynamics.solve_banded
 
     def mirrored(ab, b, **kwargs):
-        return kernel(np.ascontiguousarray(ab[::-1, ::-1]), b[::-1].copy())[::-1]
+        # the reversed system: a 3-row band reverses its rows and columns; a
+        # 2-row band keeps its rows and reverses the off-diagonal and the diagonal
+        flipped = np.zeros_like(ab)
+        if ab.shape[0] == 3:
+            flipped[:] = ab[::-1, ::-1]
+        else:
+            flipped[0, 1:] = ab[0, :0:-1]
+            flipped[1] = ab[1, ::-1]
+        return kernel(flipped, b[::-1].copy())[::-1]
 
     monkeypatch.setattr(dynamics, "solve_banded", mirrored)
     cold, _ = integrate(100.0, SlabSinPiecewise(), mesh, TimeConfig())

@@ -228,17 +228,70 @@ def test_solve_banded_is_scipy_bitwise(geometry, unknowns, columns):
     assert solve_banded(ab0.copy(), b0.copy(), overwrite_ab=True, overwrite_b=True).tobytes() == want.tobytes()
 
 
+def _definite_system(unknowns, columns, seed):
+    """The 2-row band of -L + diag(c) on a slab, c >= 0 random (symmetric positive
+    definite), and a random right-hand side of 1 or 2 columns."""
+    rng = np.random.default_rng(seed)
+    ab = -laplacian_bands(build_mesh(Slab(-0.5, 0.5), unknowns + 2))[:2]
+    ab[1] += rng.random(unknowns) * np.max(np.abs(ab[1]))
+    b = rng.standard_normal(unknowns if columns == 1 else (unknowns, columns))
+    return np.ascontiguousarray(ab), b
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("unknowns", [1, 2, 399, 6000])
+def test_solve_banded_symmetric_is_scipy_bitwise(unknowns, columns):
+    ab, b = _definite_system(unknowns, columns, seed=unknowns + columns)
+    ab0, b0 = ab.copy(), b.copy()
+    if unknowns == 1:  # the dptsv wrapper, and so solveh_banded, rejects the empty off-diagonal
+        want = b / ab[1, 0]  # what dptsv computes for n = 1
+    else:
+        want = linalg.solveh_banded(ab, b)
+    got = solve_banded(ab, b)
+    assert got.shape == want.shape == b.shape
+    assert got.tobytes() == want.tobytes()
+    # without the overwrite flags the operands are left as they were
+    assert ab.tobytes() == ab0.tobytes() and b.tobytes() == b0.tobytes()
+    assert solve_banded(ab0.copy(), b0.copy(), overwrite_ab=True, overwrite_b=True).tobytes() == want.tobytes()
+
+
+def test_solve_banded_symmetric_rejects_indefinite():
+    # the slab Laplacian L is negative definite, and L + 2e5 I is indefinite
+    # but regular: dgtsv solves it, and dptsv rejects both
+    ab = laplacian_bands(build_mesh(Slab(-0.5, 0.5), 401))
+    ab[1] += 2.0e5
+    x = solve_banded(ab, np.ones(ab.shape[1]))
+    assert np.isfinite(x).all()
+    for band in (ab[:2], laplacian_bands(build_mesh(Slab(-0.5, 0.5), 401))[:2]):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            solve_banded(np.ascontiguousarray(band), np.ones(ab.shape[1]))
+
+
+@pytest.mark.parametrize("diagonal", [0.0, -1.0, -np.inf])
+def test_solve_banded_symmetric_rejects_non_positive_one_unknown(diagonal):
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        solve_banded(np.array([[0.0], [diagonal]]), np.ones(1))
+    # the general layout solves the same 1 x 1 while it is regular
+    if diagonal:
+        assert solve_banded(np.array([[0.0], [diagonal], [0.0]]), np.ones(1))[0] == 1.0 / diagonal
+
+
 def test_dgtsv_falls_back_to_the_public_import(monkeypatch):
-    # the direct load is the exported routine itself; without its file the loader imports it
+    # the direct loads are the exported routines themselves; without their file
+    # the loader imports both
     assert mesh_module.dgtsv is linalg.lapack.dgtsv
+    assert mesh_module.dptsv is linalg.lapack.dptsv
     with monkeypatch.context() as patch:
         patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-        fallback = mesh_module._load_dgtsv()
-    assert fallback is linalg.lapack.dgtsv
+        fallback = mesh_module._load_lapack()
+    assert fallback == (linalg.lapack.dgtsv, linalg.lapack.dptsv)
     ab, b = _banded_system(Slab(-0.5, 0.5), 399, 2, seed=0)
-    want = solve_banded(ab, b)
-    monkeypatch.setattr(mesh_module, "dgtsv", fallback)
+    abh, bh = _definite_system(399, 2, seed=0)
+    want, wanth = solve_banded(ab, b), solve_banded(abh, bh)
+    monkeypatch.setattr(mesh_module, "dgtsv", fallback[0])
+    monkeypatch.setattr(mesh_module, "dptsv", fallback[1])
     assert solve_banded(ab, b).tobytes() == want.tobytes()
+    assert solve_banded(abh, bh).tobytes() == wanth.tobytes()
 
 
 def test_solve_banded_singular_raises():
@@ -267,6 +320,24 @@ def test_solve_banded_rejects_non_finite(operand, bad, unknowns):
         solve_banded(ab, b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("operand", ["ab", "b"])
+@pytest.mark.parametrize("unknowns", [1, 399])
+def test_solve_banded_symmetric_rejects_non_finite(operand, bad, unknowns):
+    # dptsv's pivot test d <= 0 lets a nan through, and the solution check catches it
+    ab, b = _definite_system(unknowns, 1, seed=0)
+    if operand == "ab":
+        ab[1, -1] = bad
+    else:
+        b[-1] = bad
+    if operand == "ab" and np.isinf(bad):
+        x = solve_banded(ab, b)
+        assert np.isfinite(x).all() and x[-1] == 0.0
+        return
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        solve_banded(ab, b)
+
+
 @pytest.mark.parametrize("unknowns", [1, 2, 399])
 def test_solve_banded_rejects_overflow(unknowns):
     # finite operands whose solution overflows: 1e300 / 1e-300
@@ -278,6 +349,7 @@ def test_solve_banded_rejects_overflow(unknowns):
 
 def test_solve_banded_rejects_mismatched_shapes():
     ab, b = _banded_system(Slab(-0.5, 0.5), 399, 2, seed=0)
-    for args in ((ab, b[:-1]), (ab[:, :-1], b), (ab[:2], b), (np.vstack((ab, ab[:1])), b)):
+    for args in ((ab, b[:-1]), (ab[:, :-1], b), (ab[:1], b), (np.vstack((ab, ab[:1])), b),
+                 (ab[:2], b[:-1]), (ab[:2, :-1], b)):
         with pytest.raises(ValueError, match="shapes"):
             solve_banded(*args)

@@ -183,6 +183,15 @@ def test_holder_constant_over_a_span(f, span, K):
     assert holder_constant(f, span) == K
 
 
+@pytest.mark.parametrize("f,span,K", [
+    (Power(0.5), (0.25, 1.0), 0.5 / math.sqrt(0.75)),  # the pair 1/4, 1; 1 over [-1, 1]
+    (Power(0.5), (-1.0, -0.25), 0.5 / math.sqrt(0.75)),
+    (Power(0.25), (0.5, 0.75), (0.75**0.25 - 0.5**0.25) / 0.25**0.25),
+])
+def test_holder_constant_fractional_alpha_over_a_span(f, span, K):
+    assert holder_constant(f, span) == pytest.approx(K, rel=1e-15)
+
+
 @pytest.mark.parametrize("kind", ["power", "tabulated"])
 @given(data=st.data())
 def test_holder_constant_over_a_span_bounds_its_pairs(kind, data):
@@ -199,6 +208,12 @@ def test_holder_constant_over_a_span_bounds_its_pairs(kind, data):
     lhs = np.abs(vals[:, None] - vals[None, :])
     rhs = K * np.abs(x[:, None] - x[None, :]) ** alpha * (1.0 + 1e-9) + ROUNDING
     assert np.all(lhs <= rhs)
+    if isinstance(f, Power) and 0.0 < f.exponent <= 1.0:
+        # and no smaller constant holds: the points of least and largest |x| reach it
+        near = 0.0 if span[0] <= 0.0 <= span[1] else min(span, key=abs)
+        far = max(span, key=abs)
+        ratio = abs(evaluate(f, far) - evaluate(f, near)) / abs(far - near) ** alpha
+        assert ratio == pytest.approx(K, rel=1e-9, abs=ROUNDING)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_one_banded_solve_path():
 
     assert dynamics.solve_banded is mesh.solve_banded
     assert steady.solve_banded is mesh.solve_banded
-    # only the kernel's own LAPACK routine comes from scipy.linalg
+    # only the kernel's own LAPACK routines come from scipy.linalg
     imports = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -149,7 +149,7 @@ def test_one_banded_solve_path():
             elif isinstance(node, ast.Import):
                 imports += [(path.stem, alias.name, None) for alias in node.names
                             if alias.name.startswith("scipy.linalg")]
-    assert imports == [("mesh", "scipy.linalg.lapack", "dgtsv")]
+    assert imports == [("mesh", "scipy.linalg.lapack", "dgtsv"), ("mesh", "scipy.linalg.lapack", "dptsv")]
 
 
 # run in a fresh interpreter: other tests import scipy.linalg into this one
@@ -160,6 +160,7 @@ assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 
 assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 import scipy.linalg.lapack
 assert mesh.dgtsv is scipy.linalg.lapack.dgtsv
+assert mesh.dptsv is scipy.linalg.lapack.dptsv
 """
 
 
