@@ -3,14 +3,14 @@
 Every estimate is assembled from two kinds of input.  The fold constants
 (see `ingredients`) come from computed steady data (fold value
 lambda_star, extremal state w*, eigenfunctions phi*/psi*) and f on the
-mesh; they do not depend on lam.  sup f over Omega is sampled, and the
-profile's exact Holder constant K read, in `large_lambda_bounds`; the
-large-lam sandwich and the touchdown-location defect take them from
-there.  Each estimate is one public function of lam and these inputs
-(`bound_gg2`, `bound_lower_TL`, `bound_upper_T1`, `large_lambda_bounds`),
-and `evaluate_all` is the one place that assembles the inputs and calls
-each of them; it takes a grid of lam and builds the fold constants once
-per grid.
+mesh; they do not depend on lam.  The profile's exact sup f and Holder
+constant K over Omega are read in `large_lambda_bounds`; the large-lam
+sandwich and the touchdown-location defect take them from there.  Each
+estimate is one public function of lam and these inputs (`bound_gg2`,
+`bound_lower_TL`, `bound_upper_T1`, `large_lambda_bounds`), and
+`evaluate_all` is the one place that assembles the inputs and calls each
+of them; it takes a grid of lam and builds the fold constants once per
+grid.
 Nothing here integrates in time; a measured run enters only through
 `_measured`, which sets a `BoundsReport` against it in a `MeasuredReport`.
 
@@ -32,7 +32,7 @@ import numpy as np
 # build_mesh is unused here but stays a module attribute: perfbench/tracing.py wraps it
 from .mesh import Mesh, build_mesh, integrate  # noqa: F401
 from .dynamics import eta_quench_time
-from .profiles import Profile, evaluate, holder_constant
+from .profiles import Profile, evaluate, holder_constant, supremum
 from .steady import Fold
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
 ]
 
 _VANISH_TOL = 1e-12
-# sample count of sup f over Omega
-_SAMPLES = 4001
 # relative slack of the ordering checks against a measured touchdown time
 _ORDERING_SLACK = 0.01
 
@@ -86,7 +84,7 @@ class BoundIngredients:
 
 @dataclass(frozen=True)
 class LargeLambdaBounds:
-    """The large-lam sandwich, with the sampled sup f and the exact K it is built from."""
+    """The large-lam sandwich, with the exact sup f and K it is built from."""
 
     lower: float
     upper: Optional[float]
@@ -236,31 +234,26 @@ def blowup_time_F(a: float, b: float, E0: float) -> float:
     return (math.pi / 2.0 + math.atan(E0 * math.sqrt(b / a))) / math.sqrt(a * b)
 
 
-def _sampled_sup(profile: Profile, mesh: Mesh) -> float:
-    # sup over Omega, the mesh span (r in [0, R] on a ball), not over the
-    # profile's whole domain: a larger sup would lower the upper estimate
-    xs = np.linspace(mesh.nodes[0], mesh.nodes[-1], _SAMPLES)
-    return float(np.max(evaluate(profile, xs)))
-
-
 def large_lambda_bounds(lam: float, profile: Profile, mesh: Mesh) -> LargeLambdaBounds:
     """Sandwich 1/(3 lam sup f) <= T <= 1/(3 lam (sup f - eps(lam))) on the mesh's domain.
 
     eps(lam) = 2 D^(a/(2+a)) K^(2/(2+a)) / lam^(a/(2+a)) with D the unit-ball
     ground eigenvalue in the mesh's dimension, a the profile's Holder
     exponent and K its exact Holder constant over Omega, the mesh span
-    (`profiles.holder_constant`);
+    (r in [0, R] on a ball; `profiles.holder_constant`);
     delta = (eps/2K)^(1/a).  At K = 0 (a constant profile) delta is
     unbounded, the ball of that radius around the maximum cannot lie in
     Omega, and no upper is given (eps = 0).  The asymptotic width is
-    gap_coefficient * lam^gap_exponent.  sup f is sampled at 4001 points
-    over Omega.
+    gap_coefficient * lam^gap_exponent.  sup f is the exact one over Omega
+    (`profiles.supremum`), not over the profile's whole domain: a larger sup
+    would lower the upper estimate.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     alpha = profile.holder_exponent
-    K = holder_constant(profile, (mesh.nodes[0], mesh.nodes[-1]))
-    sup_f = _sampled_sup(profile, mesh)
+    omega = (mesh.nodes[0], mesh.nodes[-1])
+    K = holder_constant(profile, omega)
+    sup_f = supremum(profile, omega)
     lower = eta_quench_time(lam, sup_f)
     exponent = -(2.0 + 2.0 * alpha) / (2.0 + alpha)
     if K <= 0.0:

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: steady | simulate | sweep | bounds | rescale.  A single
-JSON config document drives every run; individual flags override single
-keys.  All data files are deterministic for a fixed config and version
-(timestamps live only in run.json), use '.' decimals, LF line endings,
-and carry header rows.
+JSON config document drives every run; each flag overrides one key
+(`_FLAGS`).  `_build` reads every config section off the signature of the
+constructor that `KINDS` maps it to: its keys, defaults and value types
+(a float key takes a JSON number, an int key a JSON integer).  All data
+files are deterministic for a fixed config and version (timestamps live
+only in run.json), use '.' decimals, LF line endings, and carry header rows.
 
 Each subcommand checks every value it reads, solves, and only then
 makes its output directory and writes its files; `main` writes run.json
@@ -31,7 +33,8 @@ from typing import List, Optional, Tuple
 
 from . import __version__, csvio
 from .csvio import MissingInput, SolverFailure
-from .mesh import Geometry, Mesh, RadialBall, Slab, build_mesh
+from .dynamics import TimeConfig
+from .mesh import Mesh, RadialBall, Slab, build_mesh
 from .profiles import (
     Constant,
     IncompatibleGeometry,
@@ -59,13 +62,16 @@ DEFAULTS = {
     "profile": {"kind": "constant", "value": 1.0},
     "lambda": 1.0,
     "time": {},
-    "ds": 0.02,
     "workers": 1,
     "out": "runs/out",
 }
 
 _TOP_KEYS = set(DEFAULTS) | {"lambda_grid", "rescale"}
-_RESCALE_KEYS = {"run", "center", "T"}
+# flag -> (the config key it sets, the type of its value); 'time.quench_eps' is a
+# key of the time section, and --profile NAME sets the profile {"kind": NAME},
+# whose kind's defaults fill in the rest
+_FLAGS = {"--out": ("out", str), "--lambda": ("lambda", float), "--nodes": ("node_count", int),
+          "--profile": ("profile", lambda kind: {"kind": kind}), "--quench-eps": ("time.quench_eps", float)}
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -82,10 +88,10 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
+    """value as a float if it is a JSON number; a bool or string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("%s must be a number" % what)
+    return float(value)
 
 
 def _text(value, what: str) -> str:
@@ -107,101 +113,80 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         _check_keys(user, _TOP_KEYS, "top-level")
-        for key, value in user.items():
-            if key == "time":
-                if not isinstance(value, dict):
-                    raise ConfigError("'time' must be an object")
-                cfg["time"] = dict(value)
-            else:
-                cfg[key] = copy.deepcopy(value)
-    if overrides.get("lam") is not None:
-        cfg["lambda"] = overrides["lam"]
-    if overrides.get("nodes") is not None:
-        cfg["node_count"] = overrides["nodes"]
-    if overrides.get("profile") is not None:
-        name = overrides["profile"]
-        if name == "constant":
-            cfg["profile"] = {"kind": "constant", "value": 1.0}
-        elif name == "sin_piecewise":
-            cfg["profile"] = {"kind": "sin_piecewise"}
-        else:
-            raise ConfigError(
-                "--profile accepts 'constant' or 'sin_piecewise'; use a config for others"
-            )
-    if overrides.get("quench_eps") is not None:
-        cfg["time"] = dict(cfg.get("time") or {})
-        cfg["time"]["quench_eps"] = overrides["quench_eps"]
-    if overrides.get("out") is not None:
-        cfg["out"] = overrides["out"]
+        cfg.update(copy.deepcopy(user))
+    for key, _ in _FLAGS.values():
+        if overrides.get(key) is not None:
+            section, _, inner = key.rpartition(".")
+            target = cfg[section] if section else cfg
+            if not isinstance(target, dict):
+                raise ConfigError("'%s' must be an object" % section)
+            target[inner] = overrides[key]
     return cfg
 
 
-# section -> kind -> the constructor it names.  A kind's keys are its
-# constructor's parameters, their defaults the parameters' defaults, and each
-# value is read by the reader of the parameter's annotated type.
+@dataclasses.dataclass(frozen=True)
+class RescaleConfig:
+    """The simulate run to rescale; center and T default to those of its quench.json."""
+
+    run: str
+    center: float = None
+    T: float = None
+
+    def __post_init__(self):
+        if not self.run:
+            raise ValueError("'run' must name a simulate output directory")
+
+
+# section -> its constructor, or kind -> constructor for a section that names a
+# 'kind'; each value is read by the reader of its parameter's annotated type,
+# and null is "not given" for a key whose default is None
 KINDS = {
     "geometry": {"slab": Slab, "ball": RadialBall},
     "profile": {"constant": Constant, "power": Power, "sin_piecewise": SlabSinPiecewise,
                 "tabulated": tabulated_from_csv},
+    "time": TimeConfig,
+    "rescale": RescaleConfig,
 }
 _READERS = {float: _number, int: _integer, str: _text}
 
 
 def _build(section: str, spec):
-    """The object that `spec`, one config section's object, names by its 'kind'."""
+    """The object that `spec`, one config section's object, describes."""
     if not isinstance(spec, dict):
         raise ConfigError("'%s' must be an object" % section)
-    kinds, kind = KINDS[section], spec.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError("%s kind must be %s" % (section, "|".join(kinds)))
-    where = "%s %s" % (kind, section)
-    params = inspect.signature(kinds[kind], eval_str=True).parameters
-    _check_keys(spec, {"kind", *params}, where)
+    ctor, where, spec = KINDS[section], section, dict(spec)
+    if isinstance(ctor, dict):
+        kind = spec.pop("kind", None)
+        if not isinstance(kind, str) or kind not in ctor:
+            raise ConfigError("%s kind must be %s" % (section, "|".join(ctor)))
+        ctor, where = ctor[kind], "%s %s" % (kind, section)
+    params = inspect.signature(ctor, eval_str=True).parameters
+    _check_keys(spec, set(params), where)
     missing = [name for name, p in params.items() if p.default is p.empty and name not in spec]
     if missing:
         raise ConfigError("%s requires %s" % (where, ", ".join(repr(name) for name in missing)))
     args = {name: _READERS[params[name].annotation](value, "%s.%s" % (section, name))
-            for name, value in spec.items() if name != "kind"}
+            for name, value in spec.items() if value is not None or params[name].default is not None}
     try:
-        return kinds[kind](**args)
+        return ctor(**args)
     except OSError as exc:  # the tabulated profile's table
         raise MissingInput("profile table not readable: %s" % exc)
     except ValueError as exc:
         raise ConfigError("bad %s: %s" % (section, exc))
 
 
-def build_geometry(spec: dict) -> Geometry:
-    return _build("geometry", spec)
-
-
-def build_profile(spec: dict) -> Profile:
-    return _build("profile", spec)
-
-
-def build_time(spec: dict):
-    from .dynamics import TimeConfig
-
-    if not isinstance(spec, dict):
-        raise ConfigError("'time' must be an object")
-    _check_keys(spec, {field.name for field in dataclasses.fields(TimeConfig)}, "time")
-    try:
-        return TimeConfig(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad time config: %s" % exc)
-
-
-def _build_mesh(cfg: dict) -> Mesh:
-    node_count = _integer(cfg["node_count"], "node_count")
-    geometry = build_geometry(cfg["geometry"])
-    try:
-        return build_mesh(geometry, node_count)
-    except ValueError as exc:
-        raise ConfigError("bad mesh: %s" % exc)
+# perfbench/child.py replays a sweep's integrations through these names
+build_geometry, build_profile, build_time = (functools.partial(_build, s) for s in ("geometry", "profile", "time"))
 
 
 def _validated(cfg: dict) -> Tuple[Mesh, Profile]:
-    mesh = _build_mesh(cfg)
-    profile = build_profile(cfg["profile"])
+    node_count = _integer(cfg["node_count"], "node_count")
+    geometry = _build("geometry", cfg["geometry"])
+    try:
+        mesh = build_mesh(geometry, node_count)
+    except ValueError as exc:
+        raise ConfigError("bad mesh: %s" % exc)
+    profile = _build("profile", cfg["profile"])
     try:
         validate_profile(profile, mesh)
     except IncompatibleGeometry as exc:
@@ -220,13 +205,6 @@ def _checked_lam(lam: float, positive: bool, what: str) -> float:
 
 def _lam(cfg: dict, positive: bool = False) -> float:
     return _checked_lam(_number(cfg["lambda"], "lambda"), positive, "lambda")
-
-
-def _ds(cfg: dict) -> float:
-    ds = _number(cfg["ds"], "ds")
-    if not ds > 0:
-        raise ConfigError("ds must be positive")
-    return ds
 
 
 def _grid(cfg: dict, positive: bool = False) -> List[float]:
@@ -293,10 +271,9 @@ def cmd_steady(cfg: dict, files: List[str]) -> None:
     from .steady import branch_to_csv, continue_branch, minimal_states, states_to_csv
 
     mesh, profile = _validated(cfg)
-    ds = _ds(cfg)
     grid = None if cfg.get("lambda_grid") is None else _grid(cfg)
     if grid is None:
-        branch = continue_branch(profile, mesh, ds=ds)
+        branch = continue_branch(profile, mesh)
     else:
         states = []
         for lam, state in zip(grid, minimal_states(grid, profile, mesh)):
@@ -324,7 +301,7 @@ def cmd_simulate(cfg: dict, files: List[str]):
 
     mesh, profile = _validated(cfg)
     lam = _lam(cfg)
-    tc = build_time(cfg["time"])
+    tc = _build("time", cfg["time"])
     traj, report = integrate(lam, profile, mesh, tc)
 
     out = _outdir(cfg)
@@ -351,8 +328,7 @@ def cmd_bounds(cfg: dict, files: List[str]) -> None:
 
     mesh, profile = _validated(cfg)
     lam = _lam(cfg, positive=True)
-    ds = _ds(cfg)
-    report, = evaluate_all([lam], locate_fold(profile, mesh, ds=ds), profile, mesh)
+    report, = evaluate_all([lam], locate_fold(profile, mesh), profile, mesh)
 
     path = os.path.join(_outdir(cfg), "bounds.json")
     _write_json(path, {ARTIFACT_NAMES["bounds.json"].get(k, k): v for k, v in dataclasses.asdict(report).items()})
@@ -378,15 +354,14 @@ def cmd_sweep(cfg: dict, files: List[str]) -> None:
 
     mesh, profile = _validated(cfg)
     grid = _grid(cfg, positive=True)
-    ds = _ds(cfg)
-    tc = build_time(cfg["time"])
+    tc = _build("time", cfg["time"])
     workers = _integer(cfg["workers"], "workers")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
 
     fold = None
     try:
-        fold = locate_fold(profile, mesh, ds=ds)
+        fold = locate_fold(profile, mesh)
     except SolverFailure as exc:
         print("warning: continuation failed, steady bounds omitted: %s" % exc, file=sys.stderr)
 
@@ -413,9 +388,9 @@ def cmd_sweep(cfg: dict, files: List[str]) -> None:
         raise SolverFailure("every integration failed")
 
 
-def _bad_rescale_value(spec: dict, key: str, run_dir: str, problem: str) -> Exception:
+def _bad_rescale_value(spec: RescaleConfig, key: str, run_dir: str, problem: str) -> Exception:
     """A bad `key` given in the config is a config error; one read from quench.json is a damaged run."""
-    if spec.get(key) is None:
+    if getattr(spec, key) is None:
         return MissingInput("quench.json in %s: %s %s" % (run_dir, key, problem))
     return ConfigError("'rescale.%s': %s" % (key, problem))
 
@@ -425,15 +400,8 @@ def cmd_rescale(cfg: dict, files: List[str]):
     from .dynamics import read_trajectory
     from .selfsim import energy_trace, rescale, rescale_stats, write_energy_csv, write_frame_csv
 
-    spec = cfg.get("rescale")
-    if not isinstance(spec, dict):
-        raise ConfigError("rescale command requires a 'rescale' object in the config")
-    _check_keys(spec, _RESCALE_KEYS, "rescale")
-    run_dir = spec.get("run")
-    if not run_dir:
-        raise ConfigError("'rescale.run' must name a simulate output directory")
-    T = None if spec.get("T") is None else _number(spec["T"], "'rescale.T'")
-    center = None if spec.get("center") is None else _number(spec["center"], "'rescale.center'")
+    spec = _build("rescale", cfg.get("rescale"))
+    run_dir = spec.run
     try:
         with open(os.path.join(run_dir, "quench.json")) as fh:
             quench = json.load(fh)
@@ -443,9 +411,8 @@ def cmd_rescale(cfg: dict, files: List[str]):
         qset = [float(q) for q in quench["quench_set"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise MissingInput("no readable quench.json in %s: %s" % (run_dir, exc))
-    T = run_T if T is None else T
-    if center is None:
-        center = qset[0] if qset else 0.0
+    T = run_T if spec.T is None else spec.T
+    center = (qset[0] if qset else 0.0) if spec.center is None else spec.center
 
     try:
         with open(os.path.join(run_dir, "run.json")) as fh:
@@ -492,7 +459,6 @@ COMMANDS = {
     "bounds": (cmd_bounds, ("--lambda", "--nodes", "--profile")),
     "rescale": (cmd_rescale, ()),
 }
-_FLAG_OPTIONS = {"--lambda": {"dest": "lam", "type": float}, "--nodes": {"type": int}, "--quench-eps": {"type": float}}
 
 
 @functools.cache
@@ -505,8 +471,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in ("--config", "--out") + flags:
-            p.add_argument(flag, **_FLAG_OPTIONS.get(flag, {}))
+        p.add_argument("--config")
+        for flag in ("--out",) + flags:
+            p.add_argument(flag, dest=_FLAGS[flag][0], type=_FLAGS[flag][1])
     return parser
 
 

@@ -5,7 +5,8 @@ positive measure, and are Hoelder continuous with some exponent
 alpha in (0,1].  Each kind knows its own exponent, `holder_exponent`:
 Power has alpha = min(beta, 1) (1 at beta = 0), and the other kinds are
 Lipschitz, alpha = 1.  `holder_constant` gives each kind's exact
-constant K for that exponent over a span, by default the kind's domain.
+constant K for that exponent over a span, by default the kind's domain,
+and `supremum` its exact sup f there.
 
 The built-in kinds:
 
@@ -37,6 +38,7 @@ __all__ = [
     "evaluate",
     "validate",
     "holder_constant",
+    "supremum",
     "tabulated_from_csv",
 ]
 
@@ -234,3 +236,22 @@ def holder_constant(profile: Profile, span: Optional[Tuple[float, float]] = None
     xs, fs = profile.xs, profile.fs
     meets = (xs[:-1] < hi) & (xs[1:] > lo)
     return float(np.max(np.abs(np.diff(fs) / np.diff(xs))[meets]))
+
+
+def supremum(profile: Profile, span: Optional[Tuple[float, float]] = None) -> float:
+    """sup f over `span` = (lo, hi), by default the profile's domain.
+
+    Constant: its value.  Power |x|^beta: M^beta with M the largest |x| over
+    the span.  SlabSinPiecewise: 1, at x = -+1/4 on its domain, the only
+    span `validate` admits for it.  Tabulated: the largest of the values at
+    the span's ends and at the samples inside it.
+    """
+    lo, hi = profile.domain() if span is None else span
+    if isinstance(profile, Constant):
+        return float(profile.value)
+    if isinstance(profile, Power):
+        return float(max(abs(lo), abs(hi)) ** profile.exponent)
+    if isinstance(profile, SlabSinPiecewise):
+        return 1.0
+    inside = profile.fs[(profile.xs > lo) & (profile.xs < hi)]
+    return float(max(profile(lo), profile(hi), *inside))

@@ -464,7 +464,10 @@ def _lagrange_weights(nodes: list, s: float) -> list:
     return [math.prod((s - b) / (a - b) for b in nodes if b != a) for a in nodes]
 
 
-def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]:
+ARC_STEP = 0.02  # first pseudo-arclength step of the walk; a step grows to at most twice it
+
+
+def _walk(curve: _Curve, keep_states: bool) -> Tuple[Fold, list, int]:
     """The pseudo-arclength walk from (lam=0, w=0) to the fold, and the fold.
 
     Stepping uses secant tangents and halves the step on corrector failure,
@@ -486,8 +489,6 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
     fold_index), where states[fold_index] is that last point before the
     fold; states is empty without `keep_states`.
     """
-    if ds <= 0:
-        raise ValueError("ds must be positive")
     w = np.zeros(curve.n)
     lam = 0.0
     states = [curve.state(w, lam)] if keep_states else []
@@ -499,7 +500,7 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
     nrm = curve.norm(dwdlam, 1.0)
     tau_w, tau_lam = dwdlam / nrm, 1.0 / nrm
 
-    step = ds
+    step = ARC_STEP
     points = 1
     top = None  # (index, w, lam, secant) at the fold
     while points < 600:
@@ -532,7 +533,7 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
             top = (points - 1, w, lam, tau_w)
         points += 1
         w, lam = new_w, new_lam
-        step = min(step * 1.3, 2.0 * ds)
+        step = min(step * 1.3, 2.0 * ARC_STEP)
         if top is not None:
             if not keep_states:
                 break
@@ -550,14 +551,14 @@ def _walk(curve: _Curve, ds: float, keep_states: bool) -> Tuple[Fold, list, int]
     return _fold_at(curve, *polished), states, fold_index
 
 
-def continue_branch(profile: Profile, mesh: Mesh, ds: float = 0.02) -> SteadyBranch:
+def continue_branch(profile: Profile, mesh: Mesh) -> SteadyBranch:
     """Trace the solution curve from (lam=0, w=0) past the fold, with mu1 at
     every state (`_walk` with states).  The polished fold point is
     `fold_state`, its lam is `lambda_star`, and its eigenpair gives
     phi_star and psi_star.  A stalled walk or a failed polish raises
     StepFailure.
     """
-    fold, states, fold_index = _walk(_Curve(profile, mesh), ds, keep_states=True)
+    fold, states, fold_index = _walk(_Curve(profile, mesh), keep_states=True)
     return SteadyBranch(**vars(fold), states=tuple(states), fold_index=fold_index)
 
 
@@ -574,7 +575,7 @@ COARSE_NODES = 401
 FULL_WALK_NODES = 600
 
 
-def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
+def locate_fold(profile: Profile, mesh: Mesh) -> Fold:
     """The fold of `continue_branch`, from a walk without states.
 
     Up to FULL_WALK_NODES nodes the branch is walked on `mesh` without
@@ -588,7 +589,7 @@ def locate_fold(profile: Profile, mesh: Mesh, ds: float = 0.02) -> Fold:
     itself.  A failed coarse walk raises as `continue_branch` does.
     """
     def walked(on: Mesh) -> Fold:
-        return _walk(_Curve(profile, on), ds, keep_states=False)[0]
+        return _walk(_Curve(profile, on), keep_states=False)[0]
 
     if mesh.node_count <= FULL_WALK_NODES:
         return walked(mesh)

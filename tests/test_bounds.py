@@ -30,7 +30,7 @@ from quenchlab.bounds import (
 )
 from quenchlab.dynamics import QuenchReport, TimeConfig, integrate
 from quenchlab.mesh import Slab, build_mesh
-from quenchlab.profiles import Constant, Power, SlabSinPiecewise, evaluate
+from quenchlab.profiles import Constant, Power, SlabSinPiecewise, Tabulated, evaluate
 from quenchlab.steady import SteadyBranch, SteadyState
 
 BESSEL_J0_FIRST_ZERO_SQ = 5.783185962946785  # (first zero of J_0)^2
@@ -215,6 +215,19 @@ def test_sandwich_takes_the_fractional_K_over_omega():
     assert ll.epsilon == pytest.approx(eps, rel=1e-14)
     assert ll.sup_f == 1.0
     assert ll.delta == pytest.approx((eps / (2.0 * K)) ** 2, rel=1e-14)
+
+
+def test_sandwich_takes_the_exact_sup_f():
+    # a peak of half-width 1e-4 at c = 1/6000, a node of the 6001-node slab,
+    # falls between samples 2.5e-4 apart: sampled, sup f read 0.583 and the
+    # lower 1/(3 lam sup f) stood 1.29 times above the measured T
+    c, lam = 1.0 / 6000.0, 1e7
+    f = Tabulated(np.array([-0.5, c - 1e-4, c, c + 1e-4, 0.5]), np.array([0.5, 0.5, 1.0, 0.5, 0.5]))
+    mesh = build_mesh(Slab(-0.5, 0.5), 6001)
+    ll = large_lambda_bounds(lam, f, mesh)
+    assert ll.sup_f == 1.0
+    _, report = integrate(lam, f, mesh, TimeConfig())
+    assert report.quenched and ll.lower <= report.T
 
 
 def test_sandwich_constant_profile_collapses():

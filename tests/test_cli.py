@@ -188,10 +188,11 @@ TABLES = {
     ("sweep", {"lambda_grid": []}),
     ("simulate", {"time": {"snapshot_stride": 2.5}}),
     ("simulate", {"time": {"snapshot_stride": True}}),
-    ("bounds", {"ds": "abc"}),
-    ("steady", {"ds": 0}),
-    ("bounds", {"ds": 0}),
-    ("sweep", {"ds": -0.02, "lambda_grid": [1.0]}),
+    # ds, the walk's step, is no longer a key; a float key takes a JSON number only
+    ("bounds", {"ds": 0.02}),
+    ("steady", {"geometry": {"kind": "slab", "x_left": "-0.5"}}),
+    ("bounds", {"lambda": "5"}),
+    ("sweep", {"lambda_grid": ["4.0"]}),
     ("rescale", {"rescale": {"run": "somewhere", "T": "abc"}}),
     ("rescale", {"rescale": {"run": "somewhere", "center": "mid"}}),
     ("rescale", {"rescale": {"run": SLAB_RUN, "T": 0.01}}),
@@ -246,17 +247,31 @@ TABLES = {
     ("steady", {"profile": {"kind": "tabulated", "path": GOOD_TABLE, "holder_exponent": 1.0}}),
     # a path is a string, not a file descriptor
     ("steady", {"profile": {"kind": "tabulated", "path": 5}}),
+    # a config root or section that is not an object, and required keys left out
+    ("steady", [{"node_count": 101}]),
+    ("simulate", {"time": 5}),
+    ("steady", {"geometry": 5}),
+    ("steady", {"geometry": {"kind": "ball"}}),
+    ("steady", {"profile": {"kind": "power"}}),
+    ("steady", {"node_count": 2}),
+    ("steady", {"geometry": {"kind": "ball", "dimension": 2}, "profile": {"kind": "sin_piecewise"}}),
+    ("rescale", {}),
+    # rescale.run is a nonempty string
+    ("rescale", {"rescale": {"run": ""}}),
+    ("rescale", {"rescale": {"run": 5}}),
 ])
 def test_unknown_or_invalid_keys(tmp_path, command, payload):
-    run = payload.get("rescale", {}).get("run")
-    if run in RUNS:  # a real quenched run, so that only the rescale value is wrong
-        payload = {"rescale": dict(payload["rescale"], run=simulate_run(tmp_path, "ok", RUNS[run]))}
-    table = payload.get("profile", {}).get("path")
-    if table in TABLES:
-        path = tmp_path / "table.csv"
-        path.write_text(TABLES[table])
-        payload = dict(payload, profile=dict(payload["profile"], path=str(path)))
-    cfg = write_config(tmp_path, "bad.json", dict(payload, node_count=payload.get("node_count", 101)))
+    if isinstance(payload, dict):
+        run = payload.get("rescale", {}).get("run")
+        if run in RUNS:  # a real quenched run, so that only the rescale value is wrong
+            payload = {"rescale": dict(payload["rescale"], run=simulate_run(tmp_path, "ok", RUNS[run]))}
+        table = payload.get("profile", {}).get("path")
+        if table in TABLES:
+            path = tmp_path / "table.csv"
+            path.write_text(TABLES[table])
+            payload = dict(payload, profile=dict(payload["profile"], path=str(path)))
+        payload = dict(payload, node_count=payload.get("node_count", 101))
+    cfg = write_config(tmp_path, "bad.json", payload)
     out = str(tmp_path / "bad_out")
     assert main([command, "--config", cfg, "--out", out]) == 2
     assert not os.path.exists(out)  # every value is checked before the output directory is made
@@ -345,7 +360,7 @@ def test_derived_holder_exponent_reaches_epsilon(tmp_path, spec, alpha, K):
     if spec.get("path") in TABLES:
         (tmp_path / "f.csv").write_text(TABLES[spec["path"]])
         spec = dict(spec, path=str(tmp_path / "f.csv"))
-    lo, hi = cli.build_profile(spec).domain()
+    lo, hi = cli._build("profile", spec).domain()
     cfg = write_config(tmp_path, "a.json", {
         "node_count": 101, "profile": spec, "geometry": {"kind": "slab", "x_left": lo, "x_right": hi}})
     out = str(tmp_path / "a_out")
@@ -418,10 +433,8 @@ def test_simulate_step_limit_is_solver_failure(tmp_path, monkeypatch, capsys):
 def test_step_that_does_not_advance_t_is_solver_failure(tmp_path, capsys, monkeypatch):
     # near touchdown at quench_eps 1e-6 the accepted dt falls below the spacing of floats at t;
     # TimeConfig rejects that quench_eps, so this run sets it past validation
-    unchecked = dynamics.TimeConfig()
-    object.__setattr__(unchecked, "quench_eps", 1e-6)
-    monkeypatch.setattr(cli, "build_time", lambda spec: unchecked)
-    cfg = write_config(tmp_path, "adv.json", {"node_count": 101, "lambda": 10.0})
+    monkeypatch.setattr(dynamics.TimeConfig, "__post_init__", lambda self: None)
+    cfg = write_config(tmp_path, "adv.json", {"node_count": 101, "lambda": 10.0, "time": {"quench_eps": 1e-6}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "adv_out")]) == 3
     assert "does not advance t=" in capsys.readouterr().err
 
@@ -450,6 +463,14 @@ def test_simulate_flag_overrides(tmp_path):
     quench = read_json(os.path.join(out, "quench.json"))
     assert quench["last_resolved_gap"] <= 0.0101
     assert quench["last_resolved_gap"] > 0.001
+
+
+def test_quench_eps_flag_needs_a_time_object(tmp_path):
+    # --quench-eps sets a key of the time section, so a time that is no object is a config error
+    cfg = write_config(tmp_path, "qe.json", {"node_count": 101, "time": 5})
+    out = str(tmp_path / "qe_out")
+    assert main(["simulate", "--config", cfg, "--out", out, "--quench-eps", "0.01"]) == 2
+    assert not os.path.exists(out)
 
 
 def test_simulate_profile_flag(tmp_path):
@@ -496,7 +517,7 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     header = Path(os.path.join(out1, "sweep.csv")).read_text().splitlines()[0]
     assert header.split(",") == artifact_names(MeasuredReport, "sweep.csv")
     mesh = build_mesh(Slab(-0.5, 0.5), 201)
-    fold = steady.locate_fold(Constant(1.0), mesh, ds=0.02)
+    fold = steady.locate_fold(Constant(1.0), mesh)
     rows = read_sweep(out1)
     assert len(rows) == 3
     for row in rows:
@@ -763,11 +784,11 @@ def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     walk = steady._walk
     walked = []
 
-    def fail_coarse(curve, ds, keep_states):
+    def fail_coarse(curve, keep_states):
         walked.append(curve.mesh.node_count)
         if curve.mesh.node_count == steady.COARSE_NODES:
             raise steady.StepFailure("forced on the coarse mesh")
-        return walk(curve, ds, keep_states)
+        return walk(curve, keep_states)
 
     monkeypatch.setattr(steady, "_walk", fail_coarse)
     cfg = write_config(tmp_path, "cw.json", {
@@ -808,7 +829,8 @@ def test_rescale_round_trip(tmp_path):
 
 def test_rescale_of_stored_run_matches_rescale_in_memory(tmp_path, quench_run_201):
     run = simulate_run(tmp_path, "rm", {"node_count": 201, "lambda": 5.0})
-    cfg = write_config(tmp_path, "rm_cfg.json", {"rescale": {"run": run}})
+    # null T and center are not given: both come from the run's quench.json
+    cfg = write_config(tmp_path, "rm_cfg.json", {"rescale": {"run": run, "T": None, "center": None}})
     out = tmp_path / "rm_out"
     assert main(["rescale", "--config", cfg, "--out", str(out)]) == 0
 

@@ -1,4 +1,4 @@
-"""Permittivity profiles: evaluation, admissibility, Hoelder constants."""
+"""Permittivity profiles: evaluation, admissibility, Hoelder constants, sup f."""
 
 import math
 
@@ -16,6 +16,7 @@ from quenchlab.profiles import (
     Tabulated,
     evaluate,
     holder_constant,
+    supremum,
     tabulated_from_csv,
     validate,
 )
@@ -153,6 +154,19 @@ def test_holder_constant_bounds_every_pair(kind, data):
     assert np.all(lhs <= rhs)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@given(data=st.data())
+def test_supremum_bounds_f_over_the_span(kind, data):
+    f = data.draw(KINDS[kind])
+    lo, hi = np.clip(f.domain(), -10.0, 10.0)
+    if kind != "sin_piecewise":  # `validate` admits the two-bump profile on its domain alone
+        a, b = sorted(data.draw(st.floats(0.0, 1.0)) for _ in range(2))
+        lo, hi = lo + (hi - lo) * a, lo + (hi - lo) * b
+    s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)))
+    x = np.clip(lo + (hi - lo) * s, lo, hi)
+    assert np.all(np.asarray(evaluate(f, x)) <= supremum(f, (lo, hi)) + ROUNDING)
+
+
 NARROW_PEAK = Tabulated(np.array([-0.5, -1e-4, 0.0, 1e-4, 0.5]), np.array([0.5, 0.5, 1.0, 0.5, 0.5]))
 
 
@@ -181,6 +195,20 @@ def test_holder_constant_is_reached(f, x, y):
 ])
 def test_holder_constant_over_a_span(f, span, K):
     assert holder_constant(f, span) == K
+
+
+@pytest.mark.parametrize("f,span,x", [
+    (Constant(0.5), None, 0.3),
+    (Power(0.0), (0.0, 0.5), 0.0),  # |x|^0 = 1
+    (Power(0.5), (0.25, 1.0), 1.0),
+    (Power(3.0), (-0.5, 0.25), -0.5),
+    (SlabSinPiecewise(), None, 0.25),
+    (NARROW_PEAK, None, 0.0),
+    (NARROW_PEAK, (0.5e-4, 0.5), 0.5e-4),  # the span starts on the peak's flank
+])
+def test_supremum_is_reached(f, span, x):
+    # sup f over the span is f at a named point of it
+    assert supremum(f, span) == pytest.approx(evaluate(f, x), abs=1e-15)
 
 
 @pytest.mark.parametrize("f,span,K", [

@@ -370,9 +370,9 @@ def test_locate_fold_walks_small_meshes_in_full(monkeypatch):
     walk = steady._walk
     walked = []
 
-    def recorded(curve, ds, keep_states):
+    def recorded(curve, keep_states):
         walked.append((curve.mesh.node_count, keep_states))
-        return walk(curve, ds, keep_states)
+        return walk(curve, keep_states)
 
     monkeypatch.setattr(steady, "_walk", recorded)
     n = steady.FULL_WALK_NODES
@@ -438,7 +438,7 @@ def test_fold_polish_does_not_depend_on_its_start():
     mesh = build_mesh(RadialBall(3, 1.0), 6001)
     profile = Power(1.0)
     nested = steady.locate_fold(profile, mesh)
-    walked, _, _ = steady._walk(steady._Curve(profile, mesh), 0.02, keep_states=False)
+    walked, _, _ = steady._walk(steady._Curve(profile, mesh), keep_states=False)
     assert walked.lambda_star == pytest.approx(nested.lambda_star, rel=1e-10)
 
 

@@ -22,8 +22,9 @@ That corrector takes the roundoff floor of a residual from the one
 `mesh.residual_floor`.  The
 profile's Hoelder constant is read only by the large-lam sandwich.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
-turns a failure into an exit code.  Each config kind's keys are its
-constructor's fields, so a renamed field renames the key.
+turns a failure into an exit code.  Each config section's and kind's keys
+are its constructor's fields, so a renamed field renames the key, and one
+reader, `cli._build`, reads every section.
 """
 
 import ast
@@ -244,21 +245,38 @@ def test_one_solver_failure_type():
 
 
 def test_config_kinds_take_their_constructors_fields():
-    # cli reads a kind's keys, defaults and value types off its constructor's
-    # signature: that signature is the constructor's fields (the table loader
-    # takes a path), each field's type has a reader, and the default geometry
-    # and profile of DEFAULTS are the constructors' defaults
+    # cli reads every config section, and a kind's keys, defaults and value
+    # types, off its constructor's signature: that signature is the
+    # constructor's fields (the table loader takes a path), each field's type
+    # has a reader, and the default geometry and profile of DEFAULTS are the
+    # constructors' defaults; time and rescale name no kind
     from quenchlab import cli
 
+    assert set(cli.KINDS) == {"geometry", "profile", "time", "rescale"}
     for section, kinds in cli.KINDS.items():
+        if not isinstance(kinds, dict):
+            kinds = {None: kinds}
         for kind, ctor in kinds.items():
             params = inspect.signature(ctor, eval_str=True).parameters
             fields = [f.name for f in dataclasses.fields(ctor)] if dataclasses.is_dataclass(ctor) else ["path"]
             assert list(params) == fields, (section, kind)
             assert all(p.annotation in cli._READERS for p in params.values()), (section, kind)
-        default = dict(cli.DEFAULTS[section])
-        params = inspect.signature(kinds[default.pop("kind")]).parameters
-        assert default == {name: p.default for name, p in params.items()}, section
+        default = dict(cli.DEFAULTS.get(section, {}))
+        if default:
+            params = inspect.signature(kinds[default.pop("kind")]).parameters
+            assert default == {name: p.default for name, p in params.items()}, section
+    assert cli.DEFAULTS["time"] == {}
+
+
+def test_one_config_reader():
+    # _build is the one function that turns a config section into an object:
+    # no other function in cli calls a section's constructor or a kind's
+    from quenchlab import cli
+
+    ctors = {"TimeConfig", "RescaleConfig"} | {ctor.__name__ for kinds in cli.KINDS.values()
+                                               if isinstance(kinds, dict) for ctor in kinds.values()}
+    callers = {top for name in ctors for mod, top in call_sites(name) if mod == "cli"}
+    assert callers == set(), callers
 
 
 def test_exit_codes_set_in_main_only():
