@@ -32,14 +32,19 @@ iterate's Rayleigh quotient and residual without a product by A, and the
 shift follows that quotient from the first iterate on.  `locate_fold` returns
 the fold alone: its walk solves no eigenpair and stops at the first
 point past the fold, and on a fine mesh it walks a coarse one and runs
-the same fold Newton on the fine mesh from the coarse fold.  Every tridiagonal solve here, in the corrector,
-the fold Newton and inverse iteration, is the LAPACK kernel
-`mesh.solve_banded`.
+the same fold Newton on the fine mesh from the coarse fold.  Every
+tridiagonal solve here, in the corrector, the fold Newton and inverse
+iteration, is the LAPACK kernel `mesh.solve_banded`.
 
 One `_Curve` holds the operator (Laplacian bands, f and quadrature
 weights at the unknowns) for its corrector, its fold Newton and the eigen
-solve of each of its states, `linearized_eigenpair`.  States,
-eigenfunctions and fold data are arrays of values on every node.
+solve of each of its states, `linearized_eigenpair`.  Each of their iterates
+forms G_lam = f / (1 - w)^2 once, and `_residual` and `_jacobian` take G =
+lap w + lam G_lam and G_w's potential 2 lam G_lam / (1 - w) from it.  No
+power above the square is taken: numpy squares in a fast path but calls
+libm pow per element of a cube.  Sup-norms are array methods, which skip
+the Python layer of `np.max`.  States, eigenfunctions and fold data are
+arrays of values on every node.
 """
 
 from __future__ import annotations
@@ -132,15 +137,15 @@ def _embed(mesh: Mesh, interior: np.ndarray) -> np.ndarray:
 # residual tests take their roundoff floor from mesh.residual_floor(Lb).
 
 
-def _residual(Lb: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float, gap2: np.ndarray) -> np.ndarray:
-    """G(w, lam) = lap(w) + lam f / (1 - w)^2, given gap2 = (1 - w)^2."""
-    return bands_matvec(Lb, w) + lam * f / gap2
+def _residual(Lb: np.ndarray, w: np.ndarray, lam: float, glam: np.ndarray) -> np.ndarray:
+    """G(w, lam) = lap(w) + lam f / (1 - w)^2, given glam = G_lam = f / (1 - w)^2."""
+    return bands_matvec(Lb, w) + lam * glam
 
 
-def _jacobian(Lb: np.ndarray, f: np.ndarray, gap: np.ndarray, lam: float) -> np.ndarray:
-    """G_w(w, lam) = lap + 2 lam f / (1 - w)^3, given gap = 1 - w, in solve_banded layout."""
+def _jacobian(Lb: np.ndarray, gap: np.ndarray, lam: float, glam: np.ndarray) -> np.ndarray:
+    """G_w(w, lam) = lap + 2 lam f / (1 - w)^3 = lap + 2 lam glam / gap, in solve_banded layout."""
     Jb = Lb.copy()
-    Jb[1] += 2.0 * lam * f / gap**3
+    Jb[1] += 2.0 * lam * glam / gap
     return Jb
 
 
@@ -204,11 +209,11 @@ def _inverse_iteration(ab, weights, v, sigma, stop):
         except np.linalg.LinAlgError:  # singular or non-finite: nudge the shift
             sigma -= max(1.0, abs(sigma)) * 1e-8
             continue
-        peak = int(np.argmax(np.abs(y)))
+        peak = int(np.abs(y).argmax())
         x, r = y / y[peak], v / y[peak]
         wx = weights * x
         mu = sigma + float(np.dot(wx, r) / np.dot(wx, x))
-        res = float(np.max(np.abs(r - (mu - sigma) * x)))
+        res = float(np.abs(r - (mu - sigma) * x).max())
         if res < best_res:
             best_res, best = res, (mu, x)
             stale = 0
@@ -251,8 +256,8 @@ def smallest_eigenvalue_bands(
     """
     n = ab.shape[1]
     if radius is None:
-        radius = float(np.max(_offdiagonal_radii(ab)))
-    anorm = float(np.max(np.abs(ab[1]))) + radius
+        radius = float(_offdiagonal_radii(ab).max())
+    anorm = float(np.abs(ab[1]).max()) + radius
     # not mesh.residual_floor: an eigen-residual floor on the Gershgorin
     # norm; changing it moves the mu1 bits of every branch
     floor = 50.0 * np.finfo(float).eps * anorm
@@ -264,16 +269,16 @@ def smallest_eigenvalue_bands(
         return max(1e-8 * max(1.0, abs(mu)), 2.0 * floor)
 
     if start is not None:
-        v = np.asarray(start, dtype=float) / np.max(np.abs(start))
+        v = np.asarray(start, dtype=float) / np.abs(start).max()
         # the start's weighted Rayleigh quotient and residual set the first shift
         av, wv = bands_matvec(ab, v), weights * v
         mu = float(np.dot(wv, av) / np.dot(wv, v))
-        sigma = _shift(mu, float(np.max(np.abs(av - mu * v))))
+        sigma = _shift(mu, float(np.abs(av - mu * v).max()))
         best_res, best = _inverse_iteration(ab, weights, v, sigma, stop)
         if best is not None and best_res <= target(best[0]) and best[1].min() >= -1e-8:
             return best[0], best[1], best_res
 
-    sigma = float(np.min(ab[1] - _offdiagonal_radii(ab))) - 1.0
+    sigma = float((ab[1] - _offdiagonal_radii(ab)).min()) - 1.0
     best_res, best = _inverse_iteration(ab, weights, np.ones(n), sigma, stop)
     if best is None:
         raise IterationLimit("inverse iteration produced no usable vector")
@@ -296,8 +301,8 @@ def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float) -> Tuple[floa
     gap = 1.0 - w
     if gap.min() < 1e-9:
         raise ValueError("state touches the obstacle; linearization undefined")
-    ab = np.negative(curve.Lb)  # -G_w, bitwise -_jacobian(curve.Lb, curve.f, gap, lam)
-    ab[1] -= 2.0 * lam * curve.f / gap**3
+    ab = _jacobian(curve.Lb, gap, lam, curve.f / np.square(gap))
+    np.negative(ab, out=ab)  # -G_w
     mu, v, _ = smallest_eigenvalue_bands(ab, curve.wq, start=curve.start, radius=curve.radius)
     phi = _embed(curve.mesh, v)
     scale = np.sqrt(integrate(curve.mesh, phi**2))
@@ -322,7 +327,7 @@ class _Curve:
         # residual sup-norms below the operator's roundoff floor are noise
         self.res_floor = residual_floor(self.Lb)
         # largest off-diagonal Gershgorin radius of every -G_w on this curve
-        self.radius = float(np.max(_offdiagonal_radii(self.Lb)))
+        self.radius = float(_offdiagonal_radii(self.Lb).max())
         # interior vector that warm-starts the next eigen solve: the last
         # state's eigenvector, or a guess set before a fold polish
         self.start: Optional[np.ndarray] = None
@@ -334,40 +339,40 @@ class _Curve:
         The first iterate whose residual sup-norm, above its target, is not
         below the last one ends the call with None: on the walks the README
         lists, every converging call's residual fell at every iterate (by a
-        factor 0.71 or less), and a failing call now stops after at most two
-        solves instead of running to its cap."""
-        w = np.array(w, dtype=float)
-        lam = float(lam)
+        factor 0.708 or less), and a failing call now stops after at most two
+        solves instead of running to its cap.  G_lam is formed once an
+        iterate, the constraint weights wt and their offset once a call."""
+        w, lam = np.array(w, dtype=float), float(lam)
         tol_eff = max(1e-10, self.res_floor)
+        wt = self.wq * tau_w  # the constraint is <wt, w - base_w> + tau_lam (lam - base_lam) - ds
+        offset = float(np.dot(wt, base_w)) + ds
         last = np.inf
+        # rows R and G_lam: their transpose is the Fortran-order right side
+        # that dgtsv solves in place; one buffer serves every iterate
+        rhs = np.empty((2, self.n))
         for _ in range(max_steps):
             gap = 1.0 - w
             if gap.min() <= 1e-12:
                 return None
-            gap2 = gap**2
-            R = _residual(self.Lb, self.f, w, lam, gap2)
-            Ncon = float(np.dot(self.wq, tau_w * (w - base_w)) + tau_lam * (lam - base_lam) - ds)
-            res = float(np.max(np.abs(R)))
+            glam = np.divide(self.f, np.square(gap), out=rhs[1])
+            R = rhs[0] = _residual(self.Lb, w, lam, glam)
+            Ncon = float(np.dot(wt, w)) - offset + tau_lam * (lam - base_lam)
+            res = float(np.abs(R).max())
             if res <= tol_eff and abs(Ncon) <= 1e-11 * max(1.0, abs(ds)):
                 return w, lam
             if res >= last and res > tol_eff:  # not contracting
                 return None
             last = res
-            # rows R and G_lam: their transpose is the Fortran-order right
-            # side that dgtsv solves in place
-            rhs = np.empty((2, self.n))
-            rhs[0] = R
-            np.divide(self.f, gap2, out=rhs[1])
+            # G_w is factored in place and freed once solved: the next temporaries reuse its memory
             try:
-                Jb = _jacobian(self.Lb, self.f, gap, lam)
-                ab = solve_banded(Jb, rhs.T, overwrite_ab=True, overwrite_b=True)
+                ab = solve_banded(_jacobian(self.Lb, gap, lam, glam), rhs.T, overwrite_ab=True, overwrite_b=True)
             except np.linalg.LinAlgError:
                 return None
             a, b = ab[:, 0], ab[:, 1]
-            denom = tau_lam - float(np.dot(self.wq, tau_w * b))
+            denom = tau_lam - float(np.dot(wt, b))
             if denom == 0.0:
                 return None
-            dlam = (float(np.dot(self.wq, tau_w * a)) - Ncon) / denom
+            dlam = (float(np.dot(wt, a)) - Ncon) / denom
             dw = -a - dlam * b
             theta = 1.0
             while (trial := w + theta * dw).max() >= 1.0 - 1e-12:
@@ -401,29 +406,28 @@ class _Curve:
         stalls, Newton leaves the curve's neighbourhood or it ends off the
         residual target.
         """
-        w = np.array(w, dtype=float)
-        lam = float(lam)
-        ab = -_jacobian(self.Lb, self.f, 1.0 - w, lam)
+        w, lam = np.array(w, dtype=float), float(lam)
+        gap = 1.0 - w
+        ab = -_jacobian(self.Lb, gap, lam, self.f / np.square(gap))
         try:
             _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start, radius=self.radius)
         except IterationLimit:
             return None
-        i0 = int(np.argmax(np.abs(phi)))  # phi[i0] = 1
+        i0 = int(np.abs(phi).argmax())  # phi[i0] = 1
         lam0 = lam
         dlam = np.inf
         for _ in range(8):
             gap = 1.0 - w
             if gap.min() <= 1e-12 or not 0.2 * lam0 <= lam <= 5.0 * lam0:
                 return None
-            gap2 = gap**2
-            G = _residual(self.Lb, self.f, w, lam, gap2)
-            if abs(dlam) <= 1e-10 * abs(lam) and np.max(np.abs(G)) <= self.res_floor:
+            glam = self.f / np.square(gap)
+            G = _residual(self.Lb, w, lam, glam)
+            if abs(dlam) <= 1e-10 * abs(lam) and np.abs(G).max() <= self.res_floor:
                 break
-            Jb = _jacobian(self.Lb, self.f, gap, lam)
+            Jb = _jacobian(self.Lb, gap, lam, glam)
             H = bands_matvec(Jb, phi)
-            glam = self.f / gap2
-            d1 = 6.0 * lam * self.f / gap**4 * phi
-            d2 = 2.0 * self.f / gap**3 * phi
+            d2 = 2.0 * glam / gap * phi  # G_wlam phi = 2 f/(1-w)^3 phi
+            d1 = 3.0 * lam * d2 / gap  # G_ww phi = 6 lam f/(1-w)^4 phi
             try:
                 u = solve_banded(Jb, np.column_stack((-G, -glam)))
                 u0, u1 = u[:, 0], u[:, 1]
@@ -436,15 +440,11 @@ class _Curve:
             dlam = (1.0 - phi[i0] - v0[i0]) / v1[i0]
             dw = u0 + dlam * u1
             dphi = v0 + dlam * v1
-            if not np.isfinite(dlam):
+            if not np.isfinite(dlam) or (w + dw).max() >= 1.0 - 1e-12:
                 return None
-            if (w + dw).max() >= 1.0 - 1e-12:
-                return None
-            w = w + dw
-            phi = phi + dphi
-            lam = lam + dlam
-        G = _residual(self.Lb, self.f, w, lam, (1.0 - w) ** 2)
-        if np.max(np.abs(G)) > max(1e-10, 10.0 * self.res_floor):
+            w, phi, lam = w + dw, phi + dphi, lam + dlam
+        G = _residual(self.Lb, w, lam, self.f / np.square(1.0 - w))
+        if np.abs(G).max() > max(1e-10, 10.0 * self.res_floor):
             return None
         return w, lam
 

@@ -21,7 +21,7 @@ import pytest
 from scipy.optimize import brentq
 
 from quenchlab.bounds import evaluate_all
-from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, integrate
+from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, integrate, solve_banded
 from quenchlab.profiles import Constant, Power, SlabSinPiecewise
 from quenchlab import steady
 from quenchlab.steady import (
@@ -85,7 +85,7 @@ def test_solve_minimal_matches_closed_form():
         assert st is not None
         assert abs(st.sup_w - m_exact) < tol
         w = st.w[mesh.unknown_slice]
-        assert np.max(np.abs(steady._residual(Lb, f, w, st.lam, (1.0 - w) ** 2))) < 1e-9
+        assert np.max(np.abs(steady._residual(Lb, w, st.lam, f / (1.0 - w) ** 2))) < 1e-9
 
 
 def test_solve_minimal_sup_converges_second_order():
@@ -204,9 +204,9 @@ def test_jacobian_matches_central_differences(geometry, profile):
         e = np.zeros(x.size)
         e[j] = step
         up, down = w + e, w - e
-        fd[:, j] = (steady._residual(Lb, f, up, lam, (1.0 - up) ** 2)
-                    - steady._residual(Lb, f, down, lam, (1.0 - down) ** 2)) / (2.0 * step)
-    J = _dense(steady._jacobian(Lb, f, 1.0 - w, lam))
+        fd[:, j] = (steady._residual(Lb, up, lam, f / (1.0 - up) ** 2)
+                    - steady._residual(Lb, down, lam, f / (1.0 - down) ** 2)) / (2.0 * step)
+    J = _dense(steady._jacobian(Lb, 1.0 - w, lam, f / (1.0 - w) ** 2))
     assert np.max(np.abs(fd - J)) <= 1e-6 * np.max(np.abs(J))
     # the nonlinear part is present: the Jacobian is not the Laplacian alone
     assert np.max(np.abs(J - _dense(Lb))) > 1.0
@@ -491,8 +491,8 @@ def test_corrector_stops_once_its_residual_stops_falling(monkeypatch):
             calls[-1]["solves"] += 1
         return kernel(ab, b, **kwargs)
 
-    def traced(Lb, f, w, lam, gap2):
-        R = residual(Lb, f, w, lam, gap2)
+    def traced(*args):
+        R = residual(*args)
         if sys._getframe(1).f_code.co_name == "correct":
             calls[-1]["res"].append(np.max(np.abs(R)))
         return R
@@ -512,6 +512,70 @@ def test_corrector_stops_once_its_residual_stops_falling(monkeypatch):
     for c in calls:
         if c["ok"]:
             assert all(b < a for a, b in zip(c["res"], c["res"][1:])), c["res"]
+
+
+def _correct_reference(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, max_steps):
+    """The bordered Newton of _Curve.correct as it was written before G_lam
+    was shared: each iterate forms (1 - w)^2 and (1 - w)^3 by powers, f / (1 - w)^2
+    twice and the constraint weights wq tau_w three times.  The oracle for
+    _Curve.correct, with the same kernel, stops and damping."""
+    w = np.array(w, dtype=float)
+    lam = float(lam)
+    tol_eff = max(1e-10, self.res_floor)
+    last = np.inf
+    for _ in range(max_steps):
+        gap = 1.0 - w
+        if gap.min() <= 1e-12:
+            return None
+        gap2 = gap**2
+        R = bands_matvec(self.Lb, w) + lam * self.f / gap2
+        Ncon = float(np.dot(self.wq, tau_w * (w - base_w)) + tau_lam * (lam - base_lam) - ds)
+        res = float(np.max(np.abs(R)))
+        if res <= tol_eff and abs(Ncon) <= 1e-11 * max(1.0, abs(ds)):
+            return w, lam
+        if res >= last and res > tol_eff:
+            return None
+        last = res
+        Jb = self.Lb.copy()
+        Jb[1] += 2.0 * lam * self.f / gap**3
+        try:
+            ab = solve_banded(Jb, np.column_stack((R, self.f / gap2)))
+        except np.linalg.LinAlgError:
+            return None
+        a, b = ab[:, 0], ab[:, 1]
+        denom = tau_lam - float(np.dot(self.wq, tau_w * b))
+        if denom == 0.0:
+            return None
+        dlam = (float(np.dot(self.wq, tau_w * a)) - Ncon) / denom
+        dw = -a - dlam * b
+        theta = 1.0
+        while (trial := w + theta * dw).max() >= 1.0 - 1e-12:
+            theta *= 0.5
+            if theta <= 1e-12:
+                return None
+        w = trial
+        lam = lam + theta * dlam
+    return None
+
+
+@pytest.mark.parametrize("geometry,profile,nodes",
+                         [case + (401,) for case in FOLD_PAIR_CASES] + [(Slab(-0.5, 0.5), SlabSinPiecewise(), 2001)],
+                         ids=["slab-f1", "slab-two-bump", "ball2-f1", "ball3-power1", "slab-two-bump-2001"])
+def test_corrector_matches_the_reference(monkeypatch, geometry, profile, nodes):
+    # G_lam formed once an iterate, no cube by pow and the constraint weights
+    # formed once a call move the walk's points by roundoff alone: the same
+    # states, lam and sup_w within 1e-9 relative (6.4e-13 and 2.8e-12 seen)
+    # and mu1 within 2e-8 max(1, |mu1|) (3.9e-10 seen)
+    mesh = build_mesh(geometry, nodes)
+    lean = continue_branch(profile, mesh)
+    monkeypatch.setattr(steady._Curve, "correct", _correct_reference)
+    ref = continue_branch(profile, mesh)
+    assert (len(lean.states), lean.fold_index) == (len(ref.states), ref.fold_index)
+    for a, b in zip(ref.states, lean.states):
+        assert b.lam == pytest.approx(a.lam, rel=1e-9)
+        assert b.sup_w == pytest.approx(a.sup_w, rel=1e-9)
+        assert abs(b.mu1 - a.mu1) <= 2e-8 * max(1.0, abs(a.mu1)), (a.lam, a.mu1, b.mu1)
+    assert lean.lambda_star == pytest.approx(ref.lambda_star, rel=1e-10)
 
 
 @FOLD_PAIRS
