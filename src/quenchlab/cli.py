@@ -121,6 +121,8 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
             if not isinstance(target, dict):
                 raise ConfigError("'%s' must be an object" % section)
             target[inner] = overrides[key]
+    if not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError("'out' must be a nonempty string")
     return cfg
 
 
@@ -239,7 +241,7 @@ def _sha256(path: str) -> str:
 
 
 def _write_run_record(command: str, cfg: dict, files: List[str], started: str, stats=None) -> None:
-    out = str(cfg["out"])
+    out = cfg["out"]
     record = {
         "version": __version__,
         "command": command,
@@ -258,9 +260,8 @@ def _now() -> str:
 
 
 def _outdir(cfg: dict) -> str:
-    out = str(cfg["out"])
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(cfg["out"], exist_ok=True)
+    return cfg["out"]
 
 
 # ---------------------------------------------------------------------------

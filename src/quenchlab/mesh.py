@@ -44,6 +44,7 @@ __all__ = [
     "build_mesh",
     "integrate",
     "sphere_area",
+    "trapezoid_weights",
 ]
 
 
@@ -130,7 +131,7 @@ class Mesh:
         if np.max(np.abs(spacings - self.h)) > 1e-12 * scale:
             raise ValueError("mesh nodes must be uniform")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", _trapezoid_weights(self.geometry, nodes, self.h))
+        object.__setattr__(self, "weights", trapezoid_weights(self.geometry, nodes, self.h))
 
     @property
     def node_count(self) -> int:
@@ -151,7 +152,8 @@ class Mesh:
         return slice(0 if self.is_radial else 1, self.node_count - 1)
 
 
-def _trapezoid_weights(geometry: Geometry, nodes: np.ndarray, h: float) -> np.ndarray:
+def trapezoid_weights(geometry: Geometry, nodes: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid weights of uniform nodes of spacing h, times |S^(N-1)| r^(N-1) on a ball."""
     w = np.full(nodes.size, h)
     w[0] = w[-1] = 0.5 * h
     if isinstance(geometry, RadialBall):

@@ -13,10 +13,10 @@ to an exponentially small defect.
 
 A sample is resolved while one mesh cell spans at most 10 y-grid
 spacings, h <= 10 * 0.01 * sqrt(T - t).  Past that, w between two or
-three nodes is linear interpolation and carries no information.  T - t
-falls with t, so the resolved samples are a prefix of the frame.
-`rescale` keeps every sample in memory, and the energy trace reads them
-all; `write_frame_csv` writes the resolved ones only.
+three nodes is linear interpolation and carries no information.  A frame
+keeps every sample; `write_frame_csv` writes the resolved prefix and the
+energy trace reads the contained suffix (`RescaledFrame`), by the mesh's
+trapezoid rule on the y-grid times the Gaussian weight.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import csvio
 from .dynamics import Trajectory
-from .mesh import Slab, sphere_area
+from .mesh import Mesh, trapezoid_weights
 
 __all__ = [
     "RescaledFrame",
@@ -52,14 +52,22 @@ _RESOLVED_SPACINGS = 10
 
 @dataclass(frozen=True)
 class RescaledFrame:
+    """Samples (s, y, w) of a trajectory on `mesh` around (a, T), s increasing.
+
+    Prefix: samples[:resolved] are the resolved ones, h <= 0.1 sqrt(T - t);
+    stored times increase, so T - t falls and a sample once unresolved stays
+    so.  Suffix: the samples with s >= s0 follow the last one whose ball
+    |y| <= s leaves the domain (s0 = inf if that is the last), so all their
+    balls are inside it; s sqrt(T - t) rises and then falls with t, so early
+    samples can be contained too, but containment persists only from s0 on.
+    """
+
     a: float
     T: float
-    samples: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]  # (s, y, w)
+    mesh: Mesh
+    samples: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
     s0: float
-    contained: Tuple[bool, ...]
-    resolved: Tuple[bool, ...]
-    dimension: int
-    radial: bool
+    resolved: int
 
 
 @dataclass(frozen=True)
@@ -87,27 +95,19 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
 
     Each snapshot becomes (s, y-grid, w-values) with w linearly
     interpolated onto a uniform y-grid of spacing 0.01 truncated to the
-    ball |y| <= s intersected with the rescaled domain.  s0 is the first
-    stored s from which the ball stays inside the rescaled domain.  A
-    sample is resolved where mesh.h <= 10 * 0.01 * sqrt(T - t).
+    ball |y| <= s intersected with the rescaled domain.  The same pass
+    finds the frame's two boundaries, s0 and `resolved`.
     """
     mesh = trajectory.mesh
-    if isinstance(mesh.geometry, Slab):
-        radial = False
-        x_lo, x_hi = mesh.geometry.x_left, mesh.geometry.x_right
-        if not (x_lo < a < x_hi):
-            raise ValueError("center outside the domain")
-        boundary_dist = min(x_hi - a, a - x_lo)
-    else:
-        radial = True
-        if a != 0.0:
-            raise ValueError("radial similarity frames must be centered at the origin")
-        x_lo, x_hi = 0.0, mesh.geometry.radius
-        boundary_dist = x_hi
+    x_lo, x_hi = float(mesh.nodes[0]), float(mesh.nodes[-1])
+    if mesh.is_radial and a != 0.0:
+        raise ValueError("radial similarity frames must be centered at the origin")
+    if not (mesh.is_radial or x_lo < a < x_hi):
+        raise ValueError("center outside the domain")
+    boundary_dist = x_hi if mesh.is_radial else min(x_hi - a, a - x_lo)
 
     samples = []
-    contained = []
-    resolved = []
+    resolved = escaped = 0
     for t, u in zip(trajectory.times.tolist(), trajectory.values):
         if t >= T:
             raise ValueError("snapshot at t >= T cannot be rescaled")
@@ -124,27 +124,14 @@ def rescale(trajectory: Trajectory, a: float, T: float) -> RescaledFrame:
         x = a + y * root
         w = (1.0 - np.interp(x, mesh.nodes, u)) / (T - t) ** (1.0 / 3.0)
         samples.append((s, y, w))
-        contained.append(bool(s * root <= boundary_dist))
-        resolved.append(bool(mesh.h <= _RESOLVED_SPACINGS * _Y_SPACING * root))
+        if mesh.h <= _RESOLVED_SPACINGS * _Y_SPACING * root:
+            resolved += 1
+        if s * root > boundary_dist:
+            escaped = len(samples)
     if not samples:
         raise ValueError("no usable snapshots before T")
-
-    # first s from which containment persists
-    s0 = samples[0][0]
-    for idx in range(len(samples) - 1, -1, -1):
-        if not contained[idx]:
-            s0 = samples[idx + 1][0] if idx + 1 < len(samples) else math.inf
-            break
-    return RescaledFrame(
-        a=float(a),
-        T=float(T),
-        samples=tuple(samples),
-        s0=float(s0),
-        contained=tuple(contained),
-        resolved=tuple(resolved),
-        dimension=mesh.dimension,
-        radial=radial,
-    )
+    s0 = samples[escaped][0] if escaped < len(samples) else math.inf
+    return RescaledFrame(a=float(a), T=float(T), mesh=mesh, samples=tuple(samples), s0=s0, resolved=resolved)
 
 
 def asymptotic_limit(lam: float, f_at_a: float) -> float:
@@ -163,15 +150,6 @@ def F_profile(z: float, lam: float, f_at_a: float) -> Tuple[float, float]:
     return F, F2
 
 
-def _rho_weights(frame: RescaledFrame, y: np.ndarray) -> np.ndarray:
-    rho = np.exp(-(y**2) / 4.0)
-    if frame.radial:
-        rho = rho * sphere_area(frame.dimension) * np.abs(y) ** (frame.dimension - 1)
-    trap = np.full(y.size, _Y_SPACING)
-    trap[0] = trap[-1] = 0.5 * _Y_SPACING
-    return rho * trap
-
-
 def frozen_energy(frame: RescaledFrame, lam: float, f_at_a: float, sample) -> Tuple[float, float]:
     """Frozen energy E of one stored sample (s, y, w) over its ball |y| <= s
     (the sample's whole y-grid), and the ball's Gaussian mass Gamma."""
@@ -183,7 +161,7 @@ def frozen_energy(frame: RescaledFrame, lam: float, f_at_a: float, sample) -> Tu
     if w.min() <= 0:
         raise ValueError("rescaled gap must be positive")
     wy = np.gradient(w, _Y_SPACING)
-    weights = _rho_weights(frame, y)
+    weights = np.exp(-(y**2) / 4.0) * trapezoid_weights(frame.mesh.geometry, y, _Y_SPACING)
     density = 0.5 * wy**2 - w**2 / 6.0 - lam * f_at_a / w
     return float(np.dot(weights, density)), float(np.sum(weights))
 
@@ -192,7 +170,7 @@ def energy_trace(frame: RescaledFrame, lam: float, f_at_a: float) -> EnergyTrace
     """E(s) for every sample with s >= s0 (so contained), with the k(a) target."""
     k = asymptotic_limit(lam, f_at_a)
     Fk, _ = F_profile(k, lam, f_at_a)
-    gamma_inf = (2.0 * math.sqrt(math.pi)) ** frame.dimension
+    gamma_inf = (2.0 * math.sqrt(math.pi)) ** frame.mesh.dimension
     points, E_of_k = [], []
     for sample in frame.samples:
         s, y, _ = sample
@@ -206,8 +184,8 @@ def energy_trace(frame: RescaledFrame, lam: float, f_at_a: float) -> EnergyTrace
 
 def rescale_stats(frame: RescaledFrame) -> RescaleStats:
     """How many samples the frame has, how many `write_frame_csv` writes, and the last one's s."""
-    kept = [smp[0] for smp, ok in zip(frame.samples, frame.resolved) if ok]
-    return RescaleStats(len(frame.samples), len(kept), kept[-1] if kept else None)
+    n = frame.resolved
+    return RescaleStats(len(frame.samples), n, frame.samples[n - 1][0] if n else None)
 
 
 def write_frame_csv(frame: RescaledFrame, path, comments: Sequence[str] = ()) -> None:
@@ -216,8 +194,7 @@ def write_frame_csv(frame: RescaledFrame, path, comments: Sequence[str] = ()) ->
     the frame, are left out."""
     bodies = (
         csvio.template(y.size, [csvio.FLOAT % s, csvio.FLOAT, csvio.FLOAT]) % csvio.interleave(y, w)
-        for (s, y, w), ok in zip(frame.samples, frame.resolved)
-        if ok
+        for s, y, w in frame.samples[: frame.resolved]
     )
     csvio.write(path, "s,y,w", bodies, comments)
 

@@ -277,6 +277,21 @@ def test_unknown_or_invalid_keys(tmp_path, command, payload):
     assert not os.path.exists(out)  # every value is checked before the output directory is made
 
 
+@pytest.mark.parametrize("payload, argv", [
+    ({"out": None}, []),
+    ({"out": 5}, []),
+    ({"out": ""}, []),
+    ({}, ["--out", ""]),
+])
+def test_out_must_be_a_nonempty_string(tmp_path, monkeypatch, payload, argv):
+    # null and 5 would be written into ./None and ./5, and "" has no directory
+    # to make; each is a config error found before anything is solved or made
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "out.json", {**payload, "node_count": 51, "lambda": 5.0})
+    assert main(["simulate", "--config", cfg] + argv) == 2
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["steady", "--lambda", "7"],
     ["steady", "--quench-eps", "0.01"],

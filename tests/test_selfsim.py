@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quenchlab.dynamics import Trajectory
 from quenchlab.mesh import RadialBall, Slab, build_mesh
@@ -63,8 +65,8 @@ def test_exact_self_similar_data_is_constant():
     assert len(frame.samples) == 5
     for s, y, w in frame.samples:
         assert s > 0.0
+        assert y[0] == -s  # the whole ball is inside the slab
         assert np.max(np.abs(w - k)) < 1e-12
-    assert all(frame.contained)
     assert frame.s0 == frame.samples[0][0]
 
 
@@ -102,7 +104,8 @@ def test_rescale_radial_center_rule():
     with pytest.raises(ValueError):
         rescale(traj, 0.5, 1.0)
     frame = rescale(traj, 0.0, 1.0)
-    assert frame.radial and frame.dimension == 3
+    assert frame.mesh is traj.mesh
+    assert frame.mesh.is_radial and frame.mesh.dimension == 3
     for _, y, w in frame.samples:
         assert y[0] == 0.0
         assert np.max(np.abs(w - 0.5)) < 1e-12
@@ -113,11 +116,40 @@ def test_delayed_containment_near_boundary():
     # so s0 moves past those samples and the energy refuses to evaluate there
     traj = flat_gap_trajectory(0.5, 1.0, (0.3, 0.9, 0.999, 0.9999))
     frame = rescale(traj, 0.4, 1.0)
-    assert not frame.contained[0]
-    assert frame.contained[-1]
+    # only the last ball, s sqrt(T - t) = 0.092, fits in the distance 0.1 to the wall
+    assert frame.s0 == frame.samples[-1][0]
     assert frame.s0 > frame.samples[0][0]
     with pytest.raises(ValueError):
         frozen_energy(frame, 1.0, 1.0, frame.samples[0])
+    frozen_energy(frame, 1.0, 1.0, frame.samples[-1])
+
+
+@given(
+    st.sampled_from([Slab(-0.5, 0.5), Slab(0.0, 2.0), RadialBall(2, 1.0), RadialBall(3, 0.4)]),
+    st.sampled_from([21, 101, 401]),
+    st.floats(0.05, 2.0),
+    st.floats(0.01, 0.99),
+    st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=12, unique=True),
+)
+def test_frame_boundaries_match_a_per_sample_scan(geometry, node_count, T, where, fractions):
+    # resolved counts the leading samples with h <= 0.1 sqrt(T - t), and s0
+    # is the first s from which every sample's ball |y| <= s stays inside
+    times = np.unique(T * np.sort(fractions))
+    if isinstance(geometry, Slab):
+        a = geometry.x_left + where * (geometry.x_right - geometry.x_left)
+        dist = min(geometry.x_right - a, a - geometry.x_left)
+    else:
+        a, dist = 0.0, geometry.radius
+    traj = flat_gap_trajectory(0.5, T, tuple(times), node_count, geometry)
+    frame = rescale(traj, a, T)
+    assert len(frame.samples) == times.size
+    roots = [math.sqrt(T - t) for t in times]
+    resolved = [traj.mesh.h <= 0.1 * root for root in roots]
+    assert frame.resolved == sum(resolved)
+    assert all(resolved[:frame.resolved])
+    contained = [s * root <= dist for (s, _, _), root in zip(frame.samples, roots)]
+    s0 = next((smp[0] for i, smp in enumerate(frame.samples) if all(contained[i:])), math.inf)
+    assert frame.s0 == s0
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +197,7 @@ def test_frozen_energy_of_constant_state():
     times = [T * (1.0 - math.exp(-s)) for s in (0.5, 2.0, 15.0)]
     traj = flat_gap_trajectory(k, T, times)
     frame = rescale(traj, 0.0, T)
-    assert all(frame.contained)
+    assert frame.s0 == frame.samples[0][0]
     Fk = F_profile(k, lam, f)[0]
 
     s, y, w = frame.samples[-1]
@@ -183,6 +215,21 @@ def test_frozen_energy_of_constant_state():
     assert trace.E_limit == pytest.approx(Fk * 2.0 * math.sqrt(math.pi),
                                           rel=1e-15)
     assert trace.points[-1][1] == pytest.approx(trace.E_limit, rel=1e-4)
+
+    # on the 3-ball the mass carries the sphere area 4 pi y^2, and at
+    # s = 15 it is (2 sqrt(pi))^3
+    frame = rescale(flat_gap_trajectory(k, T, times, geometry=RadialBall(3, 1.0)), 0.0, T)
+    assert frame.s0 == frame.samples[0][0]
+    s, y, w = frame.samples[-1]
+    trap = np.full(y.size, 0.01)
+    trap[0] = trap[-1] = 0.005
+    gamma = float(np.dot(np.exp(-y ** 2 / 4.0) * 4.0 * math.pi * y ** 2, trap))
+    E, mass = frozen_energy(frame, lam, f, frame.samples[-1])
+    assert mass == pytest.approx(gamma, rel=1e-14)
+    assert E == pytest.approx(Fk * gamma, rel=1e-12)
+    assert mass == pytest.approx((2.0 * math.sqrt(math.pi)) ** 3, rel=1e-12)
+    trace = energy_trace(frame, lam, f)
+    assert trace.E_limit == pytest.approx(Fk * (2.0 * math.sqrt(math.pi)) ** 3, rel=1e-15)
 
 
 def test_frozen_energy_without_containment():

@@ -21,7 +21,8 @@ solve of a state runs on its curve's operator.
 That corrector takes the roundoff floor of a residual from the one
 `mesh.residual_floor`, and `steady` raises nothing to a constant power
 above 2, which numpy takes by libm pow per element.  The
-profile's Hoelder constant is read only by the large-lam sandwich.
+profile's Hoelder constant is read only by the large-lam sandwich, and
+only `mesh` forms quadrature weights (no other module calls `sphere_area`).
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.  Each config section's and kind's keys
 are its constructor's fields, so a renamed field renames the key, and one
@@ -241,6 +242,13 @@ def test_one_holder_sampling():
     # K is read in bounds.large_lambda_bounds and nowhere else
     callers = call_sites("holder_constant")
     assert callers == {("bounds", "large_lambda_bounds")}, callers
+
+
+def test_one_quadrature_rule():
+    # the trapezoid rule, and on a ball its sphere area r^(N-1), is formed in
+    # mesh.trapezoid_weights alone; selfsim's energy weighs its y-grid with it
+    callers = call_sites("sphere_area")
+    assert callers == {("mesh", "trapezoid_weights")}, callers
 
 
 def test_one_residual_floor():
