@@ -43,7 +43,7 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -175,20 +175,26 @@ class Trajectory:
 class RateFit:
     M: float
     p: float
-    residual: float
+    fit_residual: float
     decades: float
     low_confidence: bool
 
 
 @dataclass(frozen=True)
 class QuenchReport:
+    """What `detect_quench` reads off a run: T, the touchdown set and `RateFit`'s fields.
+
+    Without touchdown only `quenched` (False) and `last_resolved_gap` are
+    set; `quench_set` is () and every other field None.
+    """
+
     quenched: bool
-    T: Optional[float]
-    quench_set: Tuple[float, ...]
-    M: Optional[float]
-    p: Optional[float]
-    fit_residual: Optional[float]
     last_resolved_gap: float
+    T: Optional[float] = None
+    quench_set: Tuple[float, ...] = ()
+    M: Optional[float] = None
+    p: Optional[float] = None
+    fit_residual: Optional[float] = None
     decades: Optional[float] = None  # of resolved gap behind the rate fit
     low_confidence: Optional[bool] = None
 
@@ -264,11 +270,11 @@ def integrate(
 
     threshold = 1.0 - cfg.quench_eps
     step_index = 0
+    target = _growth_target(sup, cfg.eta_step)
     while sup < threshold and t < cfg.t_max * (1.0 - 1e-12):
         if step_index == MAX_STEPS:
             raise StepLimit("%d steps taken before touchdown or t_max, at t=%g" % (MAX_STEPS, t))
-        target = _growth_target(sup, cfg.eta_step)
-        dt_try = min(dt, dt_cap, cfg.t_max - t)
+        dt_try = min(dt, cfg.t_max - t)
         while True:
             if t + dt_try == t:
                 raise StepUnderflow("dt %g does not advance t=%g" % (dt_try, t))
@@ -305,9 +311,8 @@ def integrate(
         if slope < 0.0:
             t_est = t + (g1**3) / (-slope)
             dt_cap = min(DT_MAX * s, t_est * s / 100.0)
-        growth = 1.5
-        if dsup > 0:
-            growth = min(1.5, max(0.3, 0.8 * _growth_target(sup, cfg.eta_step) / dsup))
+        target = _growth_target(sup, cfg.eta_step)  # the next step's: sup u stays until then
+        growth = min(1.5, max(0.3, 0.8 * target / dsup)) if dsup > 0 else 1.5
         dt = min(dt_try * growth, dt_cap)
 
     if times[-1] != t:
@@ -335,20 +340,11 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
     gaps = 1.0 - trajectory.max_history[:, 1]
     final_gap = float(gaps[-1])
     if final_gap > quench_eps:
-        return QuenchReport(
-            quenched=False,
-            T=None,
-            quench_set=(),
-            M=None,
-            p=None,
-            fit_residual=None,
-            last_resolved_gap=final_gap,
-        )
+        return QuenchReport(False, final_gap)
 
     window = gaps <= 10.0 * final_gap
     if window.sum() < 3:
-        window = np.zeros_like(window, dtype=bool)
-        window[-min(3, len(gaps)) :] = True
+        window = np.arange(gaps.size) >= gaps.size - 3
     c1, c0 = np.polyfit(times[window], gaps[window] ** 3, 1)
     if c1 >= 0:
         raise SolverFailure("gap cube not decreasing; cannot extrapolate")
@@ -361,51 +357,27 @@ def detect_quench(trajectory: Trajectory, quench_eps: float) -> QuenchReport:
     g_int = node_gap[interior]
     gmin = float(g_int.min())
     members = coords[g_int <= 2.0 * gmin]
-    clusters: List[List[float]] = [[float(members[0])]]
-    for c in members[1:]:
-        if float(c) - clusters[-1][-1] <= 3.0 * mesh.h + 1e-15:
-            clusters[-1].append(float(c))
-        else:
-            clusters.append([float(c)])
+    clusters = np.split(members, np.flatnonzero(np.diff(members) > 3.0 * mesh.h + 1e-15) + 1)
     centroids = tuple(float(np.mean(cl)) for cl in clusters)
-
-    fit = rate_fit(trajectory, centroids[0], T)
-    return QuenchReport(
-        quenched=True,
-        T=T,
-        quench_set=centroids,
-        M=fit.M,
-        p=fit.p,
-        fit_residual=fit.residual,
-        last_resolved_gap=final_gap,
-        decades=fit.decades,
-        low_confidence=fit.low_confidence,
-    )
+    return QuenchReport(True, final_gap, T, centroids, **vars(rate_fit(trajectory, centroids[0], T)))
 
 
 def rate_fit(trajectory: Trajectory, a: float, T: float) -> RateFit:
     """Fit 1 - u(a,t) = M (T-t)^p over the resolved snapshot window.
 
+    The window is the stored states with t < T and a positive gap at `a`.
     Fewer than 1.5 decades of resolved gap at `a` sets low_confidence.
     """
-    mesh = trajectory.mesh
-    ts, gs = [], []
-    for t, u in zip(trajectory.times.tolist(), trajectory.values):
-        if t >= T:
-            continue
-        ua = float(np.interp(a, mesh.nodes, u))
-        gap = 1.0 - ua
-        if gap > 0:
-            ts.append(t)
-            gs.append(gap)
-    ts_arr = np.array(ts)
-    gs_arr = np.array(gs)
+    nodes = trajectory.mesh.nodes
+    gaps = 1.0 - np.array([np.interp(a, nodes, u) for u in trajectory.values])
+    kept = (trajectory.times < T) & (gaps > 0)
+    ts_arr, gs_arr = trajectory.times[kept], gaps[kept]
     usable = gs_arr < 0.999  # skip the flat start where u(a,t) ~ 0
     if usable.sum() < 3:
         usable = np.ones_like(gs_arr, dtype=bool)
     ts_arr, gs_arr = ts_arr[usable], gs_arr[usable]
     if ts_arr.size < 2:
-        return RateFit(M=math.nan, p=math.nan, residual=math.nan, decades=0.0, low_confidence=True)
+        return RateFit(M=math.nan, p=math.nan, fit_residual=math.nan, decades=0.0, low_confidence=True)
     decades = float(np.log10(gs_arr.max() / gs_arr.min()))
     logx = np.log(T - ts_arr)
     logy = np.log(gs_arr)
@@ -414,7 +386,7 @@ def rate_fit(trajectory: Trajectory, a: float, T: float) -> RateFit:
     return RateFit(
         M=float(np.exp(logM)),
         p=float(p),
-        residual=resid,
+        fit_residual=resid,
         decades=decades,
         low_confidence=decades < 1.5,
     )

@@ -399,14 +399,17 @@ def test_missing_profile_table(tmp_path):
 # simulate
 
 
+QUENCH_KEYS = {"lambda", "quenched", "T", "quench_set", "M", "p",
+               "fit_residual", "last_resolved_gap", "decades", "low_confidence"}
+
+
 def test_simulate_quenching_run(tmp_path):
     cfg = write_config(tmp_path, "sim.json", {"node_count": 201, "lambda": 5.0})
     out = str(tmp_path / "sim_out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
 
     quench = read_json(os.path.join(out, "quench.json"))
-    assert set(quench) == {"lambda", "quenched", "T", "quench_set", "M", "p",
-                           "fit_residual", "last_resolved_gap", "decades", "low_confidence"}
+    assert set(quench) == QUENCH_KEYS
     assert quench["quenched"] is True
     assert quench["T"] == pytest.approx(0.081, abs=0.01)
     assert quench["quench_set"] == pytest.approx([0.0], abs=1e-9)
@@ -433,8 +436,13 @@ def test_simulate_no_load_does_not_quench(tmp_path):
     out = str(tmp_path / "zero_out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     quench = read_json(os.path.join(out, "quench.json"))
+    # the same keys as a quenched run's; only the load and the gap are set
+    assert set(quench) == QUENCH_KEYS
     assert quench["quenched"] is False
-    assert quench["T"] is None
+    assert quench["lambda"] == 0.0 and quench["last_resolved_gap"] == 1.0
+    assert quench["quench_set"] == []
+    unset = QUENCH_KEYS - {"lambda", "quenched", "last_resolved_gap", "quench_set"}
+    assert {key: quench[key] for key in unset} == dict.fromkeys(unset)
 
 
 def test_simulate_step_limit_is_solver_failure(tmp_path, monkeypatch, capsys):

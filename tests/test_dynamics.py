@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded, solveh_banded
 
 from quenchlab import dynamics
@@ -96,6 +98,59 @@ def test_detect_quench_below_threshold():
     assert not rep.quenched
     assert rep.T is None and rep.quench_set == ()
     assert rep.last_resolved_gap == pytest.approx(1e-3, rel=1e-6)
+
+
+def reference_quench_set(mesh, final_u):
+    """The touchdown set by a scan over the near-minimum nodes, one member at a time."""
+    interior = mesh.unknown_slice
+    coords = mesh.nodes[interior]
+    g_int = 1.0 - final_u[interior]
+    members = coords[g_int <= 2.0 * float(g_int.min())]
+    clusters = [[float(members[0])]]
+    for c in members[1:]:
+        if float(c) - clusters[-1][-1] <= 3.0 * mesh.h + 1e-15:
+            clusters[-1].append(float(c))
+        else:
+            clusters.append([float(c)])
+    return tuple(float(np.mean(cl)) for cl in clusters)
+
+
+@given(ball=st.booleans(), node_count=st.integers(21, 301), start=st.integers(0, 300),
+       steps=st.lists(st.sampled_from([1, 2, 3, 4, 5, 9]), max_size=8),
+       factors=st.lists(st.floats(1.0, 2.0), min_size=8, max_size=8))
+@example(ball=False, node_count=101, start=40, steps=[3], factors=[2.0] * 8)
+@example(ball=False, node_count=101, start=40, steps=[4], factors=[2.0] * 8)
+@example(ball=True, node_count=101, start=0, steps=[3, 4], factors=[1.0] * 8)
+def test_quench_set_matches_member_scan(ball, node_count, start, steps, factors):
+    # near-minimum nodes 3h apart share a cluster; 4h apart they do not
+    mesh = build_mesh(RadialBall(3) if ball else UNIT_SLAB, node_count)
+    interior = np.arange(mesh.node_count)[mesh.unknown_slice]
+    picks = np.cumsum([start % interior.size] + steps)
+    picks = picks[picks < interior.size]
+    gap = np.full(mesh.node_count, 0.5)
+    gap[interior[picks]] = 1e-3 * np.array([1.0] + factors)[: picks.size]
+    levels = np.geomspace(0.5, 1e-3, 20)
+    hist = np.column_stack([1.0 - (levels / 0.5) ** 3, 1.0 - levels, np.zeros(levels.size)])
+    traj = Trajectory(lam=1.0, mesh=mesh, times=np.array([0.0, hist[-1, 0]]),
+                      values=np.array([np.zeros(mesh.node_count), 1.0 - gap]), max_history=hist)
+    rep = detect_quench(traj, quench_eps=1e-2)
+    assert rep.quench_set == reference_quench_set(mesh, traj.values[-1])
+    assert len(rep.quench_set) == 1 + np.count_nonzero(np.diff(picks) > 3)
+
+
+def test_rate_fit_skips_states_at_or_past_T():
+    # the last ten stored times are at or past the T given, and one earlier
+    # state touches 1 at a: the fit uses exactly the states a scan keeps
+    traj = synthetic_cubic_trajectory(T=2.0, c=0.3)
+    values = traj.values.copy()
+    values[5] = 1.0
+    traj = dataclasses.replace(traj, values=values)
+    a, T = 0.0, float(traj.times[-10])
+    kept = [k for k, (t, u) in enumerate(zip(traj.times.tolist(), traj.values))
+            if t < T and 1.0 - float(np.interp(a, traj.mesh.nodes, u)) > 0]
+    assert len(kept) == traj.times.size - 11
+    reference = rate_fit(dataclasses.replace(traj, times=traj.times[kept], values=traj.values[kept]), a, T)
+    assert rate_fit(traj, a, T) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ That corrector takes the roundoff floor of a residual from the one
 above 2, which numpy takes by libm pow per element.  The
 profile's Hoelder constant is read only by the large-lam sandwich, and
 only `mesh` forms quadrature weights (no other module calls `sphere_area`).
+Only `dynamics.detect_quench` builds a `QuenchReport`, and the touchdown
+report takes `RateFit`'s fields by name.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.  Each config section's and kind's keys
 are its constructor's fields, so a renamed field renames the key, and one
@@ -242,6 +244,22 @@ def test_one_holder_sampling():
     # K is read in bounds.large_lambda_bounds and nowhere else
     callers = call_sites("holder_constant")
     assert callers == {("bounds", "large_lambda_bounds")}, callers
+
+
+def test_one_quench_report_build():
+    # detect_quench alone builds the report, and the touchdown report takes
+    # RateFit's fields by name from one **vars(rate_fit(...)), so a field
+    # that RateFit gains or renames reaches quench.json as it is
+    from quenchlab.dynamics import QuenchReport, RateFit
+
+    callers = call_sites("QuenchReport")
+    assert callers == {("dynamics", "detect_quench")}, callers
+    fields = [{f.name for f in dataclasses.fields(cls)} for cls in (RateFit, QuenchReport)]
+    assert fields[0] <= fields[1], fields[0] - fields[1]
+    keywords = [(kw.arg, ast.unparse(kw.value)) for node in ast.walk(ast.parse((SRC / "dynamics.py").read_text()))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QuenchReport"
+                for kw in node.keywords]
+    assert len(keywords) == 1 and keywords[0][0] is None and keywords[0][1].startswith("vars(rate_fit("), keywords
 
 
 def test_one_quadrature_rule():
