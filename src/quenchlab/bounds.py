@@ -1,16 +1,16 @@
 """Analytic touchdown-time and touchdown-location estimates.
 
-Every estimate is assembled from two kinds of input.  The fold constants
-(see `ingredients`) come from computed steady data (fold value
-lambda_star, extremal state w*, eigenfunctions phi*/psi*) and f on the
-mesh; they do not depend on lam.  The profile's exact sup f and Holder
-constant K over Omega are read in `large_lambda_bounds`; the large-lam
-sandwich and the touchdown-location defect take them from there.  Each
-estimate is one public function of lam and these inputs (`bound_gg2`,
-`bound_lower_TL`, `bound_upper_T1`, `large_lambda_bounds`), and
-`evaluate_all` is the one place that assembles the inputs and calls each
-of them; it takes a grid of lam and builds the fold constants once per
-grid.
+A report holds two kinds of bound on T.  The large-lam sandwich
+(`large_lambda_bounds`) is rigorous, from the profile's exact sup f and
+Holder constant K over Omega: its lower is the flat-ODE time 1/(3 lam sup f).
+The paper's stated estimates (`bound_gg2`, `bound_lower_TL`,
+`bound_upper_T1`) need the fold constants (`ingredients`: fold value
+lambda_star, extremal state w*, eigenfunctions phi*/psi* and f on the mesh),
+which do not depend on lam.  The table `ESTIMATES` is the one place a paper
+estimate is declared, with the side of T it bounds; a new estimate adds a
+row.  `evaluate_all` is the one place that calls the estimates; it builds
+the fold constants once per grid of lam, and blanks a paper estimate that
+the sandwich refutes.
 Nothing here integrates in time; a measured run enters only through
 `_measured`, which sets a `BoundsReport` against it in a `MeasuredReport`.
 
@@ -38,6 +38,7 @@ from .steady import Fold
 __all__ = [
     "NotApplicable",
     "DomainError",
+    "ESTIMATES",
     "BoundIngredients",
     "LargeLambdaBounds",
     "BoundsReport",
@@ -67,10 +68,9 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BoundIngredients:
-    """Fold constants of the estimates, built from the fold data and f on the
-    mesh; they do not depend on lam.  sup f and K are not among them: they
-    are taken in `large_lambda_bounds`.  J_26 and I2_26 are None
-    when f vanishes at a node carrying psi* mass; inf_f is the nodal minimum."""
+    """Fold constants of the estimates (see the module docstring); J_26 and
+    I2_26 are None when f vanishes at a node carrying psi* mass, and inf_f is
+    the nodal minimum."""
 
     sup_phi_star: float
     sup_weight: float
@@ -209,8 +209,11 @@ def bound_lower_TL(lam: float, lambda_star: float, ing: BoundIngredients) -> flo
 def bound_upper_T1(lam: float, lambda_star: float, ing: BoundIngredients, form: str = "arctan") -> float:
     """Upper touchdown-time estimate from the mass-weighted fold data.
 
-    The `simplified` form bounds the `arctan` form from above; both decay
-    like (lam - lambda_star)^(-1/2).
+    With I2 = 3 lambda_star/J and x = lam - lambda_star, `simplified` is
+    (3 pi/4)/sqrt(x I1 I2), strictly above `arctan`, which has
+    pi/4 + atan(sqrt(I2/(x I1))) < 3 pi/4 in its place, so it never decides
+    an ordering check.  It stays as the paper's stated form, which the
+    benchmark reads and ROADMAP item 21's page shows.
     """
     if form not in ("simplified", "arctan"):
         raise ValueError("form must be 'simplified' or 'arctan'")
@@ -288,6 +291,17 @@ def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:
     )
 
 
+# one row per paper estimate: its status flag, the side of T it bounds, the
+# report fields it fills and how it computes them; each lambda looks its estimate
+# up by module name at call time, where perfbench/tracing.py wraps it
+ESTIMATES = (
+    ("bound_1_2", "upper", ("bound_1_2",), lambda lam, star, ing: (bound_gg2(lam, star, ing.inf_f),)),
+    ("T_L", "lower", ("T_L",), lambda lam, star, ing: (bound_lower_TL(lam, star, ing),)),
+    ("T1", "upper", ("T1_simplified", "T1_arctan"),
+     lambda lam, star, ing: (bound_upper_T1(lam, star, ing, "simplified"), bound_upper_T1(lam, star, ing))),
+)
+
+
 def evaluate_all(
     lams: Sequence[float],
     fold: Optional[Fold],
@@ -295,14 +309,9 @@ def evaluate_all(
     mesh: Mesh,
     quench_reports: Optional[Sequence] = None,
 ) -> List[BoundsReport]:
-    """Evaluate every estimate at each lam, flagging the inapplicable ones with reasons.
-
-    At or below the fold only the large-lam lower estimate is reported.
-    Without fold data the large-lam sandwich is all there is.
-    Given measured reports (one per lam, None where a run failed), every
-    report is a `MeasuredReport` (see `_measured`).  The fold constants do
-    not depend on lam: `ingredients` builds them once for the grid.
-    """
+    """Every estimate at each lam with its status (see `_report`); given measured
+    reports (one per lam, None where a run failed), every report is a
+    `MeasuredReport` (see `_measured`)."""
     reports: List[BoundsReport] = []
     star = None if fold is None else fold.lambda_star
     ing = None
@@ -317,49 +326,39 @@ def evaluate_all(
 
 
 def _report(lam: float, star: Optional[float], ll: LargeLambdaBounds, ing: Optional[BoundIngredients]) -> BoundsReport:
-    """One lam's estimates from its sandwich, the fold value star and the grid's fold constants."""
-    b12 = TL = T1s = T1a = None
+    """One lam's estimates from its sandwich, the fold value star and the grid's fold constants.
+
+    A row of `ESTIMATES` that is not ok is blank: its status is its
+    `NotApplicable` reason, the missing fold, lam at or below the fold (where
+    the sandwich upper is blank too), or the sandwich bound that refutes it
+    (a lower strictly above the upper, an upper strictly below the lower).
+    """
     upper = ll.upper
     if ll.K == 0.0:
         flags = {"large_lambda_upper": "K = 0: delta is unbounded, so its ball does not lie in Omega",
                  "delta": "unbounded: K = 0"}
     else:
         flags = {"large_lambda_upper": "ok" if upper is not None else "eps exceeds sup f at this lam"}
-
-    if star is None or lam <= star:
-        reason = "no fold data" if star is None else "no finite touchdown below the fold value"
-        flags.update(dict.fromkeys(("bound_1_2", "T_L", "T1"), reason))
-        if star is not None:
-            upper = None
-            flags["large_lambda_upper"] = reason
-    else:
+    reason = "no fold data" if star is None else None if lam > star else "no finite touchdown below the fold value"
+    if star is not None and lam <= star:
+        upper = None
+        flags["large_lambda_upper"] = reason
+    rigorous = {"lower": ("large_lambda_upper", upper), "upper": ("large_lambda_lower", ll.lower)}
+    values = dict.fromkeys(field for _, _, fields, _ in ESTIMATES for field in fields)
+    for flag, side, fields, compute in ESTIMATES:
         try:
-            b12 = bound_gg2(lam, star, ing.inf_f)
-            flags["bound_1_2"] = "ok"
+            found = () if reason else compute(lam, star, ing)
         except NotApplicable as exc:
-            flags["bound_1_2"] = str(exc)
-        TL = bound_lower_TL(lam, star, ing)
-        flags["T_L"] = "ok"
-        try:
-            T1s = bound_upper_T1(lam, star, ing, "simplified")
-            T1a = bound_upper_T1(lam, star, ing)
-            flags["T1"] = "ok"
-        except NotApplicable as exc:
-            flags["T1"] = str(exc)
-
-    return BoundsReport(
-        lam=lam,
-        lambda_star=star,
-        bound_1_2=b12,
-        T_L=TL,
-        T1_simplified=T1s,
-        T1_arctan=T1a,
-        large_lambda_lower=ll.lower,
-        large_lambda_upper=upper,
-        epsilon=ll.epsilon,
-        delta=ll.delta,
-        flags=flags,
-    )
+            flags[flag] = str(exc)
+            continue
+        name, bound = rigorous[side]
+        if bound is not None and any(v > bound if side == "lower" else v < bound for v in found):
+            flags[flag] = "refuted by " + name
+        else:
+            flags[flag] = reason or "ok"
+            values.update(zip(fields, found))
+    return BoundsReport(lam, star, **values, large_lambda_lower=ll.lower, large_lambda_upper=upper,
+                        epsilon=ll.epsilon, delta=ll.delta, flags=flags)
 
 
 def _measured(report: BoundsReport, quench_report, profile: Profile, sup_f: float) -> MeasuredReport:
@@ -367,9 +366,10 @@ def _measured(report: BoundsReport, quench_report, profile: Profile, sup_f: floa
     if quench_report is None or not quench_report.quenched:
         return MeasuredReport(**vars(report))
     T, slack, upper = quench_report.T, 1.0 + _ORDERING_SLACK, report.large_lambda_upper
-    lowers = [v for v in (report.large_lambda_lower, report.T_L) if v is not None]
+    paper = [(side, getattr(report, field)) for _, side, fields, _ in ESTIMATES for field in fields]
+    lowers = [report.large_lambda_lower] + [v for side, v in paper if side == "lower" and v is not None]
     # the large-lam upper is judged on its own, by sandwich_pass
-    uppers = [v for v in (report.bound_1_2, report.T1_arctan, report.T1_simplified) if v is not None]
+    uppers = [v for side, v in paper if side == "upper" and v is not None]
     defects = [sup_f ** (1.0 / 3.0) - float(evaluate(profile, a)) ** (1.0 / 3.0) for a in quench_report.quench_set]
     return MeasuredReport(
         **vars(report),

@@ -37,6 +37,8 @@ def quench_run_201():
     return traj, report
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so a test's random cases do not depend on
+    which tests drew before it."""
     return np.random.default_rng(20260822)

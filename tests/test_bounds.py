@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quenchlab import bounds
 from quenchlab.bounds import (
@@ -28,9 +30,9 @@ from quenchlab.bounds import (
     large_lambda_bounds,
 )
 from quenchlab.dynamics import QuenchReport, TimeConfig, integrate
-from quenchlab.mesh import Slab, build_mesh
+from quenchlab.mesh import RadialBall, Slab, build_mesh
 from quenchlab.profiles import Constant, Power, SlabSinPiecewise, Tabulated, evaluate
-from quenchlab.steady import SteadyBranch, SteadyState
+from quenchlab.steady import SteadyBranch, SteadyState, locate_fold
 
 BESSEL_J0_FIRST_ZERO_SQ = 5.783185962946785  # (first zero of J_0)^2
 # the domain of the sandwich tests: the unit slab, on which the two-bump profile lives
@@ -432,3 +434,83 @@ def test_report_dict_round_trip(branch_f1_401):
     assert BoundsReport(**d) == rep
     measured, = evaluate_all([2.0], branch_f1_401, Constant(1.0), mesh, quench_reports=[make_report((0.0,))])
     assert MeasuredReport(**dataclasses.asdict(measured)) == measured and measured.location_defect == 0.0
+
+
+# ---------------------------------------------------------------------------
+# a report checks itself against its sandwich
+
+# the profiles whose sandwich upper exists at large lam, at 401 nodes, with
+# (T_L as the formula gives it, the sandwich upper) at q = lam/lambda* = 1e3
+SANDWICHED = {
+    "slab-two-bump": (Slab(-0.5, 0.5), SlabSinPiecewise(), (1.493e-3, 9.302e-4)),
+    "ball3-power1": (RadialBall(3), Power(1.0), (1.024e-3, 1.928e-4)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SANDWICHED))
+def sandwiched_fold(request):
+    geometry, profile, pinned = SANDWICHED[request.param]
+    mesh = build_mesh(geometry, 401)
+    return locate_fold(profile, mesh), profile, mesh, pinned
+
+
+@pytest.mark.parametrize("q", [1e3, 1e4, 1e5])
+def test_sandwich_refutes_T_L_at_large_load(sandwiched_fold, q):
+    # T_L ~ (lam - lambda*)^(-1/2) rises above the rigorous upper
+    # 1/(3 lam (sup f - eps)) ~ 1/lam: the report blanks it and names the upper
+    fold, profile, mesh, pinned = sandwiched_fold
+    lam = q * fold.lambda_star
+    claimed = bound_lower_TL(lam, *fold_args(fold, profile))
+    ll = large_lambda_bounds(lam, profile, mesh)
+    rep, = evaluate_all([lam], fold, profile, mesh)
+    assert rep.flags["large_lambda_upper"] == "ok" and rep.large_lambda_upper == ll.upper
+    assert claimed > rep.large_lambda_upper
+    assert rep.T_L is None
+    assert rep.flags["T_L"] == "refuted by large_lambda_upper"
+    if q == 1e3:
+        assert (claimed, rep.large_lambda_upper) == pytest.approx(pinned, rel=1e-3)
+    # the ordering check skips the blank cell: a T inside the sandwich, which
+    # the formula's T_L exceeds, passes it
+    T = 0.5 * (ll.lower + ll.upper)
+    measured, = evaluate_all([lam], fold, profile, mesh, [QuenchReport(quenched=True, T=T, last_resolved_gap=1e-3)])
+    assert measured.T_L is None and claimed > T
+    assert measured.ordering_lower_pass is True and measured.sandwich_pass is True
+
+
+def test_sandwich_keeps_T_L_at_moderate_load(sandwiched_fold):
+    # at q = 100 the two-bump report has no upper and the ball's lies above T_L
+    fold, profile, mesh, _ = sandwiched_fold
+    lam = 100.0 * fold.lambda_star
+    rep, = evaluate_all([lam], fold, profile, mesh)
+    assert rep.flags["T_L"] == "ok"
+    assert rep.T_L == bound_lower_TL(lam, *fold_args(fold, profile))
+    assert rep.large_lambda_upper is None or rep.T_L <= rep.large_lambda_upper
+
+
+SANDWICH_CASES = [
+    (Slab(-0.5, 0.5), Constant(0.7)),
+    (Slab(-0.5, 0.5), SlabSinPiecewise()),
+    (Slab(-1.0, 1.0), Power(0.5)),
+    (RadialBall(2), Power(1.0)),
+    (RadialBall(3), Power(2.0)),
+    (Slab(0.0, 1.0), Tabulated(np.array([0.0, 0.3, 1.0]), np.array([0.2, 1.0, 0.0]))),
+]
+
+
+@settings(max_examples=60)
+@given(case=st.sampled_from(SANDWICH_CASES), log_lam=st.floats(-2.0, 12.0))
+def test_no_rigorous_bound_is_refuted(sandwiched_fold, case, log_lam):
+    # the sandwich is rigorous: its lower never exceeds its upper, and no paper
+    # estimate blanks either of its bounds, with or without fold data
+    geometry, profile = case
+    lam = 10.0**log_lam
+    for fold, profile, mesh in ((None, profile, build_mesh(geometry, 101)), sandwiched_fold[:3]):
+        rep, = evaluate_all([lam], fold, profile, mesh)
+        ll = large_lambda_bounds(lam, profile, mesh)
+        assert rep.large_lambda_lower == ll.lower
+        if rep.lambda_star is None or lam > rep.lambda_star:
+            assert rep.large_lambda_upper == ll.upper
+        if rep.large_lambda_upper is not None:
+            assert rep.large_lambda_lower <= rep.large_lambda_upper
+        assert not any(status.startswith("refuted") for key, status in rep.flags.items()
+                       if key in ("large_lambda_upper", "delta"))

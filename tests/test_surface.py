@@ -25,6 +25,9 @@ profile's Hoelder constant is read only by the large-lam sandwich, and
 only `mesh` forms quadrature weights (no other module calls `sphere_area`).
 Only `dynamics.detect_quench` builds a `QuenchReport`, and the touchdown
 report takes `RateFit`'s fields by name.
+Each paper estimate of `bounds.BoundsReport` is declared once, as a row of
+`bounds.ESTIMATES`, each report flag is a status from a closed set, and
+the table calls each estimate by its module name, where the tracer wraps it.
 Every solver fault is a `csvio.SolverFailure`, and only `cli.main`
 turns a failure into an exit code.  Each config section's and kind's keys
 are its constructor's fields, so a renamed field renames the key, and one
@@ -32,6 +35,7 @@ reader, `cli._build`, reads every section.
 """
 
 import ast
+import collections
 import dataclasses
 import functools
 import importlib
@@ -336,3 +340,67 @@ def test_exit_codes_set_in_main_only():
         named = {tok.string for tok in tokenize.tokenize(fh.readline) if tok.type == tokenize.NAME}
     faults = {"StepFailure", "IterationLimit", "NewtonFailure", "StepUnderflow", "StepLimit"}
     assert not named & faults, named & faults
+
+
+# the large-lam sandwich's own flags, and the statuses they take
+SANDWICH_STATUSES = {
+    "large_lambda_upper": {"ok", "eps exceeds sup f at this lam", "no finite touchdown below the fold value",
+                           "K = 0: delta is unbounded, so its ball does not lie in Omega"},
+    "delta": {"unbounded: K = 0"},
+}
+
+
+def test_each_paper_estimate_declared_once():
+    # every estimate field of BoundsReport is filled by exactly one row of the
+    # table, or is one of the sandwich's two bounds; each row bounds one side
+    from quenchlab.bounds import ESTIMATES, BoundsReport
+
+    filled = collections.Counter(field for _, _, fields, _ in ESTIMATES for field in fields)
+    assert max(filled.values()) == 1, filled
+    assert {side for _, side, _, _ in ESTIMATES} == {"lower", "upper"}
+    estimates = {f.name for f in dataclasses.fields(BoundsReport)} - {"lam", "lambda_star", "epsilon", "delta", "flags"}
+    assert estimates == set(filled) | {"large_lambda_lower", "large_lambda_upper"}
+    assert not set(filled) & {"large_lambda_lower", "large_lambda_upper"}
+
+
+def test_report_flags_take_closed_statuses(branch_f1_401, branch_falpha_801):
+    # a row's status is ok, a NotApplicable text that bounds raises, the
+    # missing fold, lam below the fold, or the sandwich bound refuting it
+    from quenchlab import bounds
+    from quenchlab.profiles import Constant, SlabSinPiecewise
+
+    reasons = {node.exc.args[0].value for node in ast.walk(ast.parse((SRC / "bounds.py").read_text()))
+               if isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "NotApplicable"}
+    statuses = {"ok", "no fold data", "no finite touchdown below the fold value",
+                "refuted by large_lambda_upper", "refuted by large_lambda_lower"} | reasons
+    seen = set()
+    for fold, profile in ((branch_f1_401, Constant(1.0)), (branch_falpha_801, SlabSinPiecewise()),
+                          (None, SlabSinPiecewise())):
+        branch = fold or branch_falpha_801
+        lams = [q * branch.lambda_star for q in (0.5, 1.0, 1.05, 10.0, 100.0, 1e3, 1e5)]
+        for rep in bounds.evaluate_all(lams, fold, profile, branch.mesh):
+            for flag, status in rep.flags.items():
+                allowed = SANDWICH_STATUSES.get(flag, statuses)
+                assert status in allowed, (flag, status)
+                seen.add(status)
+            assert set(rep.flags) - set(SANDWICH_STATUSES) == {row[0] for row in bounds.ESTIMATES}
+    assert {"ok", "no fold data", "refuted by large_lambda_upper"} | reasons <= seen
+
+
+def test_estimate_table_calls_through_module_names(branch_f1_401, monkeypatch):
+    # a wrapper set on a bounds module attribute, as the tracer sets it, sees
+    # every call evaluate_all makes: a table row holding the function object
+    # would slip past it
+    from quenchlab import bounds
+    from quenchlab.profiles import Constant
+
+    calls = collections.Counter()
+    for name in ("bound_gg2", "bound_lower_TL", "bound_upper_T1", "large_lambda_bounds"):
+        def counted(*args, _name=name, _fn=getattr(bounds, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(bounds, name, counted)
+    star = branch_f1_401.lambda_star
+    lams = [0.5 * star, 1.05 * star, 10.0 * star, 1e3 * star]
+    bounds.evaluate_all(lams, branch_f1_401, Constant(1.0), branch_f1_401.mesh)
+    assert calls == {"bound_gg2": 3, "bound_lower_TL": 3, "bound_upper_T1": 6, "large_lambda_bounds": 4}, calls
