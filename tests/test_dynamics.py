@@ -26,11 +26,12 @@ from quenchlab.dynamics import (
     eta_quench_time,
     integrate,
     rate_fit,
+    read_trajectory,
     write_max_history,
     write_snapshots,
 )
 from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, laplacian_bands
-from quenchlab.profiles import Constant, SlabSinPiecewise, evaluate
+from quenchlab.profiles import Constant, Power, SlabSinPiecewise, Tabulated, evaluate
 
 from oracles import convergence_check, liapunov
 
@@ -560,11 +561,16 @@ def test_stage_layout_follows_laplacian_symmetry(monkeypatch, geometry, rows):
 
 
 def _run_with_general_stages(lam, profile, mesh):
-    """integrate with every stage solved in the 3-row layout by dgtsv."""
-    Lb = laplacian_bands(mesh)
+    """integrate with every stage solved in the 3-row layout by dgtsv: the stage
+    sees the 3-row form of the symmetric band the run passes (the mirror half's
+    on an even profile)."""
     stage = dynamics._linearized_step
+
+    def general(band, *args):
+        return stage(np.vstack([band, np.append(band[0, 1:], 0.0)]), *args)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_linearized_step", lambda band, *args: stage(Lb, *args))
+        patch.setattr(dynamics, "_linearized_step", general)
         return integrate(lam, profile, mesh, TimeConfig())
 
 
@@ -580,6 +586,90 @@ def test_symmetric_stage_keeps_the_run(quench_run_201):
     assert report.quench_set == lu_report.quench_set
     assert report.T == pytest.approx(lu_report.T, rel=1e-12)
     assert np.max(np.abs(traj.values - lu_traj.values)) < 1e-10
+
+
+# f = 1 on the unit slab has its fold at lam = 1.4000165 (2001 nodes)
+_MIRROR_RUNS = [(SlabSinPiecewise(), 10.0), (SlabSinPiecewise(), 100.0), (SlabSinPiecewise(), 1e5),
+                (Constant(1.0), 5.0), (Constant(1.0), 1.001 * 1.40001647737100)]
+
+
+def _full_run(lam, profile, mesh, cfg):
+    """integrate with the mirror declined: every stage solves all the unknowns."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_mirror_even", lambda *args: False)
+        return integrate(lam, profile, mesh, cfg)
+
+
+@pytest.mark.parametrize("node_count", [2000, 2001])
+@pytest.mark.parametrize("profile,lam", _MIRROR_RUNS, ids=["bump-10", "bump-100", "bump-1e5", "f1-5", "f1-q1.001"])
+def test_mirrored_run_keeps_the_full_run(node_count, profile, lam):
+    # an even profile runs on the left half of the unknowns; the run on all
+    # of them takes the same steps and differs in rounding only, and every
+    # stored state of the half run is exactly even
+    mesh = build_mesh(UNIT_SLAB, node_count)
+    cfg = TimeConfig(t_max=300.0)
+    traj, report = integrate(lam, profile, mesh, cfg)
+    full, full_report = _full_run(lam, profile, mesh, cfg)
+    counts = ("accepted_steps", "rejected_stage", "rejected_growth", "banded_solves")
+    assert [getattr(traj.stats, k) for k in counts] == [getattr(full.stats, k) for k in counts]
+    assert report.quenched and full_report.quenched
+    assert report.T == pytest.approx(full_report.T, rel=1e-12)
+    assert report.quench_set == full_report.quench_set
+    assert np.array_equal(traj.max_history[:, 2], full.max_history[:, 2], equal_nan=True)
+    assert np.max(np.abs(traj.values - full.values)) < 1e-9
+    assert np.array_equal(traj.values, traj.values[:, ::-1])
+
+
+@pytest.mark.parametrize("node_count,columns", [(6000, 2999), (2001, 1000)])
+def test_mirrored_stage_solves_half_the_unknowns(monkeypatch, node_count, columns):
+    widths = []
+    kernel = dynamics.solve_banded
+
+    def recorded(ab, *args, **kwargs):
+        widths.append(ab.shape[1])
+        return kernel(ab, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_banded", recorded)
+    integrate(10.0, SlabSinPiecewise(), build_mesh(UNIT_SLAB, node_count), TimeConfig(t_max=1e-3))
+    assert len(widths) > 5 and set(widths) == {columns}
+
+
+@pytest.mark.parametrize("geometry,profile,node_count,taken", [
+    (UNIT_SLAB, Constant(1.0), 201, True),
+    (UNIT_SLAB, SlabSinPiecewise(), 201, True),
+    (UNIT_SLAB, Power(2.0), 201, True),
+    (Slab(0.25, 1.0), Constant(1.0), 201, True),
+    (UNIT_SLAB, Constant(1.0), 5, True),
+    (Slab(-0.3, 0.5), Power(1.0), 201, False),
+    (UNIT_SLAB, Tabulated(np.array([-0.5, 0.0, 0.5]), np.array([0.2, 1.0, 0.6])), 201, False),
+    (RadialBall(1), Constant(1.0), 201, False),
+    (RadialBall(3), Constant(1.0), 201, False),
+    (UNIT_SLAB, Constant(1.0), 3, False),
+    (UNIT_SLAB, Constant(1.0), 4, False),
+], ids=["f1", "bump", "x2", "f1-shifted", "f1-n5", "x-asymmetric", "tabulated", "ball1", "ball3", "n3", "n4"])
+def test_mirror_taken_for_even_slab_profiles(monkeypatch, geometry, profile, node_count, taken):
+    folds = []
+    fold = dynamics.mirror_bands
+
+    def recorded(ab):
+        folds.append(ab.shape[1])
+        return fold(ab)
+
+    monkeypatch.setattr(dynamics, "mirror_bands", recorded)
+    mesh = build_mesh(geometry, node_count)
+    traj, _ = integrate(10.0, profile, mesh, TimeConfig(t_max=1e-3))
+    assert folds == ([node_count - 2] if taken else [])
+    assert traj.values.shape[1] == node_count
+
+
+@pytest.mark.parametrize("profile", [Constant(1.0), SlabSinPiecewise(), Power(2.0)], ids=["f1", "bump", "x2"])
+def test_even_profiles_are_mirror_even_on_every_mesh(profile):
+    # the test reads f at exact mirror images, not at build_mesh's right-half
+    # nodes, so it holds at every node count (sampled here from 401 to 6009)
+    for node_count in range(401, 6010, 16):
+        mesh = build_mesh(UNIT_SLAB, node_count)
+        f = np.asarray(evaluate(profile, mesh.nodes[mesh.unknown_slice]), dtype=float)
+        assert dynamics._mirror_even(profile, mesh, f), node_count
 
 
 def test_growth_target():
@@ -725,6 +815,19 @@ def test_write_snapshots_format(tmp_path):
         assert sorted(store.files) == ["times", "values"]
         assert store["times"].shape == (4,)
         assert store["values"].shape == (4, traj.mesh.node_count)
+
+
+def test_write_snapshots_is_savez_bitwise(tmp_path, quench_run_201):
+    # the store is written from the arrays' own buffers, with the bytes
+    # np.savez writes, and reads back to the same bits
+    traj, _ = quench_run_201
+    assert write_snapshots(traj, tmp_path) == str(tmp_path / "trajectory.npz")
+    np.savez(tmp_path / "reference.npz", times=traj.times, values=traj.values)
+    assert (tmp_path / "trajectory.npz").read_bytes() == (tmp_path / "reference.npz").read_bytes()
+    write_max_history(traj, tmp_path / "max_history.csv")
+    loaded = read_trajectory(tmp_path, traj.mesh, traj.lam)
+    assert loaded.times.tobytes() == traj.times.tobytes()
+    assert loaded.values.tobytes() == traj.values.tobytes()
 
 
 def test_write_max_history_format(tmp_path):

@@ -17,6 +17,7 @@ from quenchlab.mesh import (
     build_mesh,
     integrate,
     laplacian_bands,
+    mirror_bands,
     solve_banded,
     sphere_area,
 )
@@ -159,6 +160,36 @@ def test_banded_matches_dense_stencil(rng):
         dense = apply_laplacian(mesh, vals)[mesh.unknown_slice]
         banded = bands_matvec(laplacian_bands(mesh), vals[mesh.unknown_slice])
         assert np.max(np.abs(dense - banded)) < 1e-10
+
+
+@pytest.mark.parametrize("node_count", [5, 6, 9, 10, 2000, 2001])
+def test_mirror_bands_act_on_even_vectors(node_count, rng):
+    # on a vector even under the reversal of the unknowns, the folded band
+    # (with its mass on the midpoint row) gives the left half of the full
+    # operator's product, and its stage system's solution is the left half
+    # of the full one's
+    mesh = build_mesh(Slab(-0.5, 0.5), node_count)
+    ab = laplacian_bands(mesh)[:2]
+    m, h2 = ab.shape[1], mesh.h * mesh.h
+    half, mass = mirror_bands(ab)
+    k = (node_count - 1) // 2
+    assert half.shape == (2, k)
+    assert half[1, -1] == -1.0 / h2 and np.array_equal(half[0, 1:], ab[0, 1:k])
+    if m % 2:
+        assert mass.shape == (k,) and mass[-1] == 0.5 and np.all(mass[:-1] == 1.0)
+    else:
+        assert mass == 1.0
+    w = rng.standard_normal(k)
+    v = np.concatenate([w, w[::-1][m % 2:]])
+    scale = np.max(np.abs(ab)) * np.max(np.abs(v))
+    assert np.max(np.abs(bands_matvec(half, w) - mass * bands_matvec(ab, v)[:k])) <= 1e-14 * scale
+    shift, dt = 1.0, 1e-3
+    full = ab * -dt
+    full[1] += shift
+    folded = half * -dt
+    folded[1] += shift * mass
+    x = solve_banded(full, v)
+    assert np.max(np.abs(solve_banded(folded, mass * w) - x[:k])) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_weighted_symmetry(rng):

@@ -24,7 +24,8 @@ above 2, which numpy takes by libm pow per element.  The
 profile's Hoelder constant is read only by the large-lam sandwich, and
 only `mesh` forms quadrature weights (no other module calls `sphere_area`).
 Only `dynamics.detect_quench` builds a `QuenchReport`, and the touchdown
-report takes `RateFit`'s fields by name.
+report takes `RateFit`'s fields by name.  `mesh.mirror_bands` alone folds
+a band onto its mirror half, and only `dynamics.integrate` calls it.
 Each paper estimate of `bounds.BoundsReport` is declared once, as a row of
 `bounds.ESTIMATES`, each report flag is a status from a closed set, and
 the table calls each estimate by its module name, where the tracer wraps it.
@@ -264,6 +265,20 @@ def test_one_quench_report_build():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QuenchReport"
                 for kw in node.keywords]
     assert len(keywords) == 1 and keywords[0][0] is None and keywords[0][1].startswith("vars(rate_fit("), keywords
+
+
+def test_one_mirror_fold():
+    # the half band of a mirror-even run is built in mesh alone, from the
+    # Laplacian bands that integrate looks up by name, and only integrate asks for it
+    from quenchlab import dynamics, mesh
+
+    assert dynamics.mirror_bands is mesh.mirror_bands
+    defined = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "mirror_bands"}
+    assert defined == {("mesh", "mirror_bands")}, defined
+    callers = call_sites("mirror_bands")
+    assert callers == {("dynamics", "integrate")}, callers
 
 
 def test_one_quadrature_rule():
