@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,9 +68,9 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BoundIngredients:
-    """Fold constants of the estimates (see the module docstring); J_26 and
-    I2_26 are None when f vanishes at a node carrying psi* mass, and inf_f is
-    the nodal minimum."""
+    """Fold constants of the estimates (see the module docstring); J_26 is
+    None when f vanishes at a node carrying psi* mass, and inf_f is the
+    nodal minimum."""
 
     sup_phi_star: float
     sup_weight: float
@@ -78,7 +78,6 @@ class BoundIngredients:
     I1_26: float
     J_26: Optional[float]
     E0: float
-    I2_26: Optional[float]
     inf_f: float
 
 
@@ -206,8 +205,9 @@ def bound_lower_TL(lam: float, lambda_star: float, ing: BoundIngredients) -> flo
     return math.sqrt(inner) / math.sqrt(lam - lambda_star)
 
 
-def bound_upper_T1(lam: float, lambda_star: float, ing: BoundIngredients, form: str = "arctan") -> float:
-    """Upper touchdown-time estimate from the mass-weighted fold data.
+def bound_upper_T1(lam: float, lambda_star: float, ing: BoundIngredients) -> Tuple[float, float]:
+    """Upper touchdown-time estimate from the mass-weighted fold data, in
+    its two forms: (simplified, arctan).
 
     With I2 = 3 lambda_star/J and x = lam - lambda_star, `simplified` is
     (3 pi/4)/sqrt(x I1 I2), strictly above `arctan`, which has
@@ -215,17 +215,14 @@ def bound_upper_T1(lam: float, lambda_star: float, ing: BoundIngredients, form: 
     an ordering check.  It stays as the paper's stated form, which the
     benchmark reads and ROADMAP item 21's page shows.
     """
-    if form not in ("simplified", "arctan"):
-        raise ValueError("form must be 'simplified' or 'arctan'")
     if lam <= lambda_star:
         raise DomainError("requires lam > lambda_star")
     if ing.J_26 is None:
         raise NotApplicable("profile vanishes at a node carrying eigenfunction mass")
-    I1, J, I2 = ing.I1_26, ing.J_26, ing.I2_26
-    x = lam - lambda_star
-    if form == "simplified":
-        return math.sqrt(3.0) * math.pi / 4.0 * math.sqrt(J / (lambda_star * I1)) / math.sqrt(x)
-    return (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
+    I1, J = ing.I1_26, ing.J_26
+    I2, x = 3.0 * lambda_star / J, lam - lambda_star
+    simplified = math.sqrt(3.0) * math.pi / 4.0 * math.sqrt(J / (lambda_star * I1)) / math.sqrt(x)
+    return simplified, (math.pi / 4.0 + math.atan(math.sqrt(I2 / (x * I1)))) / math.sqrt(x * I1 * I2)
 
 
 def blowup_time_F(a: float, b: float, E0: float) -> float:
@@ -286,7 +283,6 @@ def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:
         I1_26=integrate(mesh, psi * f),
         J_26=J,
         E0=integrate(mesh, psi * fold.w_star),
-        I2_26=None if J is None else 3.0 * fold.lambda_star / J,
         inf_f=float(f.min()),
     )
 
@@ -297,8 +293,7 @@ def ingredients(fold: Fold, profile: Profile) -> BoundIngredients:
 ESTIMATES = (
     ("bound_1_2", "upper", ("bound_1_2",), lambda lam, star, ing: (bound_gg2(lam, star, ing.inf_f),)),
     ("T_L", "lower", ("T_L",), lambda lam, star, ing: (bound_lower_TL(lam, star, ing),)),
-    ("T1", "upper", ("T1_simplified", "T1_arctan"),
-     lambda lam, star, ing: (bound_upper_T1(lam, star, ing, "simplified"), bound_upper_T1(lam, star, ing))),
+    ("T1", "upper", ("T1_simplified", "T1_arctan"), lambda lam, star, ing: bound_upper_T1(lam, star, ing)),
 )
 
 

@@ -18,33 +18,39 @@ monotonicity test, plain).  G is convex in w and -G_w is an M-matrix
 below the minimal solution, so from w = 0 at fixed lam Newton rises
 monotonically to it without damping.  `minimal_states` is that corrector
 with lam held fixed, allowed 50 steps because it slows near the fold.
-One pseudo-arclength walk, `_walk`, corrects each step in at most 14 and
-locates the fold once, by Newton on the extended system {G = 0,
-G_w phi = 0, phi pinned} (Moore & Spence 1980) started from the last
-point before the fold and from the walk's secant there.  That lands on
-the discrete fold, whose lam is O(h^2) from the continuum lam_star.
-`continue_branch` keeps every state of the walk with its mu_1, from
-inverse iteration warm-started from the last three states' eigenvectors,
+
+One pseudo-arclength walk, the generator `_walk`, yields the curve
+points from (lam, w) = (0, 0), each corrected in at most 14 steps, and
+solves no eigenpair.  It measures lam in units of 1/sup f, sup f over
+the mesh span, so under f = c it takes the steps it takes under f = 1
+in lam c.  `continue_branch` keeps every point as a state with its mu_1,
+from inverse iteration warm-started from the last three eigenvectors
 extrapolated in chord length to the new state (Parlett, The Symmetric
 Eigenvalue Problem, sec. 4.6, on starting Rayleigh-quotient iteration
-near the wanted vector).  Each solve (A - sigma) y = v there yields its
-iterate's Rayleigh quotient and residual without a product by A, and the
-shift follows that quotient from the first iterate on.  `locate_fold` returns
-the fold alone: its walk solves no eigenpair and stops at the first
-point past the fold, and on a fine mesh it walks a coarse one and runs
-the same fold Newton on the fine mesh from the coarse fold.  Every
-tridiagonal solve here, in the corrector, the fold Newton and inverse
-iteration, is the LAPACK kernel `mesh.solve_banded`.
+near the wanted vector), and walks past the fold.  `locate_fold` stops
+at the first point past the fold; above FULL_WALK_NODES nodes it walks
+a coarse mesh and polishes on the fine one from the coarse fold.  Both
+locate the fold once, by Newton on the extended system {G = 0, G_w phi
+= 0, phi pinned} (Moore & Spence 1980) started from the last point
+before the fold and from the walk's secant there.  That lands on the
+discrete fold, whose lam is O(h^2) from the continuum lam_star.  Each
+solve (A - sigma) y = v of inverse iteration yields its iterate's
+Rayleigh quotient and residual without a product by A, and the shift
+follows that quotient from the first iterate on.  Every tridiagonal
+solve here, in the corrector, the fold Newton and inverse iteration, is
+the LAPACK kernel `mesh.solve_banded`.
 
-One `_Curve` holds the operator (Laplacian bands, f and quadrature
-weights at the unknowns) for its corrector, its fold Newton and the eigen
-solve of each of its states, `linearized_eigenpair`.  Each of their iterates
-forms G_lam = f / (1 - w)^2 once, and `_residual` and `_jacobian` take G =
-lap w + lam G_lam and G_w's potential 2 lam G_lam / (1 - w) from it.  No
+One `_Curve` builds the operator once per mesh (Laplacian bands, f and
+quadrature weights at the unknowns, sup f) for its corrector, its fold
+Newton and each of its states' eigen solves, `linearized_eigenpair`,
+which returns (mu1, phi); it holds nothing else, and every eigen solve
+takes its start vector as an argument.  Each of their iterates forms
+G_lam = f / (1 - w)^2 once, and `_residual` and `_jacobian` take G = lap
+w + lam G_lam and G_w's potential 2 lam G_lam / (1 - w) from it.  No
 power above the square is taken: numpy squares in a fast path but calls
 libm pow per element of a cube.  Sup-norms are array methods, which skip
-the Python layer of `np.max`.  States, eigenfunctions and fold data are
-arrays of values on every node.
+the Python layer of `np.max`.  States, eigenfunctions and fold data
+(`Fold.mesh` names their mesh) are arrays of values on every node.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import numpy as np
 
 from . import csvio
 from .mesh import Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, residual_floor, solve_banded
-from .profiles import Profile, evaluate
+from .profiles import Profile, evaluate, supremum
 
 __all__ = [
     "SteadyState",
@@ -170,16 +176,21 @@ def minimal_states(grid, profile: Profile, mesh: Mesh) -> Iterator[Optional[Stea
     difference operator, whichever is larger; on fine meshes the floor
     eps/h^2 dominates any fixed tolerance.
 
-    The grid shares one `_Curve`, so each mu1 eigen solve is warm-started
-    from the previous state's eigenvector; Newton always starts from w = 0.
+    Each mu1 eigen solve is warm-started from the previous state's
+    eigenvector; Newton always starts from w = 0.
     """
     curve = _Curve(profile, mesh)
     zero = np.zeros(curve.n)
+    start = None
     for lam in grid:
         if lam < 0:
             raise ValueError("lam must be nonnegative")
         ok = curve.correct(zero, lam, zero, 1.0, zero, 0.0, lam, max_steps=50)
-        yield None if ok is None else curve.state(*ok)
+        state = None
+        if ok is not None:
+            state, phi = curve.state(*ok, start)
+            start = phi[mesh.unknown_slice]
+        yield state
 
 
 # inverse iteration solves per start vector
@@ -291,19 +302,21 @@ def smallest_eigenvalue_bands(
     return mu, v, best_res
 
 
-def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float) -> Tuple[float, np.ndarray]:
+def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float,
+                         start: Optional[np.ndarray]) -> Tuple[float, np.ndarray]:
     """(mu1, phi): the first eigenpair of -G_w = -lap - 2 lam f/(1-w)^3 on
     `curve`'s operator at its interior values w, with zero Dirichlet data.
     phi holds every node and is L2-normalized.
 
-    `curve.start` warm-starts the eigen solve; see `smallest_eigenvalue_bands`.
+    `start`, interior values or None, warm-starts the eigen solve; see
+    `smallest_eigenvalue_bands`.
     """
     gap = 1.0 - w
     if gap.min() < 1e-9:
         raise ValueError("state touches the obstacle; linearization undefined")
     ab = _jacobian(curve.Lb, gap, lam, curve.f / np.square(gap))
     np.negative(ab, out=ab)  # -G_w
-    mu, v, _ = smallest_eigenvalue_bands(ab, curve.wq, start=curve.start, radius=curve.radius)
+    mu, v, _ = smallest_eigenvalue_bands(ab, curve.wq, start=start, radius=curve.radius)
     phi = _embed(curve.mesh, v)
     scale = np.sqrt(integrate(curve.mesh, phi**2))
     if scale <= 0:
@@ -316,7 +329,7 @@ def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float) -> Tuple[floa
 
 
 class _Curve:
-    """Residual/corrector kit for the (w, lam) solution curve."""
+    """Residual/corrector kit for the (w, lam) solution curve: its operator, set once, alone."""
 
     def __init__(self, profile: Profile, mesh: Mesh):
         self.mesh = mesh
@@ -328,9 +341,8 @@ class _Curve:
         self.res_floor = residual_floor(self.Lb)
         # largest off-diagonal Gershgorin radius of every -G_w on this curve
         self.radius = float(_offdiagonal_radii(self.Lb).max())
-        # interior vector that warm-starts the next eigen solve: the last
-        # state's eigenvector, or a guess set before a fold polish
-        self.start: Optional[np.ndarray] = None
+        # the unit of lam is 1/sup f, sup f exact over the mesh span
+        self.sup_f = supremum(profile, (mesh.nodes[0], mesh.nodes[-1]))
 
     def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, max_steps):
         """Newton on the bordered system {G = 0, arclength constraint}: (w, lam)
@@ -383,10 +395,10 @@ class _Curve:
             lam = lam + theta * dlam
         return None
 
-    def norm(self, dw, dlam):
-        return float(np.sqrt(np.dot(self.wq, dw**2) + dlam**2))
+    def norm(self, dw, dlam):  # weighted L2 norm, dlam in units of 1/sup f
+        return float(np.sqrt(np.dot(self.wq, dw**2) + (self.sup_f * dlam) ** 2))
 
-    def fold_polish(self, w, lam):
+    def fold_polish(self, w, lam, start):
         """Newton on the extended fold system.
 
         Unknowns (w, phi, lam); equations G(w,lam)=0, G_w(w,lam) phi=0,
@@ -394,7 +406,7 @@ class _Curve:
         regular at a quadratic fold even though G_w itself is singular
         there, so the iteration sharpens a nearby curve point into the
         fold.  phi starts as the eigenvector of mu_1 at (w, lam), its solve
-        warm-started from `self.start`.  Newton stops once |G| is at the
+        warm-started from `start`.  Newton stops once |G| is at the
         roundoff floor and its last update moved lam by at most 1e-10
         relative, or after 8 updates.  The floor alone is not enough: on a
         6001-node ball it is 4.3e-6, and lam stopped there depends on the
@@ -410,7 +422,7 @@ class _Curve:
         gap = 1.0 - w
         ab = -_jacobian(self.Lb, gap, lam, self.f / np.square(gap))
         try:
-            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=self.start, radius=self.radius)
+            _, phi, _ = smallest_eigenvalue_bands(ab, self.wq, start=start, radius=self.radius)
         except IterationLimit:
             return None
         i0 = int(np.abs(phi).argmax())  # phi[i0] = 1
@@ -448,14 +460,14 @@ class _Curve:
             return None
         return w, lam
 
-    def state(self, w, lam) -> SteadyState:
-        """The curve point as a SteadyState with mu1, roundoff below 0 in w
-        clipped; its eigenvector, interior values, becomes `self.start`."""
+    def state(self, w, lam, start) -> Tuple[SteadyState, np.ndarray]:
+        """(the curve point as a SteadyState with mu1, roundoff below 0 in w
+        clipped; its eigenfunction phi on every node), the eigen solve
+        warm-started from `start` (see `linearized_eigenpair`)."""
         if w.min() < 0.0:
             w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)
-        mu1, phi = linearized_eigenpair(self, w, float(lam))
-        self.start = phi[self.mesh.unknown_slice]
-        return SteadyState(lam=float(lam), w=_embed(self.mesh, w), mu1=mu1)
+        mu1, phi = linearized_eigenpair(self, w, float(lam), start)
+        return SteadyState(lam=float(lam), w=_embed(self.mesh, w), mu1=mu1), phi
 
 
 def _lagrange_weights(nodes: list, s: float) -> list:
@@ -465,50 +477,31 @@ def _lagrange_weights(nodes: list, s: float) -> list:
 
 
 ARC_STEP = 0.02  # first pseudo-arclength step of the walk; a step grows to at most twice it
+_NO_FOLD = "no fold found within 600 walk points (last lam=%g)"
 
 
-def _walk(curve: _Curve, keep_states: bool) -> Tuple[Fold, list, int]:
-    """The pseudo-arclength walk from (lam=0, w=0) to the fold, and the fold.
-
-    Stepping uses secant tangents and halves the step on corrector failure,
-    for at most 600 points.  With `keep_states` every point becomes a
-    SteadyState with its mu1, and the walk goes on past the fold until lam
-    has dropped by a tenth of its maximum or ||w||_inf reaches 0.985.
-    Each state's eigen solve, about one inverse-iteration solve, starts
-    from the Lagrange extrapolation of the last three states' eigenvectors
-    in cumulative chord length (the sum of the secant norms; a halved step
-    leaves the states unevenly spaced in index).
-    Without, no eigenpair is solved and the walk stops at the first point
-    past the fold; the corrector calls up to there are the same, so its
-    points are bitwise those of the walk with states.
-    The fold is then polished (`_Curve.fold_polish`) from the last point
-    before the fold, and the polish and the fold state's eigen solve are
-    warm-started from the normalized secant into the first point past it,
-    which at a quadratic fold lies near ker G_w; the eigenvector history is
-    dropped before the polish.  Returns (fold, states,
-    fold_index), where states[fold_index] is that last point before the
-    fold; states is empty without `keep_states`.
-    """
+def _walk(curve: _Curve) -> Iterator[Tuple[np.ndarray, float, float, np.ndarray, float]]:
+    """The pseudo-arclength walk from (lam=0, w=0), which its consumer
+    stops: yields each new point (w, lam), its secant's norm and the
+    normalized secant (tau_w, tau_lam) into it, for at most 599 steps (600
+    points with the start).  Secant tangents; a step whose corrector fails
+    is halved.  `_Curve.norm` weighs dlam by sup f, so the arclength
+    constraint takes sup f^2 tau_lam; where f vanishes on Omega, no fold."""
+    if curve.sup_f == 0.0:
+        raise StepFailure("f vanishes on Omega: no fold")
     w = np.zeros(curve.n)
     lam = 0.0
-    states = [curve.state(w, lam)] if keep_states else []
-    # (cumulative chord length, eigenvector) of the last three states
-    past = [(0.0, curve.start)] if keep_states else []
-
     # tangent at the trivial point: dw/dlam solves lap(dw) = -f
     dwdlam = solve_banded(curve.Lb, -curve.f)
     nrm = curve.norm(dwdlam, 1.0)
     tau_w, tau_lam = dwdlam / nrm, 1.0 / nrm
-
     step = ARC_STEP
-    points = 1
-    top = None  # (index, w, lam, secant) at the fold
-    while points < 600:
+    for _ in range(599):
         ok = None
         while step > 1e-12:
             pred_w = w + step * tau_w
             pred_lam = lam + step * tau_lam
-            ok = curve.correct(pred_w, pred_lam, tau_w, tau_lam, w, lam, step, max_steps=14)
+            ok = curve.correct(pred_w, pred_lam, tau_w, curve.sup_f**2 * tau_lam, w, lam, step, max_steps=14)
             if ok is not None:
                 break
             step *= 0.5
@@ -518,55 +511,59 @@ def _walk(curve: _Curve, keep_states: bool) -> Tuple[Fold, list, int]:
         sec_w, sec_lam = new_w - w, new_lam - lam
         nrm = curve.norm(sec_w, sec_lam)
         tau_w, tau_lam = sec_w / nrm, sec_lam / nrm
-        if keep_states:
-            chord = past[-1][0] + nrm
-            weights = _lagrange_weights([t for t, _ in past], chord)
-            # elementwise, in one buffer: np.dot(weights, rows), a BLAS
-            # matrix-vector product, alone raised peak RSS by 128 KB
-            start = weights[0] * past[0][1]
-            for c, (_, phi) in zip(weights[1:], past[1:]):
-                start += c * phi
-            curve.start = start
-            states.append(curve.state(new_w, new_lam))
-            past = past[-2:] + [(chord, curve.start)]
-        if top is None and tau_lam < 0.0:
-            top = (points - 1, w, lam, tau_w)
-        points += 1
         w, lam = new_w, new_lam
+        yield w, lam, nrm, tau_w, tau_lam
         step = min(step * 1.3, 2.0 * ARC_STEP)
-        if top is not None:
-            if not keep_states:
-                break
-            lam_max = max(s.lam for s in states)
-            if lam <= 0.9 * lam_max or states[-1].sup_w >= 0.985:
-                break
 
-    if top is None:
-        raise StepFailure("no fold found within max_points")
-    past.clear()  # the eigenvector history is not held through the polish
-    fold_index, top_w, top_lam, curve.start = top
-    polished = curve.fold_polish(top_w, top_lam)
+
+def _polished(curve: _Curve, w: np.ndarray, lam: float, start: np.ndarray) -> Fold:
+    """Fold data of `_Curve.fold_polish` from the curve point (w, lam); the
+    polish and the fold state's eigen solve are warm-started from `start`.
+    A failed polish raises StepFailure."""
+    polished = curve.fold_polish(w, lam, start)
     if polished is None:
-        raise StepFailure("fold polish failed near lam=%g" % top_lam)
-    return _fold_at(curve, *polished), states, fold_index
+        raise StepFailure("fold polish failed near lam=%g" % lam)
+    return Fold(curve.mesh, *curve.state(*polished, start))
 
 
 def continue_branch(profile: Profile, mesh: Mesh) -> SteadyBranch:
-    """Trace the solution curve from (lam=0, w=0) past the fold, with mu1 at
-    every state (`_walk` with states).  The polished fold point is
-    `fold_state`, its lam is `lambda_star`, and its eigenpair gives
-    phi_star and psi_star.  A stalled walk or a failed polish raises
-    StepFailure.
-    """
-    fold, states, fold_index = _walk(_Curve(profile, mesh), keep_states=True)
-    return SteadyBranch(**vars(fold), states=tuple(states), fold_index=fold_index)
-
-
-def _fold_at(curve: _Curve, w: np.ndarray, lam: float) -> Fold:
-    """Fold data of the polished curve point (w, lam)."""
-    fold_state = curve.state(w, lam)
-    phi = _embed(curve.mesh, curve.start)  # L2-normalized
-    return Fold(mesh=curve.mesh, fold_state=fold_state, phi_star=phi)
+    """The solution curve from (lam=0, w=0), with mu1 at every state, walked
+    until past the fold lam has dropped by a tenth of its maximum or
+    ||w||_inf reaches 0.985.  Each state's eigen solve, about one inverse-
+    iteration solve, starts from the Lagrange extrapolation of the last
+    three eigenvectors in cumulative chord length (the sum of the secant
+    norms; a halved step spaces the states unevenly in index).  The fold,
+    `fold_state` at `lambda_star` with phi_star, is polished from
+    states[fold_index], the last before it, and the secant into the next.
+    A stalled walk or a failed polish raises StepFailure."""
+    curve = _Curve(profile, mesh)
+    w, lam = np.zeros(curve.n), 0.0
+    state, phi = curve.state(w, lam, None)
+    states = [state]
+    # (cumulative chord length, eigenvector) of the last three states
+    past = [(0.0, phi[mesh.unknown_slice])]
+    top = None  # (index, w, lam, secant) at the fold
+    for new_w, new_lam, nrm, tau_w, tau_lam in _walk(curve):
+        chord = past[-1][0] + nrm
+        weights = _lagrange_weights([t for t, _ in past], chord)
+        # elementwise, in one buffer: np.dot(weights, rows), a BLAS
+        # matrix-vector product, alone raised peak RSS by 128 KB
+        start = weights[0] * past[0][1]
+        for c, (_, phi) in zip(weights[1:], past[1:]):
+            start += c * phi
+        state, phi = curve.state(new_w, new_lam, start)
+        states.append(state)
+        past = past[-2:] + [(chord, phi[mesh.unknown_slice])]
+        if top is None and tau_lam < 0.0:
+            top = (len(states) - 2, w, lam, tau_w)
+        w, lam = new_w, new_lam
+        if top is not None and (lam <= 0.9 * max(s.lam for s in states) or state.sup_w >= 0.985):
+            break
+    if top is None:
+        raise StepFailure(_NO_FOLD % lam)
+    del past, phi, start  # the eigenvector history is not held through the polish
+    fold = _polished(curve, *top[1:])
+    return SteadyBranch(**vars(fold), states=tuple(states), fold_index=top[0])
 
 
 # node count of the walk behind `locate_fold` on meshes finer than
@@ -578,29 +575,37 @@ FULL_WALK_NODES = 600
 def locate_fold(profile: Profile, mesh: Mesh) -> Fold:
     """The fold of `continue_branch`, from a walk without states.
 
-    Up to FULL_WALK_NODES nodes the branch is walked on `mesh` without
-    eigen solves, up to the first point past the fold, and polished from
-    the same point and start vector as in `continue_branch`, so the fold
-    is bitwise that of `continue_branch`.  On a finer mesh the fold is
-    first located so on COARSE_NODES nodes (nested iteration): the coarse
-    w* and phi*, interpolated onto `mesh`, start one `_Curve.fold_polish`
-    at the coarse lambda_star, which lands on the same discrete fold as
-    the full walk's polish.  If that polish fails, the walk runs on `mesh`
-    itself.  A failed coarse walk raises as `continue_branch` does.
+    Up to FULL_WALK_NODES nodes the branch is walked on `mesh` up to the
+    first point past the fold, and polished from the same point and start
+    vector as in `continue_branch`, so the fold is bitwise that of
+    `continue_branch`.  On a finer mesh the fold is first located so on
+    COARSE_NODES nodes (nested iteration): the coarse w* and phi*,
+    interpolated onto `mesh`, start one `_Curve.fold_polish` at the coarse
+    lambda_star, which lands on the same discrete fold as the full walk's
+    polish.  If that polish fails, the walk runs on `mesh` itself.  A
+    failed coarse walk raises as `continue_branch` does.
     """
     def walked(on: Mesh) -> Fold:
-        return _walk(_Curve(profile, on), keep_states=False)[0]
+        curve = _Curve(profile, on)
+        w, lam = np.zeros(curve.n), 0.0
+        for new_w, new_lam, _, tau_w, tau_lam in _walk(curve):
+            if tau_lam < 0.0:
+                break
+            w, lam = new_w, new_lam
+        else:
+            raise StepFailure(_NO_FOLD % lam)
+        return _polished(curve, w, lam, tau_w)
 
     if mesh.node_count <= FULL_WALK_NODES:
         return walked(mesh)
     coarse = walked(build_mesh(mesh.geometry, COARSE_NODES))
     x, xc, inner = mesh.nodes, coarse.mesh.nodes, mesh.unknown_slice
     curve = _Curve(profile, mesh)
-    curve.start = np.interp(x, xc, coarse.phi_star)[inner]
-    polished = curve.fold_polish(np.interp(x, xc, coarse.w_star)[inner], coarse.lambda_star)
-    if polished is None:
+    start = np.interp(x, xc, coarse.phi_star)[inner]
+    try:
+        return _polished(curve, np.interp(x, xc, coarse.w_star)[inner], coarse.lambda_star, start)
+    except StepFailure:  # the polish failed: walk the mesh itself
         return walked(mesh)
-    return _fold_at(curve, *polished)
 
 
 def states_to_csv(states, path) -> None:

@@ -107,8 +107,7 @@ def test_criterion_05_bound_ordering(branch_f1_2001, near_fold_sweep):
     ing = ingredients(branch_f1_2001, f)
     for _, (lam, rep) in sorted(near_fold_sweep.items()):
         TL = bound_lower_TL(lam, star, ing)
-        T1a = bound_upper_T1(lam, star, ing, form="arctan")
-        T1s = bound_upper_T1(lam, star, ing, form="simplified")
+        T1s, T1a = bound_upper_T1(lam, star, ing)
         T = rep.T
         assert TL <= T * 1.01
         assert T <= T1a * 1.01

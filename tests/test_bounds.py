@@ -137,10 +137,9 @@ def test_T1_arctan_right_angle_on_synthetic_branch():
     # lam - lambda* = 1 the arctan form is exactly pi/4 + pi/4
     br = synthetic_branch_unit_mass()
     args = fold_args(br, Constant(1.0))
-    val = bound_upper_T1(br.lambda_star + 1.0, *args, form="arctan")
+    simp, val = bound_upper_T1(br.lambda_star + 1.0, *args)
     assert val == pytest.approx(math.pi / 2.0, abs=1e-12)
     # simplified form: sqrt(3) pi/4 * sqrt(J/(lambda* I1)) = sqrt(3) pi/4 * sqrt(3)
-    simp = bound_upper_T1(br.lambda_star + 1.0, *args, form="simplified")
     assert simp == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
 
 
@@ -148,11 +147,8 @@ def test_T1_simplified_dominates_arctan(branch_f1_401):
     args = fold_args(branch_f1_401, Constant(1.0))
     star = args[0]
     for lam in (1.1 * star, 1.5 * star, 3.0 * star, 10.0 * star):
-        a = bound_upper_T1(lam, *args, form="arctan")
-        s = bound_upper_T1(lam, *args, form="simplified")
+        s, a = bound_upper_T1(lam, *args)
         assert a <= s
-    with pytest.raises(ValueError):
-        bound_upper_T1(2.0, *args, form="exact")
     with pytest.raises(DomainError):
         bound_upper_T1(0.5 * star, *args)
 
@@ -311,8 +307,6 @@ def test_location_empty_set_is_blank(branch_falpha_801):
 def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     ing = ingredients(branch_f1_401, Constant(1.0))
     assert 0.0 < ing.E0 < 1.0
-    assert ing.I2_26 == pytest.approx(3.0 * branch_f1_401.lambda_star / ing.J_26,
-                                      rel=1e-14)
     assert ing.I1_26 > 0.0 and ing.J_26 > 0.0
     # sup f and K are taken in large_lambda_bounds: evaluate_all's epsilon
     # is the sandwich's, bitwise
@@ -322,8 +316,8 @@ def test_ingredients_energy_window(branch_f1_401, branch_falpha_801):
     ll = large_lambda_bounds(1e5, f, branch_falpha_801.mesh)
     assert ll.K > 0.0
     assert ll.epsilon == rep.epsilon
-    # f vanishes where psi* has mass: J and I2 are undefined
-    assert ing.J_26 is None and ing.I2_26 is None
+    # f vanishes where psi* has mass: J is undefined
+    assert ing.J_26 is None
 
 
 def test_evaluate_all_near_fold(branch_f1_401):
@@ -411,8 +405,7 @@ def test_evaluate_all_reports_the_fold_estimates_bitwise(branch_f1_401, branch_f
     for lam in (1.05 * branch_f1_401.lambda_star, 30.0):
         rep, = evaluate_all([lam], branch_f1_401, f, mesh)
         assert rep.T_L == bound_lower_TL(lam, *args)
-        assert rep.T1_simplified == bound_upper_T1(lam, *args, form="simplified")
-        assert rep.T1_arctan == bound_upper_T1(lam, *args)
+        assert (rep.T1_simplified, rep.T1_arctan) == bound_upper_T1(lam, *args)
     two_bump = SlabSinPiecewise()
     rep, = evaluate_all([5.0], branch_falpha_801, two_bump, branch_falpha_801.mesh)
     with pytest.raises(NotApplicable) as exc:

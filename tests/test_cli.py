@@ -800,6 +800,20 @@ def test_stalled_polish_eigen_solve_fails_the_polish(tmp_path, capsys, monkeypat
     assert callers == ["fold_polish"]
 
 
+@pytest.mark.parametrize("argv,payload", [
+    (["bounds", "--lambda", "500"], {"profile": {"kind": "power", "exponent": 2}, "node_count": 201}),
+    (["steady"], {"profile": {"kind": "constant", "value": 0.05}}),
+], ids=["bounds-x2", "steady-f0.05"])
+def test_fold_far_out_in_lam_is_found(tmp_path, argv, payload):
+    # folds at lam* = 35.8 and 28.0, beyond the 24 units of arclength that
+    # the walk covers in plain lam; in units of 1/sup f they lie within it
+    out = str(tmp_path / "far_out")
+    assert main(argv + ["--config", write_config(tmp_path, "far.json", payload), "--out", out]) == 0
+    name = "bounds.json" if argv[0] == "bounds" else "summary.json"
+    assert read_json(os.path.join(out, name))["lambda_star"] == pytest.approx(
+        35.83 if argv[0] == "bounds" else 28.0, rel=1e-3)
+
+
 def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     # above FULL_WALK_NODES nodes bounds and sweep take the fold from a walk on
     # COARSE_NODES nodes; a StepFailure there ends bounds with exit 3 and
@@ -807,11 +821,11 @@ def test_failed_coarse_walk_is_solver_failure(tmp_path, capsys, monkeypatch):
     walk = steady._walk
     walked = []
 
-    def fail_coarse(curve, keep_states):
+    def fail_coarse(curve):
         walked.append(curve.mesh.node_count)
         if curve.mesh.node_count == steady.COARSE_NODES:
             raise steady.StepFailure("forced on the coarse mesh")
-        return walk(curve, keep_states)
+        return walk(curve)
 
     monkeypatch.setattr(steady, "_walk", fail_coarse)
     cfg = write_config(tmp_path, "cw.json", {

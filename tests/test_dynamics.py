@@ -748,11 +748,16 @@ def test_near_fold_stage_needs_one_solve():
 
 
 def test_argmax_does_not_follow_solver_noise(monkeypatch):
-    # the two bumps tie to rounding; a run whose solves eliminate from the
-    # other end (the mirrored system, so the states differ by rounding)
-    # reports the same node
+    # the two bumps tie to rounding: stepped on every unknown (the mirror
+    # declined, as in _full_run), the mirror peaks of a stored state differ
+    # by rounding, and a run whose solves eliminate from the other end (the
+    # mirrored system, so the states differ by rounding) reports the same node
+    monkeypatch.setattr(dynamics, "_mirror_even", lambda *args: False)
     mesh = build_mesh(UNIT_SLAB, 1001)
     traj, _ = integrate(100.0, SlabSinPiecewise(), mesh, TimeConfig())
+    peaks = traj.values.argmax(axis=1)
+    rows = np.arange(len(peaks))
+    assert np.any(traj.values[rows, peaks] != traj.values[rows, mesh.node_count - 1 - peaks])
     kernel = dynamics.solve_banded
 
     def mirrored(ab, b, **kwargs):

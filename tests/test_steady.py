@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 from quenchlab.bounds import evaluate_all
 from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, integrate, solve_banded
-from quenchlab.profiles import Constant, Power, SlabSinPiecewise
+from quenchlab.profiles import Constant, Power, SlabSinPiecewise, Tabulated
 from quenchlab import steady
 from quenchlab.steady import (
     StepFailure,
@@ -161,7 +161,7 @@ def test_mu1_at_zero_state():
     for n in (201, 401):
         mesh = build_mesh(Slab(-0.5, 0.5), n)
         st = next(minimal_states([0.0], Constant(1.0), mesh))
-        mu1, _ = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[mesh.unknown_slice], lam)
+        mu1, _ = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[mesh.unknown_slice], lam, None)
         errs.append(abs(mu1 - (math.pi**2 - 2.0 * lam)))
     assert errs[0] < 1e-3
     assert errs[0] / errs[1] > 3.5
@@ -174,7 +174,7 @@ def test_eigen_residual_recompute(branch_f1_401):
     st = minimal[len(minimal) // 2]
     mesh = branch_f1_401.mesh
     inner = mesh.unknown_slice
-    mu, phi = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[inner], st.lam)
+    mu, phi = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[inner], st.lam, None)
     ab = laplacian_bands(mesh)
     pot = 2.0 * st.lam / (1.0 - st.w[inner]) ** 3
     resid = -bands_matvec(ab, phi[inner]) - pot * phi[inner] - mu * phi[inner]
@@ -265,9 +265,9 @@ def test_warm_mu1_matches_cold(branch_f1_401):
     # every state's mu1 was warm-started from its predecessor's eigenvector;
     # a cold solve from the ones vector must agree
     br = branch_f1_401
-    curve = steady._Curve(Constant(1.0), br.mesh)  # no start vector: every solve is cold
+    curve = steady._Curve(Constant(1.0), br.mesh)
     for st in br.states + (br.fold_state,):
-        cold, _ = linearized_eigenpair(curve, st.w[br.mesh.unknown_slice], st.lam)
+        cold, _ = linearized_eigenpair(curve, st.w[br.mesh.unknown_slice], st.lam, None)  # no start: cold
         assert abs(st.mu1 - cold) <= 1e-9 * max(1.0, abs(cold))
 
 
@@ -304,12 +304,44 @@ def test_failed_fold_polish_is_step_failure(tmp_path, monkeypatch):
 
     from quenchlab.cli import main
 
-    monkeypatch.setattr(steady._Curve, "fold_polish", lambda self, w, lam: None)
+    monkeypatch.setattr(steady._Curve, "fold_polish", lambda self, w, lam, start: None)
     with pytest.raises(StepFailure):
         continue_branch(Constant(1.0), build_mesh(Slab(-0.5, 0.5), 101))
     cfg = tmp_path / "steady.json"
     cfg.write_text(json.dumps({"node_count": 101}))
     assert main(["steady", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_walk_measures_lam_in_units_of_one_over_sup_f():
+    # G(w, lam) under f = c is G(w, c lam) under f = 1, so the discrete fold
+    # of f = 0.05 lies at 20 times that of f = 1, at lam* = 28: beyond the
+    # reach of 599 steps in plain lam, within it in units of 1/sup f.  The
+    # tolerance is the polish's, its lam step 1e-10 and roundoff 2e-11
+    mesh = build_mesh(Slab(-0.5, 0.5), 201)
+    one = continue_branch(Constant(1.0), mesh)
+    weak = continue_branch(Constant(0.05), mesh)
+    assert weak.lambda_star == pytest.approx(20.0 * one.lambda_star, rel=1e-9)
+    assert (len(weak.states), weak.fold_index) == (len(one.states), one.fold_index)
+    assert steady.locate_fold(Constant(0.05), mesh).lambda_star == weak.lambda_star
+
+
+def test_profile_vanishing_on_the_mesh_span_has_no_fold():
+    # f = 0 on the slab (-1/2, 1/2), positive beyond it: sup f over the
+    # mesh span, the walk's unit of lam, is 0, and the walk stops at once
+    mesh = build_mesh(Slab(-0.5, 0.5), 101)
+    f = Tabulated(np.array([-1.0, 0.6, 1.0]), np.array([0.0, 0.0, 1.0]))
+    for find in (continue_branch, steady.locate_fold):
+        with pytest.raises(StepFailure, match="f vanishes on Omega: no fold"):
+            find(f, mesh)
+
+
+def test_walk_without_fold_names_its_cap_and_last_lam():
+    # a spike of half-width 0.02 on a 101-node slab folds beyond the walk's
+    # reach; the failure names the 600 walk points and where the walk ended
+    mesh = build_mesh(Slab(-0.5, 0.5), 101)
+    f = Tabulated(np.array([-0.5, -0.02, 0.0, 0.02, 0.5]), np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(StepFailure, match=r"no fold found within 600 walk points \(last lam=23\.9"):
+        steady.locate_fold(f, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +361,12 @@ def test_locate_fold_falls_back_to_the_full_walk(monkeypatch):
     polish = steady._Curve.fold_polish
     fine_calls = []
 
-    def fail_first_fine(self, w, lam):
+    def fail_first_fine(self, w, lam, start):
         if self.mesh is mesh:
             fine_calls.append(lam)
             if len(fine_calls) == 1:
                 return None
-        return polish(self, w, lam)
+        return polish(self, w, lam, start)
 
     monkeypatch.setattr(steady._Curve, "fold_polish", fail_first_fine)
     fold = steady.locate_fold(Constant(1.0), mesh)
@@ -366,20 +398,20 @@ def test_stalled_fine_polish_eigen_solve_falls_back_to_the_full_walk(monkeypatch
 
 def test_locate_fold_walks_small_meshes_in_full(monkeypatch):
     # up to FULL_WALK_NODES nodes the walk runs on the mesh itself; one node
-    # more and it runs on COARSE_NODES nodes instead; neither keeps states
+    # more and it runs on COARSE_NODES nodes instead
     walk = steady._walk
     walked = []
 
-    def recorded(curve, keep_states):
-        walked.append((curve.mesh.node_count, keep_states))
-        return walk(curve, keep_states)
+    def recorded(curve):
+        walked.append(curve.mesh.node_count)
+        return walk(curve)
 
     monkeypatch.setattr(steady, "_walk", recorded)
     n = steady.FULL_WALK_NODES
     assert steady.COARSE_NODES < n
     assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n))) is steady.Fold
     assert type(steady.locate_fold(Constant(1.0), build_mesh(Slab(-0.5, 0.5), n + 1))) is steady.Fold
-    assert walked == [(n, False), (steady.COARSE_NODES, False)]
+    assert walked == [n, steady.COARSE_NODES]
 
 
 @pytest.mark.parametrize("profile", [Constant(1.0), SlabSinPiecewise()], ids=["f1", "two-bump"])
@@ -391,9 +423,9 @@ def test_lean_walk_stops_at_the_fold_state_of_the_full_walk(monkeypatch, profile
     polish = steady._Curve.fold_polish
     starts = []
 
-    def recorded(self, w, lam):
-        starts.append((w.copy(), lam, self.start.copy()))
-        return polish(self, w, lam)
+    def recorded(self, w, lam, start):
+        starts.append((w.copy(), lam, start.copy()))
+        return polish(self, w, lam, start)
 
     monkeypatch.setattr(steady._Curve, "fold_polish", recorded)
     branch = continue_branch(profile, mesh)
@@ -418,9 +450,9 @@ def test_locate_fold_solves_no_eigenpair_before_the_polish(monkeypatch, nodes):
         events.append("eigen")
         return eigen(*args, **kwargs)
 
-    def polish_recorded(self, w, lam):
+    def polish_recorded(self, w, lam, start):
         events.append("polish")
-        return polish(self, w, lam)
+        return polish(self, w, lam, start)
 
     monkeypatch.setattr(steady, "smallest_eigenvalue_bands", eigen_recorded)
     monkeypatch.setattr(steady._Curve, "fold_polish", polish_recorded)
@@ -430,7 +462,7 @@ def test_locate_fold_solves_no_eigenpair_before_the_polish(monkeypatch, nodes):
     assert events == ["polish", "eigen", "eigen"] * (1 if nodes <= steady.FULL_WALK_NODES else 2)
 
 
-def test_fold_polish_does_not_depend_on_its_start():
+def test_fold_polish_does_not_depend_on_its_start(monkeypatch):
     # two polishes on one mesh: from the interpolated coarse fold
     # (locate_fold) and from the fine walk's last point and secant.  The
     # residual floor here is 4.3e-6, and polishes stopped at the floor left
@@ -438,7 +470,8 @@ def test_fold_polish_does_not_depend_on_its_start():
     mesh = build_mesh(RadialBall(3, 1.0), 6001)
     profile = Power(1.0)
     nested = steady.locate_fold(profile, mesh)
-    walked, _, _ = steady._walk(steady._Curve(profile, mesh), keep_states=False)
+    monkeypatch.setattr(steady, "FULL_WALK_NODES", mesh.node_count)  # walk the mesh itself
+    walked = steady.locate_fold(profile, mesh)
     assert walked.lambda_star == pytest.approx(nested.lambda_star, rel=1e-10)
 
 
@@ -465,9 +498,9 @@ def test_fold_polish_stops_before_its_update_cap(monkeypatch, geometry, profile)
         solves.append(np.ndim(b) == 2)
         return kernel(ab, b, **kwargs)
 
-    def recorded(self, w, lam):
+    def recorded(self, w, lam, start):
         solves.clear()
-        out = polish(self, w, lam)
+        out = polish(self, w, lam, start)
         updates.append(sum(solves) // 2)
         return out
 
@@ -658,9 +691,9 @@ def test_extrapolated_start_takes_about_one_solve_per_state():
     pairs, solves = recorded_eigen_solves(Slab(-0.5, 0.5), SlabSinPiecewise(), 2001)
     assert solves <= 1.6 * len(pairs), (solves, len(pairs))
     branch = continue_branch(SlabSinPiecewise(), mesh)
-    curve = steady._Curve(SlabSinPiecewise(), mesh)  # no start vector: every solve is cold
+    curve = steady._Curve(SlabSinPiecewise(), mesh)
     for st in branch.states:
-        cold, _ = linearized_eigenpair(curve, st.w[mesh.unknown_slice], st.lam)
+        cold, _ = linearized_eigenpair(curve, st.w[mesh.unknown_slice], st.lam, None)  # no start: cold
         assert abs(st.mu1 - cold) <= 1e-8 * max(1.0, abs(cold)), (st.lam, st.mu1, cold)
 
 

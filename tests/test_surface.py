@@ -17,7 +17,10 @@ extension file, which is the routine scipy.linalg.lapack exports.  In
 `_Curve`, whose corrector is the one Newton, and by the eigen solve;
 only `minimal_states` and the one branch walk `_walk` call that corrector.
 Only `_Curve` builds the Laplacian bands and evaluates f, so every eigen
-solve of a state runs on its curve's operator.
+solve of a state runs on its curve's operator.  A `_Curve` sets its
+attributes in `__init__` alone and nothing else in `steady` sets one, so
+every eigen solve takes its start as an argument, and `_walk` yields
+curve points and solves no eigenpair.
 That corrector takes the roundoff floor of a residual from the one
 `mesh.residual_floor`, and `steady` raises nothing to a constant power
 above 2, which numpy takes by libm pow per element.  The
@@ -213,6 +216,25 @@ def test_one_branch_walk():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "correct":
                 callers.add(top.name)
     assert callers == {"minimal_states", "_walk"}, callers
+
+
+def test_curve_holds_no_iteration_state():
+    # a _Curve is its operator alone, set in __init__: nothing in steady
+    # sets an attribute of it (or of anything) later, so each eigen solve's
+    # start is an argument; and the walk yields curve points and solves no
+    # eigenpair, leaving states and the fold polish to its consumers
+    tree = ast.parse((SRC / "steady.py").read_text())
+    top = {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    init = next(node for node in top["_Curve"].body if getattr(node, "name", None) == "__init__")
+    in_init = {id(node) for node in ast.walk(init)}
+    stores = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+              if id(node) not in in_init and (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+                                              or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr")]
+    assert not stores, stores
+    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(top["_walk"]) if isinstance(node, ast.Call)}
+    solves = calls & {"linearized_eigenpair", "state", "fold_polish", "smallest_eigenvalue_bands"}
+    assert not solves, solves
 
 
 def test_steady_takes_no_power_above_the_square():
@@ -418,4 +440,4 @@ def test_estimate_table_calls_through_module_names(branch_f1_401, monkeypatch):
     star = branch_f1_401.lambda_star
     lams = [0.5 * star, 1.05 * star, 10.0 * star, 1e3 * star]
     bounds.evaluate_all(lams, branch_f1_401, Constant(1.0), branch_f1_401.mesh)
-    assert calls == {"bound_gg2": 3, "bound_lower_TL": 3, "bound_upper_T1": 6, "large_lambda_bounds": 4}, calls
+    assert calls == {"bound_gg2": 3, "bound_lower_TL": 3, "bound_upper_T1": 3, "large_lambda_bounds": 4}, calls
