@@ -11,11 +11,11 @@ ODEs II, sec. IV.7).  It keeps second order and needs no iteration.  On a
 slab L is symmetric, and so is the stage matrix: the run passes the
 2-row band of L, and each stage is an LDL^T solve (dptsv).  A ball's L is
 not symmetric, and its stages are LU solves (dgtsv) of the 3-row band.
-Where f is mirror-even on a slab (bit for bit at the mirror images of
-the left unknowns), so is u: the run steps on the left (n - 1) // 2
-unknowns of its n nodes alone, on the band `mesh.mirror_bands` folds
-from L's, and writes each stored state back onto every node with its
-mirror copy.  At 6000 nodes a stage then solves 2999 unknowns, not 5998.
+Where f is mirror-even on a slab (`profiles.mirror_even`: bit for bit
+at the mirror images of the left unknowns), so is u: the run steps on
+the left (n - 1) // 2 unknowns of its n nodes alone, on the band
+`mesh.mirror_bands` folds from L's, and writes each stored state back
+onto every node with its mirror copy.  At 6000 nodes a stage then solves 2999 unknowns, not 5998.
 eta_step is the one accuracy scale.  A step raises sup u by at most
 eta_step times the gap 1 - sup u while the gap is above 0.1, and by
 eta_step / 10 below it, but never by more than GROWTH_CAP of the gap (or
@@ -55,7 +55,7 @@ import numpy as np
 from . import csvio
 from .csvio import MissingInput, SolverFailure
 from .mesh import Mesh, bands_matvec, laplacian_bands, mirror_bands, solve_banded
-from .profiles import Profile, evaluate
+from .profiles import Profile, evaluate, mirror_even
 
 __all__ = [
     "TimeConfig",
@@ -233,23 +233,6 @@ def _linearized_step(Lb, lamf, u, dt, mass=1.0):
     return (v, vmax) if vmax < 1.0 - 1e-14 else None
 
 
-def _mirror_even(profile, mesh, f):
-    """Whether a run may step on the left half of a slab's unknowns.
-
-    It may when the slab has 5 or more nodes and `f`, the profile on the
-    unknowns, holds at the left (node_count - 1) // 2 of them, bit for bit,
-    the profile's values at their mirror images x_left + x_right - x: the
-    stepped states are then even, stage by stage.  The right-half nodes
-    are not tested, since `build_mesh` need not place them at exact mirror
-    images.
-    """
-    if mesh.is_radial or mesh.node_count < 5:
-        return False
-    left = mesh.nodes[1:(mesh.node_count + 1) // 2]
-    mirror = (mesh.geometry.x_left + mesh.geometry.x_right) - left
-    return np.array_equal(f[:left.size], evaluate(profile, mirror))
-
-
 def _growth_target(sup, eta_step):
     """Largest rise of sup u that a step from sup u = `sup` may make.
 
@@ -278,7 +261,7 @@ def integrate(
     mass, mirrored = 1.0, False
     if np.array_equal(Lb[0, 1:], Lb[2, :-1]):  # symmetric (every slab): step by LDL^T
         Lb = Lb[:2]
-        mirrored = _mirror_even(profile, mesh, f)
+        mirrored = mirror_even(profile, mesh, f)
         if mirrored:  # the state is even too: step on the left half
             Lb, mass = mirror_bands(Lb)
             coords, f = coords[:Lb.shape[1]], f[:Lb.shape[1]] * mass

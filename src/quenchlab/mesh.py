@@ -220,33 +220,38 @@ def laplacian_bands(mesh: Mesh) -> np.ndarray:
 
 
 def mirror_bands(ab: np.ndarray):
-    """Fold a mirror-symmetric 2-row band onto the left half of its unknowns.
+    """Fold a mirror-symmetric band onto the left half of its unknowns.
 
-    `ab` is the 2-row band (solveh_banded upper form) of a symmetric
-    tridiagonal operator A on m unknowns that keeps its entries under
-    their reversal, as a slab's Dirichlet Laplacian does.  For a vector v
-    even under the reversal, the returned band times v[:k] is
-    mass * (A v)[:k], k = (m + 1) // 2:
+    `ab` is a tridiagonal operator A on m unknowns that keeps its entries
+    under their reversal, as a slab's Dirichlet Laplacian does, in either
+    `solve_banded` layout.  For a vector v even under the reversal, the
+    returned band times v[:k] is mass * (A v)[:k], k = (m + 1) // 2:
 
     - even m: row k - 1's right neighbour is its own mirror image, so its
       coupling joins the diagonal (-1/h^2 for the Laplacian);
     - odd m: row k - 1 is the midpoint, whose two neighbours are equal.
-      It is halved, which keeps the band symmetric, and `mass` (1/2 on
-      that row, 1 elsewhere) is the diagonal by which the caller halves
-      what else that row carries.
+      In the 3-row layout its left coupling doubles.  The 2-row layout
+      has one off-diagonal for both sides, so the row is halved instead,
+      which keeps the band symmetric, and `mass` (1/2 on that row, 1
+      elsewhere) is the diagonal by which the caller halves what else that
+      row carries.
 
-    `mass` is the scalar 1.0 for even m.  The band is a new array.
+    `mass` is the scalar 1.0 but for an odd m in the 2-row layout.  The band
+    is a new array, in the layout of `ab`.
     """
     m = ab.shape[1]
     k = (m + 1) // 2
     half = ab[:, :k].copy()
-    if m % 2:
+    mass = 1.0
+    if not m % 2:
+        half[1, -1] += ab[0, k]
+    elif ab.shape[0] == 3:
+        half[2, -2] *= 2.0
+    else:
         half[1, -1] *= 0.5
         mass = np.ones(k)
         mass[-1] = 0.5
-        return half, mass
-    half[1, -1] += ab[0, k]
-    return half, 1.0
+    return half, mass
 
 
 def bands_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = [
     "validate",
     "holder_constant",
     "supremum",
+    "mirror_even",
     "tabulated_from_csv",
 ]
 
@@ -203,6 +204,23 @@ def validate(profile: Profile, mesh: Mesh) -> None:
     if mesh.nodes[0] < lo - 1e-12 or mesh.nodes[-1] > hi + 1e-12:
         raise IncompatibleGeometry("mesh extends beyond the profile's domain")
     evaluate(profile, mesh.nodes)
+
+
+def mirror_even(profile: Profile, mesh: Mesh, f: np.ndarray) -> bool:
+    """Whether a slab solve may run on the left half of its unknowns.
+
+    It may when the slab has 5 or more nodes and `f`, the profile on the
+    unknowns, holds at the left (node_count - 1) // 2 of them, bit for bit,
+    the profile's values at their mirror images x_left + x_right - x: a
+    solve that keeps its iterates even then keeps them even exactly.  The
+    right-half nodes are not tested, since `build_mesh` need not place them
+    at exact mirror images.
+    """
+    if mesh.is_radial or mesh.node_count < 5:
+        return False
+    left = mesh.nodes[1:(mesh.node_count + 1) // 2]
+    mirror = (mesh.geometry.x_left + mesh.geometry.x_right) - left
+    return np.array_equal(f[:left.size], evaluate(profile, mirror))
 
 
 def holder_constant(profile: Profile, span: Optional[Tuple[float, float]] = None) -> float:

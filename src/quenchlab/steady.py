@@ -51,6 +51,22 @@ power above the square is taken: numpy squares in a fast path but calls
 libm pow per element of a cube.  Sup-norms are array methods, which skip
 the Python layer of `np.max`.  States, eigenfunctions and fold data
 (`Fold.mesh` names their mesh) are arrays of values on every node.
+
+Where f is mirror-even on a slab of 5 or more nodes (the test
+`profiles.mirror_even`, which `dynamics.integrate` makes too), every
+state and eigenfunction is even, and the curve holds the left
+(n - 1) // 2 of the n nodes alone: the 3-row Laplacian band folded by `mesh.mirror_bands`,
+f there and full-domain quadrature weights, twice the left weights with
+an odd unknown count's midpoint once.  Those weights make the weighted
+Rayleigh quotient, the arclength constraint and `_Curve.norm` the full
+ones; the residual floor and the Gershgorin radius are the full band's,
+so every tolerance keeps its value.  The walk, the eigen solves and the
+fold polish then run unchanged on half-length arrays, and
+`_Curve.embed` writes each result back onto every node with its mirror
+copy: at 6001 nodes each banded solve takes 3000 unknowns, not 5999.
+The polish lands on the fold's singular G_w exactly at times (the
+mirrored 401-node two-bump slab does), so it keeps an iterate whose
+G_w is singular once it has converged; see `_Curve.fold_polish`.
 """
 
 from __future__ import annotations
@@ -62,8 +78,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import csvio
-from .mesh import Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, residual_floor, solve_banded
-from .profiles import Profile, evaluate, supremum
+from .mesh import Mesh, bands_matvec, build_mesh, integrate, laplacian_bands, mirror_bands, residual_floor, solve_banded
+from .profiles import Profile, evaluate, mirror_even, supremum
 
 __all__ = [
     "SteadyState",
@@ -132,15 +148,10 @@ def _interior_forcing(profile: Profile, mesh: Mesh) -> np.ndarray:
     return np.asarray(evaluate(profile, mesh.nodes[mesh.unknown_slice]), dtype=float)
 
 
-def _embed(mesh: Mesh, interior: np.ndarray) -> np.ndarray:
-    full = np.zeros(mesh.node_count)
-    full[mesh.unknown_slice] = interior
-    return full
-
-
-# The steady operator on the unknowns, with Lb = laplacian_bands(mesh) and
-# f the interior forcing.  Every steady solve goes through these two; its
-# residual tests take their roundoff floor from mesh.residual_floor(Lb).
+# The steady operator on a curve's unknowns, with Lb its Laplacian band
+# (laplacian_bands(mesh), or its mirror fold) and f the forcing there.
+# Every steady solve goes through these two; its residual tests take their
+# roundoff floor from mesh.residual_floor of the full band.
 
 
 def _residual(Lb: np.ndarray, w: np.ndarray, lam: float, glam: np.ndarray) -> np.ndarray:
@@ -189,7 +200,7 @@ def minimal_states(grid, profile: Profile, mesh: Mesh) -> Iterator[Optional[Stea
         state = None
         if ok is not None:
             state, phi = curve.state(*ok, start)
-            start = phi[mesh.unknown_slice]
+            start = curve.restrict(phi)
         yield state
 
 
@@ -305,11 +316,11 @@ def smallest_eigenvalue_bands(
 def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float,
                          start: Optional[np.ndarray]) -> Tuple[float, np.ndarray]:
     """(mu1, phi): the first eigenpair of -G_w = -lap - 2 lam f/(1-w)^3 on
-    `curve`'s operator at its interior values w, with zero Dirichlet data.
-    phi holds every node and is L2-normalized.
+    `curve`'s operator at w, values on its unknowns (`_Curve.restrict`),
+    with zero Dirichlet data.  phi holds every node and is L2-normalized.
 
-    `start`, interior values or None, warm-starts the eigen solve; see
-    `smallest_eigenvalue_bands`.
+    `start`, values on the curve's unknowns or None, warm-starts the eigen
+    solve; see `smallest_eigenvalue_bands`.
     """
     gap = 1.0 - w
     if gap.min() < 1e-9:
@@ -317,7 +328,7 @@ def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float,
     ab = _jacobian(curve.Lb, gap, lam, curve.f / np.square(gap))
     np.negative(ab, out=ab)  # -G_w
     mu, v, _ = smallest_eigenvalue_bands(ab, curve.wq, start=start, radius=curve.radius)
-    phi = _embed(curve.mesh, v)
+    phi = curve.embed(v)
     scale = np.sqrt(integrate(curve.mesh, phi**2))
     if scale <= 0:
         raise IterationLimit("eigenfunction normalization degenerate")
@@ -329,20 +340,47 @@ def linearized_eigenpair(curve: _Curve, w: np.ndarray, lam: float,
 
 
 class _Curve:
-    """Residual/corrector kit for the (w, lam) solution curve: its operator, set once, alone."""
+    """Residual/corrector kit for the (w, lam) solution curve: its operator, set once, alone.
+
+    Its `n` unknowns are a mirror-even slab's left half (see the module
+    docstring) or else all of them; `embed` and `restrict` move values
+    between them and every node."""
 
     def __init__(self, profile: Profile, mesh: Mesh):
         self.mesh = mesh
-        self.Lb = laplacian_bands(mesh)
-        self.f = _interior_forcing(profile, mesh)
-        self.wq = mesh.weights[mesh.unknown_slice].copy()
-        self.n = self.Lb.shape[1]
+        Lb = laplacian_bands(mesh)
+        f = _interior_forcing(profile, mesh)
+        wq = mesh.weights[mesh.unknown_slice].copy()
         # residual sup-norms below the operator's roundoff floor are noise
-        self.res_floor = residual_floor(self.Lb)
+        self.res_floor = residual_floor(Lb)
         # largest off-diagonal Gershgorin radius of every -G_w on this curve
-        self.radius = float(_offdiagonal_radii(self.Lb).max())
+        self.radius = float(_offdiagonal_radii(Lb).max())
         # the unit of lam is 1/sup f, sup f exact over the mesh span
         self.sup_f = supremum(profile, (mesh.nodes[0], mesh.nodes[-1]))
+        self.mirrored = mirror_even(profile, mesh, f)
+        if self.mirrored:
+            odd = Lb.shape[1] % 2
+            Lb, _ = mirror_bands(Lb)  # the 3-row fold: its mass is 1
+            f, wq = f[:Lb.shape[1]], 2.0 * wq[:Lb.shape[1]]
+            if odd:
+                wq[-1] *= 0.5  # the midpoint is counted once
+        self.Lb, self.f, self.wq = Lb, f, wq
+        self.n = Lb.shape[1]
+
+    def embed(self, values: np.ndarray) -> np.ndarray:
+        """Values on every node from values on the curve's unknowns, with
+        zero Dirichlet data and, on a mirrored curve, the mirror copy."""
+        full = np.zeros(self.mesh.node_count)
+        start, stop = self.mesh.unknown_slice.start, self.mesh.unknown_slice.stop
+        full[start:start + self.n] = values
+        if self.mirrored:
+            full[stop - self.n:stop] = values[::-1]
+        return full
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The curve's unknowns of values on every node (a view)."""
+        start = self.mesh.unknown_slice.start
+        return values[start:start + self.n]
 
     def correct(self, w, lam, tau_w, tau_lam, base_w, base_lam, ds, max_steps):
         """Newton on the bordered system {G = 0, arclength constraint}: (w, lam)
@@ -414,9 +452,18 @@ class _Curve:
         error is far below the roundoff noise of further updates (up to
         2e-11 relative on fine meshes).  |G_w phi| is not tested: once lam
         has converged, phi drifts along the nearly singular G_w and that
-        residual grows.  Returns (w, lam), or None when the eigen solve
-        stalls, Newton leaves the curve's neighbourhood or it ends off the
-        residual target.
+        residual grows.
+
+        G_w is singular at the fold itself, and an iterate can land on it
+        exactly (the mirrored 401-node two-bump slab at its 4th iterate,
+        |G| = 2.9e-11 under the 4.3e-9 floor after a lam update of 3e-8
+        relative).  A solve that finds G_w singular therefore stops Newton
+        at that iterate when |G| is at the roundoff floor and the last
+        update moved lam by at most 1e-6 relative, a quadratic step that
+        leaves a lam error far below 1e-10; at any other iterate, the first
+        one included, it fails the polish.  Returns (w, lam), or None when
+        the eigen solve stalls, Newton leaves the curve's neighbourhood or
+        it ends off the residual target.
         """
         w, lam = np.array(w, dtype=float), float(lam)
         gap = 1.0 - w
@@ -434,7 +481,8 @@ class _Curve:
                 return None
             glam = self.f / np.square(gap)
             G = _residual(self.Lb, w, lam, glam)
-            if abs(dlam) <= 1e-10 * abs(lam) and np.abs(G).max() <= self.res_floor:
+            floored = float(np.abs(G).max()) <= self.res_floor
+            if floored and abs(dlam) <= 1e-10 * abs(lam):
                 break
             Jb = _jacobian(self.Lb, gap, lam, glam)
             H = bands_matvec(Jb, phi)
@@ -445,7 +493,9 @@ class _Curve:
                 u0, u1 = u[:, 0], u[:, 1]
                 v = solve_banded(Jb, np.column_stack((-H - d1 * u0, -(d1 * u1 + d2))))
                 v0, v1 = v[:, 0], v[:, 1]
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError:  # G_w singular: converged onto the fold, or failed
+                if floored and abs(dlam) <= 1e-6 * abs(lam):
+                    break
                 return None
             if abs(v1[i0]) == 0.0:
                 return None
@@ -467,7 +517,7 @@ class _Curve:
         if w.min() < 0.0:
             w = np.where((w > -1e-12) & (w < 0.0), 0.0, w)
         mu1, phi = linearized_eigenpair(self, w, float(lam), start)
-        return SteadyState(lam=float(lam), w=_embed(self.mesh, w), mu1=mu1), phi
+        return SteadyState(lam=float(lam), w=self.embed(w), mu1=mu1), phi
 
 
 def _lagrange_weights(nodes: list, s: float) -> list:
@@ -541,7 +591,7 @@ def continue_branch(profile: Profile, mesh: Mesh) -> SteadyBranch:
     state, phi = curve.state(w, lam, None)
     states = [state]
     # (cumulative chord length, eigenvector) of the last three states
-    past = [(0.0, phi[mesh.unknown_slice])]
+    past = [(0.0, curve.restrict(phi))]
     top = None  # (index, w, lam, secant) at the fold
     for new_w, new_lam, nrm, tau_w, tau_lam in _walk(curve):
         chord = past[-1][0] + nrm
@@ -553,7 +603,7 @@ def continue_branch(profile: Profile, mesh: Mesh) -> SteadyBranch:
             start += c * phi
         state, phi = curve.state(new_w, new_lam, start)
         states.append(state)
-        past = past[-2:] + [(chord, phi[mesh.unknown_slice])]
+        past = past[-2:] + [(chord, curve.restrict(phi))]
         if top is None and tau_lam < 0.0:
             top = (len(states) - 2, w, lam, tau_w)
         w, lam = new_w, new_lam
@@ -599,11 +649,11 @@ def locate_fold(profile: Profile, mesh: Mesh) -> Fold:
     if mesh.node_count <= FULL_WALK_NODES:
         return walked(mesh)
     coarse = walked(build_mesh(mesh.geometry, COARSE_NODES))
-    x, xc, inner = mesh.nodes, coarse.mesh.nodes, mesh.unknown_slice
+    x, xc = mesh.nodes, coarse.mesh.nodes
     curve = _Curve(profile, mesh)
-    start = np.interp(x, xc, coarse.phi_star)[inner]
+    start = curve.restrict(np.interp(x, xc, coarse.phi_star))
     try:
-        return _polished(curve, np.interp(x, xc, coarse.w_star)[inner], coarse.lambda_star, start)
+        return _polished(curve, curve.restrict(np.interp(x, xc, coarse.w_star)), coarse.lambda_star, start)
     except StepFailure:  # the polish failed: walk the mesh itself
         return walked(mesh)
 

@@ -31,7 +31,7 @@ from quenchlab.dynamics import (
     write_snapshots,
 )
 from quenchlab.mesh import RadialBall, Slab, bands_matvec, build_mesh, laplacian_bands
-from quenchlab.profiles import Constant, Power, SlabSinPiecewise, Tabulated, evaluate
+from quenchlab.profiles import Constant, Power, SlabSinPiecewise, Tabulated, evaluate, mirror_even
 
 from oracles import convergence_check, liapunov
 
@@ -596,7 +596,7 @@ _MIRROR_RUNS = [(SlabSinPiecewise(), 10.0), (SlabSinPiecewise(), 100.0), (SlabSi
 def _full_run(lam, profile, mesh, cfg):
     """integrate with the mirror declined: every stage solves all the unknowns."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_mirror_even", lambda *args: False)
+        patch.setattr(dynamics, "mirror_even", lambda *args: False)
         return integrate(lam, profile, mesh, cfg)
 
 
@@ -669,7 +669,7 @@ def test_even_profiles_are_mirror_even_on_every_mesh(profile):
     for node_count in range(401, 6010, 16):
         mesh = build_mesh(UNIT_SLAB, node_count)
         f = np.asarray(evaluate(profile, mesh.nodes[mesh.unknown_slice]), dtype=float)
-        assert dynamics._mirror_even(profile, mesh, f), node_count
+        assert mirror_even(profile, mesh, f), node_count
 
 
 def test_growth_target():
@@ -752,7 +752,7 @@ def test_argmax_does_not_follow_solver_noise(monkeypatch):
     # declined, as in _full_run), the mirror peaks of a stored state differ
     # by rounding, and a run whose solves eliminate from the other end (the
     # mirrored system, so the states differ by rounding) reports the same node
-    monkeypatch.setattr(dynamics, "_mirror_even", lambda *args: False)
+    monkeypatch.setattr(dynamics, "mirror_even", lambda *args: False)
     mesh = build_mesh(UNIT_SLAB, 1001)
     traj, _ = integrate(100.0, SlabSinPiecewise(), mesh, TimeConfig())
     peaks = traj.values.argmax(axis=1)

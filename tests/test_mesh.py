@@ -192,6 +192,33 @@ def test_mirror_bands_act_on_even_vectors(node_count, rng):
     assert np.max(np.abs(solve_banded(folded, mass * w) - x[:k])) <= 1e-12 * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize("node_count", [5, 6, 9, 10, 2000, 2001])
+def test_mirror_bands_fold_the_three_row_band(node_count, rng):
+    # in the 3-row layout the fold needs no mass: on a vector even under the
+    # reversal of the unknowns, the folded band gives the left half of the
+    # full operator's product, the odd midpoint row by its doubled left
+    # coupling; with the curve's half weights W (twice the left trapezoid
+    # weights, the midpoint once) W A is symmetric, which the weighted
+    # Rayleigh quotient of the eigen solve takes as given
+    mesh = build_mesh(Slab(-0.5, 0.5), node_count)
+    ab = laplacian_bands(mesh)
+    m, h2 = ab.shape[1], mesh.h * mesh.h
+    half, mass = mirror_bands(ab)
+    k = (node_count - 1) // 2
+    assert half.shape == (3, k) and mass == 1.0
+    assert half[1, -1] == (-2.0 if m % 2 else -1.0) / h2 and half[2, -2] == (2.0 if m % 2 else 1.0) / h2
+    w = rng.standard_normal(k)
+    v = np.concatenate([w, w[::-1][m % 2:]])
+    scale = np.max(np.abs(ab)) * np.max(np.abs(v))
+    assert np.max(np.abs(bands_matvec(half, w) - bands_matvec(ab, v)[:k])) <= 1e-14 * scale
+    W = 2.0 * mesh.weights[mesh.unknown_slice][:k]
+    if m % 2:
+        W[-1] *= 0.5
+    upper, lower = half[0, 1:], half[2, :-1]
+    assert np.allclose(W[:-1] * upper, W[1:] * lower, rtol=1e-14, atol=0.0)
+    assert np.dot(W * w, w) == pytest.approx(np.dot(mesh.weights[mesh.unknown_slice] * v, v), rel=1e-13)
+
+
 def test_weighted_symmetry(rng):
     # the centered radial stencil is quadrature-symmetric only while the
     # trapezoid rule integrates r^(N-2) exactly, i.e. N <= 3; the N = 2

@@ -161,7 +161,8 @@ def test_mu1_at_zero_state():
     for n in (201, 401):
         mesh = build_mesh(Slab(-0.5, 0.5), n)
         st = next(minimal_states([0.0], Constant(1.0), mesh))
-        mu1, _ = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[mesh.unknown_slice], lam, None)
+        curve = steady._Curve(Constant(1.0), mesh)
+        mu1, _ = linearized_eigenpair(curve, curve.restrict(st.w), lam, None)
         errs.append(abs(mu1 - (math.pi**2 - 2.0 * lam)))
     assert errs[0] < 1e-3
     assert errs[0] / errs[1] > 3.5
@@ -174,7 +175,8 @@ def test_eigen_residual_recompute(branch_f1_401):
     st = minimal[len(minimal) // 2]
     mesh = branch_f1_401.mesh
     inner = mesh.unknown_slice
-    mu, phi = linearized_eigenpair(steady._Curve(Constant(1.0), mesh), st.w[inner], st.lam, None)
+    curve = steady._Curve(Constant(1.0), mesh)
+    mu, phi = linearized_eigenpair(curve, curve.restrict(st.w), st.lam, None)
     ab = laplacian_bands(mesh)
     pot = 2.0 * st.lam / (1.0 - st.w[inner]) ** 3
     resid = -bands_matvec(ab, phi[inner]) - pot * phi[inner] - mu * phi[inner]
@@ -267,7 +269,7 @@ def test_warm_mu1_matches_cold(branch_f1_401):
     br = branch_f1_401
     curve = steady._Curve(Constant(1.0), br.mesh)
     for st in br.states + (br.fold_state,):
-        cold, _ = linearized_eigenpair(curve, st.w[br.mesh.unknown_slice], st.lam, None)  # no start: cold
+        cold, _ = linearized_eigenpair(curve, curve.restrict(st.w), st.lam, None)  # no start: cold
         assert abs(st.mu1 - cold) <= 1e-9 * max(1.0, abs(cold))
 
 
@@ -345,6 +347,109 @@ def test_walk_without_fold_names_its_cap_and_last_lam():
 
 
 # ---------------------------------------------------------------------------
+# a mirror-even slab walks on the left half of its unknowns
+
+
+MIRROR_PROFILES = pytest.mark.parametrize("profile", [Constant(1.0), SlabSinPiecewise(), Power(2.0)],
+                                          ids=["f1", "two-bump", "x2"])
+
+
+def _declined(monkeypatch, call, *args):
+    """call(*args) with the mirror declined: every solve runs on every unknown."""
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "mirror_even", lambda *_: False)
+        return call(*args)
+
+
+@MIRROR_PROFILES
+@pytest.mark.parametrize("nodes", [401, 402, 2000, 2001])
+def test_mirrored_curve_keeps_the_full_curve(monkeypatch, profile, nodes):
+    # an even f walks, polishes and solves eigenpairs on (nodes - 1) // 2
+    # unknowns; the walk on all of them keeps its states and fold to
+    # rounding: lam within 1e-12 relative and mu1 within twice the eigen
+    # solve's residual target, 2e-8 max(1, |mu1|) (9.9e-14, 1.3e-8 and
+    # 9.9e-14 were the worst seen for lam, mu1 and lambda_star, over 5 to
+    # 6001 nodes), and every state of the half walk is exactly even
+    mesh = build_mesh(Slab(-0.5, 0.5), nodes)
+    assert steady._Curve(profile, mesh).n == (nodes - 1) // 2
+
+    def same_states(half, full):
+        assert [s is None for s in half] == [s is None for s in full]
+        for a, b in zip(full, half):
+            if a is not None:
+                assert b.lam == pytest.approx(a.lam, rel=1e-12, abs=0.0)
+                assert abs(b.mu1 - a.mu1) <= 2e-8 * max(1.0, abs(a.mu1)), (a.lam, a.mu1, b.mu1)
+                assert np.array_equal(b.w, b.w[::-1])
+
+    half, full = continue_branch(profile, mesh), _declined(monkeypatch, continue_branch, profile, mesh)
+    assert (len(half.states), half.fold_index) == (len(full.states), full.fold_index)
+    same_states(half.states, full.states)
+    assert half.lambda_star == pytest.approx(full.lambda_star, rel=1e-12)
+    fold = steady.locate_fold(profile, mesh)
+    assert fold.lambda_star == pytest.approx(_declined(monkeypatch, steady.locate_fold, profile, mesh).lambda_star,
+                                             rel=1e-12)
+    grid = [q * full.lambda_star for q in (0.0, 0.3, 0.9, 0.999, 1.01)]
+    same_states(list(minimal_states(grid, profile, mesh)),
+                _declined(monkeypatch, lambda: list(minimal_states(grid, profile, mesh))))
+
+
+def _singular_polish_solves(monkeypatch, fail_at=None):
+    """Record each solve of `_Curve.fold_polish` that finds G_w singular,
+    as the list the returned one fills; with `fail_at`, the solve of that
+    index (from 0) in each polish raises as singular."""
+    kernel, polish = steady.solve_banded, steady._Curve.fold_polish
+    singular, solves = [], []
+
+    def recorded(ab, b, **kwargs):
+        if sys._getframe(1).f_code.co_name != "fold_polish":
+            return kernel(ab, b, **kwargs)
+        solves.append(b)
+        try:
+            if len(solves) - 1 == fail_at:
+                raise np.linalg.LinAlgError("singular matrix")
+            return kernel(ab, b, **kwargs)
+        except np.linalg.LinAlgError:
+            singular.append(len(solves) - 1)
+            raise
+
+    def counted(self, w, lam, start):
+        solves.clear()
+        return polish(self, w, lam, start)
+
+    monkeypatch.setattr(steady, "solve_banded", recorded)
+    monkeypatch.setattr(steady._Curve, "fold_polish", counted)
+    return singular
+
+
+def test_fold_polish_stops_at_a_singular_jacobian_once_converged(monkeypatch):
+    # the mirrored 401-node two-bump polish lands on the fold exactly at its
+    # 4th iterate: G_w there is singular to dgtsv, |G| is under the roundoff
+    # floor and the last update moved lam by 3e-8 relative, so the polish
+    # keeps that iterate where it used to fail
+    mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    full = _declined(monkeypatch, continue_branch, SlabSinPiecewise(), mesh)
+    singular = _singular_polish_solves(monkeypatch)
+    branch = continue_branch(SlabSinPiecewise(), mesh)
+    assert singular == [6], singular  # the 1st solve of the 4th iterate
+    assert branch.lambda_star == pytest.approx(full.lambda_star, rel=1e-12)
+    assert abs(branch.fold_state.mu1) <= 1e-8
+
+
+def test_fold_polish_fails_at_a_singular_jacobian_before_an_update(monkeypatch):
+    # started on the fold itself, the polish's first iterate is at the
+    # roundoff floor, but no update has measured lam yet: a singular G_w
+    # there fails the polish
+    mesh = build_mesh(Slab(-0.5, 0.5), 401)
+    fold = steady.locate_fold(Constant(1.0), mesh)
+    curve = steady._Curve(Constant(1.0), mesh)
+    w, start = curve.restrict(fold.w_star), curve.restrict(fold.phi_star)
+    assert np.abs(steady._residual(curve.Lb, w, fold.lambda_star, curve.f / np.square(1.0 - w))).max() <= curve.res_floor
+    singular = _singular_polish_solves(monkeypatch, fail_at=0)
+    assert curve.fold_polish(w, fold.lambda_star, start) is None
+    assert singular == [0]
+
+
+# ---------------------------------------------------------------------------
 # the fold alone, from a coarse walk and a fine polish
 
 
@@ -381,10 +486,11 @@ def test_stalled_fine_polish_eigen_solve_falls_back_to_the_full_walk(monkeypatch
     mesh = build_mesh(Slab(-0.5, 0.5), 1001)
     full = continue_branch(Constant(1.0), mesh)
     eigen = steady.smallest_eigenvalue_bands
+    fine = steady._Curve(Constant(1.0), mesh).n
     stalls = []
 
     def stall_first_fine_polish(ab, weights, start=None, **kwargs):
-        if ab.shape[1] == mesh.node_count - 2 and not stalls:
+        if ab.shape[1] == fine and not stalls:
             stalls.append(start)
             raise steady.IterationLimit("forced")
         return eigen(ab, weights, start=start, **kwargs)
@@ -432,7 +538,7 @@ def test_lean_walk_stops_at_the_fold_state_of_the_full_walk(monkeypatch, profile
     fold = steady.locate_fold(profile, mesh)
     (w_full, lam_full, start_full), (w_lean, lam_lean, start_lean) = starts
     top = branch.states[branch.fold_index]
-    assert np.array_equal(w_lean, top.w[mesh.unknown_slice]) and lam_lean == top.lam
+    assert np.array_equal(w_lean, steady._Curve(profile, mesh).restrict(top.w)) and lam_lean == top.lam
     assert np.array_equal(w_full, w_lean) and lam_full == lam_lean
     assert np.array_equal(start_full, start_lean)
     assert branch.states[branch.fold_index + 1].lam < top.lam
@@ -693,18 +799,20 @@ def test_extrapolated_start_takes_about_one_solve_per_state():
     branch = continue_branch(SlabSinPiecewise(), mesh)
     curve = steady._Curve(SlabSinPiecewise(), mesh)
     for st in branch.states:
-        cold, _ = linearized_eigenpair(curve, st.w[mesh.unknown_slice], st.lam, None)  # no start: cold
+        cold, _ = linearized_eigenpair(curve, curve.restrict(st.w), st.lam, None)  # no start: cold
         assert abs(st.mu1 - cold) <= 1e-8 * max(1.0, abs(cold)), (st.lam, st.mu1, cold)
 
 
 @pytest.mark.parametrize("geometry,profile", [FOLD_PAIR_CASES[i] for i in (0, 2, 3)],
                          ids=["slab-f1", "ball2-f1", "ball3-power1"])
 def test_mu1_matches_a_dense_symmetric_solver(geometry, profile):
-    # W A is symmetric for the quadrature weights W, so A is similar to the
-    # symmetric tridiagonal with off-diagonal sqrt(a_{i,i+1} a_{i+1,i}); at
-    # the ball's origin, whose weight is 0, that product still symmetrizes
+    # W A is symmetric for the curve's quadrature weights W, so A is similar
+    # to the symmetric tridiagonal with off-diagonal sqrt(a_{i,i+1} a_{i+1,i});
+    # at the ball's origin, whose weight is 0, that product still
+    # symmetrizes, and so it does at a mirrored slab's midpoint, whose left
+    # coupling is doubled and whose weight is half the others'
     mesh = build_mesh(geometry, 101)
-    wq = mesh.weights[mesh.unknown_slice]
+    wq = steady._Curve(profile, mesh).wq
     pairs, _ = recorded_eigen_solves(geometry, profile, 101)
     for ab, mu, _ in pairs:
         upper, lower = ab[0, 1:], ab[2, :-1]

@@ -28,7 +28,10 @@ profile's Hoelder constant is read only by the large-lam sandwich, and
 only `mesh` forms quadrature weights (no other module calls `sphere_area`).
 Only `dynamics.detect_quench` builds a `QuenchReport`, and the touchdown
 report takes `RateFit`'s fields by name.  `mesh.mirror_bands` alone folds
-a band onto its mirror half, and only `dynamics.integrate` calls it.
+a band onto its mirror half, and `profiles.mirror_even` alone decides
+whether a slab solve may run on that half: `dynamics.integrate` and the
+steady curve kit `steady._Curve` call both, and neither module defines
+its own mirror function.
 Each paper estimate of `bounds.BoundsReport` is declared once, as a row of
 `bounds.ESTIMATES`, each report flag is a status from a closed set, and
 the table calls each estimate by its module name, where the tracer wraps it.
@@ -290,17 +293,35 @@ def test_one_quench_report_build():
 
 
 def test_one_mirror_fold():
-    # the half band of a mirror-even run is built in mesh alone, from the
-    # Laplacian bands that integrate looks up by name, and only integrate asks for it
-    from quenchlab import dynamics, mesh
+    # the half band of a mirror-even run or curve is built in mesh alone, from
+    # the Laplacian bands that integrate and _Curve look up by name, and only
+    # those two ask for it
+    from quenchlab import dynamics, mesh, steady
 
     assert dynamics.mirror_bands is mesh.mirror_bands
+    assert steady.mirror_bands is mesh.mirror_bands
     defined = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "mirror_bands"}
     assert defined == {("mesh", "mirror_bands")}, defined
     callers = call_sites("mirror_bands")
-    assert callers == {("dynamics", "integrate")}, callers
+    assert callers == {("dynamics", "integrate"), ("steady", "_Curve")}, callers
+
+
+def test_one_mirror_predicate():
+    # whether f is mirror-even is decided by profiles.mirror_even alone, the
+    # same test for a time-stepping run and a steady curve; neither dynamics
+    # nor steady defines a mirror function of its own
+    from quenchlab import dynamics, profiles, steady
+
+    assert dynamics.mirror_even is profiles.mirror_even
+    assert steady.mirror_even is profiles.mirror_even
+    own = [(mod, node.name) for mod in ("dynamics", "steady")
+           for node in ast.walk(ast.parse((SRC / (mod + ".py")).read_text()))
+           if isinstance(node, ast.FunctionDef) and "mirror" in node.name]
+    assert not own, own
+    callers = call_sites("mirror_even")
+    assert callers == {("dynamics", "integrate"), ("steady", "_Curve")}, callers
 
 
 def test_one_quadrature_rule():
