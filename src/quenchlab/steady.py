@@ -371,10 +371,10 @@ class _Curve:
         """Values on every node from values on the curve's unknowns, with
         zero Dirichlet data and, on a mirrored curve, the mirror copy."""
         full = np.zeros(self.mesh.node_count)
-        start, stop = self.mesh.unknown_slice.start, self.mesh.unknown_slice.stop
-        full[start:start + self.n] = values
+        sl = self.mesh.unknown_slice
+        full[sl.start:sl.start + self.n] = values
         if self.mirrored:
-            full[stop - self.n:stop] = values[::-1]
+            full[sl.stop - self.n:sl.stop] = values[::-1]
         return full
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
